@@ -18,7 +18,6 @@ Layout (all JSON/JSONL, deterministic key order):
 from __future__ import annotations
 
 import json
-from dataclasses import asdict
 from pathlib import Path
 from typing import Any, Iterable
 
@@ -63,11 +62,3 @@ def read_events(artifact_dir: str | Path) -> list[dict]:
 def read_meta(artifact_dir: str | Path) -> dict:
     path = Path(artifact_dir) / META_FILE
     return read_json(path) if path.exists() else {}
-
-
-def event_row(event) -> dict:
-    return asdict(event)
-
-
-def is_complete(artifact_dir: str | Path) -> bool:
-    return read_meta(artifact_dir).get("status") == "complete"

@@ -15,7 +15,7 @@ import threading
 import time
 from collections import deque
 from contextlib import contextmanager
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
 
@@ -56,6 +56,20 @@ class LlmRequest:
     max_tokens: int = 512
     request_index: int = -1
 
+    @property
+    def digest(self) -> str:
+        """:func:`request_digest` of this request, computed on first use and kept.
+
+        A replayed request is hashed for the lookup and again for the saved
+        transcript; keeping the value makes that one hash. Not a field, so it
+        takes no part in equality or ``repr``.
+        """
+        value = getattr(self, "_digest", None)
+        if value is None:
+            value = request_digest(self.role_tag, self.rendered_prompt)
+            object.__setattr__(self, "_digest", value)
+        return value
+
 
 @dataclass(frozen=True)
 class LlmResponse:
@@ -70,6 +84,11 @@ def request_digest(role_tag: str, rendered_prompt: str) -> str:
     return hashlib.sha256(material).hexdigest()
 
 
+# One encoder for every transcript line: ``json.dumps(..., sort_keys=True)``
+# builds a new one per call and writes the same bytes.
+_TRANSCRIPT_ENCODER = json.JSONEncoder(sort_keys=True)
+
+
 @dataclass
 class Transcript:
     """Append-only record of request/response pairs for replay and audit."""
@@ -78,23 +97,22 @@ class Transcript:
     mode: str = "record"
 
     def save(self, path: str | Path) -> None:
-        lines = []
-        for req, resp in self.entries:
-            lines.append(
-                json.dumps(
-                    {
-                        "digest": request_digest(req.role_tag, req.rendered_prompt),
-                        "role_tag": req.role_tag,
-                        "rendered_prompt": req.rendered_prompt,
-                        "temperature": req.temperature,
-                        "max_tokens": req.max_tokens,
-                        "request_index": req.request_index,
-                        "response_text": resp.text,
-                        "latency_s": resp.latency_s,
-                    },
-                    sort_keys=True,
-                )
+        encode = _TRANSCRIPT_ENCODER.encode
+        lines = [
+            encode(
+                {
+                    "digest": req.digest,
+                    "role_tag": req.role_tag,
+                    "rendered_prompt": req.rendered_prompt,
+                    "temperature": req.temperature,
+                    "max_tokens": req.max_tokens,
+                    "request_index": req.request_index,
+                    "response_text": resp.text,
+                    "latency_s": resp.latency_s,
+                }
             )
+            for req, resp in self.entries
+        ]
         Path(path).write_text("\n".join(lines) + ("\n" if lines else ""), encoding="utf-8")
 
     @classmethod
@@ -153,12 +171,14 @@ class ReplayBackend:
         self._queues: dict[str, deque[LlmResponse]] = {}
         self._last: dict[str, LlmResponse] = {}
         for req, resp in transcript.entries:
+            # Not ``req.digest``: these requests are never saved again, so
+            # keeping the value on them would only hold memory.
             key = request_digest(req.role_tag, req.rendered_prompt)
             self._queues.setdefault(key, deque()).append(resp)
             self._last[key] = resp
 
     def complete(self, req: LlmRequest, on_attempt: Callable[[], None]) -> tuple[str, float]:
-        key = request_digest(req.role_tag, req.rendered_prompt)
+        key = req.digest
         if key not in self._last:
             raise ReplayMissError(
                 f"no recorded response for {req.role_tag} request (digest {key[:12]})"
@@ -245,13 +265,20 @@ class LiveBackend:
             else:
                 if status == 200:
                     try:
-                        text = json.loads(body)["choices"][0]["message"]["content"]
-                    except (KeyError, IndexError, TypeError, json.JSONDecodeError) as exc:
+                        message = json.loads(body)["choices"][0]["message"]
+                        text = message.get("content")
+                    except (KeyError, IndexError, TypeError, AttributeError,
+                            json.JSONDecodeError) as exc:
                         raise LiveCallError(f"malformed completion body: {exc}") from exc
-                    return text, time.monotonic() - started
-                if status not in (429,) and status < 500:
+                    if isinstance(text, str):
+                        return text, time.monotonic() - started
+                    # Null or missing content is retried like a 503: scoring
+                    # and editing need text.
+                    last_error = "completion content missing or not a string"
+                elif status not in (429,) and status < 500:
                     raise LiveCallError(f"HTTP {status}: {body[:200]}")
-                last_error = f"HTTP {status}"
+                else:
+                    last_error = f"HTTP {status}"
             delay = self.retry.delay(attempt, self._rng)
             if delay is None:
                 raise LiveCallError(
@@ -298,9 +325,12 @@ class Gateway:
 
     def complete(self, req: LlmRequest) -> LlmResponse:
         with self._lock:
-            req = replace(req, request_index=self._next_index)
+            index = self._next_index
             self._next_index += 1
             bucket = self._bucket
+        # A direct constructor call: ``dataclasses.replace`` walks the fields
+        # on every call, and this runs once per request.
+        req = LlmRequest(req.role_tag, req.rendered_prompt, req.temperature, req.max_tokens, index)
 
         def on_attempt() -> None:
             with self._lock:

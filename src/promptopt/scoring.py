@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass
 from typing import Sequence
@@ -45,6 +46,19 @@ class ConfusionCounts:
         return self.tp + self.fp + self.fn + self.tn
 
 
+@functools.lru_cache(maxsize=64)
+def _label_pattern(label_set: tuple[str, ...]) -> re.Pattern:
+    """``\\b(l1)\\b|\\b(l2)\\b|...``: group ``k`` matches label ``k - 1``.
+
+    Search tries the alternatives in order at each position from the left,
+    so the first match is the earliest occurrence of any label, with ties
+    going to label_set order.
+    """
+    return re.compile(
+        "|".join(rf"\b({re.escape(label)})\b" for label in label_set), re.IGNORECASE
+    )
+
+
 def parse_label(raw: str, label_set: Sequence[str]) -> str | None:
     """Earliest case-insensitive whole-token label occurrence in ``raw``.
 
@@ -53,12 +67,9 @@ def parse_label(raw: str, label_set: Sequence[str]) -> str | None:
     """
     if not label_set:
         raise ValueError("label_set is empty")
-    best: tuple[int, str] | None = None
-    for label in label_set:
-        match = re.search(rf"\b{re.escape(label)}\b", raw, re.IGNORECASE)
-        if match and (best is None or match.start() < best[0]):
-            best = (match.start(), label)
-    return best[1] if best else None
+    labels = label_set if isinstance(label_set, tuple) else tuple(label_set)
+    match = _label_pattern(labels).search(raw)
+    return labels[match.lastindex - 1] if match else None
 
 
 _NUMBER_RE = re.compile(r"-?\d[\d,]*(?:\.\d+)?")

@@ -221,8 +221,9 @@ def run(
 
     Returns the best prompt of the final beam (argmax train metric on a fresh
     minibatch, ties to the lowest id), the per-round metric events, and the
-    convergence report. An unrecoverable gateway failure writes a partial
-    artifact flagged incomplete and raises :class:`RunIncompleteError`.
+    convergence report. Any abort writes a partial artifact flagged
+    incomplete: an unrecoverable gateway failure then raises
+    :class:`RunIncompleteError`, and any other exception is re-raised as is.
     """
     validate_config(cfg)
     out = Path(out_dir)
@@ -355,14 +356,17 @@ def run(
             eval_on_test(best)
             best = store.prompts[best_id]
         status = "complete"
-    except GatewayError as exc:
+    except BaseException as exc:
+        # Any abort, an interrupt included, leaves a partial artifact behind.
         _write_artifact(
             out, cfg, events, beams, history, store, arm_tables,
             report=None, gateway=gateway, status="incomplete",
             method_name=method_name, best=None, predictions=test_predictions,
             config_context=config_context,
         )
-        raise RunIncompleteError(f"run aborted: {exc}", artifact_dir=str(out)) from exc
+        if isinstance(exc, GatewayError):
+            raise RunIncompleteError(f"run aborted: {exc}", artifact_dir=str(out)) from exc
+        raise
 
     if cfg.convergence_target is not None:
         report = detect_convergence(events, cfg.convergence_target)

@@ -10,6 +10,8 @@ from promptopt.gateway import (
     LiveBackend,
     LiveCallError,
     LiveConfig,
+    LlmRequest,
+    LlmResponse,
     ReplayBackend,
     ReplayMissError,
     RetryPolicy,
@@ -99,6 +101,51 @@ def test_transcript_save_load_round_trip(tmp_path) -> None:
         ("gradient_gen", "second"),
     ]
     assert [resp.text for _, resp in loaded.entries] == ["echo:first", "echo:second"]
+
+
+def test_transcript_save_golden_bytes(tmp_path) -> None:
+    # Replay and transcript fingerprints depend on these exact bytes.
+    transcript = Transcript(
+        entries=[
+            (
+                LlmRequest("task_eval", "Is it true?\nCafé — naïve", 0.0, 16, 0),
+                LlmResponse("Oui, yes", 0, 0.0),
+            ),
+            (
+                LlmRequest("gradient_gen", 'line one\nline "two"', 0.7, 512, 1),
+                LlmResponse("<START>reason\n<END>", 1, 0.25),
+            ),
+        ]
+    )
+    path = tmp_path / "transcript.jsonl"
+    transcript.save(path)
+    assert path.read_bytes() == (
+        b'{"digest": "59f4827f73f6944148f4349bd9779cc7a68e67984c26f816890def3b3e8a0ea0", '
+        b'"latency_s": 0.0, "max_tokens": 16, '
+        b'"rendered_prompt": "Is it true?\\nCaf\\u00e9 \\u2014 na\\u00efve", '
+        b'"request_index": 0, "response_text": "Oui, yes", "role_tag": "task_eval", '
+        b'"temperature": 0.0}\n'
+        b'{"digest": "6c5b062ca92737c160dd4cde7c77ec75bef68a838df726d2b130558d18b4f9c1", '
+        b'"latency_s": 0.25, "max_tokens": 512, '
+        b'"rendered_prompt": "line one\\nline \\"two\\"", '
+        b'"request_index": 1, "response_text": "<START>reason\\n<END>", '
+        b'"role_tag": "gradient_gen", "temperature": 0.7}\n'
+    )
+
+
+def test_complete_stamps_index_and_keeps_request_fields() -> None:
+    gw = echo_gateway()
+    gw.call("task_eval", "first")
+    resp = gw.complete(LlmRequest("prompt_edit", "edit me", 0.3, 77, request_index=99))
+    req, _ = gw.transcript.entries[-1]
+    assert resp.request_index == req.request_index == 1
+    assert (req.role_tag, req.rendered_prompt, req.temperature, req.max_tokens) == (
+        "prompt_edit",
+        "edit me",
+        0.3,
+        77,
+    )
+    assert req.digest == request_digest("prompt_edit", "edit me")
 
 
 def test_replay_serves_recorded_responses(tmp_path) -> None:
@@ -228,6 +275,21 @@ def test_live_backend_client_error_is_fatal() -> None:
     with pytest.raises(LiveCallError, match="HTTP 400"):
         gw.call("task_eval", "p")
     assert attempts["n"] == 1
+
+
+def test_live_backend_retries_null_content() -> None:
+    bodies = iter([json.dumps({"choices": [{"message": {"content": None}}]}), _ok_body("Yes")])
+    gw = _live_gateway(lambda *a: (200, next(bodies)), max_attempts=3)
+    assert gw.call("task_eval", "p").text == "Yes"
+    assert gw.call_count() == 2  # the null answer reached the wire too
+
+
+def test_live_backend_gives_up_on_missing_content() -> None:
+    gw = _live_gateway(lambda *a: (200, json.dumps({"choices": [{"message": {}}]})),
+                       max_attempts=2)
+    with pytest.raises(LiveCallError, match="content missing"):
+        gw.call("task_eval", "p")
+    assert gw.call_count() == 3
 
 
 def test_replay_elapsed_uses_recorded_latencies(tmp_path) -> None:

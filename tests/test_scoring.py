@@ -4,6 +4,8 @@ import random
 import re
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from promptopt import Gateway, ScriptedBackend, new_seed_prompt
 from promptopt.data import Example
@@ -41,6 +43,37 @@ def test_parse_label_no_match() -> None:
 
 def test_parse_label_case_insensitive_returns_canonical_casing() -> None:
     assert parse_label("the answer is yes", YES_NO) == "Yes"
+
+
+def _parse_label_loop(raw: str, label_set) -> str | None:
+    """Reference: one whole-token search per label, earliest start wins."""
+    best = None
+    for label in label_set:
+        match = re.search(rf"\b{re.escape(label)}\b", raw, re.IGNORECASE)
+        if match and (best is None or match.start() < best[0]):
+            best = (match.start(), label)
+    return best[1] if best else None
+
+
+# Small alphabets so labels overlap, prefix each other, differ only in case
+# and repeat; "." and "-" give labels and text non-word characters.
+_LABEL = st.text(alphabet="yYesNno01 .-", min_size=1, max_size=6)
+
+
+@st.composite
+def _label_case(draw):
+    labels = draw(st.lists(_LABEL, min_size=1, max_size=5))
+    mention = st.tuples(st.sampled_from(labels), st.sampled_from([str, str.upper, str.lower]))
+    filler = st.text(alphabet="yYesNno01 .,-x", max_size=6)
+    pieces = draw(st.lists(st.one_of(mention.map(lambda lc: lc[1](lc[0])), filler), max_size=8))
+    return "".join(pieces), labels
+
+
+@given(_label_case())
+def test_parse_label_matches_per_label_loop(case) -> None:
+    raw, labels = case
+    assert parse_label(raw, labels) == _parse_label_loop(raw, labels)
+    assert parse_label(raw, tuple(labels)) == _parse_label_loop(raw, labels)
 
 
 def test_parse_math_marker_rule() -> None:

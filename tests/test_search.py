@@ -9,12 +9,15 @@ import pytest
 from promptopt import (
     Example,
     Gateway,
+    LiveBackend,
+    LiveConfig,
     ReplayBackend,
     ScriptedBackend,
     Transcript,
     make_split,
     new_seed_prompt,
 )
+from promptopt.gateway import RetryPolicy
 from promptopt.gradients import extract_history_binding
 from promptopt.scripted import SequenceScript
 from promptopt.search import (
@@ -261,6 +264,40 @@ def test_run_gateway_failure_flags_incomplete_artifact(tmp_path) -> None:
     meta = json.loads((out / "run_meta.json").read_text())
     assert meta["status"] == "incomplete"
     assert (out / "events.jsonl").exists()
+
+
+def test_run_any_exception_flags_incomplete_artifact_and_propagates(tmp_path) -> None:
+    examples = toy_examples()
+    split = make_split(examples, 20, 7, task_type="classification", positive_label="Yes")
+    calls = {"n": 0}
+
+    def failing_responder(req):
+        calls["n"] += 1
+        if calls["n"] == 30:
+            raise RuntimeError("responder broke")
+        return "Yes"
+
+    out = tmp_path / "crashed"
+    with pytest.raises(RuntimeError, match="responder broke"):
+        gateway = Gateway(ScriptedBackend(failing_responder))
+        run(new_seed_prompt(SEED_TEXT), split, small_config(), gateway, out)
+    assert json.loads((out / "run_meta.json").read_text())["status"] == "incomplete"
+    assert len((out / "transcript.jsonl").read_text().splitlines()) == 29
+
+
+def test_run_null_live_content_ends_incomplete(tmp_path) -> None:
+    examples = toy_examples()
+    split = make_split(examples, 20, 7, task_type="classification", positive_label="Yes")
+    backend = LiveBackend(
+        LiveConfig(base_url="https://llm.example/v1", model="test-model"),
+        retry=RetryPolicy(base_delay_s=0.01, max_attempts=2),
+        transport=lambda *a: (200, json.dumps({"choices": [{"message": {"content": None}}]})),
+        sleep=lambda s: None,
+    )
+    out = tmp_path / "null"
+    with pytest.raises(RunIncompleteError):
+        run(new_seed_prompt(SEED_TEXT), split, small_config(), Gateway(backend), out)
+    assert json.loads((out / "run_meta.json").read_text())["status"] == "incomplete"
 
 
 def test_run_convergence_report_uses_configured_target(tmp_path) -> None:
