@@ -12,6 +12,7 @@ import configparser
 import csv
 import os
 import sys
+import typing
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -25,6 +26,7 @@ from .gateway import (
     ReplayBackend,
     ScriptedBackend,
     Transcript,
+    TranscriptFormatError,
 )
 from .gradients import TemplateSet
 from .model import BanditConfig, ConfigError, EmptyPromptError, RunConfig, new_seed_prompt, validate_config
@@ -45,28 +47,39 @@ _MODE_PRESETS = {
 # The baseline method generates more gradients per parent, all negative.
 _PROTEGI_NUM_GRADIENTS = 4
 
-_BOOL_FIELDS = {
-    "momentum_enabled",
-    "baseline_mode",
-    "include_parents",
-    "full_beam_test_eval",
-    "emit_predictions",
-}
-_FLOAT_FIELDS = {"temperature", "convergence_target", "exploration"}
-_STR_FIELDS = {"gradient_mode", "history_mode", "update_rule"}
+
+def _field_types(cls, skip: tuple[str, ...] = ()) -> dict[str, type]:
+    """Value type of each INI-settable field, read from the dataclass annotations.
+
+    ``model`` postpones its annotations, so they are evaluated here; an
+    optional field such as ``convergence_target: float | None`` takes the
+    type of its non-None member.
+    """
+    hints = typing.get_type_hints(cls)
+    types = {}
+    for f in fields(cls):
+        if f.name in skip:
+            continue
+        members = [t for t in typing.get_args(hints[f.name]) if t is not type(None)]
+        types[f.name] = members[0] if members else hints[f.name]
+    return types
 
 
-def _coerce(name: str, raw: str):
-    if name in _BOOL_FIELDS:
+def _coerce(section: str, types: dict[str, type], key: str, raw: str):
+    if key not in types:
+        raise ConfigError(f"[{section}] unknown key {key!r}")
+    kind = types[key]
+    if kind is bool:
         lowered = raw.strip().lower()
         if lowered not in ("true", "false", "on", "off", "1", "0", "yes", "no"):
-            raise ConfigError(f"{name}: expected a boolean, got {raw!r}")
+            raise ConfigError(f"[{section}] {key}: expected a boolean, got {raw!r}")
         return lowered in ("true", "on", "1", "yes")
-    if name in _FLOAT_FIELDS:
-        return float(raw)
-    if name in _STR_FIELDS:
+    if kind is str:
         return raw.strip()
-    return int(raw)
+    try:
+        return kind(raw)
+    except ValueError as exc:
+        raise ConfigError(f"[{section}] {key}: {exc}") from exc
 
 
 def read_config_file(path: str | Path):
@@ -77,29 +90,17 @@ def read_config_file(path: str | Path):
         raise ConfigError(f"config file not found: {file}")
     parser.read(file)
 
-    run_fields = {f.name for f in fields(RunConfig)} - {"bandit"}
+    run_types = _field_types(RunConfig, skip=("bandit",))
     run_overrides: dict = {}
     extra: dict = {}
     for key, raw in parser.items("run") if parser.has_section("run") else []:
         if key in ("seed_prompt", "seed_prompt_file"):
             extra[key] = raw
-        elif key in run_fields:
-            try:
-                run_overrides[key] = _coerce(key, raw)
-            except ValueError as exc:
-                raise ConfigError(f"[run] {key}: {exc}") from exc
         else:
-            raise ConfigError(f"[run] unknown key {key!r}")
-
-    bandit_fields = {f.name for f in fields(BanditConfig)}
-    bandit_overrides: dict = {}
-    for key, raw in parser.items("bandit") if parser.has_section("bandit") else []:
-        if key not in bandit_fields:
-            raise ConfigError(f"[bandit] unknown key {key!r}")
-        try:
-            bandit_overrides[key] = _coerce(key, raw)
-        except ValueError as exc:
-            raise ConfigError(f"[bandit] {key}: {exc}") from exc
+            run_overrides[key] = _coerce("run", run_types, key, raw)
+    bandit_types = _field_types(BanditConfig)
+    bandit_items = parser.items("bandit") if parser.has_section("bandit") else []
+    bandit_overrides = {key: _coerce("bandit", bandit_types, key, raw) for key, raw in bandit_items}
 
     dataset = None
     if parser.has_section("dataset"):
@@ -263,12 +264,7 @@ def cmd_evaluate(args) -> int:
     prompt = new_seed_prompt(prompt_path.read_text(encoding="utf-8"))
     examples, split = _load_split(dataset, cfg)
     gateway = build_gateway(args, gateway_section, cfg, examples, split)
-    task = TaskSpec(
-        task_type=split.task_type,
-        label_set=split.label_set,
-        positive_label=split.positive_label,
-        temperature=cfg.temperature,
-    )
+    task = TaskSpec.from_split(split, cfg)
     with gateway.count_as_eval():
         score, _ = evaluate_prompt(prompt, split.test, gateway, task)
     print(f"test_score={score:.4f} eval_calls={gateway.eval_calls()}")
@@ -377,7 +373,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, EmptyPromptError) as exc:
+    except (ConfigError, EmptyPromptError, TranscriptFormatError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except DatasetError as exc:

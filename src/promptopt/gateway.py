@@ -10,12 +10,14 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import random
 import threading
 import time
 from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Callable
 
@@ -60,9 +62,9 @@ class LlmRequest:
     def digest(self) -> str:
         """:func:`request_digest` of this request, computed on first use and kept.
 
-        A replayed request is hashed for the lookup and again for the saved
-        transcript; keeping the value makes that one hash. Not a field, so it
-        takes no part in equality or ``repr``.
+        The saved transcript and a replay miss message use it; replay lookups
+        are keyed by content and do not. Not a field, so it takes no part in
+        equality or ``repr``.
         """
         value = getattr(self, "_digest", None)
         if value is None:
@@ -79,14 +81,53 @@ class LlmResponse:
 
 
 def request_digest(role_tag: str, rendered_prompt: str) -> str:
-    """Content digest keying replay lookups; independent of issue order."""
+    """sha256 hex of a request's content, written to each transcript line.
+
+    Independent of issue order; its first 12 characters name a request that
+    replay could not find.
+    """
     material = f"{role_tag}\n{rendered_prompt}".encode("utf-8")
     return hashlib.sha256(material).hexdigest()
 
 
-# One encoder for every transcript line: ``json.dumps(..., sort_keys=True)``
-# builds a new one per call and writes the same bytes.
+# Encodes a transcript field that is not a ``str``, a plain ``int`` or a
+# finite ``float`` exactly as ``json.dumps(..., sort_keys=True)`` would.
 _TRANSCRIPT_ENCODER = json.JSONEncoder(sort_keys=True)
+
+
+def _json_str(value) -> str:
+    if type(value) is str:
+        return encode_basestring_ascii(value)
+    return _TRANSCRIPT_ENCODER.encode(value)
+
+
+def _json_num(value) -> str:
+    kind = type(value)
+    if kind is int or (kind is float and math.isfinite(value)):
+        return repr(value)
+    return _TRANSCRIPT_ENCODER.encode(value)
+
+
+def transcript_line(req: LlmRequest, resp: LlmResponse) -> str:
+    """One transcript line, without its newline.
+
+    A fixed template with the keys in sorted order: equal to
+    ``json.dumps(row, sort_keys=True)`` of the eight-field row for every
+    input, since any value the fast paths do not cover (a bool, NaN, an
+    ``int`` subclass) goes through the generic encoder.
+    """
+    return (
+        f'{{"digest": {_json_str(req.digest)}, "latency_s": {_json_num(resp.latency_s)}, '
+        f'"max_tokens": {_json_num(req.max_tokens)}, '
+        f'"rendered_prompt": {_json_str(req.rendered_prompt)}, '
+        f'"request_index": {_json_num(req.request_index)}, '
+        f'"response_text": {_json_str(resp.text)}, "role_tag": {_json_str(req.role_tag)}, '
+        f'"temperature": {_json_num(req.temperature)}}}'
+    )
+
+
+class TranscriptFormatError(ValueError):
+    """A transcript file holds a line that is not a transcript entry."""
 
 
 @dataclass
@@ -97,44 +138,42 @@ class Transcript:
     mode: str = "record"
 
     def save(self, path: str | Path) -> None:
-        encode = _TRANSCRIPT_ENCODER.encode
-        lines = [
-            encode(
-                {
-                    "digest": req.digest,
-                    "role_tag": req.role_tag,
-                    "rendered_prompt": req.rendered_prompt,
-                    "temperature": req.temperature,
-                    "max_tokens": req.max_tokens,
-                    "request_index": req.request_index,
-                    "response_text": resp.text,
-                    "latency_s": resp.latency_s,
-                }
-            )
-            for req, resp in self.entries
-        ]
-        Path(path).write_text("\n".join(lines) + ("\n" if lines else ""), encoding="utf-8")
+        with open(path, "w", encoding="utf-8") as handle:
+            for req, resp in self.entries:
+                handle.write(transcript_line(req, resp) + "\n")
 
     @classmethod
     def load(cls, path: str | Path) -> "Transcript":
+        """Read a saved transcript; blank lines are skipped.
+
+        Raises :class:`TranscriptFormatError` naming the path and the 1-based
+        line number of the first line that is not a complete entry, such as
+        the cut-off last line of a file whose writer was killed.
+        """
         entries: list[tuple[LlmRequest, LlmResponse]] = []
-        for line in Path(path).read_text(encoding="utf-8").splitlines():
-            if not line.strip():
-                continue
-            row = json.loads(line)
-            req = LlmRequest(
-                role_tag=row["role_tag"],
-                rendered_prompt=row["rendered_prompt"],
-                temperature=row["temperature"],
-                max_tokens=row["max_tokens"],
-                request_index=row["request_index"],
-            )
-            resp = LlmResponse(
-                text=row["response_text"],
-                request_index=row["request_index"],
-                latency_s=row["latency_s"],
-            )
-            entries.append((req, resp))
+        lineno = 0
+        try:
+            with open(path, encoding="utf-8") as handle:
+                for lineno, line in enumerate(handle, start=1):
+                    if not line.strip():
+                        continue
+                    row = json.loads(line)
+                    index = row["request_index"]
+                    req = LlmRequest(
+                        row["role_tag"],
+                        row["rendered_prompt"],
+                        row["temperature"],
+                        row["max_tokens"],
+                        index,
+                    )
+                    resp = LlmResponse(row["response_text"], index, row["latency_s"])
+                    entries.append((req, resp))
+        except (json.JSONDecodeError, KeyError, TypeError) as exc:
+            raise TranscriptFormatError(
+                f"{path}: line {lineno}: not a transcript entry ({type(exc).__name__}: {exc})"
+            ) from exc
+        except UnicodeDecodeError as exc:
+            raise TranscriptFormatError(f"{path}: not UTF-8 text ({exc})") from exc
         return cls(entries=entries, mode="replay")
 
 
@@ -160,31 +199,27 @@ class ScriptedBackend:
 class ReplayBackend:
     """Serves responses from a recorded transcript; never touches a network.
 
-    Lookup is keyed by (role_tag, content digest). Repeated identical requests
-    consume recorded entries in order and then stick to the last one, matching
-    temperature-0 semantics.
+    Lookup is keyed by the request's content, ``(role_tag, rendered_prompt)``,
+    so nothing is hashed to find an answer. Repeated identical requests
+    consume recorded entries in order and then stick to the last one,
+    matching temperature-0 semantics.
     """
 
     transcript_mode = "replay"
 
     def __init__(self, transcript: Transcript):
-        self._queues: dict[str, deque[LlmResponse]] = {}
-        self._last: dict[str, LlmResponse] = {}
+        self._queues: dict[tuple[str, str], deque[LlmResponse]] = {}
         for req, resp in transcript.entries:
-            # Not ``req.digest``: these requests are never saved again, so
-            # keeping the value on them would only hold memory.
-            key = request_digest(req.role_tag, req.rendered_prompt)
-            self._queues.setdefault(key, deque()).append(resp)
-            self._last[key] = resp
+            self._queues.setdefault((req.role_tag, req.rendered_prompt), deque()).append(resp)
 
     def complete(self, req: LlmRequest, on_attempt: Callable[[], None]) -> tuple[str, float]:
-        key = req.digest
-        if key not in self._last:
+        queue = self._queues.get((req.role_tag, req.rendered_prompt))
+        if queue is None:
             raise ReplayMissError(
-                f"no recorded response for {req.role_tag} request (digest {key[:12]})"
+                f"no recorded response for {req.role_tag} request (digest {req.digest[:12]})"
             )
-        queue = self._queues[key]
-        resp = queue.popleft() if queue else self._last[key]
+        # The last recorded answer stays in the queue and is served from then on.
+        resp = queue.popleft() if len(queue) > 1 else queue[0]
         on_attempt()
         return resp.text, resp.latency_s
 

@@ -8,6 +8,7 @@ self-describing one-line text record via :func:`to_record` / :func:`from_record`
 from __future__ import annotations
 
 import json
+import math
 import random
 from dataclasses import asdict, dataclass, field, replace
 
@@ -159,8 +160,13 @@ def validate_config(cfg: RunConfig) -> RunConfig:
     for name in positive_fields:
         if getattr(cfg, name) < 1:
             raise ConfigError(f"{name} must be a positive integer")
-    if cfg.temperature < 0:
-        raise ConfigError("temperature must be >= 0")
+    # NaN compares false with everything, so a range check alone lets it
+    # through; it is not JSON and would reach the transcript, the live
+    # request body and every UCB value.
+    if not math.isfinite(cfg.temperature) or cfg.temperature < 0:
+        raise ConfigError("temperature must be a finite number >= 0")
+    if cfg.convergence_target is not None and not math.isfinite(cfg.convergence_target):
+        raise ConfigError("convergence_target must be a finite number")
     if cfg.paraphrases_per_parent < 0:
         raise ConfigError("paraphrases_per_parent must be >= 0")
     if cfg.candidates_per_parent % cfg.num_gradients != 0:
@@ -176,8 +182,8 @@ def validate_config(cfg: RunConfig) -> RunConfig:
         raise ConfigError("bandit.time_steps must be a positive integer")
     if cfg.bandit.sample_size < 1:
         raise ConfigError("bandit.sample_size must be a positive integer")
-    if cfg.bandit.exploration < 0:
-        raise ConfigError("bandit.exploration must be >= 0")
+    if not math.isfinite(cfg.bandit.exploration) or cfg.bandit.exploration < 0:
+        raise ConfigError("bandit.exploration must be a finite number >= 0")
     if cfg.bandit.update_rule not in BANDIT_UPDATE_RULES:
         raise ConfigError(f"bandit.update_rule must be one of {BANDIT_UPDATE_RULES}")
     return cfg

@@ -49,6 +49,22 @@ def sample_history_gradient(
     return rng.choice(list(pool))
 
 
+def cumulative_pool(
+    history: GradientHistory, gradients: Mapping[int, Gradient], upto_round: int
+) -> list[Gradient]:
+    """Every pooled gradient of rounds up to ``upto_round``, first occurrence first."""
+    seen: set[int] = set()
+    pool: list[Gradient] = []
+    for round_index in sorted(history.pools):
+        if round_index > upto_round:
+            continue
+        for gradient_id in history.pools[round_index]:
+            if gradient_id not in seen:
+                pool.append(gradients[gradient_id])
+                seen.add(gradient_id)
+    return pool
+
+
 def history_text(
     history: GradientHistory,
     round_index: int,

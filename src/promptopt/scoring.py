@@ -7,9 +7,9 @@ import re
 from dataclasses import dataclass
 from typing import Sequence
 
-from .data import Example
+from .data import DatasetSplit, Example
 from .gateway import Gateway, GatewayError
-from .model import Prompt
+from .model import Prompt, RunConfig
 
 
 @dataclass(frozen=True)
@@ -20,6 +20,16 @@ class TaskSpec:
     label_set: tuple[str, ...] = ()
     positive_label: str = ""
     temperature: float = 0.0
+
+    @classmethod
+    def from_split(cls, split: DatasetSplit, cfg: RunConfig) -> "TaskSpec":
+        """The task a run or an evaluation of ``split`` under ``cfg`` scores."""
+        return cls(
+            task_type=split.task_type,
+            label_set=split.label_set,
+            positive_label=split.positive_label,
+            temperature=cfg.temperature,
+        )
 
 
 @dataclass(frozen=True)

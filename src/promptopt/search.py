@@ -191,21 +191,6 @@ def expand_parent(
     return Expansion(children=tuple(children), gradients=tuple(gradients), shortfall=shortfall)
 
 
-def _cumulative_pool(
-    history: GradientHistory, store: PromptStore, upto_round: int
-) -> list[Gradient]:
-    seen: set[int] = set()
-    pool: list[Gradient] = []
-    for round_index in sorted(history.pools):
-        if round_index > upto_round:
-            continue
-        for gradient_id in history.pools[round_index]:
-            if gradient_id not in seen:
-                pool.append(store.gradients[gradient_id])
-                seen.add(gradient_id)
-    return pool
-
-
 def run(
     seed_prompt: Prompt,
     split: DatasetSplit,
@@ -231,12 +216,7 @@ def run(
 
     store = PromptStore()
     seed = store.adopt(seed_prompt)
-    task = TaskSpec(
-        task_type=split.task_type,
-        label_set=split.label_set,
-        positive_label=split.positive_label,
-        temperature=cfg.temperature,
-    )
+    task = TaskSpec.from_split(split, cfg)
     engine = GradientEngine(
         cfg=cfg, gateway=gateway, store=store, templates=templates, task_label=split.task_type
     )
@@ -326,7 +306,7 @@ def run(
             pool = momentum.record_round(beam, round_gradients, store.prompts)
             history.pools[round_index] = tuple(g.id for g in pool)
             sample_source = (
-                _cumulative_pool(history, store, round_index)
+                momentum.cumulative_pool(history, store.gradients, round_index)
                 if cfg.history_mode == "cumulative"
                 else pool
             )

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -13,7 +14,7 @@ from promptopt.cli import (
     main,
     read_config_file,
 )
-from promptopt.model import ConfigError
+from promptopt.model import BanditConfig, ConfigError, RunConfig
 
 DATA = Path(__file__).parent / "data" / "demo.tsv"
 
@@ -190,6 +191,88 @@ def test_optimize_replay_with_wrong_transcript_is_incomplete(config_file, tmp_pa
     assert code == EXIT_INCOMPLETE
     meta = json.loads((tmp_path / "rep" / "run_meta.json").read_text())
     assert meta["status"] == "incomplete"
+
+
+def test_optimize_replay_with_truncated_transcript_is_config_error(
+    config_file, tmp_path, capsys
+) -> None:
+    out1 = tmp_path / "rec"
+    argv = ["optimize", "--config", str(config_file), "--backend", "scripted", "--out", str(out1)]
+    assert main(argv) == EXIT_OK
+    transcript = out1 / "transcript.jsonl"
+    data = transcript.read_bytes()
+    # What a writer killed mid-line leaves behind.
+    transcript.write_bytes(data[:-40])
+    last_line = data[:-40].count(b"\n") + 1
+    capsys.readouterr()
+    code = main(
+        [
+            "optimize",
+            "--config",
+            str(config_file),
+            "--backend",
+            "replay",
+            "--transcript",
+            str(transcript),
+            "--out",
+            str(tmp_path / "rep"),
+        ]
+    )
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ")
+    assert f"{transcript}: line {last_line}: not a transcript entry" in err
+
+
+def _changed_fields(cls) -> dict:
+    """A value unlike the default, of the field's type, for each INI field of ``cls``."""
+    values = {}
+    for f in fields(cls):
+        default = getattr(cls(), f.name)
+        if isinstance(default, bool):
+            values[f.name] = not default
+        elif isinstance(default, str):
+            values[f.name] = f"{default}_x"
+        elif default is None:  # convergence_target: float | None
+            values[f.name] = 0.625
+        elif isinstance(default, (int, float)):
+            values[f.name] = type(default)(default * 2 + 3)
+        else:
+            assert f.name == "bandit", f"no INI value for {f.name}"
+    return values
+
+
+def test_every_config_field_round_trips_through_ini(tmp_path) -> None:
+    sections = {"run": _changed_fields(RunConfig), "bandit": _changed_fields(BanditConfig)}
+    file = tmp_path / "all.ini"
+    file.write_text(
+        "".join(
+            f"[{name}]\n"
+            + "".join(f"{key} = {str(value).lower()}\n" for key, value in values.items())
+            for name, values in sections.items()
+        ),
+        encoding="utf-8",
+    )
+    run_overrides, bandit_overrides, _, _, _ = read_config_file(file)
+
+    def typed(values: dict) -> dict:
+        return {key: (type(value), value) for key, value in values.items()}
+
+    assert typed(run_overrides) == typed(sections["run"])
+    assert typed(bandit_overrides) == typed(sections["bandit"])
+
+
+def test_read_config_file_rejects_bad_values(tmp_path) -> None:
+    file = tmp_path / "bad.ini"
+    file.write_text("[run]\nconvergence_target = high\n", encoding="utf-8")
+    with pytest.raises(ConfigError, match=r"\[run\] convergence_target"):
+        read_config_file(file)
+    file.write_text("[bandit]\nexploration = lots\n", encoding="utf-8")
+    with pytest.raises(ConfigError, match=r"\[bandit\] exploration"):
+        read_config_file(file)
+    file.write_text("[run]\nemit_predictions = maybe\n", encoding="utf-8")
+    with pytest.raises(ConfigError, match="expected a boolean"):
+        read_config_file(file)
 
 
 def test_evaluate_counts_one_call_per_test_example(config_file, tmp_path, capsys) -> None:

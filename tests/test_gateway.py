@@ -2,8 +2,11 @@ from __future__ import annotations
 
 import json
 import random
+from types import SimpleNamespace
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from promptopt.gateway import (
     Gateway,
@@ -17,7 +20,9 @@ from promptopt.gateway import (
     RetryPolicy,
     ScriptedBackend,
     Transcript,
+    TranscriptFormatError,
     request_digest,
+    transcript_line,
 )
 from promptopt.scripted import SequenceScript, ScriptExhaustedError
 
@@ -133,6 +138,114 @@ def test_transcript_save_golden_bytes(tmp_path) -> None:
     )
 
 
+# Characters whose JSON escapes differ in kind: quote, backslash, control
+# characters, DEL, a no-break space, a line separator, lone surrogates and
+# astral characters (written as surrogate pairs).
+_SPECIAL_CHARS = '"\\\x00\x08\x1f\x7f\xa0\u2028\ud800\udfff\U0001f600\U0010ffff'
+_TEXT = st.text(
+    st.one_of(st.characters(exclude_categories=()), st.sampled_from(_SPECIAL_CHARS)),
+    max_size=40,
+)
+_NUMBER = st.one_of(
+    st.integers(),
+    st.integers(min_value=-(2**80), max_value=2**80),
+    st.floats(),
+    st.sampled_from([-0.0, 0.0, 1e-7, 1e16, 1e22, 0.1, 2.5e-324, float("nan"), float("inf")]),
+)
+# Values the line writer sends to the generic encoder.
+_OTHER = st.one_of(st.booleans(), st.none(), st.sampled_from([float("-inf")]))
+
+
+@given(
+    strings=st.lists(st.one_of(_TEXT, _OTHER), min_size=4, max_size=4),
+    numbers=st.lists(st.one_of(_NUMBER, _OTHER), min_size=4, max_size=4),
+)
+def test_transcript_line_equals_json_dumps(strings, numbers) -> None:
+    digest, prompt, text, role = strings
+    latency, max_tokens, index, temperature = numbers
+    # Stand-ins, so that every field, the digest included, can take any value.
+    req = SimpleNamespace(
+        digest=digest,
+        role_tag=role,
+        rendered_prompt=prompt,
+        temperature=temperature,
+        max_tokens=max_tokens,
+        request_index=index,
+    )
+    resp = SimpleNamespace(text=text, latency_s=latency)
+    row = {
+        "digest": digest,
+        "role_tag": role,
+        "rendered_prompt": prompt,
+        "temperature": temperature,
+        "max_tokens": max_tokens,
+        "request_index": index,
+        "response_text": text,
+        "latency_s": latency,
+    }
+    assert transcript_line(req, resp) == json.dumps(row, sort_keys=True)
+
+
+def test_transcript_save_empty_writes_empty_file(tmp_path) -> None:
+    path = tmp_path / "transcript.jsonl"
+    Transcript(entries=[]).save(path)
+    assert path.read_bytes() == b""
+    assert Transcript.load(path).entries == []
+
+
+def _saved_lines(tmp_path) -> list[str]:
+    gw = echo_gateway()
+    gw.call("task_eval", "first")
+    gw.call("gradient_gen", "second\nline")
+    path = tmp_path / "saved.jsonl"
+    gw.transcript.save(path)
+    return path.read_text(encoding="utf-8").splitlines()
+
+
+@pytest.mark.parametrize(
+    "join",
+    [
+        lambda lines: "\n\n" + "\n  \n".join(lines) + "\n\n",  # blank lines
+        lambda lines: "\r\n".join(lines) + "\r\n",  # CRLF line endings
+        lambda lines: "\n".join(lines),  # no final newline
+    ],
+    ids=["blank-lines", "crlf", "no-final-newline"],
+)
+def test_transcript_load_tolerates_line_layout(tmp_path, join) -> None:
+    path = tmp_path / "t.jsonl"
+    path.write_bytes(join(_saved_lines(tmp_path)).encode("utf-8"))
+    loaded = Transcript.load(path)
+    assert [(r.role_tag, r.rendered_prompt, r.request_index) for r, _ in loaded.entries] == [
+        ("task_eval", "first", 0),
+        ("gradient_gen", "second\nline", 1),
+    ]
+    assert [resp.text for _, resp in loaded.entries] == ["echo:first", "echo:second\nline"]
+
+
+def test_transcript_load_names_line_of_truncated_entry(tmp_path) -> None:
+    path = tmp_path / "t.jsonl"
+    first, second = _saved_lines(tmp_path)
+    path.write_text(f"{first}\n\n{second[:-10]}", encoding="utf-8")
+    with pytest.raises(TranscriptFormatError, match=r"t\.jsonl: line 3: .*JSONDecodeError"):
+        Transcript.load(path)
+
+
+def test_transcript_load_names_line_of_malformed_entry(tmp_path) -> None:
+    path = tmp_path / "t.jsonl"
+    first, second = _saved_lines(tmp_path)
+    row = json.loads(second)
+    del row["latency_s"]
+    path.write_text(f"{first}\n{json.dumps(row)}\n", encoding="utf-8")
+    with pytest.raises(TranscriptFormatError, match=r"line 2: .*KeyError: 'latency_s'"):
+        Transcript.load(path)
+    path.write_text(f"{first}\n[1, 2]\n", encoding="utf-8")
+    with pytest.raises(TranscriptFormatError, match=r"line 2: .*TypeError"):
+        Transcript.load(path)
+    path.write_bytes(first.encode() + b"\n\xff\n")
+    with pytest.raises(TranscriptFormatError, match=r"t\.jsonl: not UTF-8"):
+        Transcript.load(path)
+
+
 def test_complete_stamps_index_and_keeps_request_fields() -> None:
     gw = echo_gateway()
     gw.call("task_eval", "first")
@@ -171,6 +284,39 @@ def test_replay_miss_raises_without_counting(tmp_path) -> None:
     with pytest.raises(ReplayMissError):
         replay.call("task_eval", "unknown")
     assert replay.call_count() == 0
+
+
+def test_replay_ignores_index_temperature_and_max_tokens(tmp_path) -> None:
+    gw = echo_gateway()
+    gw.call("task_eval", "zero")
+    gw.call("task_eval", "p", temperature=0.0)
+    path = tmp_path / "t.jsonl"
+    gw.transcript.save(path)
+
+    replay = Gateway(ReplayBackend(Transcript.load(path)))
+    # Issued first, so its request_index (0) differs from the recorded one (1).
+    assert replay.call("task_eval", "p", temperature=0.7, max_tokens=3).text == "echo:p"
+    assert replay.complete(LlmRequest("task_eval", "zero", 1.0, 16, 42)).text == "echo:zero"
+
+
+def test_replay_consumes_repeats_in_order_then_sticks_to_last() -> None:
+    answers = iter(["one", "two", "three"])
+    gw = Gateway(ScriptedBackend(lambda req: next(answers)))
+    for _ in range(3):
+        gw.call("task_eval", "same")
+    replay = Gateway(ReplayBackend(gw.transcript))
+    texts = [replay.call("task_eval", "same").text for _ in range(5)]
+    assert texts == ["one", "two", "three", "three", "three"]
+    assert replay.call_count() == 5
+
+
+def test_replay_miss_names_digest_prefix_and_role() -> None:
+    gw = echo_gateway()
+    gw.call("task_eval", "known")
+    replay = Gateway(ReplayBackend(gw.transcript))
+    prefix = request_digest("gradient_gen", "known")[:12]
+    with pytest.raises(ReplayMissError, match=rf"gradient_gen request \(digest {prefix}\)$"):
+        replay.call("gradient_gen", "known")
 
 
 def test_replay_lookup_ignores_issue_order(tmp_path) -> None:

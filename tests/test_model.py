@@ -94,6 +94,21 @@ def test_validate_config_nonpositive_fields() -> None:
         validate_config(RunConfig(bandit=BanditConfig(time_steps=0)))
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_validate_config_rejects_non_finite_floats(bad) -> None:
+    with pytest.raises(ConfigError, match="temperature"):
+        validate_config(RunConfig(temperature=bad))
+    with pytest.raises(ConfigError, match="bandit.exploration"):
+        validate_config(RunConfig(bandit=BanditConfig(exploration=bad)))
+    with pytest.raises(ConfigError, match="convergence_target"):
+        validate_config(RunConfig(convergence_target=bad))
+
+
+def test_validate_config_accepts_finite_convergence_target() -> None:
+    cfg = RunConfig(convergence_target=0.8, bandit=BanditConfig(exploration=0.0))
+    assert validate_config(cfg) is cfg
+
+
 def test_store_assigns_sequential_ids() -> None:
     store = PromptStore()
     seed = store.adopt(new_seed_prompt("seed"))

@@ -3,7 +3,12 @@ from __future__ import annotations
 import math
 
 from promptopt.model import Beam, Gradient, GradientHistory, Prompt
-from promptopt.momentum import history_text, record_round, sample_history_gradient
+from promptopt.momentum import (
+    cumulative_pool,
+    history_text,
+    record_round,
+    sample_history_gradient,
+)
 
 
 def _prompt(pid: int, gradient_id: int | None = None, parent: int | None = None) -> Prompt:
@@ -130,3 +135,11 @@ def test_history_membership_invariant_checker() -> None:
         assert "sampled[1]" in str(exc)
     else:
         raise AssertionError("membership violation not caught")
+
+
+def test_cumulative_pool_unions_rounds_in_order_without_repeats() -> None:
+    gradients = {gid: _gradient(gid) for gid in range(4)}
+    history = GradientHistory(pools={2: (3, 1), 1: (1, 0), 3: (2,)})
+    assert [g.id for g in cumulative_pool(history, gradients, 2)] == [1, 0, 3]
+    assert [g.id for g in cumulative_pool(history, gradients, 3)] == [1, 0, 3, 2]
+    assert cumulative_pool(history, gradients, 0) == []
