@@ -2,7 +2,7 @@
 
 Layout (all JSON/JSONL, deterministic key order):
     config.json        resolved run configuration echo
-    run_meta.json      method name, status, recorded decisions
+    run_meta.json      method name, status, anomaly counts, recorded decisions
     events.jsonl       one metric event per line (round 0 included)
     beams.jsonl        one beam per selection round
     prompts.jsonl      every prompt record

@@ -19,7 +19,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Sequence
 
 ROLE_TAGS = ("gradient_gen", "prompt_edit", "paraphrase", "task_eval")
 
@@ -33,7 +33,13 @@ DEFAULT_MAX_TOKENS = {
 
 
 class GatewayError(Exception):
-    """Base class for backend failures."""
+    """Base class for backend failures.
+
+    ``batch_position`` is the 0-based position, within its
+    :meth:`Gateway.complete_many` batch, of the request that failed.
+    """
+
+    batch_position: int | None = None
 
 
 class ReplayMissError(GatewayError):
@@ -60,17 +66,12 @@ class LlmRequest:
 
     @property
     def digest(self) -> str:
-        """:func:`request_digest` of this request, computed on first use and kept.
+        """:func:`request_digest` of this request, computed on each access.
 
-        The saved transcript and a replay miss message use it; replay lookups
-        are keyed by content and do not. Not a field, so it takes no part in
-        equality or ``repr``.
+        Only the saved transcript and a replay miss message read it, once per
+        request; replay lookups are keyed by content.
         """
-        value = getattr(self, "_digest", None)
-        if value is None:
-            value = request_digest(self.role_tag, self.rendered_prompt)
-            object.__setattr__(self, "_digest", value)
-        return value
+        return request_digest(self.role_tag, self.rendered_prompt)
 
 
 @dataclass(frozen=True)
@@ -325,6 +326,9 @@ class LiveBackend:
 class Gateway:
     """Issues requests to exactly one backend; owns counters and the transcript.
 
+    Every request goes through :meth:`complete_many`; :meth:`call` and
+    :meth:`complete` send a batch of one.
+
     Calls are attributed to one of two buckets: ``optimize`` (default) and
     ``eval`` (test-set scoring, switched with :meth:`count_as_eval`), so cost
     reports can state both figures.
@@ -340,6 +344,61 @@ class Gateway:
         self._t0 = time.monotonic()
         self._replay_latency = 0.0
 
+    def complete_many(
+        self,
+        role_tag: str,
+        rendered_prompts: Sequence[str],
+        *,
+        temperature: float = 0.0,
+        max_tokens: int | None = None,
+    ) -> list[LlmResponse]:
+        """Send one request per prompt, in order; the responses come back in that order.
+
+        The role check, the token budget (``DEFAULT_MAX_TOKENS`` by role
+        unless given) and the ``optimize``/``eval`` bucket are settled once
+        for the batch, and the batch's ``request_index`` values are reserved
+        together, in submission order, before the first request is sent.
+
+        Completed pairs join the transcript in index order even when a request
+        fails. If request ``k`` raises, the ``k`` paid calls before it stay
+        recorded and counted, the failed request is not recorded, a
+        :class:`GatewayError` carries ``batch_position = k``, and the indices
+        reserved for request ``k`` and the rest of the batch are never used.
+        """
+        if role_tag not in ROLE_TAGS:
+            raise ValueError(f"unknown role_tag {role_tag!r}")
+        if max_tokens is None:
+            max_tokens = DEFAULT_MAX_TOKENS[role_tag]
+        lock = self._lock
+        with lock:
+            first = self._next_index
+            self._next_index += len(rendered_prompts)
+            bucket = self._bucket
+        counts = self._counts
+
+        def on_attempt() -> None:
+            with lock:
+                counts[bucket] += 1
+
+        complete = self.backend.complete
+        done: list[tuple[LlmRequest, LlmResponse]] = []
+        try:
+            for index, prompt in enumerate(rendered_prompts, first):
+                req = LlmRequest(role_tag, prompt, temperature, max_tokens, index)
+                text, latency = complete(req, on_attempt)
+                done.append((req, LlmResponse(text, index, latency)))
+        except GatewayError as exc:
+            exc.batch_position = len(done)
+            raise
+        finally:
+            with lock:
+                self.transcript.entries.extend(done)
+                if self.transcript.mode == "replay":
+                    # One at a time, so the float sum equals that of single calls.
+                    for _, resp in done:
+                        self._replay_latency += resp.latency_s
+        return [resp for _, resp in done]
+
     def call(
         self,
         role_tag: str,
@@ -348,36 +407,19 @@ class Gateway:
         temperature: float = 0.0,
         max_tokens: int | None = None,
     ) -> LlmResponse:
-        if role_tag not in ROLE_TAGS:
-            raise ValueError(f"unknown role_tag {role_tag!r}")
-        req = LlmRequest(
-            role_tag=role_tag,
-            rendered_prompt=rendered_prompt,
-            temperature=temperature,
-            max_tokens=max_tokens if max_tokens is not None else DEFAULT_MAX_TOKENS[role_tag],
-        )
-        return self.complete(req)
+        """One request: :meth:`complete_many` with a single prompt."""
+        return self.complete_many(
+            role_tag, (rendered_prompt,), temperature=temperature, max_tokens=max_tokens
+        )[0]
 
     def complete(self, req: LlmRequest) -> LlmResponse:
-        with self._lock:
-            index = self._next_index
-            self._next_index += 1
-            bucket = self._bucket
-        # A direct constructor call: ``dataclasses.replace`` walks the fields
-        # on every call, and this runs once per request.
-        req = LlmRequest(req.role_tag, req.rendered_prompt, req.temperature, req.max_tokens, index)
-
-        def on_attempt() -> None:
-            with self._lock:
-                self._counts[bucket] += 1
-
-        text, latency = self.backend.complete(req, on_attempt)
-        resp = LlmResponse(text=text, request_index=req.request_index, latency_s=latency)
-        with self._lock:
-            self.transcript.entries.append((req, resp))
-            if self.transcript.mode == "replay":
-                self._replay_latency += latency
-        return resp
+        """Send ``req`` under a fresh index; its own ``request_index`` is ignored."""
+        return self.complete_many(
+            req.role_tag,
+            (req.rendered_prompt,),
+            temperature=req.temperature,
+            max_tokens=req.max_tokens,
+        )[0]
 
     @contextmanager
     def count_as_eval(self):

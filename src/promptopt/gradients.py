@@ -302,7 +302,7 @@ class GradientEngine:
         feedback_text: str | None = None,
         ordinal_start: int = 1,
     ) -> list[Prompt]:
-        """Edit the parent along one gradient via repeated editor calls.
+        """Edit the parent along one gradient via one batch of editor calls.
 
         Each call carries a distinct "Variant j of k" ordinal so temperature-0
         backends still produce a diverse candidate pool. ``feedback_text``
@@ -319,12 +319,15 @@ class GradientEngine:
                 "positive_gradient_history": history_text,
             },
         )
-        children: list[Prompt] = []
         total = self.cfg.candidates_per_parent
-        for offset in range(self.edits_per_gradient):
-            ordinal = ordinal_start + offset
-            rendered = f"{rendered_base}\nVariant {ordinal} of {total}."
-            resp = self.gateway.call("prompt_edit", rendered, temperature=self.cfg.temperature)
+        ordinals = range(ordinal_start, ordinal_start + self.edits_per_gradient)
+        responses = self.gateway.complete_many(
+            "prompt_edit",
+            [f"{rendered_base}\nVariant {ordinal} of {total}." for ordinal in ordinals],
+            temperature=self.cfg.temperature,
+        )
+        children: list[Prompt] = []
+        for ordinal, resp in zip(ordinals, responses):
             spans = parse_delimited(resp.text)
             text = _clean_span(spans[0]) if spans else ""
             if not text:
@@ -344,12 +347,15 @@ class GradientEngine:
         return children
 
     def paraphrase_expand(self, parent: Prompt, n: int, round_index: int) -> list[Prompt]:
-        """n paraphrase calls, each yielding one reworded child without gradient lineage."""
+        """One batch of n paraphrase calls; each gives one reworded child with no gradient."""
+        rendered = render(self.templates.paraphrase, {"prompt": parent.text})
+        responses = self.gateway.complete_many(
+            "paraphrase",
+            [f"{rendered}\nVariant {ordinal} of {n}." for ordinal in range(1, n + 1)],
+            temperature=self.cfg.temperature,
+        )
         children: list[Prompt] = []
-        for ordinal in range(1, n + 1):
-            rendered = render(self.templates.paraphrase, {"prompt": parent.text})
-            rendered = f"{rendered}\nVariant {ordinal} of {n}."
-            resp = self.gateway.call("paraphrase", rendered, temperature=self.cfg.temperature)
+        for resp in responses:
             spans = parse_delimited(resp.text)
             text = _clean_span(spans[0]) if spans else ""
             if not text:

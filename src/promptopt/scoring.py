@@ -136,7 +136,7 @@ def evaluate_prompt(
     gateway: Gateway,
     task: TaskSpec,
 ) -> tuple[float, list[Prediction]]:
-    """Score a prompt over examples with one task_eval call per example.
+    """Score a prompt over examples with one task_eval call per example, sent as one batch.
 
     The rendered input is the prompt text and the example input joined by a
     single newline (zero-shot, no exemplars). Returns the score and the
@@ -144,16 +144,17 @@ def evaluate_prompt(
     """
     if not examples:
         raise ValueError("examples is empty")
+    try:
+        responses = gateway.complete_many(
+            "task_eval",
+            [f"{prompt.text}\n{ex.input_text}" for ex in examples],
+            temperature=task.temperature,
+        )
+    except GatewayError as exc:
+        ex = examples[exc.batch_position]
+        raise type(exc)(f"example id {ex.id}: {exc}") from exc
     predictions: list[Prediction] = []
-    for ex in examples:
-        try:
-            resp = gateway.call(
-                "task_eval",
-                f"{prompt.text}\n{ex.input_text}",
-                temperature=task.temperature,
-            )
-        except GatewayError as exc:
-            raise type(exc)(f"example id {ex.id}: {exc}") from exc
+    for ex, resp in zip(examples, responses):
         if task.task_type == "math":
             parsed = parse_math_answer(resp.text)
             correct = parsed is not None and parsed == canonical_number(ex.label)

@@ -225,6 +225,7 @@ def run(
     arm_tables: list[tuple[bandit.ArmState, ...]] = []
     events: list[MetricEvent] = []
     test_predictions: list[dict] = []
+    sample_shortfalls = 0
 
     def eval_on_test(prompt: Prompt) -> float:
         with gateway.count_as_eval():
@@ -285,6 +286,8 @@ def run(
                 )
                 candidates.extend(expansion.children)
                 round_gradients.extend(expansion.gradients)
+                if expansion.shortfall:
+                    sample_shortfalls += 1
                 if cfg.include_parents:
                     candidates.append(parent)
             if not candidates:
@@ -342,6 +345,7 @@ def run(
             out, cfg, events, beams, history, store, arm_tables,
             report=None, gateway=gateway, status="incomplete",
             method_name=method_name, best=None, predictions=test_predictions,
+            anomalies=_anomalies(engine, sample_shortfalls),
             config_context=config_context,
         )
         if isinstance(exc, GatewayError):
@@ -357,6 +361,7 @@ def run(
         out, cfg, events, beams, history, store, arm_tables,
         report=report, gateway=gateway, status=status,
         method_name=method_name, best=best, predictions=test_predictions,
+        anomalies=_anomalies(engine, sample_shortfalls),
         config_context=config_context,
     )
     return RunResult(
@@ -382,6 +387,16 @@ _RUN_NOTES = [
 ]
 
 
+def _anomalies(engine: GradientEngine, sample_shortfalls: int) -> dict[str, int]:
+    """Counts of what went wrong without stopping the run, for ``run_meta.json``.
+
+    ``parse_shortfalls``: gradient, edit and paraphrase completions with no
+    usable delimited text. ``sample_shortfalls``: parent expansions with a
+    correctness sample smaller than ``num_correct_examples``.
+    """
+    return {"parse_shortfalls": engine.parse_shortfalls, "sample_shortfalls": sample_shortfalls}
+
+
 def _write_artifact(
     out: Path,
     cfg: RunConfig,
@@ -397,6 +412,7 @@ def _write_artifact(
     method_name: str | None,
     best: Prompt | None,
     predictions: list[dict],
+    anomalies: dict[str, int],
     config_context: dict | None = None,
 ) -> None:
     artifact.write_json(out / artifact.CONFIG_FILE, {**asdict(cfg), **(config_context or {})})
@@ -408,6 +424,7 @@ def _write_artifact(
             "gradient_mode": cfg.gradient_mode,
             "momentum_enabled": cfg.momentum_enabled,
             "bandit": asdict(cfg.bandit),
+            "anomalies": anomalies,
             "notes": _RUN_NOTES,
         },
     )

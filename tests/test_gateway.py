@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import json
 import random
+from contextlib import nullcontext
+from dataclasses import fields
 from types import SimpleNamespace
 
 import pytest
@@ -9,6 +11,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from promptopt.gateway import (
+    ROLE_TAGS,
     Gateway,
     LiveBackend,
     LiveCallError,
@@ -259,6 +262,134 @@ def test_complete_stamps_index_and_keeps_request_fields() -> None:
         77,
     )
     assert req.digest == request_digest("prompt_edit", "edit me")
+
+
+def test_request_digest_is_not_kept_on_the_request() -> None:
+    req = LlmRequest("task_eval", "x", 0.0, 16, 0)
+    assert req.digest == request_digest("task_eval", "x")
+    assert set(vars(req)) == {f.name for f in fields(LlmRequest)}
+
+
+def test_complete_many_reserves_contiguous_indices_in_submission_order() -> None:
+    gw = echo_gateway()
+    gw.call("task_eval", "a")
+    first = gw.complete_many("task_eval", ["b", "c", "d"])
+    gw.call("gradient_gen", "e")
+    second = gw.complete_many("prompt_edit", ["f", "g"], temperature=0.5, max_tokens=64)
+    assert [r.request_index for r in first] == [1, 2, 3]
+    assert [r.request_index for r in second] == [5, 6]
+    assert [r.text for r in first + second] == ["echo:b", "echo:c", "echo:d", "echo:f", "echo:g"]
+    entries = gw.transcript.entries
+    assert [req.rendered_prompt for req, _ in entries] == list("abcdefg")
+    assert [req.request_index for req, _ in entries] == list(range(7))
+    assert all(req.request_index == resp.request_index for req, resp in entries)
+    assert [(req.temperature, req.max_tokens) for req, _ in entries] == [(0.0, 16)] * 4 + [
+        (0.0, 512),
+        (0.5, 64),
+        (0.5, 64),
+    ]
+    assert gw.call_count() == 7
+
+
+@given(
+    role=st.sampled_from(ROLE_TAGS),
+    prompts=st.lists(st.text(max_size=20), max_size=6),
+    temperature=st.sampled_from([0.0, 0.7]),
+    max_tokens=st.sampled_from([None, 1, 300]),
+    before=st.integers(min_value=0, max_value=2),
+    as_eval=st.booleans(),
+)
+def test_complete_many_writes_the_bytes_of_one_call_per_prompt(
+    role, prompts, temperature, max_tokens, before, as_eval
+) -> None:
+    def send(batched: bool):
+        gw = echo_gateway()
+        for i in range(before):
+            gw.call("task_eval", f"earlier {i}")
+        with gw.count_as_eval() if as_eval else nullcontext():
+            if batched:
+                responses = gw.complete_many(
+                    role, prompts, temperature=temperature, max_tokens=max_tokens
+                )
+            else:
+                responses = [
+                    gw.call(role, p, temperature=temperature, max_tokens=max_tokens)
+                    for p in prompts
+                ]
+        lines = "".join(transcript_line(req, resp) + "\n" for req, resp in gw.transcript.entries)
+        return responses, lines, gw.optimize_calls(), gw.eval_calls()
+
+    assert send(batched=True) == send(batched=False)
+
+
+@pytest.mark.parametrize("k", [0, 2, 4])
+def test_complete_many_failure_at_k_keeps_the_k_calls_before_it(k) -> None:
+    def gateway() -> Gateway:
+        script = {"task_eval": [f"answer {i}" for i in range(k)], "gradient_gen": ["later"]}
+        return Gateway(ScriptedBackend(SequenceScript(script)))
+
+    prompts = [f"p{i}" for i in range(5)]
+    batched = gateway()
+    with pytest.raises(ScriptExhaustedError) as err:
+        batched.complete_many("task_eval", prompts)
+    assert err.value.batch_position == k
+    one_by_one = gateway()
+    with pytest.raises(ScriptExhaustedError):
+        for prompt in prompts:
+            one_by_one.call("task_eval", prompt)
+    assert len(batched.transcript.entries) == k
+    assert batched.transcript.entries == one_by_one.transcript.entries
+    assert (batched.optimize_calls(), batched.eval_calls()) == (k, 0)
+    assert (one_by_one.optimize_calls(), one_by_one.eval_calls()) == (k, 0)
+    # The failed request's index and the rest of the batch's stay unused.
+    assert batched.call("gradient_gen", "next").request_index == len(prompts)
+
+
+def test_complete_many_inside_count_as_eval_counts_the_whole_batch() -> None:
+    gw = echo_gateway()
+    with gw.count_as_eval():
+        gw.complete_many("task_eval", ["a", "b", "c"])
+    gw.complete_many("task_eval", ["d"])
+    assert (gw.eval_calls(), gw.optimize_calls()) == (3, 1)
+
+
+def test_complete_many_rejects_unknown_role_before_reserving() -> None:
+    gw = echo_gateway()
+    with pytest.raises(ValueError, match="chitchat"):
+        gw.complete_many("chitchat", ["x", "y"])
+    assert gw.call("task_eval", "z").request_index == 0
+    assert gw.call_count() == 1
+
+
+def test_complete_many_empty_batch_reserves_nothing() -> None:
+    gw = echo_gateway()
+    assert gw.complete_many("task_eval", []) == []
+    assert gw.transcript.entries == []
+    assert gw.call_count() == 0
+    assert gw.call("task_eval", "x").request_index == 0
+
+
+def test_complete_many_replay_elapsed_adds_latencies_in_order() -> None:
+    # 0.1 + (0.2 + 0.3) != (0.1 + 0.2) + 0.3 in binary floating point.
+    latencies = [0.1, 0.2, 0.3]
+
+    class Recorded:
+        transcript_mode = "replay"
+
+        def __init__(self):
+            self._latencies = iter(latencies)
+
+        def complete(self, req, on_attempt):
+            on_attempt()
+            return "Yes", next(self._latencies)
+
+    batched = Gateway(Recorded())
+    batched.call("task_eval", "a")
+    batched.complete_many("task_eval", ["b", "c"])
+    one_by_one = Gateway(Recorded())
+    for prompt in "abc":
+        one_by_one.call("task_eval", prompt)
+    assert batched.elapsed_seconds() == one_by_one.elapsed_seconds() == (0.1 + 0.2) + 0.3
 
 
 def test_replay_serves_recorded_responses(tmp_path) -> None:

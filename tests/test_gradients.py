@@ -250,6 +250,39 @@ def test_apply_gradient_ordinal_lines_are_distinct() -> None:
     assert edits[1].endswith("Variant 2 of 2.")
 
 
+def test_batched_edits_and_paraphrases_keep_children_ids_and_shortfalls() -> None:
+    engine, parent, gateway = _engine(
+        {
+            "gradient_gen": ["<START>g1<END><START>g2<END>"],
+            "prompt_edit": ["<START>c1<END>", "junk", "<START><END>", "<START>c4<END>"],
+            "paraphrase": ["<START>p1<END>", "nah", "<START>p3<END>"],
+        },
+        cfg=small_config(candidates_per_parent=4, num_gradients=2),
+    )
+    g1, g2 = engine.generate_gradients(parent, _sample(), "(none)", round_index=1)
+    children = engine.apply_gradient(parent, g1, _sample(), "(none)", 1, ordinal_start=1)
+    children += engine.apply_gradient(parent, g2, _sample(), "(none)", 1, ordinal_start=3)
+    children += engine.paraphrase_expand(parent, 3, round_index=1)
+    assert [(c.id, c.text, c.gradient_id) for c in children] == [
+        (1, "c1", g1.id),
+        (2, "c4", g2.id),
+        (3, "p1", None),
+        (4, "p3", None),
+    ]
+    assert engine.parse_shortfalls == 3
+    entries = gateway.transcript.entries
+    assert [req.request_index for req, _ in entries] == list(range(8))
+    assert [req.rendered_prompt.rsplit("\n", 1)[1] for req, _ in entries[1:]] == [
+        "Variant 1 of 4.",
+        "Variant 2 of 4.",
+        "Variant 3 of 4.",
+        "Variant 4 of 4.",
+        "Variant 1 of 3.",
+        "Variant 2 of 3.",
+        "Variant 3 of 3.",
+    ]
+
+
 def test_paraphrase_expand_contract() -> None:
     engine, parent, _ = _engine(
         {"paraphrase": ["<START>first rewording<END>", "<START>second rewording<END>"]}

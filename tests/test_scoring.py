@@ -225,6 +225,23 @@ def test_evaluate_prompt_tags_failing_example() -> None:
         evaluate_prompt(new_seed_prompt("classify"), _examples(3), gw, _task())
 
 
+def test_evaluate_prompt_sends_examples_in_given_order_and_tags_by_position() -> None:
+    from promptopt.scripted import SequenceScript, ScriptExhaustedError
+
+    examples = [_examples(10)[i] for i in (5, 3, 9)]
+    gw = Gateway(ScriptedBackend(SequenceScript({"task_eval": ["Yes"]})))
+    with pytest.raises(ScriptExhaustedError, match="example id 3"):
+        evaluate_prompt(new_seed_prompt("classify"), examples, gw, _task())
+    gw = Gateway(ScriptedBackend(lambda req: "Yes"))
+    _, predictions = evaluate_prompt(new_seed_prompt("classify"), examples, gw, _task())
+    assert [req.rendered_prompt for req, _ in gw.transcript.entries] == [
+        "classify\ninput 5",
+        "classify\ninput 3",
+        "classify\ninput 9",
+    ]
+    assert [p.example_id for p in predictions] == [3, 5, 9]
+
+
 def test_parse_label_numeric_label_set() -> None:
     assert parse_label("the verdict is 1", ("0", "1")) == "1"
     assert parse_label("0", ("0", "1")) == "0"

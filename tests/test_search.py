@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 from dataclasses import replace
 from pathlib import Path
@@ -19,7 +20,7 @@ from promptopt import (
 )
 from promptopt.gateway import RetryPolicy
 from promptopt.gradients import extract_history_binding
-from promptopt.scripted import SequenceScript
+from promptopt.scripted import ScriptExhaustedError, SequenceScript
 from promptopt.search import (
     ConvergenceReport,
     MetricEvent,
@@ -100,6 +101,19 @@ def small_run(tmp_path_factory):
     return result, gateway, cfg, split, examples
 
 
+def test_run_transcript_golden_sha256(tmp_path) -> None:
+    # A refactor of the request path must leave every transcript byte as it was.
+    examples = toy_examples()
+    split = make_split(examples, 20, 7, task_type="classification", positive_label="Yes")
+    gateway = scripted_gateway(examples, split.label_set)
+    run(new_seed_prompt(SEED_TEXT), split, small_config(), gateway, tmp_path)
+    data = (tmp_path / "transcript.jsonl").read_bytes()
+    assert (len(data), data.count(b"\n")) == (72456, 179)
+    assert hashlib.sha256(data).hexdigest() == (
+        "22633dfe74cedd3be27025f02e0ede14e2118b626e7526c608ca77dc193915c5"
+    )
+
+
 def test_run_beam_shape(small_run) -> None:
     result, _, cfg, _, _ = small_run
     assert len(result.beams[0].prompts) == 1
@@ -177,6 +191,81 @@ def test_run_artifact_files_written(small_run) -> None:
         assert (out / name).exists(), name
     meta = json.loads((out / "run_meta.json").read_text())
     assert meta["status"] == "complete"
+    assert meta["anomalies"] == {"parse_shortfalls": 0, "sample_shortfalls": 0}
+
+
+def _anomalous_responder(fail_after_edits: bool = False):
+    """Answers every task "Yes", gives two reasons and never a parseable edit.
+
+    With ``fail_after_edits`` it runs dry at the first task_eval request that
+    follows an edit, which is round 1's first bandit pull.
+    """
+    edited = []
+
+    def respond(req):
+        if req.role_tag == "prompt_edit":
+            edited.append(True)
+            return "no delimiters here"
+        if req.role_tag == "gradient_gen":
+            return "<START>reason one<END><START>reason two<END>"
+        if fail_after_edits and edited:
+            raise ScriptExhaustedError("script ran dry")
+        return "Yes"
+
+    return respond
+
+
+def test_run_meta_counts_parse_and_sample_shortfalls(tmp_path) -> None:
+    examples = toy_examples()
+    split = make_split(examples, 20, 7, task_type="classification", positive_label="Yes")
+    # A minibatch of 8 holds fewer than 8 "Yes" examples, so every sample falls short.
+    cfg = small_config(num_correct_examples=8)
+    gateway = Gateway(ScriptedBackend(_anomalous_responder()))
+    result = run(new_seed_prompt(SEED_TEXT), split, cfg, gateway, tmp_path)
+    edits = [req for req, _ in gateway.transcript.entries if req.role_tag == "prompt_edit"]
+    parents = sum(len(beam.prompts) for beam in result.beams[:-1])
+    meta = json.loads((tmp_path / "run_meta.json").read_text())
+    assert meta["status"] == "complete"
+    assert meta["anomalies"] == {"parse_shortfalls": len(edits), "sample_shortfalls": parents}
+    assert len(edits) == parents * cfg.candidates_per_parent > 0
+
+
+def test_incomplete_run_meta_counts_shortfalls_before_the_abort(tmp_path) -> None:
+    examples = toy_examples()
+    split = make_split(examples, 20, 7, task_type="classification", positive_label="Yes")
+    gateway = Gateway(ScriptedBackend(_anomalous_responder(fail_after_edits=True)))
+    with pytest.raises(RunIncompleteError):
+        run(new_seed_prompt(SEED_TEXT), split, small_config(num_correct_examples=8), gateway,
+            tmp_path)
+    meta = json.loads((tmp_path / "run_meta.json").read_text())
+    assert meta["status"] == "incomplete"
+    assert meta["anomalies"] == {"parse_shortfalls": 4, "sample_shortfalls": 1}
+
+
+def test_incomplete_run_meta_skips_an_edit_batch_that_failed_part_way(tmp_path) -> None:
+    examples = toy_examples()
+    split = make_split(examples, 20, 7, task_type="classification", positive_label="Yes")
+    answer = _anomalous_responder()
+    edits = []
+
+    def respond(req):
+        if req.role_tag == "prompt_edit":
+            edits.append(req)
+            if len(edits) == 2:
+                raise ScriptExhaustedError("script ran dry")
+        return answer(req)
+
+    cfg = small_config(num_correct_examples=8)
+    assert cfg.candidates_per_parent // cfg.num_gradients == 2  # two edits per batch
+    with pytest.raises(RunIncompleteError):
+        run(new_seed_prompt(SEED_TEXT), split, cfg, Gateway(ScriptedBackend(respond)), tmp_path)
+    lines = (tmp_path / "transcript.jsonl").read_text().splitlines()
+    recorded = [row for row in map(json.loads, lines) if row["role_tag"] == "prompt_edit"]
+    meta = json.loads((tmp_path / "run_meta.json").read_text())
+    # The first edit was answered and recorded, but its batch never finished, so
+    # neither its unparseable answer nor the parent's short sample is counted.
+    assert len(recorded) == 1
+    assert meta["anomalies"] == {"parse_shortfalls": 0, "sample_shortfalls": 0}
 
 
 def test_run_bandit_tables_cover_each_round(small_run) -> None:
