@@ -4,8 +4,7 @@ Each time step samples a fresh training subset, pulls the arm with the highest
 upper confidence bound, and updates that arm's running statistics. Unpulled
 arms score +infinity so every arm is explored before any is repeated. The
 update pair is the sample-weighted accumulation (N grows by the sample size,
-Q by r/N against the post-update N); a pull-count running mean is available
-behind ``BanditConfig.update_rule``.
+Q by r/N against the post-update N).
 """
 
 from __future__ import annotations
@@ -74,12 +73,8 @@ def select(
         batch = _draw(train, cfg.sample_size, rng)
         arm = min(arms, key=lambda a: (-ucb_value(a, t, cfg.exploration), a.prompt_id))
         reward = evaluate(by_id[arm.prompt_id], batch)
-        if cfg.update_rule == "mean":
-            arm.N += 1
-            arm.Q += (reward - arm.Q) / arm.N
-        else:
-            arm.N += len(batch)
-            arm.Q += reward / arm.N
+        arm.N += len(batch)
+        arm.Q += reward / arm.N
     ranked = sorted(arms, key=lambda a: (-a.Q, a.prompt_id))
     selected = tuple(by_id[a.prompt_id] for a in ranked[: min(b, len(arms))])
     return SelectionResult(selected=selected, arms=tuple(arms))

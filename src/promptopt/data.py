@@ -82,7 +82,9 @@ def load(path: str | Path, format: str, task_type: str = "classification") -> li
     if not file.exists():
         raise DatasetError(f"dataset file not found: {file}")
     examples: list[Example] = []
-    for lineno, line in enumerate(file.read_text(encoding="utf-8").splitlines(), start=1):
+    # Reading in text mode turns CRLF into "\n"; str.splitlines() would also
+    # break at U+2028, form feeds and other characters that may sit inside a row.
+    for lineno, line in enumerate(file.read_text(encoding="utf-8").split("\n"), start=1):
         if not line.strip():
             continue
         if format == "tsv":

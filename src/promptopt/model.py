@@ -13,8 +13,6 @@ import random
 from dataclasses import asdict, dataclass, field, replace
 
 GRADIENT_MODES = ("positive_only", "negative_only", "both")
-HISTORY_MODES = ("last", "concat", "cumulative")
-BANDIT_UPDATE_RULES = ("accumulate", "mean")
 POLARITIES = ("positive", "negative")
 
 START_DELIM = "<START>"
@@ -107,17 +105,11 @@ class GradientHistory:
 
 @dataclass(frozen=True)
 class BanditConfig:
-    """Selection-loop knobs: time steps, per-pull sample size, exploration weight.
-
-    ``update_rule`` picks between the sample-weighted accumulation update
-    (``accumulate``, the default: N grows by the sample size and Q by r/N) and
-    a textbook pull-count running mean (``mean``).
-    """
+    """Selection-loop knobs: time steps, per-pull sample size, exploration weight."""
 
     time_steps: int = 25
     sample_size: int = 32
     exploration: float = 1.0
-    update_rule: str = "accumulate"
 
 
 @dataclass(frozen=True)
@@ -137,10 +129,6 @@ class RunConfig:
     baseline_mode: bool = False
     bandit: BanditConfig = field(default_factory=BanditConfig)
     rng_seed: int = 0
-    # Documented switches beyond the headline parameters.
-    history_mode: str = "last"
-    include_parents: bool = True
-    full_beam_test_eval: bool = False
     paraphrases_per_parent: int = 2
     convergence_target: float | None = None
     emit_predictions: bool = False
@@ -176,16 +164,12 @@ def validate_config(cfg: RunConfig) -> RunConfig:
         )
     if cfg.gradient_mode not in GRADIENT_MODES:
         raise ConfigError(f"gradient_mode must be one of {GRADIENT_MODES}")
-    if cfg.history_mode not in HISTORY_MODES:
-        raise ConfigError(f"history_mode must be one of {HISTORY_MODES}")
     if cfg.bandit.time_steps < 1:
         raise ConfigError("bandit.time_steps must be a positive integer")
     if cfg.bandit.sample_size < 1:
         raise ConfigError("bandit.sample_size must be a positive integer")
     if not math.isfinite(cfg.bandit.exploration) or cfg.bandit.exploration < 0:
         raise ConfigError("bandit.exploration must be a finite number >= 0")
-    if cfg.bandit.update_rule not in BANDIT_UPDATE_RULES:
-        raise ConfigError(f"bandit.update_rule must be one of {BANDIT_UPDATE_RULES}")
     return cfg
 
 

@@ -49,44 +49,18 @@ def sample_history_gradient(
     return rng.choice(list(pool))
 
 
-def cumulative_pool(
-    history: GradientHistory, gradients: Mapping[int, Gradient], upto_round: int
-) -> list[Gradient]:
-    """Every pooled gradient of rounds up to ``upto_round``, first occurrence first."""
-    seen: set[int] = set()
-    pool: list[Gradient] = []
-    for round_index in sorted(history.pools):
-        if round_index > upto_round:
-            continue
-        for gradient_id in history.pools[round_index]:
-            if gradient_id not in seen:
-                pool.append(gradients[gradient_id])
-                seen.add(gradient_id)
-    return pool
-
-
 def history_text(
     history: GradientHistory,
     round_index: int,
     gradients: Mapping[int, Gradient],
     *,
     enabled: bool = True,
-    mode: str = "last",
 ) -> str:
-    """History binding for the given round's templates.
+    """History binding for a round's templates: the gradient sampled the round before.
 
-    ``last`` (default) and ``cumulative`` inject the single gradient sampled
-    after the previous round; ``concat`` joins every sampled gradient so far.
     Disabled momentum, round 0, and empty pools all bind ``(none)``.
     """
     if not enabled:
         return HISTORY_EMPTY
-    if mode == "concat":
-        texts = [
-            gradients[history.sampled[r]].text
-            for r in sorted(history.sampled)
-            if r < round_index
-        ]
-        return "\n".join(texts) if texts else HISTORY_EMPTY
     gradient_id = history.sampled.get(round_index - 1)
     return gradients[gradient_id].text if gradient_id is not None else HISTORY_EMPTY

@@ -10,7 +10,6 @@ convergence detector.
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -32,8 +31,6 @@ from .model import (
     validate_config,
 )
 from .scoring import TaskSpec, evaluate_prompt
-
-logger = logging.getLogger(__name__)
 
 
 class RunIncompleteError(GatewayError):
@@ -249,8 +246,11 @@ def run(
             )
         )
 
+    # Set only once the run finishes, so the artifact that ``finally`` writes
+    # after any abort, an interrupt included, is flagged incomplete.
     status = "incomplete"
     best: Prompt | None = None
+    report: ConvergenceReport | None = None
     try:
         seed_test = eval_on_test(seed)
         emit_event(0, None, seed_test, seed.id)
@@ -268,7 +268,6 @@ def run(
                 round_index,
                 store.gradients,
                 enabled=cfg.momentum_enabled,
-                mode=cfg.history_mode,
             )
             for parent in parents:
                 score, predictions = evaluate_prompt(parent, minibatch, gateway, task)
@@ -288,11 +287,7 @@ def run(
                 round_gradients.extend(expansion.gradients)
                 if expansion.shortfall:
                     sample_shortfalls += 1
-                if cfg.include_parents:
-                    candidates.append(parent)
-            if not candidates:
-                logger.warning("round %d produced no candidates; carrying the beam", round_index)
-                candidates = parents
+                candidates.append(parent)
 
             selection = bandit.select(
                 candidates,
@@ -308,22 +303,12 @@ def run(
 
             pool = momentum.record_round(beam, round_gradients, store.prompts)
             history.pools[round_index] = tuple(g.id for g in pool)
-            sample_source = (
-                momentum.cumulative_pool(history, store.gradients, round_index)
-                if cfg.history_mode == "cumulative"
-                else pool
-            )
-            sampled = momentum.sample_history_gradient(sample_source, cfg.rng_seed, round_index)
+            sampled = momentum.sample_history_gradient(pool, cfg.rng_seed, round_index)
             if sampled is not None:
                 history.sampled[round_index] = sampled.id
 
-            if cfg.full_beam_test_eval:
-                scored = [(eval_on_test(store.prompts[pid]), pid) for pid in beam.prompts]
-                test_best, best_id = max(scored, key=lambda pair: (pair[0], -pair[1]))
-            else:
-                top = store.prompts[beam.prompts[0]]
-                test_best, best_id = eval_on_test(top), top.id
-            emit_event(round_index, max(parent_scores.values()), test_best, best_id)
+            top = store.prompts[beam.prompts[0]]
+            emit_event(round_index, max(parent_scores.values()), eval_on_test(top), top.id)
 
         # Final answer: argmax train metric over the last beam on a fresh
         # minibatch, with ties broken toward the lowest prompt id.
@@ -334,36 +319,24 @@ def run(
             store.set_train_score(prompt_id, score)
             final_scores.append((score, prompt_id))
         best_id = min(final_scores, key=lambda pair: (-pair[0], pair[1]))[1]
+        if store.prompts[best_id].test_score is None:
+            eval_on_test(store.prompts[best_id])
         best = store.prompts[best_id]
-        if best.test_score is None:
-            eval_on_test(best)
-            best = store.prompts[best_id]
+        if cfg.convergence_target is not None:
+            report = detect_convergence(events, cfg.convergence_target)
+        else:
+            report = ConvergenceReport(target_score=None, reached=False)
         status = "complete"
-    except BaseException as exc:
-        # Any abort, an interrupt included, leaves a partial artifact behind.
+    except GatewayError as exc:
+        raise RunIncompleteError(f"run aborted: {exc}", artifact_dir=str(out)) from exc
+    finally:
         _write_artifact(
             out, cfg, events, beams, history, store, arm_tables,
-            report=None, gateway=gateway, status="incomplete",
-            method_name=method_name, best=None, predictions=test_predictions,
+            report=report, gateway=gateway, status=status,
+            method_name=method_name, best=best, predictions=test_predictions,
             anomalies=_anomalies(engine, sample_shortfalls),
             config_context=config_context,
         )
-        if isinstance(exc, GatewayError):
-            raise RunIncompleteError(f"run aborted: {exc}", artifact_dir=str(out)) from exc
-        raise
-
-    if cfg.convergence_target is not None:
-        report = detect_convergence(events, cfg.convergence_target)
-    else:
-        report = ConvergenceReport(target_score=None, reached=False)
-
-    _write_artifact(
-        out, cfg, events, beams, history, store, arm_tables,
-        report=report, gateway=gateway, status=status,
-        method_name=method_name, best=best, predictions=test_predictions,
-        anomalies=_anomalies(engine, sample_shortfalls),
-        config_context=config_context,
-    )
     return RunResult(
         best=best,
         events=events,
@@ -379,11 +352,11 @@ def run(
 # Fixed decision notes echoed into every run's metadata.
 _RUN_NOTES = [
     "one minibatch per round, shared by all parents",
-    "parents compete with their children for selection (include_parents switch)",
+    "parents compete with their children for selection",
     "editor calls append a distinct 'Variant j of k' ordinal line for diversity at temperature 0",
     "negative-mode templates mirror the positive ones (correct->wrong, strengths->weaknesses)",
     "'both' gradient mode splits gradient count evenly across polarities, positives first",
-    "per-round test evaluation scores the bandit's top survivor unless full_beam_test_eval is set",
+    "per-round test evaluation scores the bandit's top survivor",
 ]
 
 

@@ -123,16 +123,6 @@ def test_select_accumulate_update_matches_hand_rollout() -> None:
     assert by_id[1].Q == pytest.approx(0.25)
 
 
-def test_select_mean_update_rule_variant() -> None:
-    cfg = BanditConfig(time_steps=10, sample_size=4, update_rule="mean")
-    result = select(
-        _arms(2), _train(), cfg, 2, derived_rng(6, "t"), lambda p, batch: 0.8
-    )
-    # Pull counts, not sample counts; Q is a plain running mean of rewards.
-    assert sum(a.N for a in result.arms) == 10
-    assert all(a.Q == pytest.approx(0.8) for a in result.arms)
-
-
 def test_select_rejects_empty_and_duplicate_candidates() -> None:
     cfg = BanditConfig(time_steps=2, sample_size=2)
     with pytest.raises(ValueError):

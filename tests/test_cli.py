@@ -58,11 +58,28 @@ def test_read_config_file_sections(config_file) -> None:
     assert gateway_section == {}
 
 
-def test_read_config_file_rejects_unknown_key(tmp_path) -> None:
-    file = tmp_path / "bad.ini"
-    file.write_text("[run]\nbeem_width = 4\n", encoding="utf-8")
-    with pytest.raises(ConfigError, match="beem_width"):
-        read_config_file(file)
+def test_read_config_file_rejects_unknown_key(tmp_path, capsys) -> None:
+    # A typo, then the run switches that were removed: history_mode,
+    # full_beam_test_eval, include_parents and bandit.update_rule.
+    unknown = [
+        ("run", "beem_width", "4"),
+        ("run", "history_mode", "concat"),
+        ("run", "full_beam_test_eval", "true"),
+        ("run", "include_parents", "false"),
+        ("bandit", "update_rule", "mean"),
+    ]
+    for section, key, value in unknown:
+        file = tmp_path / f"{key}.ini"
+        body = CONFIG_BODY.replace(f"[{section}]\n", f"[{section}]\n{key} = {value}\n")
+        file.write_text(body, encoding="utf-8")
+        with pytest.raises(ConfigError, match=key):
+            read_config_file(file)
+        code = main(["optimize", "--config", str(file), "--backend", "scripted",
+                     "--out", str(tmp_path / key)])
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ")
+        assert f"[{section}] unknown key {key!r}" in err
 
 
 def test_optimize_happy_path(config_file, tmp_path, capsys) -> None:

@@ -40,6 +40,22 @@ def test_load_tsv_malformed_line_names_line(tmp_path) -> None:
         load(file, "tsv")
 
 
+@pytest.mark.parametrize(
+    "format, body, text",
+    [
+        # ensure_ascii=False leaves U+2028 raw inside the JSON string.
+        ("jsonl", '{"text": "line\u2028separator", "label": "Yes"}\r\n\r\n', "line\u2028separator"),
+        ("tsv", "page\x0cbreak\tYes\r\n\r\n", "page\x0cbreak"),
+    ],
+    ids=["jsonl-line-separator", "tsv-form-feed"],
+)
+def test_load_breaks_lines_at_newline_only(tmp_path, format, body, text) -> None:
+    file = tmp_path / f"d.{format}"
+    file.write_bytes((body + body).encode("utf-8"))
+    examples = load(file, format)
+    assert examples == [Example(0, text, "Yes"), Example(1, text, "Yes")]
+
+
 def test_load_errors(tmp_path) -> None:
     empty = tmp_path / "empty.tsv"
     empty.write_text("", encoding="utf-8")

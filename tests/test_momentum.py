@@ -4,7 +4,6 @@ import math
 
 from promptopt.model import Beam, Gradient, GradientHistory, Prompt
 from promptopt.momentum import (
-    cumulative_pool,
     history_text,
     record_round,
     sample_history_gradient,
@@ -117,14 +116,6 @@ def test_history_text_passthrough_of_previous_round_sample() -> None:
     assert history_text(history, 2, {9: gradient}) == "(none)"
 
 
-def test_history_text_concat_mode_joins_all_samples() -> None:
-    gradients = {1: _gradient(1), 2: _gradient(2)}
-    history = GradientHistory(pools={1: (1,), 2: (2,)}, sampled={1: 1, 2: 2})
-    joined = history_text(history, 3, gradients, mode="concat")
-    assert joined == "reason 1\nreason 2"
-    assert history_text(history, 2, gradients, mode="concat") == "reason 1"
-
-
 def test_history_membership_invariant_checker() -> None:
     good = GradientHistory(pools={1: (0, 1)}, sampled={1: 1})
     good.check()
@@ -135,11 +126,3 @@ def test_history_membership_invariant_checker() -> None:
         assert "sampled[1]" in str(exc)
     else:
         raise AssertionError("membership violation not caught")
-
-
-def test_cumulative_pool_unions_rounds_in_order_without_repeats() -> None:
-    gradients = {gid: _gradient(gid) for gid in range(4)}
-    history = GradientHistory(pools={2: (3, 1), 1: (1, 0), 3: (2,)})
-    assert [g.id for g in cumulative_pool(history, gradients, 2)] == [1, 0, 3]
-    assert [g.id for g in cumulative_pool(history, gradients, 3)] == [1, 0, 3, 2]
-    assert cumulative_pool(history, gradients, 0) == []

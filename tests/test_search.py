@@ -10,6 +10,7 @@ import pytest
 from promptopt import (
     Example,
     Gateway,
+    HeuristicScript,
     LiveBackend,
     LiveConfig,
     ReplayBackend,
@@ -112,6 +113,39 @@ def test_run_transcript_golden_sha256(tmp_path) -> None:
     assert hashlib.sha256(data).hexdigest() == (
         "22633dfe74cedd3be27025f02e0ede14e2118b626e7526c608ca77dc193915c5"
     )
+
+
+_GOLDEN_ARTIFACT_SHA256 = {
+    "beams.jsonl": "c699492c64981d42456d859d37cdcc4c137e0bae18ab16fe841cc79feb34430a",
+    "prompts.jsonl": "60594361975fcf583a01d9ad6cad028e01c95f2895886cc723925ba7e64d4402",
+    "gradients.jsonl": "30b571106c20420de13ef637bfd14d3e6613d3eb0aa6a9f402816928eb053e7a",
+    "history.json": "64e9c52d2a35b47861310f1bcc14105847a1ebea36ae111785ae976099192406",
+    "bandit.jsonl": "0c40eea51fafa0ca9a72248bb3d2feaf234b251f45574198ab9ae4a3dfdb7a70",
+    "result.json": "24740334db331032938e65de942b24c14e691dc79efa4a0bf435bce426bf0f00",
+    "convergence.json": "fa2b9c4a88bf62263a16079ef67d673ab56297ebe49fabf5d10c7561902ac80d",
+    # events.jsonl re-serialized without its wall-clock elapsed_s.
+    "events.jsonl": "b48062607cce63da96be09c2603642b75520ae41f254c0e4e5b4fd9b55c532d7",
+}
+
+
+def test_run_artifact_golden_sha256(tmp_path) -> None:
+    # The transcript test above pins the requests; this pins what run() makes of them.
+    examples = toy_examples()
+    split = make_split(examples, 20, 7, task_type="classification", positive_label="Yes")
+    gateway = scripted_gateway(examples, split.label_set)
+    run(new_seed_prompt(SEED_TEXT), split, small_config(), gateway, tmp_path)
+    digests = {
+        name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+        for name in _GOLDEN_ARTIFACT_SHA256
+        if name != "events.jsonl"
+    }
+    events = "".join(
+        json.dumps({k: v for k, v in json.loads(line).items() if k != "elapsed_s"}, sort_keys=True)
+        + "\n"
+        for line in (tmp_path / "events.jsonl").read_text().splitlines()
+    )
+    digests["events.jsonl"] = hashlib.sha256(events.encode()).hexdigest()
+    assert digests == _GOLDEN_ARTIFACT_SHA256
 
 
 def test_run_beam_shape(small_run) -> None:
@@ -315,17 +349,6 @@ def test_run_baseline_mode_negative_gradients_and_paraphrases(tmp_path) -> None:
     assert all(not pool for pool in result.history.pools.values())
 
 
-def test_run_strict_mode_excludes_parents(tmp_path) -> None:
-    examples = toy_examples()
-    split = make_split(examples, 20, 7, task_type="classification", positive_label="Yes")
-    cfg = small_config(include_parents=False)
-    gateway = scripted_gateway(examples, split.label_set)
-    result = run(new_seed_prompt(SEED_TEXT), split, cfg, gateway, tmp_path / "strict")
-    # The seed can never be re-selected: every beam member after round 0 is a child.
-    for beam in result.beams[1:]:
-        assert all(result.store.prompts[pid].parent_id is not None for pid in beam.prompts)
-
-
 def test_run_emit_predictions_writes_records(tmp_path) -> None:
     examples = toy_examples()
     split = make_split(examples, 20, 7, task_type="classification", positive_label="Yes")
@@ -374,6 +397,54 @@ def test_run_any_exception_flags_incomplete_artifact_and_propagates(tmp_path) ->
     assert len((out / "transcript.jsonl").read_text().splitlines()) == 29
 
 
+def test_run_keyboard_interrupt_flags_incomplete_artifact_and_propagates(tmp_path) -> None:
+    examples = toy_examples()
+    split = make_split(examples, 20, 7, task_type="classification", positive_label="Yes")
+    script = HeuristicScript(examples, split.label_set, seed=7)
+
+    def interrupted_responder(req):
+        # Requests 0-19 test the seed, 20-28 start round 1; 30 is its second edit call.
+        if req.request_index == 30:
+            raise KeyboardInterrupt
+        return script(req)
+
+    out = tmp_path / "interrupted"
+    with pytest.raises(KeyboardInterrupt) as err:
+        run(new_seed_prompt(SEED_TEXT), split, small_config(),
+            Gateway(ScriptedBackend(interrupted_responder)), out)
+    assert type(err.value) is KeyboardInterrupt
+    assert json.loads((out / "run_meta.json").read_text())["status"] == "incomplete"
+    assert len((out / "transcript.jsonl").read_text().splitlines()) == 30
+    assert not (out / "result.json").exists()
+    assert not (out / "convergence.json").exists()
+
+
+def test_run_gateway_error_in_final_test_eval_writes_no_result(tmp_path) -> None:
+    examples = toy_examples()
+    split = make_split(examples, 20, 7, task_type="classification", positive_label="Yes")
+    # Under this config the final argmax picks a prompt no round test-scored.
+    cfg = small_config(search_depth=1)
+    clean_gateway = scripted_gateway(examples, split.label_set)
+    clean = run(new_seed_prompt(SEED_TEXT), split, cfg, clean_gateway, tmp_path / "clean")
+    assert clean_gateway.eval_calls() == clean.events[-1].eval_calls + cfg.test_set_size
+    final_eval_start = clean_gateway.call_count() - cfg.test_set_size
+
+    script = HeuristicScript(examples, split.label_set, seed=7)
+
+    def failing_responder(req):
+        if req.request_index >= final_eval_start:
+            raise ScriptExhaustedError("no answers for the final test evaluation")
+        return script(req)
+
+    out = tmp_path / "aborted"
+    with pytest.raises(RunIncompleteError):
+        run(new_seed_prompt(SEED_TEXT), split, cfg, Gateway(ScriptedBackend(failing_responder)), out)
+    assert json.loads((out / "run_meta.json").read_text())["status"] == "incomplete"
+    assert len((out / "transcript.jsonl").read_text().splitlines()) == final_eval_start
+    assert not (out / "result.json").exists()
+    assert not (out / "convergence.json").exists()
+
+
 def test_run_null_live_content_ends_incomplete(tmp_path) -> None:
     examples = toy_examples()
     split = make_split(examples, 20, 7, task_type="classification", positive_label="Yes")
@@ -415,35 +486,6 @@ def test_run_replay_reproduces_scores(tmp_path) -> None:
     assert [e.best_test_score for e in replayed.events] == [
         e.best_test_score for e in recorded.events
     ]
-
-
-def test_run_full_beam_test_eval_costs_beam_width_times_more(tmp_path) -> None:
-    examples = toy_examples()
-    split = make_split(examples, 20, 7, task_type="classification", positive_label="Yes")
-    cfg = small_config(search_depth=1, full_beam_test_eval=True)
-    gateway = scripted_gateway(examples, split.label_set)
-    result = run(new_seed_prompt(SEED_TEXT), split, cfg, gateway, tmp_path / "fullbeam")
-    event = result.events[-1]
-    # Round 0 seed eval + one eval per beam member in round 1.
-    assert event.eval_calls == (1 + cfg.beam_width) * cfg.test_set_size
-    scores = [result.store.prompts[pid].test_score for pid in result.beams[-1].prompts]
-    assert event.best_test_score == max(scores)
-
-
-def test_run_cumulative_history_samples_from_union_of_pools(tmp_path) -> None:
-    examples = toy_examples()
-    split = make_split(examples, 20, 7, task_type="classification", positive_label="Yes")
-    cfg = small_config(search_depth=3, history_mode="cumulative")
-    gateway = scripted_gateway(examples, split.label_set)
-    result = run(new_seed_prompt(SEED_TEXT), split, cfg, gateway, tmp_path / "cumulative")
-    union: set[int] = set()
-    for round_index in sorted(result.history.pools):
-        union |= set(result.history.pools[round_index])
-        sampled = result.history.sampled.get(round_index)
-        if union:
-            assert sampled in union
-        else:
-            assert sampled is None
 
 
 def test_run_passes_temperature_through_verbatim(tmp_path) -> None:
