@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import csv
+import math
 import os
 import sys
 import typing
@@ -44,6 +45,7 @@ _MODE_PRESETS = {
     "mapo": {"gradient_mode": "positive_only", "momentum_enabled": True, "baseline_mode": False},
     "protegi": {"gradient_mode": "negative_only", "momentum_enabled": False, "baseline_mode": True},
 }
+_SECTIONS = ("run", "bandit", "dataset", "gateway")
 # The baseline method generates more gradients per parent, all negative.
 _PROTEGI_NUM_GRADIENTS = 4
 
@@ -89,6 +91,9 @@ def read_config_file(path: str | Path):
     if not file.exists():
         raise ConfigError(f"config file not found: {file}")
     parser.read(file)
+    for name in parser.sections():
+        if name not in _SECTIONS:
+            raise ConfigError(f"unknown section [{name}]; expected one of {', '.join(_SECTIONS)}")
 
     run_types = _field_types(RunConfig, skip=("bandit",))
     run_overrides: dict = {}
@@ -105,6 +110,10 @@ def read_config_file(path: str | Path):
     dataset = None
     if parser.has_section("dataset"):
         section = dict(parser.items("dataset"))
+        known = {f.name for f in fields(DatasetSpec)}
+        for key in section:
+            if key not in known:
+                raise ConfigError(f"[dataset] unknown key {key!r}")
         try:
             dataset = DatasetSpec(
                 path=section["path"],
@@ -118,7 +127,21 @@ def read_config_file(path: str | Path):
         except KeyError as exc:
             raise ConfigError(f"[dataset] missing key {exc}") from exc
 
-    gateway_section = dict(parser.items("gateway")) if parser.has_section("gateway") else {}
+    # The API key comes from the environment only, never from the file.
+    gateway_types = {
+        "backend": str,
+        "transcript": str,
+        **_field_types(LiveConfig, skip=("api_key",)),
+    }
+    gateway_items = parser.items("gateway") if parser.has_section("gateway") else []
+    gateway_section = {
+        key: _coerce("gateway", gateway_types, key, raw) for key, raw in gateway_items
+    }
+    timeout_s = gateway_section.get("timeout_s", 60.0)
+    # The HTTP client refuses such a timeout on every attempt, which the live
+    # backend would retry as a transport error.
+    if not (math.isfinite(timeout_s) and timeout_s > 0):
+        raise ConfigError(f"[gateway] timeout_s: expected a finite number > 0, got {timeout_s}")
     return run_overrides, bandit_overrides, dataset, gateway_section, extra
 
 
@@ -182,7 +205,7 @@ def build_gateway(args, gateway_section: dict, cfg: RunConfig, examples, split) 
             base_url=base_url,
             model=model,
             api_key=api_key,
-            timeout_s=float(gateway_section.get("timeout_s", 60.0)),
+            timeout_s=gateway_section.get("timeout_s", 60.0),
         )
         return Gateway(LiveBackend(config))
     raise ConfigError(f"unknown backend {backend_name!r}")

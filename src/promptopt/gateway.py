@@ -19,7 +19,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 ROLE_TAGS = ("gradient_gen", "prompt_edit", "paraphrase", "task_eval")
 
@@ -54,9 +54,12 @@ class LiveCallError(GatewayError):
     """The HTTP backend failed after exhausting its retries."""
 
 
-@dataclass(frozen=True)
-class LlmRequest:
-    """One rendered request; ``request_index`` is stamped at issue time."""
+class LlmRequest(NamedTuple):
+    """One rendered request; ``request_index`` is stamped at issue time.
+
+    A named tuple: immutable, hashable and cheap to build, since the gateway
+    makes one per request and the loader one per transcript line.
+    """
 
     role_tag: str
     rendered_prompt: str
@@ -68,14 +71,14 @@ class LlmRequest:
     def digest(self) -> str:
         """:func:`request_digest` of this request, computed on each access.
 
-        Only the saved transcript and a replay miss message read it, once per
-        request; replay lookups are keyed by content.
+        Nothing keeps it: a named tuple holds only its five fields. The saved
+        transcript and a replay miss message read it, once per request;
+        replay lookups are keyed by content.
         """
         return request_digest(self.role_tag, self.rendered_prompt)
 
 
-@dataclass(frozen=True)
-class LlmResponse:
+class LlmResponse(NamedTuple):
     text: str
     request_index: int
     latency_s: float = 0.0
@@ -115,7 +118,8 @@ def transcript_line(req: LlmRequest, resp: LlmResponse) -> str:
     A fixed template with the keys in sorted order: equal to
     ``json.dumps(row, sort_keys=True)`` of the eight-field row for every
     input, since any value the fast paths do not cover (a bool, NaN, an
-    ``int`` subclass) goes through the generic encoder.
+    ``int`` subclass) goes through the generic encoder. It is the reference
+    for :meth:`Transcript.save`, which writes the same bytes per entry.
     """
     return (
         f'{{"digest": {_json_str(req.digest)}, "latency_s": {_json_num(resp.latency_s)}, '
@@ -125,6 +129,15 @@ def transcript_line(req: LlmRequest, resp: LlmResponse) -> str:
         f'"response_text": {_json_str(resp.text)}, "role_tag": {_json_str(req.role_tag)}, '
         f'"temperature": {_json_num(req.temperature)}}}'
     )
+
+
+# The C scanner that ``json.loads`` runs under its Python-level wrapper: it
+# parses one JSON value at an index and returns the value and its end.
+_SCANNER = json.JSONDecoder().scan_once
+# What ``json.loads`` skips around a value.
+_JSON_WHITESPACE = json.decoder.WHITESPACE.match
+# Matches no transcript field, so the first entry always starts a run.
+_UNSET = object()
 
 
 class TranscriptFormatError(ValueError):
@@ -139,36 +152,84 @@ class Transcript:
     mode: str = "record"
 
     def save(self, path: str | Path) -> None:
+        """Write the entries in order, one line and one ``write`` at a time.
+
+        Each line equals ``transcript_line(req, resp)`` and a newline; a
+        property test pins the two to each other. The fields that a run
+        of consecutive entries shares (``role_tag``, ``temperature`` and
+        ``max_tokens``) are rendered once per run. A run lasts while those
+        fields are the same objects, not merely equal ones: ``0``, ``0.0``,
+        ``-0.0`` and ``False`` compare equal but render differently.
+        """
+        run_role = run_temperature = run_max_tokens = _UNSET
         with open(path, "w", encoding="utf-8") as handle:
+            write = handle.write
             for req, resp in self.entries:
-                handle.write(transcript_line(req, resp) + "\n")
+                role_tag, prompt, temperature, max_tokens, index = req
+                if (
+                    role_tag is not run_role
+                    or temperature is not run_temperature
+                    or max_tokens is not run_max_tokens
+                ):
+                    run_role, run_temperature, run_max_tokens = role_tag, temperature, max_tokens
+                    middle = f', "max_tokens": {_json_num(max_tokens)}, "rendered_prompt": '
+                    tail = (
+                        f', "role_tag": {_json_str(role_tag)}, '
+                        f'"temperature": {_json_num(temperature)}}}\n'
+                    )
+                text, _, latency = resp
+                # The str and int fast paths of _json_str and _json_num, inlined.
+                prompt_json = encode_basestring_ascii(prompt) if type(prompt) is str else _json_str(prompt)
+                index_json = repr(index) if type(index) is int else _json_num(index)
+                text_json = encode_basestring_ascii(text) if type(text) is str else _json_str(text)
+                write(
+                    f'{{"digest": "{request_digest(role_tag, prompt)}", '
+                    f'"latency_s": {_json_num(latency)}{middle}{prompt_json}, '
+                    f'"request_index": {index_json}, "response_text": {text_json}{tail}'
+                )
 
     @classmethod
     def load(cls, path: str | Path) -> "Transcript":
         """Read a saved transcript; blank lines are skipped.
 
+        Each line goes to json's C scanner. A line it refuses, or one with
+        anything but JSON whitespace after the object, is parsed again by
+        ``json.loads``, so the lines accepted and the errors raised are those
+        of ``json.loads`` on each line.
+
         Raises :class:`TranscriptFormatError` naming the path and the 1-based
         line number of the first line that is not a complete entry, such as
         the cut-off last line of a file whose writer was killed.
         """
+        scan = _SCANNER
+        skip_space = _JSON_WHITESPACE
+        make_request = LlmRequest._make
+        make_response = LlmResponse._make
         entries: list[tuple[LlmRequest, LlmResponse]] = []
         lineno = 0
         try:
             with open(path, encoding="utf-8") as handle:
                 for lineno, line in enumerate(handle, start=1):
-                    if not line.strip():
-                        continue
-                    row = json.loads(line)
+                    try:
+                        row, end = scan(line, 0)
+                        whole = end == len(line) or skip_space(line, end).end() == len(line)
+                    except (StopIteration, json.JSONDecodeError):
+                        whole = False
+                    if not whole:
+                        if not line.strip():
+                            continue
+                        row = json.loads(line)
                     index = row["request_index"]
-                    req = LlmRequest(
-                        row["role_tag"],
-                        row["rendered_prompt"],
-                        row["temperature"],
-                        row["max_tokens"],
-                        index,
-                    )
-                    resp = LlmResponse(row["response_text"], index, row["latency_s"])
-                    entries.append((req, resp))
+                    entries.append((
+                        make_request((
+                            row["role_tag"],
+                            row["rendered_prompt"],
+                            row["temperature"],
+                            row["max_tokens"],
+                            index,
+                        )),
+                        make_response((row["response_text"], index, row["latency_s"])),
+                    ))
         except (json.JSONDecodeError, KeyError, TypeError) as exc:
             raise TranscriptFormatError(
                 f"{path}: line {lineno}: not a transcript entry ({type(exc).__name__}: {exc})"
@@ -381,12 +442,14 @@ class Gateway:
                 counts[bucket] += 1
 
         complete = self.backend.complete
+        make_request = LlmRequest._make
+        make_response = LlmResponse._make
         done: list[tuple[LlmRequest, LlmResponse]] = []
         try:
             for index, prompt in enumerate(rendered_prompts, first):
-                req = LlmRequest(role_tag, prompt, temperature, max_tokens, index)
+                req = make_request((role_tag, prompt, temperature, max_tokens, index))
                 text, latency = complete(req, on_attempt)
-                done.append((req, LlmResponse(text, index, latency)))
+                done.append((req, make_response((text, index, latency))))
         except GatewayError as exc:
             exc.batch_position = len(done)
             raise

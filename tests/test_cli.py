@@ -82,6 +82,60 @@ def test_read_config_file_rejects_unknown_key(tmp_path, capsys) -> None:
         assert f"[{section}] unknown key {key!r}" in err
 
 
+def _optimize_config_error(file: Path, tmp_path, capsys) -> str:
+    """Run ``optimize`` on ``file``; assert exit code 2 and return the error line."""
+    code = main(["optimize", "--config", str(file), "--out", str(tmp_path / "out")])
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ")
+    return err
+
+
+def test_read_config_file_rejects_unknown_section(tmp_path, capsys) -> None:
+    # Section names are case-sensitive: [Bandit] is not [bandit].
+    file = tmp_path / "section.ini"
+    file.write_text(CONFIG_BODY.replace("[bandit]", "[Bandit]"), encoding="utf-8")
+    with pytest.raises(ConfigError, match=r"unknown section \[Bandit\]"):
+        read_config_file(file)
+    assert "unknown section [Bandit]" in _optimize_config_error(file, tmp_path, capsys)
+
+
+def test_read_config_file_rejects_unknown_dataset_key(tmp_path, capsys) -> None:
+    file = tmp_path / "dataset.ini"
+    file.write_text(CONFIG_BODY.replace("format = tsv", "formt = tsv"), encoding="utf-8")
+    with pytest.raises(ConfigError, match=r"\[dataset\] unknown key 'formt'"):
+        read_config_file(file)
+    assert "[dataset] unknown key 'formt'" in _optimize_config_error(file, tmp_path, capsys)
+
+
+def test_read_config_file_rejects_unknown_gateway_key(tmp_path, capsys) -> None:
+    # The API key is read from the environment only.
+    file = tmp_path / "gateway.ini"
+    file.write_text(CONFIG_BODY + "\n[gateway]\napi_key = secret\n", encoding="utf-8")
+    with pytest.raises(ConfigError, match=r"\[gateway\] unknown key 'api_key'"):
+        read_config_file(file)
+    assert "[gateway] unknown key 'api_key'" in _optimize_config_error(file, tmp_path, capsys)
+
+
+def test_read_config_file_rejects_non_numeric_timeout(tmp_path, capsys) -> None:
+    file = tmp_path / "timeout.ini"
+    gateway = (
+        "\n[gateway]\nbackend = live\nbase_url = http://127.0.0.1:9/v1\n"
+        "model = m\ntimeout_s = soon\n"
+    )
+    file.write_text(CONFIG_BODY + gateway, encoding="utf-8")
+    with pytest.raises(ConfigError, match=r"\[gateway\] timeout_s"):
+        read_config_file(file)
+    assert "[gateway] timeout_s" in _optimize_config_error(file, tmp_path, capsys)
+    # Values the HTTP client would refuse on every attempt.
+    for value in ("0", "-1", "nan", "inf"):
+        file.write_text(CONFIG_BODY + gateway.replace("soon", value), encoding="utf-8")
+        with pytest.raises(ConfigError, match=r"\[gateway\] timeout_s: expected a finite"):
+            read_config_file(file)
+    file.write_text(CONFIG_BODY + gateway.replace("soon", "2.5"), encoding="utf-8")
+    assert read_config_file(file)[3]["timeout_s"] == 2.5
+
+
 def test_optimize_happy_path(config_file, tmp_path, capsys) -> None:
     out = tmp_path / "artifact"
     code = main(

@@ -2,12 +2,12 @@ from __future__ import annotations
 
 import json
 import random
+import tracemalloc
 from contextlib import nullcontext
-from dataclasses import fields
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from promptopt.gateway import (
@@ -189,6 +189,83 @@ def test_transcript_line_equals_json_dumps(strings, numbers) -> None:
     assert transcript_line(req, resp) == json.dumps(row, sort_keys=True)
 
 
+class _Int(int):
+    """An ``int`` subclass, which the line writer sends to the generic encoder."""
+
+
+# Values that compare equal in Python but render differently (0, 0.0, -0.0,
+# False; 1, True, _Int(1)), plus NaN, which equals nothing. Fixed objects, so
+# that consecutive entries can share them.
+_LOOKALIKES = [0, 0.0, -0.0, False, True, 1, _Int(1), float("nan"), 0.7, 16, 512]
+
+
+def _lookalike_runs() -> list:
+    """Runs of one role whose shared fields only look alike, each next to the last."""
+    rows = [("p", 0, "a", 0.0)]
+    shared = [(0, 16), (0.0, 16), (-0.0, 16), (False, 16), (0.0, 1), (0.0, True), (0.0, _Int(1))]
+    shared += [(float("nan"), 16), (float("nan"), 16)]
+    return [("task_eval", temperature, max_tokens, rows) for temperature, max_tokens in shared]
+
+
+@example(runs=_lookalike_runs())
+@given(
+    runs=st.lists(
+        st.tuples(
+            st.sampled_from(ROLE_TAGS),
+            st.sampled_from(_LOOKALIKES),  # temperature
+            st.sampled_from(_LOOKALIKES),  # max_tokens
+            st.lists(
+                st.tuples(
+                    st.text(max_size=20),  # prompt
+                    st.one_of(st.integers(), st.sampled_from(_LOOKALIKES)),  # index
+                    st.text(max_size=20),  # response text
+                    st.one_of(st.floats(), st.sampled_from(_LOOKALIKES)),  # latency
+                ),
+                min_size=1,
+                max_size=4,
+            ),
+        ),
+        max_size=6,
+    )
+)
+def test_transcript_save_equals_transcript_line_per_entry(tmp_path_factory, runs) -> None:
+    entries = [
+        (
+            LlmRequest(role, prompt, temperature, max_tokens, index),
+            LlmResponse(text, index, latency),
+        )
+        for role, temperature, max_tokens, rows in runs
+        for prompt, index, text, latency in rows
+    ]
+    path = tmp_path_factory.mktemp("save") / "transcript.jsonl"
+    Transcript(entries=entries).save(path)
+    expected = "".join(transcript_line(req, resp) + "\n" for req, resp in entries)
+    assert path.read_bytes() == expected.encode("utf-8")
+
+
+def test_transcript_save_memory_stays_bounded(tmp_path) -> None:
+    # Lines go to the file one at a time: a save that built the whole file
+    # in memory would peak at about its size.
+    entries = [
+        (
+            LlmRequest("task_eval", f"prompt {i}: " + "word " * 200, 0.0, 16, i),
+            LlmResponse("positive", i, 0.0),
+        )
+        for i in range(4000)
+    ]
+    transcript = Transcript(entries=entries)
+    path = tmp_path / "transcript.jsonl"
+    tracemalloc.start()
+    try:
+        transcript.save(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    written = path.stat().st_size
+    assert written > 4000 * 1000
+    assert peak < written / 100
+
+
 def test_transcript_save_empty_writes_empty_file(tmp_path) -> None:
     path = tmp_path / "transcript.jsonl"
     Transcript(entries=[]).save(path)
@@ -223,6 +300,70 @@ def test_transcript_load_tolerates_line_layout(tmp_path, join) -> None:
         ("gradient_gen", "second\nline", 1),
     ]
     assert [resp.text for _, resp in loaded.entries] == ["echo:first", "echo:second\nline"]
+
+
+def _load_line_by_line(path) -> list | str:
+    """Per-line ``json.loads``: the entries, or the error message for the first bad line."""
+    entries = []
+    with open(path, encoding="utf-8") as handle:
+        for lineno, line in enumerate(handle, start=1):
+            if not line.strip():
+                continue
+            try:
+                row = json.loads(line)
+                index = row["request_index"]
+                entries.append(
+                    (
+                        LlmRequest(
+                            row["role_tag"],
+                            row["rendered_prompt"],
+                            row["temperature"],
+                            row["max_tokens"],
+                            index,
+                        ),
+                        LlmResponse(row["response_text"], index, row["latency_s"]),
+                    )
+                )
+            except (json.JSONDecodeError, KeyError, TypeError) as exc:
+                name = type(exc).__name__
+                return f"{path}: line {lineno}: not a transcript entry ({name}: {exc})"
+    return entries
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda line: "   " + line,
+        lambda line: "\t" + line,
+        lambda line: line + "   ",
+        lambda line: line + " \t\r",
+        lambda line: line + " x",
+        lambda line: line + "\x0b",  # not JSON whitespace
+        lambda line: "\ufeff" + line,
+        lambda line: "42",
+        lambda line: "null",
+        lambda line: line + " " + line,
+        lambda line: line + line,
+    ],
+    ids=[
+        "leading-spaces", "leading-tab", "trailing-spaces", "trailing-whitespace",
+        "trailing-garbage", "trailing-vertical-tab", "byte-order-mark", "bare-number",
+        "null", "two-objects", "two-objects-touching",
+    ],
+)
+def test_transcript_load_matches_json_loads_per_line(tmp_path, edit) -> None:
+    first, second = _saved_lines(tmp_path)
+    path = tmp_path / "t.jsonl"
+    path.write_text(f"{first}\n{edit(second)}\n{first}\n", encoding="utf-8")
+    expected = _load_line_by_line(path)
+    if isinstance(expected, str):
+        assert "line 2:" in expected
+        with pytest.raises(TranscriptFormatError) as err:
+            Transcript.load(path)
+        assert str(err.value) == expected
+    else:
+        assert len(expected) == 3
+        assert Transcript.load(path).entries == expected
 
 
 def test_transcript_load_names_line_of_truncated_entry(tmp_path) -> None:
@@ -267,7 +408,12 @@ def test_complete_stamps_index_and_keeps_request_fields() -> None:
 def test_request_digest_is_not_kept_on_the_request() -> None:
     req = LlmRequest("task_eval", "x", 0.0, 16, 0)
     assert req.digest == request_digest("task_eval", "x")
-    assert set(vars(req)) == {f.name for f in fields(LlmRequest)}
+    # A named tuple has no instance dict, so nothing but the five fields can be kept.
+    assert not hasattr(req, "__dict__")
+    assert req._fields == (
+        "role_tag", "rendered_prompt", "temperature", "max_tokens", "request_index"
+    )
+    assert tuple(req) == ("task_eval", "x", 0.0, 16, 0)
 
 
 def test_complete_many_reserves_contiguous_indices_in_submission_order() -> None:
@@ -633,6 +779,7 @@ class _StubChatServer:
 
     def close(self):
         self._server.shutdown()
+        self._server.server_close()
 
 
 def test_live_backend_roundtrip_against_local_server() -> None:
