@@ -123,6 +123,9 @@ _GOLDEN_ARTIFACT_SHA256 = {
     "bandit.jsonl": "0c40eea51fafa0ca9a72248bb3d2feaf234b251f45574198ab9ae4a3dfdb7a70",
     "result.json": "24740334db331032938e65de942b24c14e691dc79efa4a0bf435bce426bf0f00",
     "convergence.json": "fa2b9c4a88bf62263a16079ef67d673ab56297ebe49fabf5d10c7561902ac80d",
+    "config.json": "5517c74e5977afc07443767754fe3cb93b58897c3fca8ff32f45dbcfffbf7bb8",
+    "run_meta.json": "23a96b110d8217e6ea777d522c35f0d1d8f11cffc37c3292b35eb07f4ae19eab",
+    "predictions.jsonl": "d63562e738ec64c1e4b814edf68e7f3ed9d2f4b2d353afe7b471348b3eb62e08",
     # events.jsonl re-serialized without its wall-clock elapsed_s.
     "events.jsonl": "b48062607cce63da96be09c2603642b75520ae41f254c0e4e5b4fd9b55c532d7",
 }
@@ -130,10 +133,11 @@ _GOLDEN_ARTIFACT_SHA256 = {
 
 def test_run_artifact_golden_sha256(tmp_path) -> None:
     # The transcript test above pins the requests; this pins what run() makes of them.
+    # emit_predictions changes config.json and adds predictions.jsonl, nothing else.
     examples = toy_examples()
     split = make_split(examples, 20, 7, task_type="classification", positive_label="Yes")
     gateway = scripted_gateway(examples, split.label_set)
-    run(new_seed_prompt(SEED_TEXT), split, small_config(), gateway, tmp_path)
+    run(new_seed_prompt(SEED_TEXT), split, small_config(emit_predictions=True), gateway, tmp_path)
     digests = {
         name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
         for name in _GOLDEN_ARTIFACT_SHA256
