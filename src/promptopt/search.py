@@ -188,6 +188,120 @@ def expand_parent(
     return Expansion(children=tuple(children), gradients=tuple(gradients), shortfall=shortfall)
 
 
+class _Search:
+    """One run's state, with a method per phase of the round."""
+
+    def __init__(
+        self,
+        seed_prompt: Prompt,
+        split: DatasetSplit,
+        cfg: RunConfig,
+        gateway: Gateway,
+        templates: TemplateSet | None,
+    ):
+        self.split, self.cfg, self.gateway = split, cfg, gateway
+        self.store = PromptStore()
+        self.seed = self.store.adopt(seed_prompt)
+        self.task = TaskSpec.from_split(split, cfg)
+        self.engine = GradientEngine(cfg, gateway, self.store, templates, split.task_type)
+        self.history = GradientHistory()
+        self.beams: list[Beam] = [Beam(round=0, prompts=(self.seed.id,))]
+        self.arm_tables: list[tuple[bandit.ArmState, ...]] = []
+        self.events: list[MetricEvent] = []
+        self.test_predictions: list[dict] = []
+        self.sample_shortfalls = 0
+
+    def expand(self, round_index: int) -> tuple[list[Prompt], list[Gradient], float]:
+        """Score each parent on the round's minibatch and expand it into children.
+
+        Returns the candidates (each parent after its children), the round's
+        gradients and the best parent score.
+        """
+        cfg = self.cfg
+        minibatch = sample_minibatch(self.split, cfg.minibatch_size, cfg.rng_seed, round_index)
+        history_binding = momentum.history_text(
+            self.history, round_index, self.store.gradients, enabled=cfg.momentum_enabled
+        )
+        candidates: list[Prompt] = []
+        gradients: list[Gradient] = []
+        scores: list[float] = []
+        for parent_id in self.beams[-1].prompts:
+            score, predictions = evaluate_prompt(
+                self.store.prompts[parent_id], minibatch, self.gateway, self.task
+            )
+            parent = self.store.set_train_score(parent_id, score)
+            scores.append(score)
+            correctness = {p.example_id: p.correct for p in predictions}
+            expansion = expand_parent(
+                self.engine, parent, round_index, minibatch, correctness, history_binding, cfg
+            )
+            candidates.extend(expansion.children)
+            candidates.append(parent)
+            gradients.extend(expansion.gradients)
+            self.sample_shortfalls += expansion.shortfall
+        return candidates, gradients, max(scores)
+
+    def select(self, round_index: int, candidates: list[Prompt]) -> Beam:
+        """Prune the candidates to the beam width with the UCB bandit."""
+        selection = bandit.select(
+            candidates,
+            self.split.train,
+            self.cfg.bandit,
+            self.cfg.beam_width,
+            rng=derived_rng(self.cfg.rng_seed, "bandit", round_index),
+            evaluate=lambda p, batch: evaluate_prompt(p, batch, self.gateway, self.task)[0],
+        )
+        beam = Beam(round=round_index, prompts=tuple(p.id for p in selection.selected))
+        self.beams.append(beam)
+        self.arm_tables.append(selection.arms)
+        return beam
+
+    def record_momentum(self, beam: Beam, gradients: list[Gradient]) -> None:
+        """Pool the round's gradients that produced a survivor and sample one."""
+        pool = momentum.record_round(beam, gradients, self.store.prompts)
+        self.history.pools[beam.round] = tuple(g.id for g in pool)
+        sampled = momentum.sample_history_gradient(pool, self.cfg.rng_seed, beam.round)
+        if sampled is not None:
+            self.history.sampled[beam.round] = sampled.id
+
+    def score_on_test(self, prompt: Prompt) -> float:
+        """Score a prompt on the test split, as evaluation calls."""
+        with self.gateway.count_as_eval():
+            score, predictions = evaluate_prompt(prompt, self.split.test, self.gateway, self.task)
+        self.store.set_test_score(prompt.id, score)
+        if self.cfg.emit_predictions:
+            self.test_predictions.extend({"prompt_id": prompt.id, **asdict(p)} for p in predictions)
+        return score
+
+    def test_event(self, round_index: int, train_best: float | None, prompt: Prompt) -> None:
+        """Test the round's top prompt and append the round's metric event."""
+        test_score = self.score_on_test(prompt)
+        gateway = self.gateway
+        self.events.append(MetricEvent(
+            round=round_index,
+            elapsed_s=gateway.elapsed_seconds(),
+            optimize_calls=gateway.optimize_calls(),
+            eval_calls=gateway.eval_calls(),
+            best_train_score=train_best,
+            best_test_score=test_score,
+            best_prompt_id=prompt.id,
+        ))
+
+    def final_argmax(self) -> Prompt:
+        """Argmax train metric over the last beam on a fresh minibatch, ties to the lowest id."""
+        cfg, store = self.cfg, self.store
+        batch = sample_minibatch(self.split, cfg.minibatch_size, cfg.rng_seed, cfg.search_depth + 1)
+        ranked: list[tuple[float, int]] = []
+        for prompt_id in self.beams[-1].prompts:
+            score, _ = evaluate_prompt(store.prompts[prompt_id], batch, self.gateway, self.task)
+            store.set_train_score(prompt_id, score)
+            ranked.append((-score, prompt_id))
+        best = store.prompts[min(ranked)[1]]
+        if best.test_score is None:
+            self.score_on_test(best)
+        return store.prompts[best.id]
+
+
 def run(
     seed_prompt: Prompt,
     split: DatasetSplit,
@@ -210,41 +324,7 @@ def run(
     validate_config(cfg)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-
-    store = PromptStore()
-    seed = store.adopt(seed_prompt)
-    task = TaskSpec.from_split(split, cfg)
-    engine = GradientEngine(
-        cfg=cfg, gateway=gateway, store=store, templates=templates, task_label=split.task_type
-    )
-    history = GradientHistory()
-    beams: list[Beam] = [Beam(round=0, prompts=(seed.id,))]
-    arm_tables: list[tuple[bandit.ArmState, ...]] = []
-    events: list[MetricEvent] = []
-    test_predictions: list[dict] = []
-    sample_shortfalls = 0
-
-    def eval_on_test(prompt: Prompt) -> float:
-        with gateway.count_as_eval():
-            score, predictions = evaluate_prompt(prompt, split.test, gateway, task)
-        store.set_test_score(prompt.id, score)
-        if cfg.emit_predictions:
-            for p in predictions:
-                test_predictions.append({"prompt_id": prompt.id, **asdict(p)})
-        return score
-
-    def emit_event(round_index: int, train_best: float | None, test_best: float, best_id: int):
-        events.append(
-            MetricEvent(
-                round=round_index,
-                elapsed_s=gateway.elapsed_seconds(),
-                optimize_calls=gateway.optimize_calls(),
-                eval_calls=gateway.eval_calls(),
-                best_train_score=train_best,
-                best_test_score=test_best,
-                best_prompt_id=best_id,
-            )
-        )
+    state = _Search(seed_prompt, split, cfg, gateway, templates)
 
     # Set only once the run finishes, so the artifact that ``finally`` writes
     # after any abort, an interrupt included, is flagged incomplete.
@@ -252,100 +332,31 @@ def run(
     best: Prompt | None = None
     report: ConvergenceReport | None = None
     try:
-        seed_test = eval_on_test(seed)
-        emit_event(0, None, seed_test, seed.id)
-
-        for step in range(cfg.search_depth):
-            round_index = step + 1
-            minibatch = sample_minibatch(split, cfg.minibatch_size, cfg.rng_seed, round_index)
-            parents = [store.prompts[pid] for pid in beams[-1].prompts]
-
-            candidates: list[Prompt] = []
-            round_gradients: list[Gradient] = []
-            parent_scores: dict[int, float] = {}
-            history_binding = momentum.history_text(
-                history,
-                round_index,
-                store.gradients,
-                enabled=cfg.momentum_enabled,
-            )
-            for parent in parents:
-                score, predictions = evaluate_prompt(parent, minibatch, gateway, task)
-                parent = store.set_train_score(parent.id, score)
-                parent_scores[parent.id] = score
-                correctness = {p.example_id: p.correct for p in predictions}
-                expansion = expand_parent(
-                    engine,
-                    parent,
-                    round_index,
-                    minibatch,
-                    correctness,
-                    history_binding,
-                    cfg,
-                )
-                candidates.extend(expansion.children)
-                round_gradients.extend(expansion.gradients)
-                if expansion.shortfall:
-                    sample_shortfalls += 1
-                candidates.append(parent)
-
-            selection = bandit.select(
-                candidates,
-                split.train,
-                cfg.bandit,
-                cfg.beam_width,
-                rng=derived_rng(cfg.rng_seed, "bandit", round_index),
-                evaluate=lambda p, batch: evaluate_prompt(p, batch, gateway, task)[0],
-            )
-            beam = Beam(round=round_index, prompts=tuple(p.id for p in selection.selected))
-            beams.append(beam)
-            arm_tables.append(selection.arms)
-
-            pool = momentum.record_round(beam, round_gradients, store.prompts)
-            history.pools[round_index] = tuple(g.id for g in pool)
-            sampled = momentum.sample_history_gradient(pool, cfg.rng_seed, round_index)
-            if sampled is not None:
-                history.sampled[round_index] = sampled.id
-
-            top = store.prompts[beam.prompts[0]]
-            emit_event(round_index, max(parent_scores.values()), eval_on_test(top), top.id)
-
-        # Final answer: argmax train metric over the last beam on a fresh
-        # minibatch, with ties broken toward the lowest prompt id.
-        final_batch = sample_minibatch(split, cfg.minibatch_size, cfg.rng_seed, cfg.search_depth + 1)
-        final_scores: list[tuple[float, int]] = []
-        for prompt_id in beams[-1].prompts:
-            score, _ = evaluate_prompt(store.prompts[prompt_id], final_batch, gateway, task)
-            store.set_train_score(prompt_id, score)
-            final_scores.append((score, prompt_id))
-        best_id = min(final_scores, key=lambda pair: (-pair[0], pair[1]))[1]
-        if store.prompts[best_id].test_score is None:
-            eval_on_test(store.prompts[best_id])
-        best = store.prompts[best_id]
+        state.test_event(0, None, state.seed)
+        for round_index in range(1, cfg.search_depth + 1):
+            candidates, gradients, train_best = state.expand(round_index)
+            beam = state.select(round_index, candidates)
+            state.record_momentum(beam, gradients)
+            state.test_event(round_index, train_best, state.store.prompts[beam.prompts[0]])
+        best = state.final_argmax()
         if cfg.convergence_target is not None:
-            report = detect_convergence(events, cfg.convergence_target)
+            report = detect_convergence(state.events, cfg.convergence_target)
         else:
             report = ConvergenceReport(target_score=None, reached=False)
         status = "complete"
     except GatewayError as exc:
         raise RunIncompleteError(f"run aborted: {exc}", artifact_dir=str(out)) from exc
     finally:
-        _write_artifact(
-            out, cfg, events, beams, history, store, arm_tables,
-            report=report, gateway=gateway, status=status,
-            method_name=method_name, best=best, predictions=test_predictions,
-            anomalies=_anomalies(engine, sample_shortfalls),
-            config_context=config_context,
-        )
+        _write_artifact(out, state, status, best, report, method_name, config_context)
     return RunResult(
         best=best,
-        events=events,
+        events=state.events,
         report=report,
         artifact_dir=str(out),
-        beams=beams,
-        history=history,
-        store=store,
-        arm_tables=arm_tables,
+        beams=state.beams,
+        history=state.history,
+        store=state.store,
+        arm_tables=state.arm_tables,
     )
 
 
@@ -360,34 +371,16 @@ _RUN_NOTES = [
 ]
 
 
-def _anomalies(engine: GradientEngine, sample_shortfalls: int) -> dict[str, int]:
-    """Counts of what went wrong without stopping the run, for ``run_meta.json``.
-
-    ``parse_shortfalls``: gradient, edit and paraphrase completions with no
-    usable delimited text. ``sample_shortfalls``: parent expansions with a
-    correctness sample smaller than ``num_correct_examples``.
-    """
-    return {"parse_shortfalls": engine.parse_shortfalls, "sample_shortfalls": sample_shortfalls}
-
-
 def _write_artifact(
     out: Path,
-    cfg: RunConfig,
-    events: list[MetricEvent],
-    beams: list[Beam],
-    history: GradientHistory,
-    store: PromptStore,
-    arm_tables: list,
-    *,
-    report: ConvergenceReport | None,
-    gateway: Gateway,
+    state: _Search,
     status: str,
-    method_name: str | None,
     best: Prompt | None,
-    predictions: list[dict],
-    anomalies: dict[str, int],
-    config_context: dict | None = None,
+    report: ConvergenceReport | None,
+    method_name: str | None,
+    config_context: dict | None,
 ) -> None:
+    cfg, store = state.cfg, state.store
     artifact.write_json(out / artifact.CONFIG_FILE, {**asdict(cfg), **(config_context or {})})
     artifact.write_json(
         out / artifact.META_FILE,
@@ -397,12 +390,18 @@ def _write_artifact(
             "gradient_mode": cfg.gradient_mode,
             "momentum_enabled": cfg.momentum_enabled,
             "bandit": asdict(cfg.bandit),
-            "anomalies": anomalies,
+            # What went wrong without stopping the run: gradient, edit and paraphrase
+            # completions with no usable delimited text, and parent expansions with a
+            # correctness sample smaller than num_correct_examples.
+            "anomalies": {
+                "parse_shortfalls": state.engine.parse_shortfalls,
+                "sample_shortfalls": state.sample_shortfalls,
+            },
             "notes": _RUN_NOTES,
         },
     )
-    artifact.write_jsonl(out / artifact.EVENTS_FILE, [asdict(e) for e in events])
-    artifact.write_jsonl(out / "beams.jsonl", [to_record(b) for b in beams])
+    artifact.write_jsonl(out / artifact.EVENTS_FILE, [asdict(e) for e in state.events])
+    artifact.write_jsonl(out / "beams.jsonl", [to_record(b) for b in state.beams])
     artifact.write_jsonl(
         out / "prompts.jsonl",
         [to_record(store.prompts[pid]) for pid in sorted(store.prompts)],
@@ -414,8 +413,8 @@ def _write_artifact(
     artifact.write_json(
         out / "history.json",
         {
-            "pools": {str(r): list(ids) for r, ids in sorted(history.pools.items())},
-            "sampled": {str(r): gid for r, gid in sorted(history.sampled.items())},
+            "pools": {str(r): list(ids) for r, ids in sorted(state.history.pools.items())},
+            "sampled": {str(r): gid for r, gid in sorted(state.history.sampled.items())},
         },
     )
     artifact.write_jsonl(
@@ -428,7 +427,7 @@ def _write_artifact(
                     for a in sorted(table, key=lambda a: a.prompt_id)
                 ],
             }
-            for round_index, table in enumerate(arm_tables, start=1)
+            for round_index, table in enumerate(state.arm_tables, start=1)
         ],
     )
     if report is not None:
@@ -443,6 +442,6 @@ def _write_artifact(
                 "test_score": best.test_score,
             },
         )
-    if predictions:
-        artifact.write_jsonl(out / "predictions.jsonl", predictions)
-    gateway.transcript.save(out / "transcript.jsonl")
+    if state.test_predictions:
+        artifact.write_jsonl(out / "predictions.jsonl", state.test_predictions)
+    state.gateway.transcript.save(out / "transcript.jsonl")
