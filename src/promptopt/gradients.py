@@ -13,10 +13,10 @@ import logging
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Mapping
+from typing import Mapping, Sequence
 
 from .data import ExampleSample
-from .gateway import Gateway
+from .gateway import Gateway, LlmResponse
 from .model import END_DELIM, START_DELIM, Gradient, Prompt, PromptStore, RunConfig
 
 logger = logging.getLogger(__name__)
@@ -326,25 +326,7 @@ class GradientEngine:
             [f"{rendered_base}\nVariant {ordinal} of {total}." for ordinal in ordinals],
             temperature=self.cfg.temperature,
         )
-        children: list[Prompt] = []
-        for ordinal, resp in zip(ordinals, responses):
-            spans = parse_delimited(resp.text)
-            text = _clean_span(spans[0]) if spans else ""
-            if not text:
-                self.parse_shortfalls += 1
-                logger.warning(
-                    "unparseable edit for prompt %d gradient %d variant %d",
-                    parent.id,
-                    grad.id,
-                    ordinal,
-                )
-                continue
-            children.append(
-                self.store.new_prompt(
-                    text=text, round=round_index, parent_id=parent.id, gradient_id=grad.id
-                )
-            )
-        return children
+        return self._children(parent, responses, round_index, grad, ordinal_start)
 
     def paraphrase_expand(self, parent: Prompt, n: int, round_index: int) -> list[Prompt]:
         """One batch of n paraphrase calls; each gives one reworded child with no gradient."""
@@ -354,15 +336,30 @@ class GradientEngine:
             [f"{rendered}\nVariant {ordinal} of {n}." for ordinal in range(1, n + 1)],
             temperature=self.cfg.temperature,
         )
+        return self._children(parent, responses, round_index)
+
+    def _children(
+        self,
+        parent: Prompt,
+        responses: Sequence[LlmResponse],
+        round_index: int,
+        grad: Gradient | None = None,
+        ordinal_start: int = 1,
+    ) -> list[Prompt]:
+        """One child per response whose first span holds text; paraphrases have no ``grad``."""
+        gradient_id = grad.id if grad is not None else None
         children: list[Prompt] = []
-        for resp in responses:
+        for ordinal, resp in enumerate(responses, start=ordinal_start):
             spans = parse_delimited(resp.text)
             text = _clean_span(spans[0]) if spans else ""
             if not text:
                 self.parse_shortfalls += 1
-                logger.warning("unparseable paraphrase for prompt %d", parent.id)
+                what = f"edit along gradient {gradient_id}" if grad is not None else "paraphrase"
+                logger.warning("unparseable %s for prompt %d variant %d", what, parent.id, ordinal)
                 continue
             children.append(
-                self.store.new_prompt(text=text, round=round_index, parent_id=parent.id)
+                self.store.new_prompt(
+                    text=text, round=round_index, parent_id=parent.id, gradient_id=gradient_id
+                )
             )
         return children
