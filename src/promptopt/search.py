@@ -391,11 +391,13 @@ def _write_artifact(
             "momentum_enabled": cfg.momentum_enabled,
             "bandit": asdict(cfg.bandit),
             # What went wrong without stopping the run: gradient, edit and paraphrase
-            # completions with no usable delimited text, and parent expansions with a
-            # correctness sample smaller than num_correct_examples.
+            # completions with no usable delimited text, parent expansions with a
+            # correctness sample smaller than num_correct_examples, and candidates
+            # the bandit never pulled, summed over the rounds' arm tables.
             "anomalies": {
                 "parse_shortfalls": state.engine.parse_shortfalls,
                 "sample_shortfalls": state.sample_shortfalls,
+                "unpulled_arms": sum(a.N == 0 for table in state.arm_tables for a in table),
             },
             "notes": _RUN_NOTES,
         },

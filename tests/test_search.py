@@ -124,7 +124,8 @@ _GOLDEN_ARTIFACT_SHA256 = {
     "result.json": "24740334db331032938e65de942b24c14e691dc79efa4a0bf435bce426bf0f00",
     "convergence.json": "fa2b9c4a88bf62263a16079ef67d673ab56297ebe49fabf5d10c7561902ac80d",
     "config.json": "5517c74e5977afc07443767754fe3cb93b58897c3fca8ff32f45dbcfffbf7bb8",
-    "run_meta.json": "23a96b110d8217e6ea777d522c35f0d1d8f11cffc37c3292b35eb07f4ae19eab",
+    # anomalies.unpulled_arms is 2 here: round 2 has 10 arms for 8 pulls.
+    "run_meta.json": "731345ef4ea1157b227f82ced246005bc6cff4ced1621c86b895174dcd3fae05",
     "predictions.jsonl": "d63562e738ec64c1e4b814edf68e7f3ed9d2f4b2d353afe7b471348b3eb62e08",
     # events.jsonl re-serialized without its wall-clock elapsed_s.
     "events.jsonl": "b48062607cce63da96be09c2603642b75520ae41f254c0e4e5b4fd9b55c532d7",
@@ -229,7 +230,8 @@ def test_run_artifact_files_written(small_run) -> None:
         assert (out / name).exists(), name
     meta = json.loads((out / "run_meta.json").read_text())
     assert meta["status"] == "complete"
-    assert meta["anomalies"] == {"parse_shortfalls": 0, "sample_shortfalls": 0}
+    # Rounds 2 and 3 each have 10 arms for 8 pulls.
+    assert meta["anomalies"] == {"parse_shortfalls": 0, "sample_shortfalls": 0, "unpulled_arms": 4}
 
 
 def _anomalous_responder(fail_after_edits: bool = False):
@@ -264,7 +266,11 @@ def test_run_meta_counts_parse_and_sample_shortfalls(tmp_path) -> None:
     parents = sum(len(beam.prompts) for beam in result.beams[:-1])
     meta = json.loads((tmp_path / "run_meta.json").read_text())
     assert meta["status"] == "complete"
-    assert meta["anomalies"] == {"parse_shortfalls": len(edits), "sample_shortfalls": parents}
+    assert meta["anomalies"] == {
+        "parse_shortfalls": len(edits),
+        "sample_shortfalls": parents,
+        "unpulled_arms": 0,
+    }
     assert len(edits) == parents * cfg.candidates_per_parent > 0
 
 
@@ -277,7 +283,8 @@ def test_incomplete_run_meta_counts_shortfalls_before_the_abort(tmp_path) -> Non
             tmp_path)
     meta = json.loads((tmp_path / "run_meta.json").read_text())
     assert meta["status"] == "incomplete"
-    assert meta["anomalies"] == {"parse_shortfalls": 4, "sample_shortfalls": 1}
+    # The abort comes inside round 1's selection, so no arm table is counted.
+    assert meta["anomalies"] == {"parse_shortfalls": 4, "sample_shortfalls": 1, "unpulled_arms": 0}
 
 
 def test_incomplete_run_meta_skips_an_edit_batch_that_failed_part_way(tmp_path) -> None:
@@ -303,7 +310,27 @@ def test_incomplete_run_meta_skips_an_edit_batch_that_failed_part_way(tmp_path) 
     # The first edit was answered and recorded, but its batch never finished, so
     # neither its unparseable answer nor the parent's short sample is counted.
     assert len(recorded) == 1
-    assert meta["anomalies"] == {"parse_shortfalls": 0, "sample_shortfalls": 0}
+    assert meta["anomalies"] == {"parse_shortfalls": 0, "sample_shortfalls": 0, "unpulled_arms": 0}
+
+
+def test_run_meta_counts_unpulled_arms_at_the_default_shape(tmp_path) -> None:
+    # At the defaults a later round has 36 arms (4 parents, 32 children) and 25
+    # pulls; never-pulled arms go first in id order, so the 11 newest never are.
+    examples = toy_examples(1200)
+    cfg = RunConfig()
+    split = make_split(
+        examples, cfg.test_set_size, cfg.rng_seed, task_type="classification", positive_label="Yes"
+    )
+    run(new_seed_prompt(SEED_TEXT), split, cfg, scripted_gateway(examples, split.label_set), tmp_path)
+    tables = [
+        json.loads(line)["arms"] for line in (tmp_path / "bandit.jsonl").read_text().splitlines()
+    ]
+    assert [len(arms) for arms in tables] == [9] + [36] * 5
+    # N counts examples: 25 pulls of 32 each.
+    assert [sum(a["N"] for a in arms) for arms in tables] == [25 * 32] * 6
+    assert [sum(a["N"] == 0 for a in arms) for arms in tables] == [0] + [11] * 5
+    meta = json.loads((tmp_path / "run_meta.json").read_text())
+    assert meta["anomalies"]["unpulled_arms"] == 55
 
 
 def test_run_bandit_tables_cover_each_round(small_run) -> None:
