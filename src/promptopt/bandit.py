@@ -44,8 +44,29 @@ def ucb_value(arm: ArmState, t: int, c_v: float) -> float:
 
 def _draw(train: Sequence[Example], size: int, rng: random.Random) -> list[Example]:
     if len(train) >= size:
-        return rng.sample(list(train), size)
+        return rng.sample(train, size)
     return [rng.choice(train) for _ in range(size)]
+
+
+def _pick_arm(arms: Sequence[ArmState], t: int, c_v: float) -> ArmState:
+    """The arm with the highest UCB at step ``t``; ties go to the earliest arm.
+
+    With ``arms`` ordered by prompt id this is
+    ``min(arms, key=lambda a: (-ucb_value(a, t, c_v), a.prompt_id))``: the
+    first never-pulled arm if any, else the first arm of highest value.
+    """
+    for arm in arms:
+        if arm.N == 0:
+            return arm
+    log_t = math.log(t)
+    sqrt = math.sqrt
+    best = arms[0]
+    best_value = best.Q + c_v * sqrt(log_t / best.N)
+    for arm in arms:
+        value = arm.Q + c_v * sqrt(log_t / arm.N)
+        if value > best_value:
+            best, best_value = arm, value
+    return best
 
 
 def select(
@@ -71,7 +92,7 @@ def select(
     arms = [ArmState(prompt_id=p.id) for p in sorted(candidates, key=lambda p: p.id)]
     for t in range(1, cfg.time_steps + 1):
         batch = _draw(train, cfg.sample_size, rng)
-        arm = min(arms, key=lambda a: (-ucb_value(a, t, cfg.exploration), a.prompt_id))
+        arm = _pick_arm(arms, t, cfg.exploration)
         reward = evaluate(by_id[arm.prompt_id], batch)
         arm.N += len(batch)
         arm.Q += reward / arm.N

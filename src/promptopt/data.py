@@ -150,7 +150,7 @@ def sample_minibatch(
         raise DatasetError("train split is empty")
     rng = derived_rng(seed, "minibatch", round_index)
     if len(split.train) >= size:
-        return rng.sample(list(split.train), size)
+        return rng.sample(split.train, size)
     return [rng.choice(split.train) for _ in range(size)]
 
 

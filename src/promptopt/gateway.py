@@ -157,11 +157,14 @@ class Transcript:
         Each line equals ``transcript_line(req, resp)`` and a newline; a
         property test pins the two to each other. The fields that a run
         of consecutive entries shares (``role_tag``, ``temperature`` and
-        ``max_tokens``) are rendered once per run. A run lasts while those
+        ``max_tokens``, and the ``role_tag`` line that starts the digest's
+        input) are rendered once per run. A run lasts while those
         fields are the same objects, not merely equal ones: ``0``, ``0.0``,
         ``-0.0`` and ``False`` compare equal but render differently.
         """
         run_role = run_temperature = run_max_tokens = _UNSET
+        sha256 = hashlib.sha256
+        inf = math.inf
         with open(path, "w", encoding="utf-8") as handle:
             write = handle.write
             for req, resp in self.entries:
@@ -172,19 +175,29 @@ class Transcript:
                     or max_tokens is not run_max_tokens
                 ):
                     run_role, run_temperature, run_max_tokens = role_tag, temperature, max_tokens
+                    digest_head = f"{role_tag}\n"
                     middle = f', "max_tokens": {_json_num(max_tokens)}, "rendered_prompt": '
                     tail = (
                         f', "role_tag": {_json_str(role_tag)}, '
                         f'"temperature": {_json_num(temperature)}}}\n'
                     )
                 text, _, latency = resp
-                # The str and int fast paths of _json_str and _json_num, inlined.
-                prompt_json = encode_basestring_ascii(prompt) if type(prompt) is str else _json_str(prompt)
+                # request_digest, and the str, int and finite-float fast paths
+                # of _json_str and _json_num, inlined.
+                if type(prompt) is str:
+                    digest = sha256((digest_head + prompt).encode("utf-8")).hexdigest()
+                    prompt_json = encode_basestring_ascii(prompt)
+                else:
+                    digest = request_digest(role_tag, prompt)
+                    prompt_json = _json_str(prompt)
+                latency_json = (
+                    repr(latency) if type(latency) is float and -inf < latency < inf
+                    else _json_num(latency)
+                )
                 index_json = repr(index) if type(index) is int else _json_num(index)
                 text_json = encode_basestring_ascii(text) if type(text) is str else _json_str(text)
                 write(
-                    f'{{"digest": "{request_digest(role_tag, prompt)}", '
-                    f'"latency_s": {_json_num(latency)}{middle}{prompt_json}, '
+                    f'{{"digest": "{digest}", "latency_s": {latency_json}{middle}{prompt_json}, '
                     f'"request_index": {index_json}, "response_text": {text_json}{tail}'
                 )
 

@@ -3,9 +3,10 @@
 from __future__ import annotations
 
 import functools
+import operator
 import re
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .data import DatasetSplit, Example
 from .gateway import Gateway, GatewayError
@@ -32,16 +33,33 @@ class TaskSpec:
         )
 
 
-@dataclass(frozen=True)
-class Prediction:
+class _PredictionFields(NamedTuple):
     example_id: int
     raw_output: str
     parsed_label: str | None
     correct: bool
 
-    def __post_init__(self) -> None:
-        if self.parsed_label is None and self.correct:
+
+class Prediction(_PredictionFields):
+    """One scored answer: an immutable named tuple, one per task_eval request.
+
+    Building one, also through ``_make`` and ``_replace``, checks that an
+    unparseable output is not marked correct. ``_asdict()`` gives the fields
+    in declaration order.
+    """
+
+    __slots__ = ()
+
+    def __new__(
+        cls, example_id: int, raw_output: str, parsed_label: str | None, correct: bool
+    ) -> "Prediction":
+        if parsed_label is None and correct:
             raise ValueError("an unparseable output cannot be correct")
+        return tuple.__new__(cls, (example_id, raw_output, parsed_label, correct))
+
+    @classmethod
+    def _make(cls, iterable) -> "Prediction":
+        return cls(*iterable)
 
 
 @dataclass(frozen=True)
@@ -130,6 +148,9 @@ def confusion_counts(
     return ConfusionCounts(tp=tp, fp=fp, fn=fn, tn=tn)
 
 
+_BY_EXAMPLE_ID = operator.itemgetter(0)
+
+
 def evaluate_prompt(
     prompt: Prompt,
     examples: Sequence[Example],
@@ -154,27 +175,35 @@ def evaluate_prompt(
         ex = examples[exc.batch_position]
         raise type(exc)(f"example id {ex.id}: {exc}") from exc
     predictions: list[Prediction] = []
-    for ex, resp in zip(examples, responses):
-        if task.task_type == "math":
-            parsed = parse_math_answer(resp.text)
-            correct = parsed is not None and parsed == canonical_number(ex.label)
-        else:
-            parsed = parse_label(resp.text, task.label_set)
-            correct = parsed is not None and parsed.lower() == ex.label.lower()
-        predictions.append(
-            Prediction(
-                example_id=ex.id, raw_output=resp.text, parsed_label=parsed, correct=correct
-            )
-        )
-    predictions.sort(key=lambda p: p.example_id)
+    append = predictions.append
     if task.task_type == "math":
-        score = sum(p.correct for p in predictions) / len(predictions)
+        hits = 0
+        for ex, resp in zip(examples, responses):
+            text = resp.text
+            parsed = parse_math_answer(text)
+            correct = parsed is not None and parsed == canonical_number(ex.label)
+            hits += correct
+            append(Prediction(ex.id, text, parsed, correct))
+        score = hits / len(predictions)
     else:
-        ordered = sorted(examples, key=lambda e: e.id)
-        cc = confusion_counts(
-            [ex.label for ex in ordered],
-            [p.parsed_label for p in predictions],
-            task.positive_label,
-        )
-        score = f1(cc)
+        # Parse, judge and count the confusion matrix in one pass; an
+        # unparsed answer counts as negative.
+        label_set = task.label_set
+        positive = task.positive_label.lower()
+        tp = fp = fn = 0
+        for ex, resp in zip(examples, responses):
+            text = resp.text
+            parsed = parse_label(text, label_set)
+            gold = ex.label.lower()
+            pred = None if parsed is None else parsed.lower()
+            if pred == positive:
+                if gold == positive:
+                    tp += 1
+                else:
+                    fp += 1
+            elif gold == positive:
+                fn += 1
+            append(Prediction(ex.id, text, parsed, pred == gold))
+        score = f1(ConfusionCounts(tp=tp, fp=fp, fn=fn, tn=len(predictions) - tp - fp - fn))
+    predictions.sort(key=_BY_EXAMPLE_ID)
     return score, predictions

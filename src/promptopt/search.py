@@ -270,7 +270,7 @@ class _Search:
             score, predictions = evaluate_prompt(prompt, self.split.test, self.gateway, self.task)
         self.store.set_test_score(prompt.id, score)
         if self.cfg.emit_predictions:
-            self.test_predictions.extend({"prompt_id": prompt.id, **asdict(p)} for p in predictions)
+            self.test_predictions.extend({"prompt_id": prompt.id, **p._asdict()} for p in predictions)
         return score
 
     def test_event(self, round_index: int, train_best: float | None, prompt: Prompt) -> None:

@@ -4,8 +4,10 @@ import math
 
 import mpmath
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from promptopt.bandit import ArmState, select, ucb_value
+from promptopt.bandit import ArmState, _pick_arm, select, ucb_value
 from promptopt.data import Example
 from promptopt.model import BanditConfig, Prompt, derived_rng
 
@@ -32,6 +34,26 @@ def test_ucb_value_matches_arbitrary_precision_oracle() -> None:
     oracle = float(mpmath.mpf("0.6") + mpmath.sqrt(mpmath.log(10) / 10))
     assert ucb_value(arm, t=10, c_v=1.0) == pytest.approx(oracle, abs=1e-12)
     assert ucb_value(arm, t=10, c_v=1.0) == pytest.approx(1.0799, abs=1e-4)
+
+
+@st.composite
+def _arm_table(draw):
+    """Arms ordered by prompt id; few distinct N and Q values, so UCB values tie."""
+    ids = sorted(draw(st.lists(st.integers(0, 60), min_size=1, max_size=12, unique=True)))
+    return [
+        ArmState(
+            prompt_id=i,
+            N=draw(st.sampled_from([0, 1, 2, 4, 8, 32])),
+            Q=draw(st.sampled_from([0.0, 0.1, 0.25, 0.5, 1.0])),
+        )
+        for i in ids
+    ]
+
+
+@given(_arm_table(), st.integers(1, 60), st.sampled_from([0.0, 0.5, 1.0, 2.0]))
+def test_pick_arm_matches_min_ucb_rule(arms, t, c_v) -> None:
+    expected = min(arms, key=lambda a: (-ucb_value(a, t, c_v), a.prompt_id))
+    assert _pick_arm(arms, t, c_v) is expected
 
 
 def test_select_singleton_returns_it() -> None:

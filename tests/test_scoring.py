@@ -11,7 +11,9 @@ from promptopt import Gateway, ScriptedBackend, new_seed_prompt
 from promptopt.data import Example
 from promptopt.scoring import (
     ConfusionCounts,
+    Prediction,
     TaskSpec,
+    canonical_number,
     confusion_counts,
     evaluate_prompt,
     f1,
@@ -130,6 +132,36 @@ def test_f1_matches_brute_force_oracle_on_random_sets() -> None:
         fn = sum(1 for g, p in zip(golds, parsed) if g == "Yes" and p != "Yes")
         oracle = 0.0 if tp == 0 else 2 * tp / (2 * tp + fp + fn)
         assert f1(confusion_counts(golds, parsed, "Yes")) == oracle
+
+
+def test_prediction_rejects_unparseable_correct() -> None:
+    with pytest.raises(ValueError, match="unparseable"):
+        Prediction(0, "x", None, True)
+    with pytest.raises(ValueError, match="unparseable"):
+        Prediction(example_id=0, raw_output="x", parsed_label=None, correct=True)
+    assert not Prediction(0, "x", None, False).correct
+    assert Prediction(0, "Yes", "Yes", True).correct
+
+
+def test_prediction_make_and_replace_keep_the_check() -> None:
+    record = Prediction(0, "x", None, False)
+    with pytest.raises(ValueError, match="unparseable"):
+        record._replace(correct=True)
+    with pytest.raises(ValueError, match="unparseable"):
+        Prediction._make([0, "x", None, True])
+    assert Prediction._make(record) == record
+    assert type(record._replace(raw_output="y")) is Prediction
+
+
+def test_prediction_dict_form_keys_in_field_order() -> None:
+    # The keys and order dataclasses.asdict gave while the record was a dataclass.
+    record = Prediction(4, "no", "No", False)
+    assert list(record._asdict().items()) == [
+        ("example_id", 4),
+        ("raw_output", "no"),
+        ("parsed_label", "No"),
+        ("correct", False),
+    ]
 
 
 def _task(**kwargs) -> TaskSpec:
@@ -269,3 +301,103 @@ def test_evaluate_prompt_score_always_within_unit_interval() -> None:
         )
         assert 0.0 <= score <= 1.0
         assert len(predictions) == len(examples)
+
+
+def _two_pass_evaluate(prompt, examples, gateway, task):
+    """Reference: evaluate_prompt as it was before it scored in one pass.
+
+    Builds every prediction, sorts them and the examples by id, then counts
+    the confusion matrix in a second pass over the sorted pairs.
+    """
+    responses = gateway.complete_many(
+        "task_eval",
+        [f"{prompt.text}\n{ex.input_text}" for ex in examples],
+        temperature=task.temperature,
+    )
+    predictions = []
+    for ex, resp in zip(examples, responses):
+        if task.task_type == "math":
+            parsed = parse_math_answer(resp.text)
+            correct = parsed is not None and parsed == canonical_number(ex.label)
+        else:
+            parsed = parse_label(resp.text, task.label_set)
+            correct = parsed is not None and parsed.lower() == ex.label.lower()
+        predictions.append(
+            Prediction(
+                example_id=ex.id, raw_output=resp.text, parsed_label=parsed, correct=correct
+            )
+        )
+    predictions.sort(key=lambda p: p.example_id)
+    if task.task_type == "math":
+        score = sum(p.correct for p in predictions) / len(predictions)
+    else:
+        ordered = sorted(examples, key=lambda e: e.id)
+        cc = confusion_counts(
+            [ex.label for ex in ordered],
+            [p.parsed_label for p in predictions],
+            task.positive_label,
+        )
+        score = f1(cc)
+    return score, predictions
+
+
+_CASINGS = st.sampled_from([str, str.upper, str.lower, str.swapcase])
+_LABEL_SETS = st.sampled_from([YES_NO, ("positive", "negative", "neutral"), ("0", "1")])
+_MATH_GOLDS = st.sampled_from(["3", "42", "1,000", "7.0", "-2"])
+
+
+@st.composite
+def _eval_case(draw, task_type: str):
+    """A task, a batch drawn with replacement from a few examples, and each input's answer.
+
+    Gold labels and answers come in mixed case; answers may name no label,
+    or several; the positive label may be empty or outside the label set.
+    """
+    if task_type == "math":
+        task = TaskSpec(task_type="math")
+        golds = _MATH_GOLDS
+        answers = st.one_of(
+            _MATH_GOLDS.map(lambda n: f"#### {n}"),
+            _MATH_GOLDS.map(lambda n: f"so it is {n}."),
+            st.sampled_from(["no idea", "#### none", "1 then #### 42", "7.00"]),
+        )
+    else:
+        label_set = draw(_LABEL_SETS)
+        positive = draw(
+            st.one_of(
+                st.tuples(st.sampled_from(label_set), _CASINGS).map(lambda lc: lc[1](lc[0])),
+                st.sampled_from(["", "Maybe"]),
+            )
+        )
+        task = TaskSpec(task_type="classification", label_set=label_set, positive_label=positive)
+        golds = st.tuples(st.sampled_from(label_set), _CASINGS).map(lambda lc: lc[1](lc[0]))
+        mention = st.tuples(st.sampled_from(label_set), _CASINGS).map(lambda lc: lc[1](lc[0]))
+        answers = st.one_of(
+            mention,
+            mention.map(lambda m: f"I would say {m}."),
+            st.tuples(mention, mention).map(lambda mm: f"{mm[0]} or {mm[1]}"),
+            st.sampled_from(["unsure", "", "nothing fits"]),
+        )
+    ids = draw(st.lists(st.integers(0, 40), min_size=1, max_size=6, unique=True))
+    pool = [Example(i, f"input {i}", draw(golds)) for i in ids]
+    answer_of = {ex.input_text: draw(answers) for ex in pool}
+    batch = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=12))
+    return task, batch, answer_of
+
+
+def _field_tuples(predictions) -> list[tuple]:
+    return [(p.example_id, p.raw_output, p.parsed_label, p.correct) for p in predictions]
+
+
+@given(st.sampled_from(["classification", "math"]).flatmap(_eval_case))
+def test_evaluate_prompt_matches_two_pass_reference(case) -> None:
+    task, batch, answer_of = case
+    prompt = new_seed_prompt("classify")
+
+    def gateway() -> Gateway:
+        return Gateway(ScriptedBackend(lambda req: answer_of[req.rendered_prompt.split("\n", 1)[1]]))
+
+    score, predictions = evaluate_prompt(prompt, batch, gateway(), task)
+    ref_score, ref_predictions = _two_pass_evaluate(prompt, batch, gateway(), task)
+    assert score == ref_score
+    assert _field_tuples(predictions) == _field_tuples(ref_predictions)
