@@ -3,15 +3,15 @@
 Each round evaluates the current beam on a fresh minibatch, expands every
 parent into candidate children, prunes back to the beam width with the UCB
 bandit, records the momentum pool, and scores the best survivor on the held
-out test split. One metric event is emitted per round (plus a round-0 event
-for the seed), powering the score-versus-round/time/calls reports and the
-convergence detector.
+out test split unless an earlier round already did. One metric event is
+emitted per round (plus a round-0 event for the seed), powering the
+score-versus-round/time/calls reports and the convergence detector.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import Sequence
 
@@ -46,7 +46,9 @@ class MetricEvent:
     """One telemetry row; counters are cumulative and nondecreasing.
 
     ``best_train_score`` is None only on the round-0 event, where no training
-    measurement has happened yet.
+    measurement has happened yet. ``eval_calls`` counts each tested prompt
+    once: a round whose top survivor was already tested adds 0 to it and
+    reports the stored ``best_test_score``.
     """
 
     round: int
@@ -201,7 +203,8 @@ class _Search:
     ):
         self.split, self.cfg, self.gateway = split, cfg, gateway
         self.store = PromptStore()
-        self.seed = self.store.adopt(seed_prompt)
+        # A test score the seed carries in was measured outside this run.
+        self.seed = self.store.adopt(replace(seed_prompt, test_score=None))
         self.task = TaskSpec.from_split(split, cfg)
         self.engine = GradientEngine(cfg, gateway, self.store, templates, split.task_type)
         self.history = GradientHistory()
@@ -265,7 +268,13 @@ class _Search:
             self.history.sampled[beam.round] = sampled.id
 
     def score_on_test(self, prompt: Prompt) -> float:
-        """Score a prompt on the test split, as evaluation calls."""
+        """Score a prompt on the test split, as evaluation calls, once per prompt id.
+
+        A prompt already tested keeps its stored score and sends no request.
+        """
+        stored = self.store.prompts[prompt.id].test_score
+        if stored is not None:
+            return stored
         with self.gateway.count_as_eval():
             score, predictions = evaluate_prompt(prompt, self.split.test, self.gateway, self.task)
         self.store.set_test_score(prompt.id, score)
@@ -297,8 +306,7 @@ class _Search:
             store.set_train_score(prompt_id, score)
             ranked.append((-score, prompt_id))
         best = store.prompts[min(ranked)[1]]
-        if best.test_score is None:
-            self.score_on_test(best)
+        self.score_on_test(best)
         return store.prompts[best.id]
 
 
@@ -367,7 +375,8 @@ _RUN_NOTES = [
     "editor calls append a distinct 'Variant j of k' ordinal line for diversity at temperature 0",
     "negative-mode templates mirror the positive ones (correct->wrong, strengths->weaknesses)",
     "'both' gradient mode splits gradient count evenly across polarities, positives first",
-    "per-round test evaluation scores the bandit's top survivor",
+    "per-round test evaluation scores the bandit's top survivor once per prompt;"
+    " a survivor already tested keeps its score",
 ]
 
 

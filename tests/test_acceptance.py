@@ -229,41 +229,45 @@ def _paired_momentum_runs(tmp_path):
             tmp_path / ("mom_on" if momentum_on else "mom_off"),
         )
         runs[momentum_on] = (result, gateway)
-    return runs, split
+    return runs, split, cfg
 
 
-def _tau_alpha_requests_by_round(gateway, split, search_depth):
-    """Group generator/editor requests by round using the test-eval bursts.
+def _tau_alpha_requests_by_round(result, gateway, split, cfg):
+    """Group generator/editor requests by round using the closed-form call counts.
 
-    The request stream is: round-0 test burst, round-1 work, test burst,
-    round-2 work, ... so work segments between bursts map 1:1 to rounds.
-    The final-answer minibatch evaluations after the last burst form an
-    extra segment that carries no generator/editor calls and is dropped.
+    Leaving out the test evaluations, the request stream is round 1's
+    ``expected_calls_per_round(cfg, 1)`` optimize calls, then round 2's, and
+    so on, then the final-answer minibatch evaluations, which carry no
+    generator/editor calls. A round adds a test burst only when its top
+    survivor was not yet tested, so the bursts do not mark every round.
     """
+    deltas = [
+        after.optimize_calls - before.optimize_calls
+        for before, after in zip(result.events, result.events[1:])
+    ]
+    counts = [expected_calls_per_round(cfg, r) for r in range(1, cfg.search_depth + 1)]
+    assert deltas == counts  # the split below is exact only if the closed form holds
     test_inputs = {ex.input_text for ex in split.test}
-    segments: list[list] = [[]]
-    in_test_burst = True  # stream opens with the round-0 test evaluation
-    for req, _ in gateway.transcript.entries:
-        is_test_eval = (
+    work = [
+        req
+        for req, _ in gateway.transcript.entries
+        if not (
             req.role_tag == "task_eval"
             and req.rendered_prompt.rsplit("\n", 1)[1] in test_inputs
         )
-        if is_test_eval:
-            in_test_burst = True
-            continue
-        if in_test_burst:
-            segments.append([])
-            in_test_burst = False
-        if req.role_tag in ("gradient_gen", "prompt_edit"):
-            segments[-1].append(req)
-    rounds = segments[1 : 1 + search_depth]
-    assert len(rounds) == search_depth
-    assert all(not seg for seg in segments[1 + search_depth :])
+    ]
+    tau_alpha = ("gradient_gen", "prompt_edit")
+    rounds, start = [], 0
+    for count in counts:
+        rounds.append([req for req in work[start : start + count] if req.role_tag in tau_alpha])
+        start += count
+    assert len(rounds) == cfg.search_depth
+    assert not any(req.role_tag in tau_alpha for req in work[start:])
     return rounds
 
 
 def test_c5_momentum_wiring_isolation(tmp_path) -> None:
-    runs, split = _paired_momentum_runs(tmp_path)
+    runs, split, cfg = _paired_momentum_runs(tmp_path)
     (result_on, gateway_on), (result_off, gateway_off) = runs[True], runs[False]
 
     entries_on, entries_off = gateway_on.transcript.entries, gateway_off.transcript.entries
@@ -281,7 +285,7 @@ def test_c5_momentum_wiring_isolation(tmp_path) -> None:
     # in every rendered generator/editor request of the following round.
     history = result_on.history
     assert any(history.pools.values()), "test run never recorded a nonempty pool"
-    by_round = _tau_alpha_requests_by_round(gateway_on, split, search_depth=3)
+    by_round = _tau_alpha_requests_by_round(result_on, gateway_on, split, cfg)
     for segment_index, requests in enumerate(by_round):
         round_index = segment_index + 1
         sampled_id = history.sampled.get(round_index - 1)

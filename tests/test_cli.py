@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from promptopt import Transcript, load, make_split
 from promptopt.cli import (
     EXIT_CONFIG,
     EXIT_DATASET,
@@ -293,6 +294,72 @@ def test_optimize_replay_with_truncated_transcript_is_config_error(
     err = capsys.readouterr().err
     assert err.startswith("config error: ")
     assert f"{transcript}: line {last_line}: not a transcript entry" in err
+
+
+REPO = Path(__file__).parents[1]
+DEMO_ARGS = ["optimize", "--config", "tests/data/demo.ini", "--verbose-predictions"]
+
+
+def _jsonl(path: Path) -> list[dict]:
+    return [json.loads(line) for line in path.read_text().splitlines()]
+
+
+def test_optimize_demo_tests_each_prompt_once(monkeypatch, tmp_path, capsys) -> None:
+    # In the demo config the seed stays the top survivor in rounds 1 and 2.
+    monkeypatch.chdir(REPO)
+    out = tmp_path / "demo"
+    assert main([*DEMO_ARGS, "--backend", "scripted", "--out", str(out)]) == EXIT_OK
+    assert "eval_calls=32" in capsys.readouterr().out
+
+    split = make_split(load("tests/data/demo.tsv", "tsv"), 16, 11, positive_label="Yes")
+    test_inputs = {ex.input_text for ex in split.test}
+    test_requests = [
+        req.rendered_prompt
+        for req, _ in Transcript.load(out / "transcript.jsonl").entries
+        if req.role_tag == "task_eval" and req.rendered_prompt.rsplit("\n", 1)[1] in test_inputs
+    ]
+    assert len(test_requests) == 32
+    assert len(set(test_requests)) == len(test_requests)
+
+    test_scores = {row["id"]: row["test_score"] for row in _jsonl(out / "prompts.jsonl")}
+    events = _jsonl(out / "events.jsonl")
+    assert [e["best_prompt_id"] for e in events] == [0, 0, 0]
+    for event in events:
+        assert event["best_test_score"] == test_scores[event["best_prompt_id"]]
+
+    pairs = [(row["prompt_id"], row["example_id"]) for row in _jsonl(out / "predictions.jsonl")]
+    assert len(pairs) == 32
+    assert len(set(pairs)) == len(pairs)
+
+
+def test_replay_accepts_a_recording_that_tests_a_prompt_again(
+    monkeypatch, tmp_path, capsys
+) -> None:
+    # Recordings made before a prompt was tested once per run score the seed on
+    # the test split again after each round's work; they must still replay.
+    # Re-inserting the seed's batch and renumbering rebuilds such a recording
+    # of the demo config byte for byte.
+    monkeypatch.chdir(REPO)
+    rec, rep = tmp_path / "rec", tmp_path / "rep"
+    assert main([*DEMO_ARGS, "--backend", "scripted", "--out", str(rec)]) == EXIT_OK
+    events = _jsonl(rec / "events.jsonl")
+    seed_tests = events[0]["eval_calls"]
+    entries = Transcript.load(rec / "transcript.jsonl").entries
+    seed_batch = entries[:seed_tests]
+    for repeats, event in enumerate(events[1:]):
+        assert (event["best_prompt_id"], event["eval_calls"]) == (0, seed_tests)
+        round_end = seed_tests + event["optimize_calls"] + repeats * seed_tests
+        entries[round_end:round_end] = seed_batch
+    old_style = [(req._replace(request_index=i), resp) for i, (req, resp) in enumerate(entries)]
+    transcript = tmp_path / "old.jsonl"
+    Transcript(old_style).save(transcript)
+    capsys.readouterr()
+
+    argv = [*DEMO_ARGS, "--backend", "replay", "--transcript", str(transcript), "--out", str(rep)]
+    assert main(argv) == EXIT_OK
+    assert "eval_calls=32" in capsys.readouterr().out
+    for name in ("result.json", "beams.jsonl", "prompts.jsonl", "bandit.jsonl"):
+        assert (rep / name).read_bytes() == (rec / name).read_bytes(), name
 
 
 def _changed_fields(cls) -> dict:

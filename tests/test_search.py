@@ -125,7 +125,7 @@ _GOLDEN_ARTIFACT_SHA256 = {
     "convergence.json": "fa2b9c4a88bf62263a16079ef67d673ab56297ebe49fabf5d10c7561902ac80d",
     "config.json": "5517c74e5977afc07443767754fe3cb93b58897c3fca8ff32f45dbcfffbf7bb8",
     # anomalies.unpulled_arms is 2 here: round 2 has 10 arms for 8 pulls.
-    "run_meta.json": "731345ef4ea1157b227f82ced246005bc6cff4ced1621c86b895174dcd3fae05",
+    "run_meta.json": "08ad053b7b16ecf8433b11abde70250a54a238c1aeb18c2355fe7ec110ffa50e",
     "predictions.jsonl": "d63562e738ec64c1e4b814edf68e7f3ed9d2f4b2d353afe7b471348b3eb62e08",
     # events.jsonl re-serialized without its wall-clock elapsed_s.
     "events.jsonl": "b48062607cce63da96be09c2603642b75520ae41f254c0e4e5b4fd9b55c532d7",
@@ -392,6 +392,17 @@ def test_run_emit_predictions_writes_records(tmp_path) -> None:
     ]
     assert rows
     assert {"prompt_id", "example_id", "raw_output", "parsed_label", "correct"} <= set(rows[0])
+
+
+def test_run_tests_a_seed_that_carries_a_test_score(tmp_path) -> None:
+    # A score measured before the run, on some other split, is not this run's.
+    examples = toy_examples()
+    split = make_split(examples, 20, 7, task_type="classification", positive_label="Yes")
+    seed = replace(new_seed_prompt(SEED_TEXT), test_score=0.999)
+    gateway = scripted_gateway(examples, split.label_set)
+    result = run(seed, split, small_config(search_depth=1), gateway, tmp_path)
+    assert result.events[0].eval_calls == 20
+    assert result.events[0].best_test_score == result.store.prompts[0].test_score != 0.999
 
 
 def test_run_gateway_failure_flags_incomplete_artifact(tmp_path) -> None:
