@@ -14,7 +14,7 @@ import random
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from .data import Example
+from .data import Example, draw_examples
 from .model import BanditConfig, Prompt
 
 RewardFn = Callable[[Prompt, Sequence[Example]], float]
@@ -40,12 +40,6 @@ def ucb_value(arm: ArmState, t: int, c_v: float) -> float:
     if arm.N == 0:
         return math.inf
     return arm.Q + c_v * math.sqrt(math.log(t) / arm.N)
-
-
-def _draw(train: Sequence[Example], size: int, rng: random.Random) -> list[Example]:
-    if len(train) >= size:
-        return rng.sample(train, size)
-    return [rng.choice(train) for _ in range(size)]
 
 
 def _pick_arm(arms: Sequence[ArmState], t: int, c_v: float) -> ArmState:
@@ -91,7 +85,7 @@ def select(
     by_id = {p.id: p for p in candidates}
     arms = [ArmState(prompt_id=p.id) for p in sorted(candidates, key=lambda p: p.id)]
     for t in range(1, cfg.time_steps + 1):
-        batch = _draw(train, cfg.sample_size, rng)
+        batch = draw_examples(train, cfg.sample_size, rng)
         arm = _pick_arm(arms, t, cfg.exploration)
         reward = evaluate(by_id[arm.prompt_id], batch)
         arm.N += len(batch)

@@ -14,7 +14,7 @@ import math
 import os
 import sys
 import typing
-from dataclasses import fields, replace
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 from . import artifact
@@ -41,13 +41,20 @@ EXIT_DATASET = 3
 EXIT_GATEWAY = 4
 EXIT_INCOMPLETE = 5
 
+# Each --mode is (the fields it forces, the fields it fills in where the file
+# sets none). ProTeGi (Pryzant et al. 2023) generates more gradients per
+# parent, all negative, and adds paraphrases of each parent.
 _MODE_PRESETS = {
-    "mapo": {"gradient_mode": "positive_only", "momentum_enabled": True, "baseline_mode": False},
-    "protegi": {"gradient_mode": "negative_only", "momentum_enabled": False, "baseline_mode": True},
+    "mapo": (
+        {"gradient_mode": "positive_only", "momentum_enabled": True, "paraphrases_per_parent": 0},
+        {},
+    ),
+    "protegi": (
+        {"gradient_mode": "negative_only", "momentum_enabled": False},
+        {"num_gradients": 4, "paraphrases_per_parent": 2},
+    ),
 }
 _SECTIONS = ("run", "bandit", "dataset", "gateway")
-# The baseline method generates more gradients per parent, all negative.
-_PROTEGI_NUM_GRADIENTS = 4
 
 
 def _field_types(cls, skip: tuple[str, ...] = ()) -> dict[str, type]:
@@ -55,15 +62,20 @@ def _field_types(cls, skip: tuple[str, ...] = ()) -> dict[str, type]:
 
     ``model`` postpones its annotations, so they are evaluated here; an
     optional field such as ``convergence_target: float | None`` takes the
-    type of its non-None member.
+    type of its non-None member, and ``tuple[str, ...]`` is read as a
+    comma-separated list.
     """
     hints = typing.get_type_hints(cls)
     types = {}
     for f in fields(cls):
         if f.name in skip:
             continue
-        members = [t for t in typing.get_args(hints[f.name]) if t is not type(None)]
-        types[f.name] = members[0] if members else hints[f.name]
+        hint = hints[f.name]
+        if typing.get_origin(hint) is tuple:
+            types[f.name] = tuple
+            continue
+        members = [t for t in typing.get_args(hint) if t is not type(None)]
+        types[f.name] = members[0] if members else hint
     return types
 
 
@@ -78,6 +90,8 @@ def _coerce(section: str, types: dict[str, type], key: str, raw: str):
         return lowered in ("true", "on", "1", "yes")
     if kind is str:
         return raw.strip()
+    if kind is tuple:
+        return tuple(s.strip() for s in raw.split(",") if s.strip())
     try:
         return kind(raw)
     except ValueError as exc:
@@ -109,23 +123,13 @@ def read_config_file(path: str | Path):
 
     dataset = None
     if parser.has_section("dataset"):
-        section = dict(parser.items("dataset"))
-        known = {f.name for f in fields(DatasetSpec)}
-        for key in section:
-            if key not in known:
-                raise ConfigError(f"[dataset] unknown key {key!r}")
-        try:
-            dataset = DatasetSpec(
-                path=section["path"],
-                format=section.get("format", "tsv"),
-                task_type=section.get("task_type", "classification"),
-                positive_label=section.get("positive_label", ""),
-                label_set=tuple(
-                    s.strip() for s in section.get("label_set", "").split(",") if s.strip()
-                ),
-            )
-        except KeyError as exc:
-            raise ConfigError(f"[dataset] missing key {exc}") from exc
+        dataset_types = _field_types(DatasetSpec)
+        section = {
+            key: _coerce("dataset", dataset_types, key, raw) for key, raw in parser.items("dataset")
+        }
+        if "path" not in section:
+            raise ConfigError("[dataset] missing key 'path'")
+        dataset = DatasetSpec(**section)
 
     # The API key comes from the environment only, never from the file.
     gateway_types = {
@@ -149,10 +153,9 @@ def build_run_config(args, run_overrides: dict, bandit_overrides: dict) -> RunCo
     cfg = RunConfig(bandit=BanditConfig(**bandit_overrides))
     cfg = replace(cfg, **run_overrides)
     if getattr(args, "mode", None):
-        preset = dict(_MODE_PRESETS[args.mode])
-        if args.mode == "protegi" and "num_gradients" not in run_overrides:
-            preset["num_gradients"] = _PROTEGI_NUM_GRADIENTS
-        cfg = replace(cfg, **preset)
+        forced, defaults = _MODE_PRESETS[args.mode]
+        unset = {key: value for key, value in defaults.items() if key not in run_overrides}
+        cfg = replace(cfg, **unset, **forced)
     if getattr(args, "gradient_mode", None):
         cfg = replace(cfg, gradient_mode=args.gradient_mode)
     if getattr(args, "momentum", None):
@@ -233,7 +236,7 @@ def cmd_optimize(args) -> int:
         if not Path(args.templates).is_dir():
             raise ConfigError(f"template directory not found: {args.templates}")
         templates = TemplateSet.from_dir(args.templates)
-    method = args.mode or ("protegi" if cfg.baseline_mode else "mapo")
+    method = args.mode or "mapo"
     out_dir = args.out or f"runs/{method}-seed{cfg.rng_seed}"
 
     result = run(
@@ -247,13 +250,7 @@ def cmd_optimize(args) -> int:
         # Echoed into config.json so a replay invocation can be rebuilt
         # from the artifact alone (backend choice deliberately excluded).
         config_context={
-            "dataset": {
-                "path": dataset.path,
-                "format": dataset.format,
-                "task_type": dataset.task_type,
-                "positive_label": dataset.positive_label,
-                "label_set": list(split.label_set),
-            },
+            "dataset": {**asdict(dataset), "label_set": list(split.label_set)},
             "seed_prompt": seed.text,
         },
     )

@@ -7,6 +7,7 @@ same seed are bit-identical.
 from __future__ import annotations
 
 import json
+import random
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -63,8 +64,8 @@ class DatasetSpec:
     """Descriptor naming a dataset file and how to interpret it."""
 
     path: str
-    format: str
-    task_type: str
+    format: str = "tsv"
+    task_type: str = "classification"
     positive_label: str = ""
     label_set: tuple[str, ...] = ()
 
@@ -142,16 +143,20 @@ def make_split(
     )
 
 
+def draw_examples(pool: Sequence[Example], size: int, rng: random.Random) -> list[Example]:
+    """``size`` examples without replacement, or with replacement when ``pool`` is smaller."""
+    if len(pool) >= size:
+        return rng.sample(pool, size)
+    return [rng.choice(pool) for _ in range(size)]
+
+
 def sample_minibatch(
     split: DatasetSplit, size: int, seed: int | str, round_index: int
 ) -> list[Example]:
     """Per-round minibatch from train; falls back to replacement when train is tiny."""
     if not split.train:
         raise DatasetError("train split is empty")
-    rng = derived_rng(seed, "minibatch", round_index)
-    if len(split.train) >= size:
-        return rng.sample(split.train, size)
-    return [rng.choice(split.train) for _ in range(size)]
+    return draw_examples(split.train, size, derived_rng(seed, "minibatch", round_index))
 
 
 def sample_by_correctness(

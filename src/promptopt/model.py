@@ -1,8 +1,9 @@
 """Shared domain vocabulary: prompts, gradients, beams, history, run configuration.
 
 All value types are frozen dataclasses; state evolves only by constructing
-successor objects (see :class:`PromptStore`). Every core type serializes to a
-self-describing one-line text record via :func:`to_record` / :func:`from_record`.
+successor objects (see :class:`PromptStore`). The types an artifact writes one
+per line (prompts, gradients, beams) serialize to a self-describing one-line
+text record via :func:`to_record` / :func:`from_record`.
 """
 
 from __future__ import annotations
@@ -126,10 +127,9 @@ class RunConfig:
     test_set_size: int = 200
     gradient_mode: str = "positive_only"
     momentum_enabled: bool = True
-    baseline_mode: bool = False
     bandit: BanditConfig = field(default_factory=BanditConfig)
     rng_seed: int = 0
-    paraphrases_per_parent: int = 2
+    paraphrases_per_parent: int = 0
     convergence_target: float | None = None
     emit_predictions: bool = False
 
@@ -257,9 +257,6 @@ _RECORD_TYPES = {
     "prompt": Prompt,
     "gradient": Gradient,
     "beam": Beam,
-    "gradient_history": GradientHistory,
-    "bandit_config": BanditConfig,
-    "run_config": RunConfig,
 }
 _TYPE_NAMES = {cls: name for name, cls in _RECORD_TYPES.items()}
 
@@ -282,9 +279,4 @@ def from_record(line: str) -> object:
         raise ValueError(f"unknown record type {kind!r}")
     if cls is Beam:
         payload["prompts"] = tuple(payload["prompts"])
-    elif cls is GradientHistory:
-        payload["pools"] = {int(k): tuple(v) for k, v in payload["pools"].items()}
-        payload["sampled"] = {int(k): v for k, v in payload["sampled"].items()}
-    elif cls is RunConfig:
-        payload["bandit"] = BanditConfig(**payload["bandit"])
     return cls(**payload)

@@ -89,7 +89,7 @@ class RunResult:
 
 
 def expected_calls_per_round(cfg: RunConfig, round_index: int) -> int:
-    """Closed-form optimize-call count for one round (positive-gradient path).
+    """Closed-form optimize-call count for one round (one polarity, no paraphrases).
 
     parents * minibatch evaluation + parents * (1 generator call + c editor
     calls) + bandit pulls, assuming no shortfalls. Parents number 1 in round 1
@@ -120,9 +120,9 @@ def detect_convergence(events: Sequence[MetricEvent], target_score: float) -> Co
 
 
 def _polarity_plan(cfg: RunConfig) -> list[tuple[str, int]]:
-    """How many gradients to request per polarity for the configured mode."""
+    """How many gradients to request per polarity under ``cfg.gradient_mode``."""
     g = cfg.num_gradients
-    if cfg.baseline_mode or cfg.gradient_mode == "negative_only":
+    if cfg.gradient_mode == "negative_only":
         return [("negative", g)]
     if cfg.gradient_mode == "both":
         positive = math.ceil(g / 2)
@@ -141,10 +141,11 @@ def expand_parent(
 ) -> Expansion:
     """Produce a parent's candidate children for this round.
 
-    Positive-gradient path: sample correct examples, generate gradients, apply
-    each with its share of editor calls. Baseline adds paraphrases on top of
-    negative gradients. An empty correctness sample skips that polarity and
-    the parent simply carries through.
+    For each polarity in the plan: sample correct (positive) or incorrect
+    (negative) examples, generate gradients, apply each with its share of
+    editor calls. ``cfg.paraphrases_per_parent`` paraphrases of the parent
+    follow. An empty correctness sample skips that polarity and the parent
+    simply carries through.
     """
     children: list[Prompt] = []
     gradients: list[Gradient] = []
@@ -183,7 +184,7 @@ def expand_parent(
             )
             ordinal += engine.edits_per_gradient
         gradients.extend(polarity_gradients)
-    if cfg.baseline_mode and cfg.paraphrases_per_parent > 0:
+    if cfg.paraphrases_per_parent > 0:
         children.extend(
             engine.paraphrase_expand(parent, cfg.paraphrases_per_parent, round_index)
         )
@@ -318,7 +319,7 @@ def run(
     out_dir: str | Path,
     *,
     templates: TemplateSet | None = None,
-    method_name: str | None = None,
+    method_name: str = "mapo",
     config_context: dict | None = None,
 ) -> RunResult:
     """Execute a full optimization run and write its artifact directory.
@@ -386,7 +387,7 @@ def _write_artifact(
     status: str,
     best: Prompt | None,
     report: ConvergenceReport | None,
-    method_name: str | None,
+    method_name: str,
     config_context: dict | None,
 ) -> None:
     cfg, store = state.cfg, state.store
@@ -394,7 +395,7 @@ def _write_artifact(
     artifact.write_json(
         out / artifact.META_FILE,
         {
-            "method": method_name or ("protegi" if cfg.baseline_mode else "mapo"),
+            "method": method_name,
             "status": status,
             "gradient_mode": cfg.gradient_mode,
             "momentum_enabled": cfg.momentum_enabled,

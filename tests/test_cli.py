@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 from dataclasses import fields
 from pathlib import Path
@@ -61,13 +62,15 @@ def test_read_config_file_sections(config_file) -> None:
 
 def test_read_config_file_rejects_unknown_key(tmp_path, capsys) -> None:
     # A typo, then the run switches that were removed: history_mode,
-    # full_beam_test_eval, include_parents and bandit.update_rule.
+    # full_beam_test_eval, include_parents, bandit.update_rule and
+    # baseline_mode (now the protegi preset's settings).
     unknown = [
         ("run", "beem_width", "4"),
         ("run", "history_mode", "concat"),
         ("run", "full_beam_test_eval", "true"),
         ("run", "include_parents", "false"),
         ("bandit", "update_rule", "mean"),
+        ("run", "baseline_mode", "true"),
     ]
     for section, key, value in unknown:
         file = tmp_path / f"{key}.ini"
@@ -168,7 +171,7 @@ def test_optimize_mode_protegi_presets(config_file, tmp_path) -> None:
     )
     assert code == EXIT_OK
     config_echo = json.loads((out / "config.json").read_text())
-    assert config_echo["baseline_mode"] is True
+    assert config_echo["paraphrases_per_parent"] == 2
     assert config_echo["momentum_enabled"] is False
     assert config_echo["gradient_mode"] == "negative_only"
     meta = json.loads((out / "run_meta.json").read_text())
@@ -330,6 +333,19 @@ def test_optimize_demo_tests_each_prompt_once(monkeypatch, tmp_path, capsys) -> 
     pairs = [(row["prompt_id"], row["example_id"]) for row in _jsonl(out / "predictions.jsonl")]
     assert len(pairs) == 32
     assert len(set(pairs)) == len(pairs)
+
+
+def test_optimize_demo_protegi_transcript_golden_sha256(monkeypatch, tmp_path) -> None:
+    # The baseline's requests: negative gradients, paraphrases, no momentum.
+    monkeypatch.chdir(REPO)
+    out = tmp_path / "protegi"
+    argv = ["optimize", "--config", "tests/data/demo.ini", "--mode", "protegi"]
+    assert main([*argv, "--backend", "scripted", "--out", str(out)]) == EXIT_OK
+    data = (out / "transcript.jsonl").read_bytes()
+    assert data.count(b"\n") == 141
+    assert hashlib.sha256(data).hexdigest() == (
+        "0eafe68f6b196e9006eb7c5d4bb167dc6b9d1c2658db929acf8887cbf2a16c68"
+    )
 
 
 def test_replay_accepts_a_recording_that_tests_a_prompt_again(
@@ -612,3 +628,47 @@ def test_protegi_preset_defaults_gradient_count_when_file_silent(tmp_path) -> No
     )
     assert code == EXIT_OK
     assert json.loads((out / "config.json").read_text())["num_gradients"] == 4
+
+
+@pytest.mark.parametrize("gradient_mode", ["positive_only", "both"])
+def test_protegi_preset_runs_the_gradient_mode_flag(config_file, tmp_path, gradient_mode) -> None:
+    # The flag applies after the preset, and the run does what config.json says.
+    out = tmp_path / gradient_mode
+    argv = ["optimize", "--config", str(config_file), "--mode", "protegi",
+            "--gradient-mode", gradient_mode, "--backend", "scripted", "--out", str(out)]
+    assert main(argv) == EXIT_OK
+    config_echo = json.loads((out / "config.json").read_text())
+    meta = json.loads((out / "run_meta.json").read_text())
+    assert config_echo["gradient_mode"] == meta["gradient_mode"] == gradient_mode
+    polarities = {row["polarity"] for row in _jsonl(out / "gradients.jsonl")}
+    expected = {"positive_only": {"positive"}, "both": {"positive", "negative"}}
+    assert polarities == expected[gradient_mode]
+    assert meta["method"] == "protegi"
+
+
+def test_paraphrases_per_parent_acts_without_a_preset(tmp_path) -> None:
+    file = tmp_path / "run.ini"
+    file.write_text(
+        CONFIG_BODY.replace("[bandit]", "paraphrases_per_parent = 1\n\n[bandit]"), encoding="utf-8"
+    )
+    out = tmp_path / "para"
+    argv = ["optimize", "--config", str(file), "--backend", "scripted", "--out", str(out)]
+    assert main(argv) == EXIT_OK
+    assert json.loads((out / "config.json").read_text())["paraphrases_per_parent"] == 1
+    assert json.loads((out / "run_meta.json").read_text())["method"] == "mapo"
+    entries = Transcript.load(out / "transcript.jsonl").entries
+    # One parent in round 1, beam_width = 2 parents in round 2.
+    assert sum(req.role_tag == "paraphrase" for req, _ in entries) == 3
+
+
+def test_read_config_file_dataset_fields_from_the_spec(tmp_path, capsys) -> None:
+    file = tmp_path / "dataset.ini"
+    body = CONFIG_BODY.replace("format = tsv\ntask_type = classification\n", "")
+    file.write_text(body + "label_set = No, Yes ,,\n", encoding="utf-8")
+    dataset = read_config_file(file)[2]
+    assert (dataset.format, dataset.task_type) == ("tsv", "classification")
+    assert dataset.label_set == ("No", "Yes")
+    file.write_text(body.replace(f"path = {DATA}\n", ""), encoding="utf-8")
+    with pytest.raises(ConfigError, match=r"\[dataset\] missing key 'path'"):
+        read_config_file(file)
+    assert "[dataset] missing key 'path'" in _optimize_config_error(file, tmp_path, capsys)

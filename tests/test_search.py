@@ -123,7 +123,7 @@ _GOLDEN_ARTIFACT_SHA256 = {
     "bandit.jsonl": "0c40eea51fafa0ca9a72248bb3d2feaf234b251f45574198ab9ae4a3dfdb7a70",
     "result.json": "24740334db331032938e65de942b24c14e691dc79efa4a0bf435bce426bf0f00",
     "convergence.json": "fa2b9c4a88bf62263a16079ef67d673ab56297ebe49fabf5d10c7561902ac80d",
-    "config.json": "5517c74e5977afc07443767754fe3cb93b58897c3fca8ff32f45dbcfffbf7bb8",
+    "config.json": "709cbcf65bbc1b262b3f62ed219434110c381e3930e4c128aa0cad46c5561e67",
     # anomalies.unpulled_arms is 2 here: round 2 has 10 arms for 8 pulls.
     "run_meta.json": "08ad053b7b16ecf8433b11abde70250a54a238c1aeb18c2355fe7ec110ffa50e",
     "predictions.jsonl": "d63562e738ec64c1e4b814edf68e7f3ed9d2f4b2d353afe7b471348b3eb62e08",
@@ -360,7 +360,9 @@ def test_run_momentum_disabled_binds_none_everywhere(tmp_path) -> None:
 def test_run_baseline_mode_negative_gradients_and_paraphrases(tmp_path) -> None:
     examples = toy_examples()
     split = make_split(examples, 20, 7, task_type="classification", positive_label="Yes")
-    cfg = small_config(baseline_mode=True, momentum_enabled=False, paraphrases_per_parent=2)
+    cfg = small_config(
+        gradient_mode="negative_only", momentum_enabled=False, paraphrases_per_parent=2
+    )
     gateway = scripted_gateway(examples, split.label_set)
     result = run(new_seed_prompt(SEED_TEXT), split, cfg, gateway, tmp_path / "baseline")
     assert result.store.gradients
