@@ -260,7 +260,8 @@ def cmd_optimize(args) -> int:
     print(
         f"train_score={result.best.train_score:.4f} "
         f"test_score={result.best.test_score:.4f} "
-        f"optimize_calls={gateway.optimize_calls()} eval_calls={gateway.eval_calls()}"
+        f"optimize_calls={gateway.optimize_calls()} eval_calls={gateway.eval_calls()} "
+        f"wire_calls={gateway.call_count()}"
     )
     report = result.report
     if report.target_score is None:

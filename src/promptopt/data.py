@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
 
-from .model import derived_rng
+from .model import ConfigError, derived_rng
 
 FORMATS = ("tsv", "jsonl")
 TASK_TYPES = ("classification", "math")
@@ -68,6 +68,15 @@ class DatasetSpec:
     task_type: str = "classification"
     positive_label: str = ""
     label_set: tuple[str, ...] = ()
+
+    def __post_init__(self) -> None:
+        # A typo in the config is a config error, found before the file is opened.
+        if self.format not in FORMATS:
+            raise ConfigError(f"[dataset] format: expected one of {FORMATS}, got {self.format!r}")
+        if self.task_type not in TASK_TYPES:
+            raise ConfigError(
+                f"[dataset] task_type: expected one of {TASK_TYPES}, got {self.task_type!r}"
+            )
 
 
 def load(path: str | Path, format: str, task_type: str = "classification") -> list[Example]:

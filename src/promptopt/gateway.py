@@ -2,8 +2,15 @@
 
 Three interchangeable backends sit behind :class:`Gateway`: a live adapter for
 chat-completions-style HTTP endpoints, a deterministic scripted backend, and a
-record/replay transcript store. The gateway owns the API-call counters; every
-attempt that reaches a backend counts as one call.
+record/replay transcript store. The gateway owns the API-call counters and
+the transcript.
+
+At temperature 0 an exact repeat of a request already answered in the run,
+same role, token budget and rendered prompt, gets the answer the gateway
+holds and never reaches the backend. Two kinds of count follow: *wire* calls
+are the attempts that reach a backend, and only they join the transcript;
+the ``optimize`` and ``eval`` buckets count every request issued, memo hits
+included, so per-round call counts do not depend on the memo.
 """
 
 from __future__ import annotations
@@ -14,7 +21,6 @@ import math
 import random
 import threading
 import time
-from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
@@ -275,26 +281,29 @@ class ReplayBackend:
     """Serves responses from a recorded transcript; never touches a network.
 
     Lookup is keyed by the request's content, ``(role_tag, rendered_prompt)``,
-    so nothing is hashed to find an answer. Repeated identical requests
-    consume recorded entries in order and then stick to the last one,
-    matching temperature-0 semantics.
+    so nothing is hashed to find an answer. Repeated identical requests, which
+    reach a backend only at temperature > 0 since the gateway answers
+    temperature-0 repeats itself, consume recorded entries in order and then
+    stick to the last one. Each key's answers are a plain list: most hold one
+    answer, and an empty ``deque`` alone is ten times the size of a one-item
+    list.
     """
 
     transcript_mode = "replay"
 
     def __init__(self, transcript: Transcript):
-        self._queues: dict[tuple[str, str], deque[LlmResponse]] = {}
+        self._answers: dict[tuple[str, str], list[LlmResponse]] = {}
         for req, resp in transcript.entries:
-            self._queues.setdefault((req.role_tag, req.rendered_prompt), deque()).append(resp)
+            self._answers.setdefault((req.role_tag, req.rendered_prompt), []).append(resp)
 
     def complete(self, req: LlmRequest, on_attempt: Callable[[], None]) -> tuple[str, float]:
-        queue = self._queues.get((req.role_tag, req.rendered_prompt))
-        if queue is None:
+        answers = self._answers.get((req.role_tag, req.rendered_prompt))
+        if answers is None:
             raise ReplayMissError(
                 f"no recorded response for {req.role_tag} request (digest {req.digest[:12]})"
             )
-        # The last recorded answer stays in the queue and is served from then on.
-        resp = queue.popleft() if len(queue) > 1 else queue[0]
+        # The last recorded answer stays in the list and is served from then on.
+        resp = answers.pop(0) if len(answers) > 1 else answers[0]
         on_attempt()
         return resp.text, resp.latency_s
 
@@ -398,22 +407,33 @@ class LiveBackend:
 
 
 class Gateway:
-    """Issues requests to exactly one backend; owns counters and the transcript.
+    """Issues requests to exactly one backend; owns counters, memo and transcript.
 
     Every request goes through :meth:`complete_many`; :meth:`call` and
     :meth:`complete` send a batch of one.
 
-    Calls are attributed to one of two buckets: ``optimize`` (default) and
-    ``eval`` (test-set scoring, switched with :meth:`count_as_eval`), so cost
-    reports can state both figures.
+    Requests at temperature 0 are memoised for the life of the gateway, which
+    is one run: an exact repeat of a request already answered gets that
+    request's :class:`LlmResponse`, its ``request_index`` included, and
+    reaches neither the backend nor the transcript.
+
+    :meth:`call_count` counts wire calls: every attempt that reaches a backend,
+    retries included. With the scripted and replay backends, which never
+    retry, it equals the number of transcript entries. Requests issued are attributed to one of two buckets, ``optimize``
+    (default) and ``eval`` (test-set scoring, switched with
+    :meth:`count_as_eval`), which count those attempts plus memo hits, so cost
+    reports state the calls the method issued whatever the memo saved.
     """
 
     def __init__(self, backend):
         self.backend = backend
         self.transcript = Transcript(entries=[], mode=backend.transcript_mode)
-        self._counts = {"optimize": 0, "eval": 0}
+        self._counts = {"optimize": 0, "eval": 0, "wire": 0, "memo_hits": 0}
         self._bucket = "optimize"
         self._next_index = 0
+        # One dict per (role_tag, max_tokens), from a rendered prompt to the
+        # answer it got; the key is the string its transcript entry holds.
+        self._memo: dict[tuple[str, int], dict[str, LlmResponse]] = {}
         self._lock = threading.Lock()
         self._t0 = time.monotonic()
         self._replay_latency = 0.0
@@ -426,54 +446,78 @@ class Gateway:
         temperature: float = 0.0,
         max_tokens: int | None = None,
     ) -> list[LlmResponse]:
-        """Send one request per prompt, in order; the responses come back in that order.
+        """Answer each prompt, in order; the responses come back in that order.
 
         The role check, the token budget (``DEFAULT_MAX_TOKENS`` by role
-        unless given) and the ``optimize``/``eval`` bucket are settled once
-        for the batch, and the batch's ``request_index`` values are reserved
-        together, in submission order, before the first request is sent.
+        unless given), the memo and the ``optimize``/``eval`` bucket are
+        settled once for the batch. At temperature 0 a prompt answered earlier
+        in the run, or earlier in this batch, is not sent: it gets the earlier
+        response. The requests that are sent reserve their ``request_index``
+        values together, in submission order, before the first one goes out.
 
         Completed pairs join the transcript in index order even when a request
-        fails. If request ``k`` raises, the ``k`` paid calls before it stay
-        recorded and counted, the failed request is not recorded, a
-        :class:`GatewayError` carries ``batch_position = k``, and the indices
-        reserved for request ``k`` and the rest of the batch are never used.
+        fails. If the request for the prompt at position ``k`` raises, the
+        paid calls and memo hits before it stay recorded and counted, the
+        failed request is not recorded, a :class:`GatewayError` carries
+        ``batch_position = k``, and the indices reserved for it and the rest
+        of the batch are never used.
         """
         if role_tag not in ROLE_TAGS:
             raise ValueError(f"unknown role_tag {role_tag!r}")
         if max_tokens is None:
             max_tokens = DEFAULT_MAX_TOKENS[role_tag]
+        if temperature == 0:
+            memo = self._memo.setdefault((role_tag, max_tokens), {})
+            sent = len(set(rendered_prompts).difference(memo))
+        else:
+            memo = None
+            sent = len(rendered_prompts)
         lock = self._lock
         with lock:
-            first = self._next_index
-            self._next_index += len(rendered_prompts)
+            index = self._next_index
+            self._next_index += sent
             bucket = self._bucket
         counts = self._counts
 
         def on_attempt() -> None:
             with lock:
                 counts[bucket] += 1
+                counts["wire"] += 1
 
         complete = self.backend.complete
         make_request = LlmRequest._make
         make_response = LlmResponse._make
+        responses: list[LlmResponse] = []
         done: list[tuple[LlmRequest, LlmResponse]] = []
         try:
-            for index, prompt in enumerate(rendered_prompts, first):
+            for prompt in rendered_prompts:
+                if memo is not None:
+                    resp = memo.get(prompt)
+                    if resp is not None:
+                        responses.append(resp)
+                        continue
                 req = make_request((role_tag, prompt, temperature, max_tokens, index))
                 text, latency = complete(req, on_attempt)
-                done.append((req, make_response((text, index, latency))))
+                resp = make_response((text, index, latency))
+                index += 1
+                done.append((req, resp))
+                responses.append(resp)
+                if memo is not None:
+                    memo[prompt] = resp
         except GatewayError as exc:
-            exc.batch_position = len(done)
+            exc.batch_position = len(responses)
             raise
         finally:
+            hits = len(responses) - len(done)
             with lock:
+                counts[bucket] += hits
+                counts["memo_hits"] += hits
                 self.transcript.entries.extend(done)
                 if self.transcript.mode == "replay":
                     # One at a time, so the float sum equals that of single calls.
                     for _, resp in done:
                         self._replay_latency += resp.latency_s
-        return [resp for _, resp in done]
+        return responses
 
     def call(
         self,
@@ -489,7 +533,7 @@ class Gateway:
         )[0]
 
     def complete(self, req: LlmRequest) -> LlmResponse:
-        """Send ``req`` under a fresh index; its own ``request_index`` is ignored."""
+        """Issue ``req`` as a batch of one; its own ``request_index`` is ignored."""
         return self.complete_many(
             req.role_tag,
             (req.rendered_prompt,),
@@ -509,8 +553,14 @@ class Gateway:
                 self._bucket = previous
 
     def call_count(self) -> int:
+        """Wire calls: attempts that reached the backend."""
         with self._lock:
-            return self._counts["optimize"] + self._counts["eval"]
+            return self._counts["wire"]
+
+    def memo_hits(self) -> int:
+        """Temperature-0 requests answered from the memo, never sent."""
+        with self._lock:
+            return self._counts["memo_hits"]
 
     def optimize_calls(self) -> int:
         with self._lock:

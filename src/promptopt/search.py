@@ -89,18 +89,24 @@ class RunResult:
 
 
 def expected_calls_per_round(cfg: RunConfig, round_index: int) -> int:
-    """Closed-form optimize-call count for one round (one polarity, no paraphrases).
+    """Closed-form optimize-call count for one round, in every gradient mode.
 
-    parents * minibatch evaluation + parents * (1 generator call + c editor
-    calls) + bandit pulls, assuming no shortfalls. Parents number 1 in round 1
-    and the beam width afterwards.
+    Per parent: the minibatch evaluation, one generator call per polarity of
+    :func:`_polarity_plan`, ``num_gradients * (candidates_per_parent //
+    num_gradients)`` editor calls and ``paraphrases_per_parent`` paraphrase
+    calls; then the bandit pulls. Parents number 1 in round 1 and the beam
+    width afterwards. Assumes no shortfalls: every polarity's correctness
+    sample is non-empty and each generator call yields all its gradients.
+    Requests the gateway answers from its temperature-0 memo count, as they
+    do in the ``optimize`` bucket.
     """
     parents = 1 if round_index <= 1 else cfg.beam_width
-    evaluation = parents * cfg.minibatch_size
+    edits = cfg.num_gradients * (cfg.candidates_per_parent // cfg.num_gradients)
     # Zero-expansion limit: no candidates means no generator call either.
-    expansion = parents * (1 + cfg.candidates_per_parent) if cfg.candidates_per_parent else 0
+    generators = len(_polarity_plan(cfg)) if edits else 0
+    expansion = generators + edits + cfg.paraphrases_per_parent
     pulls = cfg.bandit.time_steps * cfg.bandit.sample_size
-    return evaluation + expansion + pulls
+    return parents * (cfg.minibatch_size + expansion) + pulls
 
 
 def detect_convergence(events: Sequence[MetricEvent], target_score: float) -> ConvergenceReport:
@@ -400,6 +406,13 @@ def _write_artifact(
             "gradient_mode": cfg.gradient_mode,
             "momentum_enabled": cfg.momentum_enabled,
             "bandit": asdict(cfg.bandit),
+            # Attempts that reached the backend (one per transcript line, plus
+            # any live retries) and temperature-0 repeats answered without one.
+            # events.jsonl counts both, as the requests the method issued.
+            "calls": {
+                "wire": state.gateway.call_count(),
+                "memo_hits": state.gateway.memo_hits(),
+            },
             # What went wrong without stopping the run: gradient, edit and paraphrase
             # completions with no usable delimited text, parent expansions with a
             # correctness sample smaller than num_correct_examples, and candidates

@@ -112,6 +112,18 @@ def test_read_config_file_rejects_unknown_dataset_key(tmp_path, capsys) -> None:
     assert "[dataset] unknown key 'formt'" in _optimize_config_error(file, tmp_path, capsys)
 
 
+@pytest.mark.parametrize(("key", "value"), [("format", "csv"), ("task_type", "regression")])
+def test_read_config_file_rejects_unknown_dataset_value(key, value, tmp_path, capsys) -> None:
+    # A typo in a dataset value is a config error (2), not a dataset error (3).
+    file = tmp_path / "dataset.ini"
+    body = CONFIG_BODY.replace("format = tsv\ntask_type = classification\n", "")
+    file.write_text(f"{body}{key} = {value}\n", encoding="utf-8")
+    message = rf"\[dataset\] {key}: expected one of .*, got '{value}'"
+    with pytest.raises(ConfigError, match=message):
+        read_config_file(file)
+    assert f"[dataset] {key}: expected one of" in _optimize_config_error(file, tmp_path, capsys)
+
+
 def test_read_config_file_rejects_unknown_gateway_key(tmp_path, capsys) -> None:
     # The API key is read from the environment only.
     file = tmp_path / "gateway.ini"
@@ -342,9 +354,10 @@ def test_optimize_demo_protegi_transcript_golden_sha256(monkeypatch, tmp_path) -
     argv = ["optimize", "--config", "tests/data/demo.ini", "--mode", "protegi"]
     assert main([*argv, "--backend", "scripted", "--out", str(out)]) == EXIT_OK
     data = (out / "transcript.jsonl").read_bytes()
-    assert data.count(b"\n") == 141
+    # 141 requests issued; 12 repeat one already answered at temperature 0.
+    assert data.count(b"\n") == 129
     assert hashlib.sha256(data).hexdigest() == (
-        "0eafe68f6b196e9006eb7c5d4bb167dc6b9d1c2658db929acf8887cbf2a16c68"
+        "78f54d020afa8e2067520fa1732f646980115aa3410e5600ef4aa54591322e9d"
     )
 
 
@@ -656,9 +669,18 @@ def test_paraphrases_per_parent_acts_without_a_preset(tmp_path) -> None:
     assert main(argv) == EXIT_OK
     assert json.loads((out / "config.json").read_text())["paraphrases_per_parent"] == 1
     assert json.loads((out / "run_meta.json").read_text())["method"] == "mapo"
+    # One parent in round 1, beam_width = 2 parents in round 2: three paraphrase
+    # requests, each making one child with no gradient.
+    paraphrased = [
+        row for row in _jsonl(out / "prompts.jsonl")
+        if row["round"] > 0 and row["gradient_id"] is None
+    ]
+    assert len(paraphrased) == 3
+    # The seed survives round 1, so round 2 repeats its request at temperature 0
+    # and the gateway answers it without sending it again.
     entries = Transcript.load(out / "transcript.jsonl").entries
-    # One parent in round 1, beam_width = 2 parents in round 2.
-    assert sum(req.role_tag == "paraphrase" for req, _ in entries) == 3
+    assert sum(req.role_tag == "paraphrase" for req, _ in entries) == 2
+    assert paraphrased[0]["text"] in {row["text"] for row in paraphrased[1:]}
 
 
 def test_read_config_file_dataset_fields_from_the_spec(tmp_path, capsys) -> None:

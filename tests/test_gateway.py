@@ -44,8 +44,9 @@ def test_scripted_passthrough_increments_counter() -> None:
 def test_counter_counts_each_complete() -> None:
     gw = echo_gateway()
     assert gw.call_count() == 0
+    # Above temperature 0 a repeated request is sent each time.
     for _ in range(3):
-        gw.call("task_eval", "x")
+        gw.call("task_eval", "x", temperature=0.7)
     assert gw.call_count() == 3
 
 
@@ -538,6 +539,96 @@ def test_complete_many_replay_elapsed_adds_latencies_in_order() -> None:
     assert batched.elapsed_seconds() == one_by_one.elapsed_seconds() == (0.1 + 0.2) + 0.3
 
 
+class _Counting:
+    """Echo backend that lists the prompts reaching it."""
+
+    transcript_mode = "scripted"
+
+    def __init__(self, fail_on: str | None = None):
+        self.sent: list[str] = []
+        self._fail_on = fail_on
+
+    def complete(self, req, on_attempt):
+        if req.rendered_prompt == self._fail_on:
+            raise LiveCallError("injected")
+        self.sent.append(req.rendered_prompt)
+        on_attempt()
+        return f"echo:{req.rendered_prompt}", 0.0
+
+
+def test_memo_sends_a_repeat_across_batches_once() -> None:
+    backend = _Counting()
+    gw = Gateway(backend)
+    first = gw.complete_many("task_eval", ["a", "b"])
+    second = gw.complete_many("task_eval", ["b", "c", "a"])
+    assert backend.sent == ["a", "b", "c"]
+    # A hit is the earlier response itself, request_index included.
+    assert second[0] is first[1] and second[2] is first[0]
+    assert [r.request_index for r in second] == [1, 2, 0]
+    assert [req.rendered_prompt for req, _ in gw.transcript.entries] == ["a", "b", "c"]
+    assert [req.request_index for req, _ in gw.transcript.entries] == [0, 1, 2]
+    assert (gw.call_count(), gw.memo_hits(), gw.optimize_calls()) == (3, 2, 5)
+
+
+def test_memo_sends_a_repeat_inside_one_batch_once() -> None:
+    backend = _Counting()
+    gw = Gateway(backend)
+    responses = gw.complete_many("prompt_edit", ["x", "y", "x", "x", "z"])
+    assert backend.sent == ["x", "y", "z"]
+    assert [r.text for r in responses] == ["echo:x", "echo:y", "echo:x", "echo:x", "echo:z"]
+    assert [r.request_index for r in responses] == [0, 1, 0, 0, 2]
+    # Only the three sent requests reserved an index.
+    assert gw.call("prompt_edit", "w").request_index == 3
+    assert (gw.call_count(), gw.memo_hits(), gw.optimize_calls()) == (4, 2, 6)
+
+
+def test_memo_never_answers_above_temperature_zero() -> None:
+    backend = _Counting()
+    gw = Gateway(backend)
+    gw.complete_many("task_eval", ["a", "a"], temperature=0.7)
+    gw.call("task_eval", "a", temperature=0.7)
+    # Answers above temperature 0 do not fill the memo either.
+    gw.call("task_eval", "a")
+    gw.call("task_eval", "a")
+    assert backend.sent == ["a"] * 4
+    assert (gw.call_count(), gw.memo_hits(), len(gw.transcript.entries)) == (4, 1, 4)
+
+
+def test_memo_keys_on_role_and_max_tokens() -> None:
+    backend = _Counting()
+    gw = Gateway(backend)
+    gw.call("task_eval", "a")
+    gw.call("task_eval", "a", max_tokens=32)
+    gw.call("gradient_gen", "a")
+    gw.call("task_eval", "a", max_tokens=16)
+    assert backend.sent == ["a", "a", "a"]
+    assert gw.memo_hits() == 1
+
+
+def test_memo_hits_count_in_the_bucket_of_their_batch() -> None:
+    gw = Gateway(_Counting())
+    gw.complete_many("task_eval", ["a", "b"])
+    with gw.count_as_eval():
+        gw.complete_many("task_eval", ["a", "b", "c"])
+    assert (gw.optimize_calls(), gw.eval_calls()) == (2, 3)
+    assert (gw.call_count(), gw.memo_hits()) == (3, 2)
+
+
+def test_memo_failure_after_hits_reports_first_position_and_keeps_counts() -> None:
+    backend = _Counting(fail_on="bad")
+    gw = Gateway(backend)
+    gw.call("task_eval", "a")
+    with pytest.raises(LiveCallError) as err:
+        gw.complete_many("task_eval", ["a", "b", "a", "bad", "c", "bad"])
+    assert err.value.batch_position == 3
+    # The hits before the failure (two of "a") stay counted; "b" was paid for.
+    assert backend.sent == ["a", "b"]
+    assert (gw.call_count(), gw.memo_hits(), gw.optimize_calls()) == (2, 2, 4)
+    assert [req.rendered_prompt for req, _ in gw.transcript.entries] == ["a", "b"]
+    # "bad" and "c" reserved indices 2 and 3, which stay unused.
+    assert gw.call("task_eval", "d").request_index == 4
+
+
 def test_replay_serves_recorded_responses(tmp_path) -> None:
     gw = echo_gateway()
     gw.call("task_eval", "first")
@@ -545,9 +636,10 @@ def test_replay_serves_recorded_responses(tmp_path) -> None:
     gw.transcript.save(path)
 
     replay = Gateway(ReplayBackend(Transcript.load(path)))
-    assert replay.call("task_eval", "first").text == "echo:first"
-    # A repeated identical request sticks to the recorded response.
-    assert replay.call("task_eval", "first").text == "echo:first"
+    # At temperature 0.7 both requests reach the backend; a repeated identical
+    # request sticks to the recorded response.
+    assert replay.call("task_eval", "first", temperature=0.7).text == "echo:first"
+    assert replay.call("task_eval", "first", temperature=0.7).text == "echo:first"
     assert replay.call_count() == 2
 
 
@@ -580,9 +672,9 @@ def test_replay_consumes_repeats_in_order_then_sticks_to_last() -> None:
     answers = iter(["one", "two", "three"])
     gw = Gateway(ScriptedBackend(lambda req: next(answers)))
     for _ in range(3):
-        gw.call("task_eval", "same")
+        gw.call("task_eval", "same", temperature=0.7)
     replay = Gateway(ReplayBackend(gw.transcript))
-    texts = [replay.call("task_eval", "same").text for _ in range(5)]
+    texts = [replay.call("task_eval", "same", temperature=0.7).text for _ in range(5)]
     assert texts == ["one", "two", "three", "three", "three"]
     assert replay.call_count() == 5
 

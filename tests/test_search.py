@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import argparse
 import hashlib
 import json
 from dataclasses import replace
@@ -19,6 +20,7 @@ from promptopt import (
     make_split,
     new_seed_prompt,
 )
+from promptopt.cli import build_run_config
 from promptopt.gateway import RetryPolicy
 from promptopt.gradients import extract_history_binding
 from promptopt.scripted import ScriptExhaustedError, SequenceScript
@@ -61,6 +63,48 @@ def test_expected_calls_later_rounds_paper_defaults() -> None:
 def test_expected_calls_zero_expansion_limit() -> None:
     cfg = replace(RunConfig(), candidates_per_parent=0)
     assert expected_calls_per_round(cfg, 1) == 64 + 25 * 32
+
+
+def test_expected_calls_protegi_preset_default_shape() -> None:
+    # Per parent: 64 evaluations, 1 negative generator call, 4 gradients x 2
+    # edits and 2 paraphrases.
+    cfg = build_run_config(argparse.Namespace(mode="protegi"), {}, {})
+    assert expected_calls_per_round(cfg, 1) == 64 + (1 + 8 + 2) + 25 * 32 == 875
+    for round_index in range(2, 7):
+        assert expected_calls_per_round(cfg, round_index) == 4 * (64 + 11) + 25 * 32 == 1100
+
+
+def test_expected_calls_both_polarities_default_shape() -> None:
+    # One generator call per polarity; the 2 gradients share the 8 edits.
+    cfg = replace(RunConfig(), gradient_mode="both")
+    assert expected_calls_per_round(cfg, 1) == 64 + (2 + 8) + 25 * 32 == 874
+    assert expected_calls_per_round(cfg, 2) == 4 * (64 + 10) + 25 * 32 == 1096
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        {"gradient_mode": "both"},
+        {"gradient_mode": "both", "num_gradients": 4, "paraphrases_per_parent": 1},
+        {"gradient_mode": "negative_only", "num_gradients": 4, "paraphrases_per_parent": 2},
+    ],
+)
+def test_run_per_round_optimize_calls_match_closed_form_in_every_mode(
+    overrides, tmp_path
+) -> None:
+    examples = toy_examples()
+    split = make_split(examples, 20, 7, task_type="classification", positive_label="Yes")
+    cfg = small_config(**overrides)
+    gateway = scripted_gateway(examples, split.label_set)
+    result = run(new_seed_prompt(SEED_TEXT), split, cfg, gateway, tmp_path)
+    # A short correctness sample still sends its generator call; only an
+    # empty one, or a short parse, would fall below the closed form.
+    meta = json.loads((tmp_path / "run_meta.json").read_text())
+    assert meta["anomalies"]["parse_shortfalls"] == 0
+    for before, after in zip(result.events, result.events[1:]):
+        assert after.optimize_calls - before.optimize_calls == expected_calls_per_round(
+            cfg, after.round
+        )
 
 
 def test_detect_convergence_finds_first_crossing() -> None:
@@ -109,9 +153,10 @@ def test_run_transcript_golden_sha256(tmp_path) -> None:
     gateway = scripted_gateway(examples, split.label_set)
     run(new_seed_prompt(SEED_TEXT), split, small_config(), gateway, tmp_path)
     data = (tmp_path / "transcript.jsonl").read_bytes()
-    assert (len(data), data.count(b"\n")) == (72456, 179)
+    # 179 requests issued; 6 repeat one already answered at temperature 0.
+    assert (len(data), data.count(b"\n")) == (70424, 173)
     assert hashlib.sha256(data).hexdigest() == (
-        "22633dfe74cedd3be27025f02e0ede14e2118b626e7526c608ca77dc193915c5"
+        "2a4aee09cea9dccaa49ae29841c19be90961ae4dde23ac7ecfda878c5ff25be0"
     )
 
 
@@ -125,7 +170,8 @@ _GOLDEN_ARTIFACT_SHA256 = {
     "convergence.json": "fa2b9c4a88bf62263a16079ef67d673ab56297ebe49fabf5d10c7561902ac80d",
     "config.json": "709cbcf65bbc1b262b3f62ed219434110c381e3930e4c128aa0cad46c5561e67",
     # anomalies.unpulled_arms is 2 here: round 2 has 10 arms for 8 pulls.
-    "run_meta.json": "08ad053b7b16ecf8433b11abde70250a54a238c1aeb18c2355fe7ec110ffa50e",
+    # calls: 173 wire calls and 6 memo hits.
+    "run_meta.json": "1fe05ac94e46043bb75a195191c76c5906312ca2d0014af0ed95016103565dc7",
     "predictions.jsonl": "d63562e738ec64c1e4b814edf68e7f3ed9d2f4b2d353afe7b471348b3eb62e08",
     # events.jsonl re-serialized without its wall-clock elapsed_s.
     "events.jsonl": "b48062607cce63da96be09c2603642b75520ae41f254c0e4e5b4fd9b55c532d7",
