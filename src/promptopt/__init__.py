@@ -33,7 +33,7 @@ from .model import (
     validate_config,
 )
 from .scoring import ConfusionCounts, Prediction, TaskSpec, evaluate_prompt, f1
-from .scripted import HeuristicScript, SequenceScript
+from .scripted import HeuristicScript
 from .search import (
     ConvergenceReport,
     MetricEvent,

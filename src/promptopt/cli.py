@@ -30,7 +30,15 @@ from .gateway import (
     TranscriptFormatError,
 )
 from .gradients import TemplateSet
-from .model import BanditConfig, ConfigError, EmptyPromptError, RunConfig, new_seed_prompt, validate_config
+from .model import (
+    GRADIENT_MODES,
+    BanditConfig,
+    ConfigError,
+    EmptyPromptError,
+    RunConfig,
+    new_seed_prompt,
+    validate_config,
+)
 from .scoring import TaskSpec, evaluate_prompt
 from .scripted import HeuristicScript
 from .search import RunIncompleteError, run
@@ -100,11 +108,15 @@ def _coerce(section: str, types: dict[str, type], key: str, raw: str):
 
 def read_config_file(path: str | Path):
     """Parse the INI config into (run overrides, bandit overrides, dataset, gateway)."""
-    parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
+    # Values are literal: a "%" in a prompt is text, not interpolation syntax.
+    parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"), interpolation=None)
     file = Path(path)
     if not file.exists():
         raise ConfigError(f"config file not found: {file}")
-    parser.read(file)
+    try:
+        parser.read(file, encoding="utf-8")
+    except (configparser.Error, UnicodeDecodeError) as exc:
+        raise ConfigError(f"malformed config file {file}: {exc}") from exc
     for name in parser.sections():
         if name not in _SECTIONS:
             raise ConfigError(f"unknown section [{name}]; expected one of {', '.join(_SECTIONS)}")
@@ -184,34 +196,44 @@ def _load_split(dataset: DatasetSpec | None, cfg: RunConfig):
     )
 
 
+def _scripted_backend(args, gateway_section: dict, cfg: RunConfig, examples, split):
+    responder = HeuristicScript(examples, split.label_set, seed=cfg.rng_seed, task_type=split.task_type)
+    return ScriptedBackend(responder)
+
+
+def _replay_backend(args, gateway_section: dict, cfg: RunConfig, examples, split):
+    transcript_path = getattr(args, "transcript", None) or gateway_section.get("transcript")
+    if not transcript_path:
+        raise ConfigError("replay backend needs --transcript PATH")
+    if not Path(transcript_path).exists():
+        raise ConfigError(f"transcript not found: {transcript_path}")
+    return ReplayBackend(Transcript.load(transcript_path))
+
+
+def _live_backend(args, gateway_section: dict, cfg: RunConfig, examples, split):
+    base_url = gateway_section.get("base_url")
+    model = gateway_section.get("model")
+    if not base_url or not model:
+        raise ConfigError("[gateway] base_url and model are required for the live backend")
+    api_key = os.environ.get("PROMPTOPT_API_KEY") or os.environ.get("OPENAI_API_KEY", "")
+    config = LiveConfig(
+        base_url=base_url,
+        model=model,
+        api_key=api_key,
+        timeout_s=gateway_section.get("timeout_s", 60.0),
+    )
+    return LiveBackend(config)
+
+
+# The backend names that --backend and [gateway] backend accept.
+_BACKENDS = {"live": _live_backend, "replay": _replay_backend, "scripted": _scripted_backend}
+
+
 def build_gateway(args, gateway_section: dict, cfg: RunConfig, examples, split) -> Gateway:
     backend_name = getattr(args, "backend", None) or gateway_section.get("backend", "scripted")
-    if backend_name == "scripted":
-        responder = HeuristicScript(
-            examples, split.label_set, seed=cfg.rng_seed, task_type=split.task_type
-        )
-        return Gateway(ScriptedBackend(responder))
-    if backend_name == "replay":
-        transcript_path = getattr(args, "transcript", None) or gateway_section.get("transcript")
-        if not transcript_path:
-            raise ConfigError("replay backend needs --transcript PATH")
-        if not Path(transcript_path).exists():
-            raise ConfigError(f"transcript not found: {transcript_path}")
-        return Gateway(ReplayBackend(Transcript.load(transcript_path)))
-    if backend_name == "live":
-        base_url = gateway_section.get("base_url")
-        model = gateway_section.get("model")
-        if not base_url or not model:
-            raise ConfigError("[gateway] base_url and model are required for the live backend")
-        api_key = os.environ.get("PROMPTOPT_API_KEY") or os.environ.get("OPENAI_API_KEY", "")
-        config = LiveConfig(
-            base_url=base_url,
-            model=model,
-            api_key=api_key,
-            timeout_s=gateway_section.get("timeout_s", 60.0),
-        )
-        return Gateway(LiveBackend(config))
-    raise ConfigError(f"unknown backend {backend_name!r}")
+    if backend_name not in _BACKENDS:
+        raise ConfigError(f"unknown backend {backend_name!r}")
+    return Gateway(_BACKENDS[backend_name](args, gateway_section, cfg, examples, split))
 
 
 def _seed_prompt_text(extra: dict) -> str:
@@ -300,11 +322,20 @@ def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
 
 
 def cmd_report(args) -> int:
+    # Each directory's CSV files are named after it, so names must differ.
+    directories: dict[str, Path] = {}
+    for raw_dir in args.artifacts:
+        directory = Path(raw_dir)
+        if directory.name in directories:
+            raise ConfigError(
+                f"artifact directories {directories[directory.name]} and {directory} "
+                f"share the name {directory.name!r}; their CSV files would overwrite each other"
+            )
+        directories[directory.name] = directory
     out_dir = Path(args.out or ".")
     out_dir.mkdir(parents=True, exist_ok=True)
     curves: dict[str, dict[int, float]] = {}
-    for raw_dir in args.artifacts:
-        directory = Path(raw_dir)
+    for stem, directory in directories.items():
         events = artifact.read_events(directory)
         if not events:
             raise ConfigError(f"no events found in artifact dir {directory}")
@@ -312,7 +343,6 @@ def cmd_report(args) -> int:
         if meta.get("status") != "complete":
             print(f"warning: artifact {directory} is incomplete", file=sys.stderr)
         events.sort(key=lambda e: e["round"])
-        stem = directory.name
         _write_csv(
             out_dir / f"{stem}_score_vs_round.csv",
             ["round", "best_test_score"],
@@ -361,12 +391,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     optimize = sub.add_parser("optimize", help="run the optimizer")
     optimize.add_argument("--config", required=True, help="INI config file")
-    optimize.add_argument("--mode", choices=("mapo", "protegi"))
-    optimize.add_argument(
-        "--gradient-mode", dest="gradient_mode", choices=("positive_only", "negative_only", "both")
-    )
+    optimize.add_argument("--mode", choices=tuple(_MODE_PRESETS))
+    optimize.add_argument("--gradient-mode", dest="gradient_mode", choices=GRADIENT_MODES)
     optimize.add_argument("--momentum", choices=("on", "off"))
-    optimize.add_argument("--backend", choices=("live", "replay", "scripted"))
+    optimize.add_argument("--backend", choices=tuple(_BACKENDS))
     optimize.add_argument("--transcript", help="transcript path for the replay backend")
     optimize.add_argument("--seed", type=int)
     optimize.add_argument("--target", type=float, help="convergence target score")
@@ -378,7 +406,7 @@ def build_parser() -> argparse.ArgumentParser:
     evaluate = sub.add_parser("evaluate", help="score a fixed prompt on the test split")
     evaluate.add_argument("--prompt-file", required=True)
     evaluate.add_argument("--config", required=True)
-    evaluate.add_argument("--backend", choices=("live", "replay", "scripted"))
+    evaluate.add_argument("--backend", choices=tuple(_BACKENDS))
     evaluate.add_argument("--transcript")
     evaluate.add_argument("--seed", type=int)
     evaluate.set_defaults(func=cmd_evaluate)

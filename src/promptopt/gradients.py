@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import logging
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -135,9 +135,6 @@ Wrap the new instruction with <START> and <END>.
 Output:
 """
 
-TEMPLATE_NAMES = ("tau", "alpha", "tau_negative", "alpha_negative", "paraphrase")
-
-
 @dataclass(frozen=True)
 class TemplateSet:
     """The five templates in play; defaults are the embedded bodies."""
@@ -157,7 +154,7 @@ class TemplateSet:
         """Override any of the defaults with ``<name>.txt`` files in a directory."""
         directory = Path(directory)
         overrides = {}
-        for name in TEMPLATE_NAMES:
+        for name in (f.name for f in fields(cls)):
             file = directory / f"{name}.txt"
             if file.exists():
                 overrides[name] = PromptTemplate(name, file.read_text(encoding="utf-8"))
@@ -211,12 +208,6 @@ _HISTORY_SLOT_RE = re.compile(
 def mask_history_slot(rendered: str, placeholder: str = "<HISTORY>") -> str:
     """Replace the rendered history binding with a fixed placeholder."""
     return _HISTORY_SLOT_RE.sub(rf"\g<1>{placeholder}\g<2>", rendered, count=1)
-
-
-def extract_history_binding(rendered: str) -> str | None:
-    """The rendered history binding, or None when the request has no slot."""
-    match = _HISTORY_SLOT_RE.search(rendered)
-    return match.group(0).split(":\n", 1)[1].rsplit("\n\nBased on", 1)[0] if match else None
 
 
 def format_example_block(sample: ExampleSample) -> str:

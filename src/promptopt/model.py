@@ -3,7 +3,7 @@
 All value types are frozen dataclasses; state evolves only by constructing
 successor objects (see :class:`PromptStore`). The types an artifact writes one
 per line (prompts, gradients, beams) serialize to a self-describing one-line
-text record via :func:`to_record` / :func:`from_record`.
+text record via :func:`to_record`.
 """
 
 from __future__ import annotations
@@ -97,11 +97,6 @@ class GradientHistory:
 
     pools: dict[int, tuple[int, ...]] = field(default_factory=dict)
     sampled: dict[int, int] = field(default_factory=dict)
-
-    def check(self) -> None:
-        for round_index, gradient_id in self.sampled.items():
-            if gradient_id not in self.pools.get(round_index, ()):
-                raise ValueError(f"sampled[{round_index}] is not in its pool")
 
 
 @dataclass(frozen=True)
@@ -253,12 +248,7 @@ def derived_rng(seed: int | str, *stream: object) -> random.Random:
     return random.Random("|".join(str(part) for part in (seed, *stream)))
 
 
-_RECORD_TYPES = {
-    "prompt": Prompt,
-    "gradient": Gradient,
-    "beam": Beam,
-}
-_TYPE_NAMES = {cls: name for name, cls in _RECORD_TYPES.items()}
+_TYPE_NAMES = {Prompt: "prompt", Gradient: "gradient", Beam: "beam"}
 
 
 def to_record(obj: object) -> str:
@@ -268,15 +258,3 @@ def to_record(obj: object) -> str:
         raise TypeError(f"{type(obj).__name__} has no record form")
     payload = {"type": name, **asdict(obj)}  # type: ignore[call-overload]
     return json.dumps(payload, sort_keys=True)
-
-
-def from_record(line: str) -> object:
-    """Inverse of :func:`to_record`."""
-    payload = json.loads(line)
-    kind = payload.pop("type", None)
-    cls = _RECORD_TYPES.get(kind)
-    if cls is None:
-        raise ValueError(f"unknown record type {kind!r}")
-    if cls is Beam:
-        payload["prompts"] = tuple(payload["prompts"])
-    return cls(**payload)

@@ -69,10 +69,6 @@ class ConfusionCounts:
     fn: int = 0
     tn: int = 0
 
-    @property
-    def total(self) -> int:
-        return self.tp + self.fp + self.fn + self.tn
-
 
 @functools.lru_cache(maxsize=64)
 def _label_pattern(label_set: tuple[str, ...]) -> re.Pattern:
@@ -124,28 +120,6 @@ def f1(cc: ConfusionCounts) -> float:
     if cc.tp == 0:
         return 0.0
     return 2 * cc.tp / (2 * cc.tp + cc.fp + cc.fn)
-
-
-def confusion_counts(
-    golds: Sequence[str], parsed: Sequence[str | None], positive_label: str
-) -> ConfusionCounts:
-    """Tally binary confusion counts; unparsed predictions count as negative."""
-    if len(golds) != len(parsed):
-        raise ValueError("golds and parsed have different lengths")
-    positive = positive_label.lower()
-    tp = fp = fn = tn = 0
-    for gold, pred in zip(golds, parsed):
-        gold_pos = gold.lower() == positive
-        pred_pos = pred is not None and pred.lower() == positive
-        if gold_pos and pred_pos:
-            tp += 1
-        elif gold_pos:
-            fn += 1
-        elif pred_pos:
-            fp += 1
-        else:
-            tn += 1
-    return ConfusionCounts(tp=tp, fp=fp, fn=fn, tn=tn)
 
 
 _BY_EXAMPLE_ID = operator.itemgetter(0)

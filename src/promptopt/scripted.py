@@ -10,9 +10,8 @@ in momentum wiring receive byte-identical completions.
 from __future__ import annotations
 
 import re
-from collections import deque
 from hashlib import blake2b
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 from .data import Example
 from .gateway import LlmRequest, ScriptExhaustedError
@@ -98,15 +97,3 @@ class HeuristicScript:
             return f"<START>{current} (alt {tag})<END>"
         raise ScriptExhaustedError(f"no script for role_tag {req.role_tag!r}")
 
-
-class SequenceScript:
-    """Canned per-role response queues; raises once a queue is exhausted."""
-
-    def __init__(self, responses: Mapping[str, Sequence[str]]):
-        self._queues = {role: deque(texts) for role, texts in responses.items()}
-
-    def __call__(self, req: LlmRequest) -> str:
-        queue = self._queues.get(req.role_tag)
-        if not queue:
-            raise ScriptExhaustedError(f"script exhausted for role_tag {req.role_tag!r}")
-        return queue.popleft()

@@ -158,8 +158,6 @@ def expand_parent(
     shortfall = False
     ordinal = 1
     for polarity, count in _polarity_plan(cfg):
-        if count < 1:
-            continue
         want = "correct" if polarity == "positive" else "incorrect"
         sample = sample_by_correctness(
             minibatch,

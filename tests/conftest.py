@@ -1,17 +1,25 @@
 from __future__ import annotations
 
+import re
+from collections import deque
+from typing import Mapping, Sequence
+
 import pytest
 
 from promptopt import (
+    ConfusionCounts,
     Example,
     Gateway,
+    GradientHistory,
     HeuristicScript,
+    LlmRequest,
     RunConfig,
     BanditConfig,
     ScriptedBackend,
     make_split,
     new_seed_prompt,
 )
+from promptopt.gateway import ScriptExhaustedError
 
 SEED_TEXT = "Is this statement true? Answer Yes or No."
 
@@ -67,3 +75,58 @@ def gateway(examples, split):
 @pytest.fixture
 def seed_prompt():
     return new_seed_prompt(SEED_TEXT)
+
+
+class SequenceScript:
+    """Canned per-role response queues; raises once a queue is exhausted."""
+
+    def __init__(self, responses: Mapping[str, Sequence[str]]):
+        self._queues = {role: deque(texts) for role, texts in responses.items()}
+
+    def __call__(self, req: LlmRequest) -> str:
+        queue = self._queues.get(req.role_tag)
+        if not queue:
+            raise ScriptExhaustedError(f"script exhausted for role_tag {req.role_tag!r}")
+        return queue.popleft()
+
+
+def confusion_counts(
+    golds: Sequence[str], parsed: Sequence[str | None], positive_label: str
+) -> ConfusionCounts:
+    """Tally binary confusion counts; unparsed predictions count as negative."""
+    if len(golds) != len(parsed):
+        raise ValueError("golds and parsed have different lengths")
+    positive = positive_label.lower()
+    tp = fp = fn = tn = 0
+    for gold, pred in zip(golds, parsed):
+        gold_pos = gold.lower() == positive
+        pred_pos = pred is not None and pred.lower() == positive
+        if gold_pos and pred_pos:
+            tp += 1
+        elif gold_pos:
+            fn += 1
+        elif pred_pos:
+            fp += 1
+        else:
+            tn += 1
+    return ConfusionCounts(tp=tp, fp=fp, fn=fn, tn=tn)
+
+
+# The history slot sits between this anchor pair in the four gradient and
+# edit templates.
+_HISTORY_SLOT_RE = re.compile(
+    r"of past\s+iterations of this prompt:\n(.*?)\n\nBased on the above information", re.DOTALL
+)
+
+
+def extract_history_binding(rendered: str) -> str | None:
+    """The rendered history binding, or None when the request has no slot."""
+    match = _HISTORY_SLOT_RE.search(rendered)
+    return match.group(1) if match else None
+
+
+def check_history(history: GradientHistory) -> None:
+    """Raise unless each round's sampled gradient is a member of that round's pool."""
+    for round_index, gradient_id in history.sampled.items():
+        if gradient_id not in history.pools.get(round_index, ()):
+            raise ValueError(f"sampled[{round_index}] is not in its pool")

@@ -32,8 +32,10 @@ from promptopt import (
 )
 from promptopt.gradients import mask_history_slot, parse_delimited
 from promptopt.model import derived_rng
-from promptopt.scoring import confusion_counts, f1
+from promptopt.scoring import f1
 from promptopt.search import MetricEvent, detect_convergence, expected_calls_per_round, run
+
+from conftest import check_history, confusion_counts
 
 SEED_TEXT = "Is this statement true? Answer Yes or No."
 
@@ -296,7 +298,7 @@ def test_c5_momentum_wiring_isolation(tmp_path) -> None:
                 assert sampled_text in req.rendered_prompt
 
     for result in (result_on, result_off):
-        result.history.check()
+        check_history(result.history)
         for round_index, pool in result.history.pools.items():
             if pool:
                 assert result.history.sampled[round_index] in pool

@@ -152,6 +152,36 @@ def test_read_config_file_rejects_non_numeric_timeout(tmp_path, capsys) -> None:
     assert read_config_file(file)[3]["timeout_s"] == 2.5
 
 
+PERCENT_PROMPT = "Be 100% sure. Answer Yes or No."
+
+
+MALFORMED_INI = {
+    "no_section_header": CONFIG_BODY.replace("[run]\n", "").encode(),
+    "repeated_key": CONFIG_BODY.replace("beam_width = 2\n", "beam_width = 2\nbeam_width = 3\n").encode(),
+    "not_utf8": CONFIG_BODY.encode().replace(b"Answer Yes", b"Answer \xff Yes"),
+    "percent_in_value": CONFIG_BODY.replace(
+        "Decide whether the statement happened. Answer Yes or No.", PERCENT_PROMPT
+    ).encode(),
+}
+
+
+@pytest.mark.parametrize("case", list(MALFORMED_INI))
+def test_optimize_malformed_ini_is_config_error_and_values_are_literal(
+    case, tmp_path, capsys
+) -> None:
+    file = tmp_path / f"{case}.ini"
+    file.write_bytes(MALFORMED_INI[case])
+    out = tmp_path / "out"
+    code = main(["optimize", "--config", str(file), "--backend", "scripted", "--out", str(out)])
+    err = capsys.readouterr().err
+    if case == "percent_in_value":
+        assert code == EXIT_OK, err
+        assert json.loads((out / "config.json").read_text())["seed_prompt"] == PERCENT_PROMPT
+    else:
+        assert code == EXIT_CONFIG
+        assert err.startswith(f"config error: malformed config file {file}: ")
+
+
 def test_optimize_happy_path(config_file, tmp_path, capsys) -> None:
     out = tmp_path / "artifact"
     code = main(
@@ -501,6 +531,21 @@ def test_report_emits_three_curves_and_comparison(config_file, tmp_path) -> None
     comparison = (report_dir / "comparison.csv").read_text().splitlines()
     assert comparison[0] == "round,mapo,protegi"
     assert len(comparison) == 1 + 3
+
+
+def test_report_refuses_artifact_dirs_with_the_same_name(config_file, tmp_path, capsys) -> None:
+    # Each directory's CSV files are named after it: a second rec_*.csv set
+    # would overwrite the first, and comparison.csv would lose a column.
+    dirs = [tmp_path / parent / "rec" for parent in ("a", "b", "c")]
+    for out in dirs:
+        argv = ["optimize", "--config", str(config_file), "--backend", "scripted", "--out", str(out)]
+        assert main(argv) == EXIT_OK
+    report_dir = tmp_path / "report"
+    assert main(["report", *map(str, dirs), "--out", str(report_dir)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ")
+    assert f"{dirs[0]} and {dirs[1]}" in err
+    assert not report_dir.exists()
 
 
 def test_report_empty_artifact_dir_errors(tmp_path) -> None:

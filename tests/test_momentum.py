@@ -9,6 +9,8 @@ from promptopt.momentum import (
     sample_history_gradient,
 )
 
+from conftest import check_history
+
 
 def _prompt(pid: int, gradient_id: int | None = None, parent: int | None = None) -> Prompt:
     if pid == 0:
@@ -118,10 +120,10 @@ def test_history_text_passthrough_of_previous_round_sample() -> None:
 
 def test_history_membership_invariant_checker() -> None:
     good = GradientHistory(pools={1: (0, 1)}, sampled={1: 1})
-    good.check()
+    check_history(good)
     bad = GradientHistory(pools={1: (0,)}, sampled={1: 5})
     try:
-        bad.check()
+        check_history(bad)
     except ValueError as exc:
         assert "sampled[1]" in str(exc)
     else:

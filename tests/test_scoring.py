@@ -14,12 +14,14 @@ from promptopt.scoring import (
     Prediction,
     TaskSpec,
     canonical_number,
-    confusion_counts,
     evaluate_prompt,
     f1,
     parse_label,
     parse_math_answer,
 )
+from promptopt.scripted import ScriptExhaustedError
+
+from conftest import SequenceScript, confusion_counts
 
 YES_NO = ("Yes", "No")
 
@@ -118,7 +120,7 @@ def test_confusion_counts_total_invariant() -> None:
     parsed = ["Yes", "Yes", None, "No"]
     cc = confusion_counts(golds, parsed, "Yes")
     assert cc == ConfusionCounts(tp=1, fp=1, fn=1, tn=1)
-    assert cc.total == 4
+    assert cc.tp + cc.fp + cc.fn + cc.tn == 4
 
 
 def test_f1_matches_brute_force_oracle_on_random_sets() -> None:
@@ -250,16 +252,12 @@ def test_evaluate_prompt_rejects_empty_examples() -> None:
 
 
 def test_evaluate_prompt_tags_failing_example() -> None:
-    from promptopt.scripted import SequenceScript, ScriptExhaustedError
-
     gw = Gateway(ScriptedBackend(SequenceScript({"task_eval": ["Yes"]})))
     with pytest.raises(ScriptExhaustedError, match="example id 1"):
         evaluate_prompt(new_seed_prompt("classify"), _examples(3), gw, _task())
 
 
 def test_evaluate_prompt_sends_examples_in_given_order_and_tags_by_position() -> None:
-    from promptopt.scripted import SequenceScript, ScriptExhaustedError
-
     examples = [_examples(10)[i] for i in (5, 3, 9)]
     gw = Gateway(ScriptedBackend(SequenceScript({"task_eval": ["Yes"]})))
     with pytest.raises(ScriptExhaustedError, match="example id 3"):

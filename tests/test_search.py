@@ -22,8 +22,7 @@ from promptopt import (
 )
 from promptopt.cli import build_run_config
 from promptopt.gateway import RetryPolicy
-from promptopt.gradients import extract_history_binding
-from promptopt.scripted import ScriptExhaustedError, SequenceScript
+from promptopt.scripted import ScriptExhaustedError
 from promptopt.search import (
     ConvergenceReport,
     MetricEvent,
@@ -34,7 +33,15 @@ from promptopt.search import (
     run,
 )
 
-from conftest import SEED_TEXT, scripted_gateway, small_config, toy_examples
+from conftest import (
+    SEED_TEXT,
+    SequenceScript,
+    check_history,
+    extract_history_binding,
+    scripted_gateway,
+    small_config,
+    toy_examples,
+)
 
 
 def _event(round_index: int, score: float, elapsed: float = 0.0, calls: int = 0) -> MetricEvent:
@@ -250,7 +257,7 @@ def test_run_best_satisfies_argmax_over_final_beam(small_run) -> None:
 
 def test_run_history_membership_invariant(small_run) -> None:
     result, _, _, _, _ = small_run
-    result.history.check()
+    check_history(result.history)
     for round_index, pool in result.history.pools.items():
         sampled = result.history.sampled.get(round_index)
         if pool:
