@@ -30,7 +30,6 @@ from .model import (
     PromptStore,
     RunConfig,
     new_seed_prompt,
-    validate_config,
 )
 from .scoring import ConfusionCounts, Prediction, TaskSpec, evaluate_prompt, f1
 from .scripted import HeuristicScript

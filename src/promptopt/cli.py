@@ -1,8 +1,10 @@
 """Command-line front door: optimize, evaluate, and report.
 
 Configuration is a flat INI file with [run], [bandit], [dataset], and
-[gateway] sections; CLI flags override file values, and the environment
-supplies only the API key (PROMPTOPT_API_KEY or OPENAI_API_KEY).
+[gateway] sections, each read into the dataclass it names; any other section,
+[DEFAULT] included, is an error. The file's values, then the --mode preset,
+then the flags are merged and checked once, when the RunConfig is built. The
+environment supplies only the API key (PROMPTOPT_API_KEY or OPENAI_API_KEY).
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ import math
 import os
 import sys
 import typing
-from dataclasses import asdict, fields, replace
+from dataclasses import asdict, fields
 from pathlib import Path
 
 from . import artifact
@@ -37,7 +39,6 @@ from .model import (
     EmptyPromptError,
     RunConfig,
     new_seed_prompt,
-    validate_config,
 )
 from .scoring import TaskSpec, evaluate_prompt
 from .scripted import HeuristicScript
@@ -62,7 +63,15 @@ _MODE_PRESETS = {
         {"num_gradients": 4, "paraphrases_per_parent": 2},
     ),
 }
-_SECTIONS = ("run", "bandit", "dataset", "gateway")
+# Each INI section: the dataclass whose fields it sets, the fields it leaves
+# out, and the keys it takes besides those fields (read as text). The API key
+# comes from the environment only, never from the file.
+_SECTIONS = {
+    "run": (RunConfig, ("bandit",), ("seed_prompt", "seed_prompt_file")),
+    "bandit": (BanditConfig, (), ()),
+    "dataset": (DatasetSpec, (), ()),
+    "gateway": (LiveConfig, ("api_key",), ("backend", "transcript")),
+}
 
 
 def _field_types(cls, skip: tuple[str, ...] = ()) -> dict[str, type]:
@@ -107,9 +116,16 @@ def _coerce(section: str, types: dict[str, type], key: str, raw: str):
 
 
 def read_config_file(path: str | Path):
-    """Parse the INI config into (run overrides, bandit overrides, dataset, gateway)."""
+    """Parse the INI config into (run overrides, bandit overrides, dataset, gateway, extra).
+
+    ``extra`` holds ``[run]``'s seed_prompt or seed_prompt_file.
+    """
     # Values are literal: a "%" in a prompt is text, not interpolation syntax.
-    parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"), interpolation=None)
+    # No header can name the section "", so [DEFAULT] is an unknown section
+    # rather than defaults merged into every other one.
+    parser = configparser.ConfigParser(
+        inline_comment_prefixes=(";", "#"), interpolation=None, default_section=""
+    )
     file = Path(path)
     if not file.exists():
         raise ConfigError(f"config file not found: {file}")
@@ -121,64 +137,48 @@ def read_config_file(path: str | Path):
         if name not in _SECTIONS:
             raise ConfigError(f"unknown section [{name}]; expected one of {', '.join(_SECTIONS)}")
 
-    run_types = _field_types(RunConfig, skip=("bandit",))
-    run_overrides: dict = {}
-    extra: dict = {}
-    for key, raw in parser.items("run") if parser.has_section("run") else []:
-        if key in ("seed_prompt", "seed_prompt_file"):
-            extra[key] = raw
-        else:
-            run_overrides[key] = _coerce("run", run_types, key, raw)
-    bandit_types = _field_types(BanditConfig)
-    bandit_items = parser.items("bandit") if parser.has_section("bandit") else []
-    bandit_overrides = {key: _coerce("bandit", bandit_types, key, raw) for key, raw in bandit_items}
+    values: dict[str, dict] = {}
+    for name, (cls, skip, extra_keys) in _SECTIONS.items():
+        types = {**_field_types(cls, skip), **dict.fromkeys(extra_keys, str)}
+        items = parser.items(name) if parser.has_section(name) else []
+        values[name] = {key: _coerce(name, types, key, raw) for key, raw in items}
+    run_overrides, bandit_overrides, dataset_section, gateway_section = values.values()
+    extra = {key: run_overrides.pop(key) for key in _SECTIONS["run"][2] if key in run_overrides}
 
     dataset = None
     if parser.has_section("dataset"):
-        dataset_types = _field_types(DatasetSpec)
-        section = {
-            key: _coerce("dataset", dataset_types, key, raw) for key, raw in parser.items("dataset")
-        }
-        if "path" not in section:
+        if "path" not in dataset_section:
             raise ConfigError("[dataset] missing key 'path'")
-        dataset = DatasetSpec(**section)
-
-    # The API key comes from the environment only, never from the file.
-    gateway_types = {
-        "backend": str,
-        "transcript": str,
-        **_field_types(LiveConfig, skip=("api_key",)),
-    }
-    gateway_items = parser.items("gateway") if parser.has_section("gateway") else []
-    gateway_section = {
-        key: _coerce("gateway", gateway_types, key, raw) for key, raw in gateway_items
-    }
-    timeout_s = gateway_section.get("timeout_s", 60.0)
+        dataset = DatasetSpec(**dataset_section)
+    timeout_s = gateway_section.get("timeout_s")
     # The HTTP client refuses such a timeout on every attempt, which the live
     # backend would retry as a transport error.
-    if not (math.isfinite(timeout_s) and timeout_s > 0):
+    if timeout_s is not None and not (math.isfinite(timeout_s) and timeout_s > 0):
         raise ConfigError(f"[gateway] timeout_s: expected a finite number > 0, got {timeout_s}")
     return run_overrides, bandit_overrides, dataset, gateway_section, extra
 
 
 def build_run_config(args, run_overrides: dict, bandit_overrides: dict) -> RunConfig:
-    cfg = RunConfig(bandit=BanditConfig(**bandit_overrides))
-    cfg = replace(cfg, **run_overrides)
+    """One :class:`RunConfig` from the file's values, then the ``--mode`` preset, then the flags.
+
+    The values are merged first and checked once, when the config is built,
+    so a file value that a flag overrides is never checked on its own.
+    """
+    values = dict(run_overrides)
     if getattr(args, "mode", None):
         forced, defaults = _MODE_PRESETS[args.mode]
-        unset = {key: value for key, value in defaults.items() if key not in run_overrides}
-        cfg = replace(cfg, **unset, **forced)
+        values = {**defaults, **values, **forced}
     if getattr(args, "gradient_mode", None):
-        cfg = replace(cfg, gradient_mode=args.gradient_mode)
+        values["gradient_mode"] = args.gradient_mode
     if getattr(args, "momentum", None):
-        cfg = replace(cfg, momentum_enabled=args.momentum == "on")
+        values["momentum_enabled"] = args.momentum == "on"
     if getattr(args, "seed", None) is not None:
-        cfg = replace(cfg, rng_seed=args.seed)
+        values["rng_seed"] = args.seed
     if getattr(args, "target", None) is not None:
-        cfg = replace(cfg, convergence_target=args.target)
+        values["convergence_target"] = args.target
     if getattr(args, "verbose_predictions", False):
-        cfg = replace(cfg, emit_predictions=True)
-    return validate_config(cfg)
+        values["emit_predictions"] = True
+    return RunConfig(bandit=BanditConfig(**bandit_overrides), **values)
 
 
 def _load_split(dataset: DatasetSpec | None, cfg: RunConfig):
@@ -216,13 +216,9 @@ def _live_backend(args, gateway_section: dict, cfg: RunConfig, examples, split):
     if not base_url or not model:
         raise ConfigError("[gateway] base_url and model are required for the live backend")
     api_key = os.environ.get("PROMPTOPT_API_KEY") or os.environ.get("OPENAI_API_KEY", "")
-    config = LiveConfig(
-        base_url=base_url,
-        model=model,
-        api_key=api_key,
-        timeout_s=gateway_section.get("timeout_s", 60.0),
-    )
-    return LiveBackend(config)
+    # Only the fields the file sets, so LiveConfig's defaults fill the rest.
+    settings = {f.name: gateway_section[f.name] for f in fields(LiveConfig) if f.name in gateway_section}
+    return LiveBackend(LiveConfig(api_key=api_key, **settings))
 
 
 # The backend names that --backend and [gateway] backend accept.

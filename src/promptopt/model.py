@@ -1,9 +1,11 @@
 """Shared domain vocabulary: prompts, gradients, beams, history, run configuration.
 
 All value types are frozen dataclasses; state evolves only by constructing
-successor objects (see :class:`PromptStore`). The types an artifact writes one
-per line (prompts, gradients, beams) serialize to a self-describing one-line
-text record via :func:`to_record`.
+successor objects (see :class:`PromptStore`). Each checks its fields when it is
+built, by ``dataclasses.replace`` too, so a :class:`RunConfig` that exists is
+valid; a bad configuration value raises :class:`ConfigError`. The types an
+artifact writes one per line (prompts, gradients, beams) serialize to a
+self-describing one-line text record via :func:`to_record`.
 """
 
 from __future__ import annotations
@@ -107,10 +109,22 @@ class BanditConfig:
     sample_size: int = 32
     exploration: float = 1.0
 
+    def __post_init__(self) -> None:
+        if self.time_steps < 1:
+            raise ConfigError("bandit.time_steps must be a positive integer")
+        if self.sample_size < 1:
+            raise ConfigError("bandit.sample_size must be a positive integer")
+        if not math.isfinite(self.exploration) or self.exploration < 0:
+            raise ConfigError("bandit.exploration must be a finite number >= 0")
+
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Full hyperparameter set for one optimization run."""
+    """Full hyperparameter set for one optimization run.
+
+    Every instance holds valid values, however it was built (``replace``
+    included): an out-of-range field raises :class:`ConfigError` naming it.
+    """
 
     beam_width: int = 4
     search_depth: int = 6
@@ -128,44 +142,35 @@ class RunConfig:
     convergence_target: float | None = None
     emit_predictions: bool = False
 
-
-def validate_config(cfg: RunConfig) -> RunConfig:
-    """Return ``cfg`` unchanged, or raise :class:`ConfigError` naming the bad field."""
-    positive_fields = (
-        "beam_width",
-        "search_depth",
-        "minibatch_size",
-        "candidates_per_parent",
-        "num_gradients",
-        "num_correct_examples",
-        "test_set_size",
-    )
-    for name in positive_fields:
-        if getattr(cfg, name) < 1:
-            raise ConfigError(f"{name} must be a positive integer")
-    # NaN compares false with everything, so a range check alone lets it
-    # through; it is not JSON and would reach the transcript, the live
-    # request body and every UCB value.
-    if not math.isfinite(cfg.temperature) or cfg.temperature < 0:
-        raise ConfigError("temperature must be a finite number >= 0")
-    if cfg.convergence_target is not None and not math.isfinite(cfg.convergence_target):
-        raise ConfigError("convergence_target must be a finite number")
-    if cfg.paraphrases_per_parent < 0:
-        raise ConfigError("paraphrases_per_parent must be >= 0")
-    if cfg.candidates_per_parent % cfg.num_gradients != 0:
-        raise ConfigError(
-            "candidates_per_parent must be divisible by num_gradients "
-            f"({cfg.candidates_per_parent} % {cfg.num_gradients} != 0)"
+    def __post_init__(self) -> None:
+        positive_fields = (
+            "beam_width",
+            "search_depth",
+            "minibatch_size",
+            "candidates_per_parent",
+            "num_gradients",
+            "num_correct_examples",
+            "test_set_size",
         )
-    if cfg.gradient_mode not in GRADIENT_MODES:
-        raise ConfigError(f"gradient_mode must be one of {GRADIENT_MODES}")
-    if cfg.bandit.time_steps < 1:
-        raise ConfigError("bandit.time_steps must be a positive integer")
-    if cfg.bandit.sample_size < 1:
-        raise ConfigError("bandit.sample_size must be a positive integer")
-    if not math.isfinite(cfg.bandit.exploration) or cfg.bandit.exploration < 0:
-        raise ConfigError("bandit.exploration must be a finite number >= 0")
-    return cfg
+        for name in positive_fields:
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be a positive integer")
+        # NaN compares false with everything, so a range check alone lets it
+        # through; it is not JSON and would reach the transcript, the live
+        # request body and every UCB value.
+        if not math.isfinite(self.temperature) or self.temperature < 0:
+            raise ConfigError("temperature must be a finite number >= 0")
+        if self.convergence_target is not None and not math.isfinite(self.convergence_target):
+            raise ConfigError("convergence_target must be a finite number")
+        if self.paraphrases_per_parent < 0:
+            raise ConfigError("paraphrases_per_parent must be >= 0")
+        if self.candidates_per_parent % self.num_gradients != 0:
+            raise ConfigError(
+                "candidates_per_parent must be divisible by num_gradients "
+                f"({self.candidates_per_parent} % {self.num_gradients} != 0)"
+            )
+        if self.gradient_mode not in GRADIENT_MODES:
+            raise ConfigError(f"gradient_mode must be one of {GRADIENT_MODES}")
 
 
 def new_seed_prompt(text: str) -> Prompt:

@@ -28,7 +28,6 @@ from .model import (
     RunConfig,
     derived_rng,
     to_record,
-    validate_config,
 )
 from .scoring import TaskSpec, evaluate_prompt
 
@@ -92,19 +91,15 @@ def expected_calls_per_round(cfg: RunConfig, round_index: int) -> int:
     """Closed-form optimize-call count for one round, in every gradient mode.
 
     Per parent: the minibatch evaluation, one generator call per polarity of
-    :func:`_polarity_plan`, ``num_gradients * (candidates_per_parent //
-    num_gradients)`` editor calls and ``paraphrases_per_parent`` paraphrase
-    calls; then the bandit pulls. Parents number 1 in round 1 and the beam
-    width afterwards. Assumes no shortfalls: every polarity's correctness
-    sample is non-empty and each generator call yields all its gradients.
-    Requests the gateway answers from its temperature-0 memo count, as they
-    do in the ``optimize`` bucket.
+    :func:`_polarity_plan`, ``candidates_per_parent`` editor calls and
+    ``paraphrases_per_parent`` paraphrase calls; then the bandit pulls.
+    Parents number 1 in round 1 and the beam width afterwards. Assumes no
+    shortfalls: every polarity's correctness sample is non-empty and each
+    generator call yields all its gradients. Requests the gateway answers from
+    its temperature-0 memo count, as they do in the ``optimize`` bucket.
     """
     parents = 1 if round_index <= 1 else cfg.beam_width
-    edits = cfg.num_gradients * (cfg.candidates_per_parent // cfg.num_gradients)
-    # Zero-expansion limit: no candidates means no generator call either.
-    generators = len(_polarity_plan(cfg)) if edits else 0
-    expansion = generators + edits + cfg.paraphrases_per_parent
+    expansion = len(_polarity_plan(cfg)) + cfg.candidates_per_parent + cfg.paraphrases_per_parent
     pulls = cfg.bandit.time_steps * cfg.bandit.sample_size
     return parents * (cfg.minibatch_size + expansion) + pulls
 
@@ -334,7 +329,6 @@ def run(
     incomplete: an unrecoverable gateway failure then raises
     :class:`RunIncompleteError`, and any other exception is re-raised as is.
     """
-    validate_config(cfg)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     state = _Search(seed_prompt, split, cfg, gateway, templates)

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import argparse
 import hashlib
 import json
 from dataclasses import fields
@@ -7,12 +8,13 @@ from pathlib import Path
 
 import pytest
 
-from promptopt import Transcript, load, make_split
+from promptopt import DatasetSpec, Transcript, load, make_split
 from promptopt.cli import (
     EXIT_CONFIG,
     EXIT_DATASET,
     EXIT_INCOMPLETE,
     EXIT_OK,
+    build_run_config,
     main,
     read_config_file,
 )
@@ -102,6 +104,18 @@ def test_read_config_file_rejects_unknown_section(tmp_path, capsys) -> None:
     with pytest.raises(ConfigError, match=r"unknown section \[Bandit\]"):
         read_config_file(file)
     assert "unknown section [Bandit]" in _optimize_config_error(file, tmp_path, capsys)
+
+
+@pytest.mark.parametrize("body", ["", "time_steps = 8\nsample_size = 4\n"], ids=["empty", "keys"])
+def test_read_config_file_rejects_default_section(body, tmp_path, capsys) -> None:
+    # [DEFAULT] is not merged into the other sections: empty or not, it is
+    # an unknown section, named as such.
+    file = tmp_path / "default.ini"
+    bandit = "[bandit]\ntime_steps = 8\nsample_size = 4\n"
+    file.write_text(CONFIG_BODY.replace(bandit, f"[DEFAULT]\n{body}"), encoding="utf-8")
+    with pytest.raises(ConfigError, match=r"unknown section \[DEFAULT\]"):
+        read_config_file(file)
+    assert "config error: unknown section [DEFAULT]" in _optimize_config_error(file, tmp_path, capsys)
 
 
 def test_read_config_file_rejects_unknown_dataset_key(tmp_path, capsys) -> None:
@@ -421,35 +435,51 @@ def test_replay_accepts_a_recording_that_tests_a_prompt_again(
         assert (rep / name).read_bytes() == (rec / name).read_bytes(), name
 
 
+# Fields whose check a value derived from the default would fail.
+_VALID_VALUES = {
+    "gradient_mode": "both",
+    "path": "data.jsonl",
+    "format": "jsonl",
+    "task_type": "math",
+    "label_set": ("No", "Yes"),
+}
+
+
 def _changed_fields(cls) -> dict:
-    """A value unlike the default, of the field's type, for each INI field of ``cls``."""
+    """A valid value unlike the default, of the field's type, for each INI field of ``cls``."""
     values = {}
     for f in fields(cls):
-        default = getattr(cls(), f.name)
-        if isinstance(default, bool):
+        default = f.default
+        if f.name in _VALID_VALUES:
+            values[f.name] = _VALID_VALUES[f.name]
+        elif isinstance(default, bool):
             values[f.name] = not default
         elif isinstance(default, str):
             values[f.name] = f"{default}_x"
         elif default is None:  # convergence_target: float | None
             values[f.name] = 0.625
         elif isinstance(default, (int, float)):
-            values[f.name] = type(default)(default * 2 + 3)
+            # Doubling keeps candidates_per_parent divisible by num_gradients.
+            values[f.name] = type(default)(default * 2 + 2)
         else:
             assert f.name == "bandit", f"no INI value for {f.name}"
     return values
 
 
+def _ini_text(sections: dict[str, dict]) -> str:
+    def text(value) -> str:
+        return ", ".join(value) if isinstance(value, tuple) else str(value).lower()
+
+    return "".join(
+        f"[{name}]\n" + "".join(f"{key} = {text(value)}\n" for key, value in values.items())
+        for name, values in sections.items()
+    )
+
+
 def test_every_config_field_round_trips_through_ini(tmp_path) -> None:
     sections = {"run": _changed_fields(RunConfig), "bandit": _changed_fields(BanditConfig)}
     file = tmp_path / "all.ini"
-    file.write_text(
-        "".join(
-            f"[{name}]\n"
-            + "".join(f"{key} = {str(value).lower()}\n" for key, value in values.items())
-            for name, values in sections.items()
-        ),
-        encoding="utf-8",
-    )
+    file.write_text(_ini_text(sections), encoding="utf-8")
     run_overrides, bandit_overrides, _, _, _ = read_config_file(file)
 
     def typed(values: dict) -> dict:
@@ -457,6 +487,23 @@ def test_every_config_field_round_trips_through_ini(tmp_path) -> None:
 
     assert typed(run_overrides) == typed(sections["run"])
     assert typed(bandit_overrides) == typed(sections["bandit"])
+
+
+def test_every_config_field_reaches_the_built_config(tmp_path) -> None:
+    sections = {
+        "run": _changed_fields(RunConfig),
+        "bandit": _changed_fields(BanditConfig),
+        "dataset": _changed_fields(DatasetSpec),
+    }
+    file = tmp_path / "all.ini"
+    file.write_text(_ini_text(sections), encoding="utf-8")
+    run_overrides, bandit_overrides, dataset, _, _ = read_config_file(file)
+    cfg = build_run_config(argparse.Namespace(), run_overrides, bandit_overrides)
+    built = {"run": cfg, "bandit": cfg.bandit, "dataset": dataset}
+    for name, values in sections.items():
+        for key, value in values.items():
+            got = getattr(built[name], key)
+            assert (type(got), got) == (type(value), value), f"[{name}] {key}"
 
 
 def test_read_config_file_rejects_bad_values(tmp_path) -> None:
@@ -686,6 +733,22 @@ def test_protegi_preset_defaults_gradient_count_when_file_silent(tmp_path) -> No
     )
     assert code == EXIT_OK
     assert json.loads((out / "config.json").read_text())["num_gradients"] == 4
+
+
+def test_gradient_mode_flag_overrides_an_invalid_file_value(tmp_path) -> None:
+    # The merged values are checked, not the file's value the flag replaces.
+    file = tmp_path / "run.ini"
+    file.write_text(
+        CONFIG_BODY.replace("[bandit]", "gradient_mode = sideways\n\n[bandit]"), encoding="utf-8"
+    )
+    out = tmp_path / "both"
+    argv = ["optimize", "--config", str(file), "--gradient-mode", "both", "--backend", "scripted",
+            "--out", str(out)]
+    assert main(argv) == EXIT_OK
+    assert json.loads((out / "config.json").read_text())["gradient_mode"] == "both"
+    without_flag = ["optimize", "--config", str(file), "--backend", "scripted",
+                    "--out", str(tmp_path / "sideways")]
+    assert main(without_flag) == EXIT_CONFIG
 
 
 @pytest.mark.parametrize("gradient_mode", ["positive_only", "both"])

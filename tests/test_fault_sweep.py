@@ -11,11 +11,18 @@ A second wrapper answers the k-th call with text that holds no delimiters, for
 every gradient, edit and paraphrase call k. The run must still complete, with
 one parse shortfall per time that request was issued: a temperature-0 repeat
 gets the same answer from the gateway's memo and falls short again.
+
+Last, a :class:`LiveBackend` talks to a fake chat-completions transport that
+answers as :class:`HeuristicScript` does, and sends ``"content": null`` for
+the k-th request, once or on every attempt. Once, the retry recovers and the
+run's results equal the scripted run's; on every attempt, the run aborts with
+the partial artifact.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from collections import Counter
 from pathlib import Path
 
@@ -23,7 +30,7 @@ import pytest
 
 from promptopt import cli
 from promptopt.cli import EXIT_INCOMPLETE, EXIT_OK, main
-from promptopt.gateway import Gateway, LiveCallError
+from promptopt.gateway import Gateway, LiveBackend, LiveCallError, LiveConfig, LlmRequest, RetryPolicy
 
 REPO = Path(__file__).parents[1]
 DEMO_ARGS = ["optimize", "--config", "tests/data/demo.ini", "--backend", "scripted"]
@@ -125,3 +132,65 @@ def test_malformed_answer_at_every_expansion_call_is_counted(preset, monkeypatch
     # Under protegi a surviving parent's paraphrase request is issued again,
     # and the memo answers it; MAPO repeats no expansion request.
     assert repeated == (2 if preset == "protegi" else 0)
+
+
+class NullAt:
+    """Chat-completions transport answering as the scripted backend does.
+
+    The body holds no role, so each rendered prompt's role is looked up in
+    ``roles``. The ``k``-th request (0-based) gets ``"content": null`` on its
+    first ``nulls`` attempts.
+    """
+
+    def __init__(self, scripted, roles: dict[str, str], k: int, nulls: float):
+        self._scripted = scripted
+        self._roles = roles
+        self._k = k
+        self._nulls = nulls
+        self._answered = 0
+
+    def __call__(self, url, headers, payload, timeout):
+        if self._answered == self._k and self._nulls > 0:
+            self._nulls -= 1
+            content = None
+        else:
+            self._answered += 1
+            prompt = payload["messages"][0]["content"]
+            req = LlmRequest(self._roles[prompt], prompt, payload["temperature"], payload["max_tokens"])
+            content, _ = self._scripted.complete(req, lambda: None)
+        return 200, json.dumps({"choices": [{"message": {"content": content}}]})
+
+
+def test_null_content_at_every_live_call_is_retried_or_aborts(monkeypatch, tmp_path) -> None:
+    monkeypatch.chdir(REPO)
+    whole = tmp_path / "whole"
+    assert main([*DEMO_ARGS, "--out", str(whole)]) == EXIT_OK
+    rows = [json.loads(line) for line in (whole / "transcript.jsonl").read_text().splitlines()]
+    roles = {row["rendered_prompt"]: row["role_tag"] for row in rows}
+    assert len(roles) == len(rows)
+    wire = json.loads((whole / "run_meta.json").read_text())["calls"]["wire"]
+    # Every attempt that reaches the transport is a wire call.
+    attempts = RetryPolicy().max_attempts + 1
+
+    build_gateway = cli.build_gateway
+    for k in range(len(rows)):
+        for nulls in (1, math.inf):
+            def live_gateway(*args, k=k, nulls=nulls):
+                transport = NullAt(build_gateway(*args).backend, roles, k, nulls)
+                config = LiveConfig(base_url="http://endpoint.invalid/v1", model="m")
+                return Gateway(LiveBackend(config, transport=transport, sleep=lambda _: None))
+
+            monkeypatch.setattr(cli, "build_gateway", live_gateway)
+            out = tmp_path / f"k{k}-{nulls}"
+            code = main([*DEMO_ARGS, "--out", str(out)])
+            meta = json.loads((out / "run_meta.json").read_text())
+            if nulls == 1:
+                assert code == EXIT_OK, k
+                assert meta["calls"]["wire"] == wire + 1, k
+                for name in ("result.json", "beams.jsonl", "prompts.jsonl"):
+                    assert (out / name).read_bytes() == (whole / name).read_bytes(), (k, name)
+            else:
+                assert code == EXIT_INCOMPLETE, k
+                assert meta["status"] == "incomplete", k
+                assert meta["calls"]["wire"] == k + attempts, k
+                assert not (out / "result.json").exists(), k

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 
 import pytest
 from hypothesis import given
@@ -19,7 +20,6 @@ from promptopt.model import (
     derived_rng,
     new_seed_prompt,
     to_record,
-    validate_config,
 )
 
 
@@ -74,40 +74,45 @@ def test_validate_config_accepts_defaults() -> None:
     assert cfg.num_correct_examples == 3
     assert cfg.temperature == 0.0
     assert cfg.test_set_size == 200
-    assert validate_config(cfg) is cfg
+    assert cfg.bandit == BanditConfig(time_steps=25, sample_size=32, exploration=1.0)
 
 
 def test_validate_config_divisibility() -> None:
     with pytest.raises(ConfigError, match="divisible"):
-        validate_config(RunConfig(candidates_per_parent=7, num_gradients=2))
+        RunConfig(candidates_per_parent=7, num_gradients=2)
+    # replace builds a new instance, which checks itself too.
+    with pytest.raises(ConfigError, match=r"divisible by num_gradients \(8 % 3 != 0\)"):
+        replace(RunConfig(), num_gradients=3)
 
 
 def test_validate_config_nonpositive_fields() -> None:
     with pytest.raises(ConfigError, match="search_depth"):
-        validate_config(RunConfig(search_depth=0))
+        RunConfig(search_depth=0)
     with pytest.raises(ConfigError, match="beam_width"):
-        validate_config(RunConfig(beam_width=0))
+        RunConfig(beam_width=0)
     with pytest.raises(ConfigError, match="temperature"):
-        validate_config(RunConfig(temperature=-0.1))
+        RunConfig(temperature=-0.1)
     with pytest.raises(ConfigError, match="gradient_mode"):
-        validate_config(RunConfig(gradient_mode="sideways"))
+        RunConfig(gradient_mode="sideways")
     with pytest.raises(ConfigError, match="time_steps"):
-        validate_config(RunConfig(bandit=BanditConfig(time_steps=0)))
+        RunConfig(bandit=BanditConfig(time_steps=0))
+    with pytest.raises(ConfigError, match="bandit.sample_size"):
+        replace(BanditConfig(), sample_size=0)
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
 def test_validate_config_rejects_non_finite_floats(bad) -> None:
     with pytest.raises(ConfigError, match="temperature"):
-        validate_config(RunConfig(temperature=bad))
+        RunConfig(temperature=bad)
     with pytest.raises(ConfigError, match="bandit.exploration"):
-        validate_config(RunConfig(bandit=BanditConfig(exploration=bad)))
+        RunConfig(bandit=BanditConfig(exploration=bad))
     with pytest.raises(ConfigError, match="convergence_target"):
-        validate_config(RunConfig(convergence_target=bad))
+        RunConfig(convergence_target=bad)
 
 
 def test_validate_config_accepts_finite_convergence_target() -> None:
     cfg = RunConfig(convergence_target=0.8, bandit=BanditConfig(exploration=0.0))
-    assert validate_config(cfg) is cfg
+    assert (cfg.convergence_target, cfg.bandit.exploration) == (0.8, 0.0)
 
 
 def test_store_assigns_sequential_ids() -> None:

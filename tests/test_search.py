@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from promptopt import (
+    ConfigError,
     Example,
     Gateway,
     HeuristicScript,
@@ -68,8 +69,9 @@ def test_expected_calls_later_rounds_paper_defaults() -> None:
 
 
 def test_expected_calls_zero_expansion_limit() -> None:
-    cfg = replace(RunConfig(), candidates_per_parent=0)
-    assert expected_calls_per_round(cfg, 1) == 64 + 25 * 32
+    # A config with no candidates cannot be built, so no round counts one.
+    with pytest.raises(ConfigError, match="candidates_per_parent must be a positive integer"):
+        replace(RunConfig(), candidates_per_parent=0)
 
 
 def test_expected_calls_protegi_preset_default_shape() -> None:
