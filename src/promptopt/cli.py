@@ -115,6 +115,16 @@ def _coerce(section: str, types: dict[str, type], key: str, raw: str):
         raise ConfigError(f"[{section}] {key}: {exc}") from exc
 
 
+def _existing_file(path: str | Path, what: str) -> Path:
+    """``path``, once it names something that exists and is not a directory."""
+    file = Path(path)
+    if not file.exists():
+        raise ConfigError(f"{what} not found: {file}")
+    if file.is_dir():
+        raise ConfigError(f"{what} is a directory: {file}")
+    return file
+
+
 def read_config_file(path: str | Path):
     """Parse the INI config into (run overrides, bandit overrides, dataset, gateway, extra).
 
@@ -126,9 +136,7 @@ def read_config_file(path: str | Path):
     parser = configparser.ConfigParser(
         inline_comment_prefixes=(";", "#"), interpolation=None, default_section=""
     )
-    file = Path(path)
-    if not file.exists():
-        raise ConfigError(f"config file not found: {file}")
+    file = _existing_file(path, "config file")
     try:
         parser.read(file, encoding="utf-8")
     except (configparser.Error, UnicodeDecodeError) as exc:
@@ -205,9 +213,7 @@ def _replay_backend(args, gateway_section: dict, cfg: RunConfig, examples, split
     transcript_path = getattr(args, "transcript", None) or gateway_section.get("transcript")
     if not transcript_path:
         raise ConfigError("replay backend needs --transcript PATH")
-    if not Path(transcript_path).exists():
-        raise ConfigError(f"transcript not found: {transcript_path}")
-    return ReplayBackend(Transcript.load(transcript_path))
+    return ReplayBackend(Transcript.load(_existing_file(transcript_path, "transcript")))
 
 
 def _live_backend(args, gateway_section: dict, cfg: RunConfig, examples, split):
@@ -234,10 +240,8 @@ def build_gateway(args, gateway_section: dict, cfg: RunConfig, examples, split) 
 
 def _seed_prompt_text(extra: dict) -> str:
     if "seed_prompt_file" in extra:
-        path = Path(extra["seed_prompt_file"])
-        if not path.exists():
-            raise ConfigError(f"seed prompt file not found: {path}")
-        return path.read_text(encoding="utf-8")
+        file = _existing_file(extra["seed_prompt_file"], "seed prompt file")
+        return file.read_text(encoding="utf-8")
     if "seed_prompt" in extra:
         return extra["seed_prompt"]
     raise ConfigError("config needs [run] seed_prompt or seed_prompt_file")
@@ -255,7 +259,11 @@ def cmd_optimize(args) -> int:
             raise ConfigError(f"template directory not found: {args.templates}")
         templates = TemplateSet.from_dir(args.templates)
     method = args.mode or "mapo"
-    out_dir = args.out or f"runs/{method}-seed{cfg.rng_seed}"
+    out_dir = Path(args.out or f"runs/{method}-seed{cfg.rng_seed}")
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create artifact directory {out_dir}: {exc.strerror}") from exc
 
     result = run(
         seed,
@@ -297,10 +305,8 @@ def cmd_optimize(args) -> int:
 def cmd_evaluate(args) -> int:
     run_overrides, bandit_overrides, dataset, gateway_section, _ = read_config_file(args.config)
     cfg = build_run_config(args, run_overrides, bandit_overrides)
-    prompt_path = Path(args.prompt_file)
-    if not prompt_path.exists():
-        raise ConfigError(f"prompt file not found: {prompt_path}")
-    prompt = new_seed_prompt(prompt_path.read_text(encoding="utf-8"))
+    prompt_file = _existing_file(args.prompt_file, "prompt file")
+    prompt = new_seed_prompt(prompt_file.read_text(encoding="utf-8"))
     examples, split = _load_split(dataset, cfg)
     gateway = build_gateway(args, gateway_section, cfg, examples, split)
     task = TaskSpec.from_split(split, cfg)

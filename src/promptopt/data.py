@@ -91,6 +91,8 @@ def load(path: str | Path, format: str, task_type: str = "classification") -> li
     file = Path(path)
     if not file.exists():
         raise DatasetError(f"dataset file not found: {file}")
+    if file.is_dir():
+        raise DatasetError(f"dataset file is a directory: {file}")
     examples: list[Example] = []
     # Reading in text mode turns CRLF into "\n"; str.splitlines() would also
     # break at U+2028, form feeds and other characters that may sit inside a row.

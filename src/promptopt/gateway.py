@@ -280,32 +280,51 @@ class ScriptedBackend:
 class ReplayBackend:
     """Serves responses from a recorded transcript; never touches a network.
 
-    Lookup is keyed by the request's content, ``(role_tag, rendered_prompt)``,
-    so nothing is hashed to find an answer. Repeated identical requests, which
-    reach a backend only at temperature > 0 since the gateway answers
-    temperature-0 repeats itself, consume recorded entries in order and then
-    stick to the last one. Each key's answers are a plain list: most hold one
-    answer, and an empty ``deque`` alone is ten times the size of a one-item
-    list.
+    The answers sit in one dict per ``role_tag``, from a rendered prompt to
+    the ``(text, latency_s)`` pair recorded for it; ``request_index``,
+    ``temperature`` and ``max_tokens`` take no part in the lookup. A prompt
+    recorded more than once (at temperature > 0, or live before the gateway
+    answered temperature-0 repeats itself) holds a list of pairs instead,
+    served in order until its last one, which is served from then on.
+
+    A served entry is set again under the request's own prompt string, so
+    the recording's equal copy is freed and the table shares the string the
+    run holds anyway. Calls must not overlap: the gateway sends one request
+    at a time.
     """
 
     transcript_mode = "replay"
 
     def __init__(self, transcript: Transcript):
-        self._answers: dict[tuple[str, str], list[LlmResponse]] = {}
+        self._answers: dict[str, dict[str, tuple[str, float] | list[tuple[str, float]]]] = {}
         for req, resp in transcript.entries:
-            self._answers.setdefault((req.role_tag, req.rendered_prompt), []).append(resp)
+            table = self._answers.setdefault(req.role_tag, {})
+            answer = (resp.text, resp.latency_s)
+            held = table.setdefault(req.rendered_prompt, answer)
+            if held is not answer:
+                if type(held) is list:
+                    held.append(answer)
+                else:
+                    table[req.rendered_prompt] = [held, answer]
 
     def complete(self, req: LlmRequest, on_attempt: Callable[[], None]) -> tuple[str, float]:
-        answers = self._answers.get((req.role_tag, req.rendered_prompt))
-        if answers is None:
+        prompt = req.rendered_prompt
+        table = self._answers.get(req.role_tag)
+        held = table.pop(prompt, None) if table is not None else None
+        if held is None:
             raise ReplayMissError(
                 f"no recorded response for {req.role_tag} request (digest {req.digest[:12]})"
             )
-        # The last recorded answer stays in the list and is served from then on.
-        resp = answers.pop(0) if len(answers) > 1 else answers[0]
+        answer = held
+        if type(held) is list:
+            answer = held.pop(0)
+            if len(held) == 1:
+                # The last recorded answer is served from then on.
+                held = held[0]
+        # Under the run's own string: the recording's copy is freed.
+        table[prompt] = held
         on_attempt()
-        return resp.text, resp.latency_s
+        return answer
 
 
 @dataclass(frozen=True)

@@ -291,6 +291,52 @@ def test_optimize_bad_dataset_path_is_dataset_error(tmp_path) -> None:
     assert main(["optimize", "--config", str(file)]) == EXIT_DATASET
 
 
+# Each case points one path the CLI reads at a directory, or --out at a file:
+# (argv, the config text it replaces, exit code). The test's own config file
+# and artifact directory fill in --config and --out where argv has none.
+WRONG_KIND_PATHS = {
+    "optimize_transcript": (
+        ["optimize", "--backend", "replay", "--transcript", "{dir}"], None, EXIT_CONFIG
+    ),
+    "evaluate_transcript": (
+        ["evaluate", "--prompt-file", "{file}", "--backend", "replay", "--transcript", "{dir}"],
+        None,
+        EXIT_CONFIG,
+    ),
+    "seed_prompt_file": (
+        ["optimize"], ("seed_prompt = Decide", "seed_prompt_file = {dir}\n; Decide"), EXIT_CONFIG
+    ),
+    "prompt_file": (["evaluate", "--prompt-file", "{dir}"], None, EXIT_CONFIG),
+    "dataset_path": (["optimize"], (str(DATA), "{dir}"), EXIT_DATASET),
+    "out": (["optimize", "--out", "{file}"], None, EXIT_CONFIG),
+    "config": (["optimize", "--config", "{dir}"], None, EXIT_CONFIG),
+}
+
+
+@pytest.mark.parametrize("case", list(WRONG_KIND_PATHS))
+def test_path_of_the_wrong_kind_is_a_documented_error(case, tmp_path, capsys) -> None:
+    directory = tmp_path / "a_directory"
+    directory.mkdir()
+    file = tmp_path / "prompt.txt"
+    file.write_text("Decide whether the statement happened. Answer Yes or No.", encoding="utf-8")
+    argv, replaced, code = WRONG_KIND_PATHS[case]
+    body = CONFIG_BODY
+    if replaced is not None:
+        body = body.replace(replaced[0], replaced[1].format(dir=directory))
+    config = tmp_path / "run.ini"
+    config.write_text(body, encoding="utf-8")
+    argv = [arg.format(dir=directory, file=file) for arg in argv]
+    if "--config" not in argv:
+        argv += ["--config", str(config)]
+    if argv[0] == "optimize" and "--out" not in argv:
+        argv += ["--out", str(tmp_path / "out")]
+
+    assert main(argv) == code
+    err = capsys.readouterr().err
+    assert err.startswith("dataset error: " if code == EXIT_DATASET else "config error: ")
+    assert str(file if case == "out" else directory) in err
+
+
 def test_optimize_replay_requires_transcript(config_file) -> None:
     assert main(["optimize", "--config", str(config_file), "--backend", "replay"]) == EXIT_CONFIG
 

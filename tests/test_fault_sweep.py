@@ -7,6 +7,10 @@ incomplete`` in ``run_meta.json``, no ``result.json``, and a transcript
 holding exactly the k paid calls before the failure, as the uninterrupted run
 recorded them.
 
+Replaying the recording with any one line k left out must end the same way,
+at the request that line answered: the replay's transcript is the first k
+lines of the recording.
+
 A second wrapper answers the k-th call with text that holds no delimiters, for
 every gradient, edit and paraphrase call k. The run must still complete, with
 one parse shortfall per time that request was issued: a temperature-0 repeat
@@ -90,6 +94,28 @@ def test_failure_at_every_backend_call_leaves_the_paid_prefix(
         assert not (out / "result.json").exists(), k
         assert (out / "transcript.jsonl").read_bytes() == b"".join(lines[:k]), k
     assert f"injected failure at backend call {len(lines) - 1}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("preset", sorted(PRESETS))
+def test_replay_without_any_one_line_stops_at_that_line(preset, monkeypatch, tmp_path) -> None:
+    monkeypatch.chdir(REPO)
+    argv = DEMO_ARGS + PRESETS[preset]
+    whole = tmp_path / "whole"
+    assert main([*argv, "--out", str(whole)]) == EXIT_OK
+    lines = (whole / "transcript.jsonl").read_bytes().splitlines(keepends=True)
+
+    transcript = tmp_path / "transcript.jsonl"
+    # The last --backend given wins.
+    replay = [*argv, "--backend", "replay", "--transcript", str(transcript)]
+    for k in range(len(lines)):
+        transcript.write_bytes(b"".join(lines[:k] + lines[k + 1:]))
+        out = tmp_path / f"k{k}"
+        assert main([*replay, "--out", str(out)]) == EXIT_INCOMPLETE, k
+        meta = json.loads((out / "run_meta.json").read_text())
+        assert meta["status"] == "incomplete", k
+        assert meta["calls"]["wire"] == k, k
+        assert not (out / "result.json").exists(), k
+        assert (out / "transcript.jsonl").read_bytes() == b"".join(lines[:k]), k
 
 
 @pytest.mark.parametrize("preset", sorted(PRESETS))

@@ -3,7 +3,9 @@ from __future__ import annotations
 import json
 import random
 import tracemalloc
+from collections import Counter
 from contextlib import nullcontext
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -28,8 +30,9 @@ from promptopt.gateway import (
     transcript_line,
 )
 from promptopt.scripted import ScriptExhaustedError
+from promptopt.search import run
 
-from conftest import SequenceScript
+from conftest import SequenceScript, scripted_gateway
 
 
 def echo_gateway() -> Gateway:
@@ -700,6 +703,94 @@ def test_replay_lookup_ignores_issue_order(tmp_path) -> None:
     replay = Gateway(ReplayBackend(Transcript.load(path)))
     assert replay.call("task_eval", "b").text == "echo:b"
     assert replay.call("task_eval", "a").text == "echo:a"
+
+
+class _Numbered:
+    """Records a distinct answer, and a distinct latency, for every call."""
+
+    transcript_mode = "record"
+
+    def __init__(self):
+        self.calls = 0
+
+    def complete(self, req, on_attempt):
+        self.calls += 1
+        on_attempt()
+        return f"answer {self.calls}", self.calls / 8
+
+
+# One prompt text under two roles, temperature-0 repeats (answered by the
+# memo), repeats at 0.7 and a second token budget (both sent again).
+_REPLAY_EXAMPLE = [
+    ("task_eval", "alpha", 0.0, 16),
+    ("gradient_gen", "alpha", 0.0, 512),
+    ("task_eval", "alpha", 0.0, 16),
+    ("task_eval", "beta", 0.7, 16),
+    ("task_eval", "beta", 0.7, 16),
+    ("task_eval", "alpha", 0.0, 512),
+    ("paraphrase", "beta", 0.0, 512),
+]
+
+
+@example(requests=_REPLAY_EXAMPLE, order=random.Random(0))
+@given(
+    requests=st.lists(
+        st.tuples(
+            st.sampled_from(ROLE_TAGS),
+            st.sampled_from(["alpha", "beta", "alpha\nbeta", "é"]),
+            st.sampled_from([0.0, 0.7]),
+            st.sampled_from([16, 512]),
+        ),
+        max_size=30,
+    ),
+    order=st.randoms(use_true_random=False),
+)
+def test_replay_table_serves_what_was_recorded(tmp_path_factory, requests, order) -> None:
+    def send(backend, sequence):
+        gw = Gateway(backend)
+        texts = [
+            gw.call(role, prompt, temperature=temperature, max_tokens=max_tokens).text
+            for role, prompt, temperature, max_tokens in sequence
+        ]
+        return gw, texts
+
+    recording, recorded_texts = send(_Numbered(), requests)
+    path = tmp_path_factory.mktemp("replay") / "transcript.jsonl"
+    recording.transcript.save(path)
+
+    replay, texts = send(ReplayBackend(Transcript.load(path)), requests)
+    assert texts == recorded_texts
+    assert replay.call_count() == recording.call_count()
+    replay_path = path.with_name("replayed.jsonl")
+    replay.transcript.save(replay_path)
+    assert replay_path.read_bytes() == path.read_bytes()
+
+    # Lookup ignores temperature and token budget, so only content recorded
+    # once is served the same answer whatever the order.
+    recorded = Counter(
+        (req.role_tag, req.rendered_prompt) for req, _ in recording.transcript.entries
+    )
+    zero = [(request, text) for request, text in zip(requests, recorded_texts) if request[2] == 0]
+    order.shuffle(zero)
+    _, shuffled_texts = send(ReplayBackend(Transcript.load(path)), [r for r, _ in zero])
+    for ((role, prompt, _, _), text), got in zip(zero, shuffled_texts):
+        if recorded[role, prompt] == 1:
+            assert got == text
+
+
+def test_replay_table_keys_are_the_run_prompt_strings(
+    examples, split, cfg, seed_prompt, tmp_path
+) -> None:
+    gateway = scripted_gateway(examples, split.label_set)
+    recorded = run(seed_prompt, split, cfg, gateway, tmp_path / "rec")
+    backend = ReplayBackend(Transcript.load(Path(recorded.artifact_dir) / "transcript.jsonl"))
+    replay = Gateway(backend)
+    run(seed_prompt, split, cfg, replay, tmp_path / "rep")
+    assert len(replay.transcript.entries) == len(gateway.transcript.entries)
+    # Each role's keys as the table holds them, found through an equal string.
+    keys = {role: {key: key for key in table} for role, table in backend._answers.items()}
+    for req, _ in replay.transcript.entries:
+        assert keys[req.role_tag][req.rendered_prompt] is req.rendered_prompt, req.request_index
 
 
 def test_digest_depends_on_role_and_content() -> None:
