@@ -125,6 +125,15 @@ def _existing_file(path: str | Path, what: str) -> Path:
     return file
 
 
+def _read_text_file(path: str | Path, what: str) -> str:
+    """The UTF-8 text of the file ``path`` names."""
+    file = _existing_file(path, what)
+    try:
+        return file.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{what} {file} is not UTF-8 text ({exc})") from exc
+
+
 def read_config_file(path: str | Path):
     """Parse the INI config into (run overrides, bandit overrides, dataset, gateway, extra).
 
@@ -240,8 +249,7 @@ def build_gateway(args, gateway_section: dict, cfg: RunConfig, examples, split) 
 
 def _seed_prompt_text(extra: dict) -> str:
     if "seed_prompt_file" in extra:
-        file = _existing_file(extra["seed_prompt_file"], "seed prompt file")
-        return file.read_text(encoding="utf-8")
+        return _read_text_file(extra["seed_prompt_file"], "seed prompt file")
     if "seed_prompt" in extra:
         return extra["seed_prompt"]
     raise ConfigError("config needs [run] seed_prompt or seed_prompt_file")
@@ -305,8 +313,7 @@ def cmd_optimize(args) -> int:
 def cmd_evaluate(args) -> int:
     run_overrides, bandit_overrides, dataset, gateway_section, _ = read_config_file(args.config)
     cfg = build_run_config(args, run_overrides, bandit_overrides)
-    prompt_file = _existing_file(args.prompt_file, "prompt file")
-    prompt = new_seed_prompt(prompt_file.read_text(encoding="utf-8"))
+    prompt = new_seed_prompt(_read_text_file(args.prompt_file, "prompt file"))
     examples, split = _load_split(dataset, cfg)
     gateway = build_gateway(args, gateway_section, cfg, examples, split)
     task = TaskSpec.from_split(split, cfg)

@@ -55,7 +55,6 @@ class ExampleSample:
     """
 
     examples: tuple[Example, ...]
-    correctness: str
     shortfall: bool = False
 
 
@@ -93,10 +92,19 @@ def load(path: str | Path, format: str, task_type: str = "classification") -> li
         raise DatasetError(f"dataset file not found: {file}")
     if file.is_dir():
         raise DatasetError(f"dataset file is a directory: {file}")
+    # Bytes that are not UTF-8 are read as lone surrogates, so the error can
+    # name their line.
+    text = file.read_text(encoding="utf-8", errors="surrogateescape")
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError as exc:
+        lineno = text.count("\n", 0, exc.start) + 1
+        byte = ord(text[exc.start]) - 0xDC00
+        raise DatasetError(f"{file}:{lineno}: not UTF-8 text (byte 0x{byte:02x})") from None
     examples: list[Example] = []
     # Reading in text mode turns CRLF into "\n"; str.splitlines() would also
     # break at U+2028, form feeds and other characters that may sit inside a row.
-    for lineno, line in enumerate(file.read_text(encoding="utf-8").split("\n"), start=1):
+    for lineno, line in enumerate(text.split("\n"), start=1):
         if not line.strip():
             continue
         if format == "tsv":
@@ -109,6 +117,8 @@ def load(path: str | Path, format: str, task_type: str = "classification") -> li
                 row = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise DatasetError(f"{file}:{lineno}: invalid JSON ({exc})") from exc
+            if not isinstance(row, dict):
+                raise DatasetError(f"{file}:{lineno}: expected a JSON object, got {row!r:.40}")
             input_text = row.get("text", row.get("question"))
             label = row.get("label", row.get("answer"))
             if input_text is None or label is None:
@@ -198,6 +208,6 @@ def sample_by_correctness(
         if per_example_correctness[ex.id] == target:
             pool.append(ex)
     if len(pool) <= n:
-        return ExampleSample(examples=tuple(pool), correctness=want, shortfall=len(pool) < n)
+        return ExampleSample(examples=tuple(pool), shortfall=len(pool) < n)
     rng = derived_rng(seed, "by_correctness", want, round_index)
-    return ExampleSample(examples=tuple(rng.sample(pool, n)), correctness=want)
+    return ExampleSample(examples=tuple(rng.sample(pool, n)))

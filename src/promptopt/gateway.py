@@ -428,8 +428,8 @@ class LiveBackend:
 class Gateway:
     """Issues requests to exactly one backend; owns counters, memo and transcript.
 
-    Every request goes through :meth:`complete_many`; :meth:`call` and
-    :meth:`complete` send a batch of one.
+    Every request goes through :meth:`complete_many`; :meth:`complete`, which
+    sends a batch of one, stays only as the span the benchmark's tracer wraps.
 
     Requests at temperature 0 are memoised for the life of the gateway, which
     is one run: an exact repeat of a request already answered gets that
@@ -537,19 +537,6 @@ class Gateway:
                     for _, resp in done:
                         self._replay_latency += resp.latency_s
         return responses
-
-    def call(
-        self,
-        role_tag: str,
-        rendered_prompt: str,
-        *,
-        temperature: float = 0.0,
-        max_tokens: int | None = None,
-    ) -> LlmResponse:
-        """One request: :meth:`complete_many` with a single prompt."""
-        return self.complete_many(
-            role_tag, (rendered_prompt,), temperature=temperature, max_tokens=max_tokens
-        )[0]
 
     def complete(self, req: LlmRequest) -> LlmResponse:
         """Issue ``req`` as a batch of one; its own ``request_index`` is ignored."""

@@ -17,7 +17,7 @@ from typing import Mapping, Sequence
 
 from .data import ExampleSample
 from .gateway import Gateway, LlmResponse
-from .model import END_DELIM, START_DELIM, Gradient, Prompt, PromptStore, RunConfig
+from .model import END_DELIM, START_DELIM, ConfigError, Gradient, Prompt, PromptStore, RunConfig
 
 logger = logging.getLogger(__name__)
 
@@ -151,13 +151,33 @@ class TemplateSet:
 
     @classmethod
     def from_dir(cls, directory: str | Path) -> "TemplateSet":
-        """Override any of the defaults with ``<name>.txt`` files in a directory."""
+        """Override any of the defaults with ``<name>.txt`` files in a directory.
+
+        An override may use only the slots of the default it replaces, which
+        are the slots the engine binds for that template. A file that is a
+        directory, is not UTF-8 text or names another slot raises
+        :class:`ConfigError` naming it, so no run starts with it.
+        """
         directory = Path(directory)
         overrides = {}
-        for name in (f.name for f in fields(cls)):
-            file = directory / f"{name}.txt"
-            if file.exists():
-                overrides[name] = PromptTemplate(name, file.read_text(encoding="utf-8"))
+        for f in fields(cls):
+            file = directory / f"{f.name}.txt"
+            if not file.exists():
+                continue
+            if file.is_dir():
+                raise ConfigError(f"template file is a directory: {file}")
+            try:
+                body = file.read_text(encoding="utf-8")
+            except UnicodeDecodeError as exc:
+                raise ConfigError(f"template file {file} is not UTF-8 text ({exc})") from exc
+            known = set(_SLOT_RE.findall(f.default.body))
+            unknown = set(_SLOT_RE.findall(body)) - known
+            if unknown:
+                raise ConfigError(
+                    f"template file {file}: unknown slots {sorted(unknown)}; "
+                    f"{f.name} takes {sorted(known)}"
+                )
+            overrides[f.name] = PromptTemplate(f.name, body)
         return cls(**overrides)
 
     def generator(self, polarity: str) -> PromptTemplate:
@@ -249,14 +269,10 @@ class GradientEngine:
         sample: ExampleSample,
         history_text: str,
         round_index: int,
-        polarity: str = "positive",
-        count: int | None = None,
+        polarity: str,
+        count: int,
     ) -> list[Gradient]:
         """One generator call; keeps at most ``count`` parsed reasons."""
-        if not sample.examples:
-            logger.warning("empty %s sample for prompt %d; skipping", sample.correctness, parent.id)
-            return []
-        count = count if count is not None else self.cfg.num_gradients
         rendered = render(
             self.templates.generator(polarity),
             {
@@ -267,9 +283,9 @@ class GradientEngine:
                 "num_gradients": count,
             },
         )
-        resp = self.gateway.call(
-            "gradient_gen", rendered, temperature=self.cfg.temperature
-        )
+        resp = self.gateway.complete_many(
+            "gradient_gen", [rendered], temperature=self.cfg.temperature
+        )[0]
         spans = [_clean_span(s) for s in parse_delimited(resp.text)]
         spans = [s for s in spans if s]
         if not spans:
@@ -285,39 +301,41 @@ class GradientEngine:
     def apply_gradient(
         self,
         parent: Prompt,
-        grad: Gradient,
+        gradients: Sequence[Gradient],
         sample: ExampleSample,
         history_text: str,
         round_index: int,
-        *,
-        feedback_text: str | None = None,
-        ordinal_start: int = 1,
+        ordinal_start: int,
     ) -> list[Prompt]:
-        """Edit the parent along one gradient via one batch of editor calls.
+        """Edit the parent along one polarity's gradients via one batch of editor calls.
 
-        Each call carries a distinct "Variant j of k" ordinal so temperature-0
-        backends still produce a diverse candidate pool. ``feedback_text``
-        defaults to the gradient's own text; the orchestrator passes the
-        newline-joined texts of all of the parent's gradients.
+        The editor prompt carries the newline-joined texts of ``gradients``,
+        which must be non-empty and share a polarity. Each gradient gets
+        ``edits_per_gradient`` calls, so child ``j`` of the batch is
+        attributed to ``gradients[j // edits_per_gradient]``. Each call
+        carries a distinct "Variant j of k" ordinal, counting from
+        ``ordinal_start``, so temperature-0 backends still produce a diverse
+        candidate pool.
         """
         rendered_base = render(
-            self.templates.editor(grad.polarity),
+            self.templates.editor(gradients[0].polarity),
             {
                 "task_type": self.task_label,
                 "prompt": parent.text,
                 "correct_string": format_example_block(sample),
-                "positive_feedback_str": feedback_text if feedback_text is not None else grad.text,
+                "positive_feedback_str": "\n".join(g.text for g in gradients),
                 "positive_gradient_history": history_text,
             },
         )
         total = self.cfg.candidates_per_parent
-        ordinals = range(ordinal_start, ordinal_start + self.edits_per_gradient)
+        owners = [g for g in gradients for _ in range(self.edits_per_gradient)]
+        ordinals = range(ordinal_start, ordinal_start + len(owners))
         responses = self.gateway.complete_many(
             "prompt_edit",
             [f"{rendered_base}\nVariant {ordinal} of {total}." for ordinal in ordinals],
             temperature=self.cfg.temperature,
         )
-        return self._children(parent, responses, round_index, grad, ordinal_start)
+        return self._children(parent, responses, round_index, owners, ordinal_start)
 
     def paraphrase_expand(self, parent: Prompt, n: int, round_index: int) -> list[Prompt]:
         """One batch of n paraphrase calls; each gives one reworded child with no gradient."""
@@ -327,20 +345,23 @@ class GradientEngine:
             [f"{rendered}\nVariant {ordinal} of {n}." for ordinal in range(1, n + 1)],
             temperature=self.cfg.temperature,
         )
-        return self._children(parent, responses, round_index)
+        return self._children(parent, responses, round_index, [None] * n)
 
     def _children(
         self,
         parent: Prompt,
         responses: Sequence[LlmResponse],
         round_index: int,
-        grad: Gradient | None = None,
+        gradients: Sequence[Gradient | None],
         ordinal_start: int = 1,
     ) -> list[Prompt]:
-        """One child per response whose first span holds text; paraphrases have no ``grad``."""
-        gradient_id = grad.id if grad is not None else None
+        """One child per response whose first span holds text, with that response's gradient.
+
+        Paraphrases have ``None`` for a gradient.
+        """
         children: list[Prompt] = []
-        for ordinal, resp in enumerate(responses, start=ordinal_start):
+        for ordinal, (resp, grad) in enumerate(zip(responses, gradients), start=ordinal_start):
+            gradient_id = grad.id if grad is not None else None
             spans = parse_delimited(resp.text)
             text = _clean_span(spans[0]) if spans else ""
             if not text:

@@ -138,16 +138,17 @@ def expand_parent(
     minibatch: Sequence[Example],
     correctness: dict[int, bool],
     history_binding: str,
-    cfg: RunConfig,
 ) -> Expansion:
     """Produce a parent's candidate children for this round.
 
     For each polarity in the plan: sample correct (positive) or incorrect
-    (negative) examples, generate gradients, apply each with its share of
-    editor calls. ``cfg.paraphrases_per_parent`` paraphrases of the parent
-    follow. An empty correctness sample skips that polarity and the parent
-    simply carries through.
+    (negative) examples, make one generator call, then one batch of editor
+    calls along all of that polarity's gradients. One batch of
+    ``paraphrases_per_parent`` paraphrases of the parent follows. An empty
+    correctness sample skips that polarity and the parent simply carries
+    through.
     """
+    cfg = engine.cfg
     children: list[Prompt] = []
     gradients: list[Gradient] = []
     shortfall = False
@@ -166,22 +167,15 @@ def expand_parent(
         if not sample.examples:
             continue
         polarity_gradients = engine.generate_gradients(
-            parent, sample, history_binding, round_index, polarity=polarity, count=count
+            parent, sample, history_binding, round_index, polarity, count
         )
-        feedback = "\n".join(g.text for g in polarity_gradients)
-        for gradient in polarity_gradients:
+        if polarity_gradients:
             children.extend(
                 engine.apply_gradient(
-                    parent,
-                    gradient,
-                    sample,
-                    history_binding,
-                    round_index,
-                    feedback_text=feedback,
-                    ordinal_start=ordinal,
+                    parent, polarity_gradients, sample, history_binding, round_index, ordinal
                 )
             )
-            ordinal += engine.edits_per_gradient
+            ordinal += engine.edits_per_gradient * len(polarity_gradients)
         gradients.extend(polarity_gradients)
     if cfg.paraphrases_per_parent > 0:
         children.extend(
@@ -236,7 +230,7 @@ class _Search:
             scores.append(score)
             correctness = {p.example_id: p.correct for p in predictions}
             expansion = expand_parent(
-                self.engine, parent, round_index, minibatch, correctness, history_binding, cfg
+                self.engine, parent, round_index, minibatch, correctness, history_binding
             )
             candidates.extend(expansion.children)
             candidates.append(parent)

@@ -13,6 +13,7 @@ from promptopt import (
     GradientHistory,
     HeuristicScript,
     LlmRequest,
+    LlmResponse,
     RunConfig,
     BanditConfig,
     ScriptedBackend,
@@ -45,6 +46,11 @@ def small_config(**overrides) -> RunConfig:
     )
     base.update(overrides)
     return RunConfig(**base)
+
+
+def call(gateway: Gateway, role_tag: str, rendered_prompt: str, **kwargs) -> LlmResponse:
+    """One request: a batch of one through :meth:`Gateway.complete_many`."""
+    return gateway.complete_many(role_tag, [rendered_prompt], **kwargs)[0]
 
 
 def scripted_gateway(examples, label_set, seed: int = 7, **script_kwargs) -> Gateway:

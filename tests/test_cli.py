@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from promptopt import DatasetSpec, Transcript, load, make_split
+from promptopt import DatasetSpec, Gateway, Transcript, load, make_split, search
 from promptopt.cli import (
     EXIT_CONFIG,
     EXIT_DATASET,
@@ -310,6 +310,12 @@ WRONG_KIND_PATHS = {
     "dataset_path": (["optimize"], (str(DATA), "{dir}"), EXIT_DATASET),
     "out": (["optimize", "--out", "{file}"], None, EXIT_CONFIG),
     "config": (["optimize", "--config", "{dir}"], None, EXIT_CONFIG),
+    # Files whose bytes are not UTF-8 text.
+    "prompt_file_not_utf8": (["evaluate", "--prompt-file", "{latin1}"], None, EXIT_CONFIG),
+    "seed_prompt_file_not_utf8": (
+        ["optimize"], ("seed_prompt = Decide", "seed_prompt_file = {latin1}\n; Decide"), EXIT_CONFIG
+    ),
+    "dataset_not_utf8": (["optimize"], (str(DATA), "{latin1}"), EXIT_DATASET),
 }
 
 
@@ -319,13 +325,16 @@ def test_path_of_the_wrong_kind_is_a_documented_error(case, tmp_path, capsys) ->
     directory.mkdir()
     file = tmp_path / "prompt.txt"
     file.write_text("Decide whether the statement happened. Answer Yes or No.", encoding="utf-8")
+    latin1 = tmp_path / "latin1.txt"
+    latin1.write_bytes(b"Caf\xe9 statement\tYes\n")
+    paths = {"dir": directory, "file": file, "latin1": latin1}
     argv, replaced, code = WRONG_KIND_PATHS[case]
     body = CONFIG_BODY
     if replaced is not None:
-        body = body.replace(replaced[0], replaced[1].format(dir=directory))
+        body = body.replace(replaced[0], replaced[1].format(**paths))
     config = tmp_path / "run.ini"
     config.write_text(body, encoding="utf-8")
-    argv = [arg.format(dir=directory, file=file) for arg in argv]
+    argv = [arg.format(**paths) for arg in argv]
     if "--config" not in argv:
         argv += ["--config", str(config)]
     if argv[0] == "optimize" and "--out" not in argv:
@@ -334,7 +343,10 @@ def test_path_of_the_wrong_kind_is_a_documented_error(case, tmp_path, capsys) ->
     assert main(argv) == code
     err = capsys.readouterr().err
     assert err.startswith("dataset error: " if code == EXIT_DATASET else "config error: ")
-    assert str(file if case == "out" else directory) in err
+    named = latin1 if case.endswith("not_utf8") else file if case == "out" else directory
+    assert str(named) in err
+    if case == "dataset_not_utf8":
+        assert f"{latin1}:1: not UTF-8 text" in err
 
 
 def test_optimize_replay_requires_transcript(config_file) -> None:
@@ -449,6 +461,81 @@ def test_optimize_demo_protegi_transcript_golden_sha256(monkeypatch, tmp_path) -
     assert hashlib.sha256(data).hexdigest() == (
         "78f54d020afa8e2067520fa1732f646980115aa3410e5600ef4aa54591322e9d"
     )
+
+
+def _edits(first: int, count: int) -> tuple:
+    return ("prompt_edit", count, tuple(range(first, first + count)))
+
+
+GEN = ("gradient_gen", 1, ())
+# The demo config under three polarity plans, as (flags, config edits, the
+# batches of one parent's expansion): each polarity sends one generator call
+# and one edit batch along all of its gradients, whose "Variant j of k"
+# ordinals continue across polarities; the paraphrases follow as one batch.
+BATCH_SHAPES = {
+    # 2 gradients x 2 edits each.
+    "mapo": ([], {}, [GEN, _edits(1, 4)]),
+    # 4 negative gradients x 1 edit each, then 2 paraphrases.
+    "protegi": (["--mode", "protegi"], {}, [GEN, _edits(1, 4), ("paraphrase", 2, (1, 2))]),
+    # 2 positive, then 2 negative gradients, x 2 edits each.
+    "both": (
+        ["--gradient-mode", "both"],
+        {"num_gradients = 2": "num_gradients = 4", "candidates_per_parent = 4": "candidates_per_parent = 8"},
+        [GEN, _edits(1, 4), GEN, _edits(5, 4)],
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(BATCH_SHAPES))
+def test_expansion_sends_one_batch_per_role_and_polarity(case, monkeypatch, tmp_path) -> None:
+    flags, edits, expansion = BATCH_SHAPES[case]
+    body = (REPO / "tests" / "data" / "demo.ini").read_text(encoding="utf-8")
+    for old, new in edits.items():
+        body = body.replace(old, new)
+    config = tmp_path / "demo.ini"
+    config.write_text(body.replace("tests/data/demo.tsv", str(DATA)), encoding="utf-8")
+
+    # Each batch as (role, size, Variant ordinals, whether it scored the test
+    # split); each round starts where the search samples its minibatch.
+    timeline: list[tuple] = []
+    complete_many = Gateway.complete_many
+
+    def recorded(self, role_tag, prompts, **kwargs):
+        tested = self.eval_calls()
+        responses = complete_many(self, role_tag, prompts, **kwargs)
+        ordinals = ()
+        if role_tag in ("prompt_edit", "paraphrase"):
+            ordinals = tuple(int(p.rsplit("\n", 1)[1].split()[1]) for p in prompts)
+        timeline.append((role_tag, len(prompts), ordinals, self.eval_calls() > tested))
+        return responses
+
+    sample_minibatch = search.sample_minibatch
+
+    def round_start(split, size, seed, round_index):
+        timeline.append(("round", round_index))
+        return sample_minibatch(split, size, seed, round_index)
+
+    monkeypatch.setattr(Gateway, "complete_many", recorded)
+    monkeypatch.setattr(search, "sample_minibatch", round_start)
+    out = tmp_path / "out"
+    argv = ["optimize", "--config", str(config), *flags, "--backend", "scripted", "--out", str(out)]
+    assert main(argv) == EXIT_OK
+    anomalies = json.loads((out / "run_meta.json").read_text())["anomalies"]
+    assert anomalies["parse_shortfalls"] == anomalies["sample_shortfalls"] == 0
+
+    starts = [i for i, item in enumerate(timeline) if item[0] == "round"]
+    assert [timeline[i][1] for i in starts] == [1, 2, 3]  # two rounds, then the final argmax
+    polarities = sum(batch[0] == "gradient_gen" for batch in expansion)
+    paraphrases = any(batch[0] == "paraphrase" for batch in expansion)
+    for begin, end in zip(starts, starts[1:]):
+        batches = timeline[begin + 1:end]
+        if batches[-1][3]:  # the round's top survivor, unless it was tested before
+            assert batches.pop() == ("task_eval", 16, (), True)
+        parents = 1 if timeline[begin][1] == 1 else 2
+        per_parent = [("task_eval", 8, (), False), *[(*b, False) for b in expansion]]
+        pulls = [("task_eval", 4, (), False)] * 8
+        assert batches == per_parent * parents + pulls
+        assert len(batches) == parents * (1 + 2 * polarities + paraphrases) + 8
 
 
 def test_replay_accepts_a_recording_that_tests_a_prompt_again(
@@ -683,6 +770,36 @@ def test_optimize_templates_flag_overrides_generator(config_file, tmp_path) -> N
     ]
     assert generator_rows
     assert all(r["rendered_prompt"].startswith("CUSTOM GENERATOR") for r in generator_rows)
+
+
+# Each (file, how to make it) is refused when the templates are loaded.
+BAD_TEMPLATES = {
+    "unknown_slot": ("alpha.txt", lambda f: f.write_text("For a {taks_type}: {prompt}", encoding="utf-8")),
+    "directory": ("tau.txt", lambda f: f.mkdir()),
+    "not_utf8": ("paraphrase.txt", lambda f: f.write_bytes(b"Reword caf\xe9: {prompt}")),
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_TEMPLATES))
+def test_optimize_bad_template_is_config_error_before_any_request(
+    case, config_file, tmp_path, monkeypatch, capsys
+) -> None:
+    def no_request(self, role_tag, prompts, **kwargs):
+        raise AssertionError(f"a {role_tag} request was sent")
+
+    monkeypatch.setattr(Gateway, "complete_many", no_request)
+    name, make = BAD_TEMPLATES[case]
+    template_dir = tmp_path / "templates"
+    template_dir.mkdir()
+    make(template_dir / name)
+    out = tmp_path / "out"
+    argv = ["optimize", "--config", str(config_file), "--backend", "scripted",
+            "--templates", str(template_dir), "--out", str(out)]
+    assert main(argv) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ")
+    assert str(template_dir / name) in err
+    assert not out.exists()
 
 
 def test_optimize_config_echo_names_dataset_and_seed_prompt(config_file, tmp_path) -> None:

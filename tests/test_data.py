@@ -65,6 +65,15 @@ def test_load_errors(tmp_path) -> None:
         load(tmp_path / "missing.tsv", "tsv")
     with pytest.raises(DatasetError, match="format"):
         load(empty, "csv")
+    latin1 = tmp_path / "latin1.tsv"
+    latin1.write_bytes(b"good line\tYes\ncaf\xe9 line\tNo\n")
+    with pytest.raises(DatasetError, match=r"latin1.tsv:2: not UTF-8 text \(byte 0xe9\)"):
+        load(latin1, "tsv")
+    for row in ("[1, 2]", '"text"', "42"):
+        not_object = tmp_path / "rows.jsonl"
+        not_object.write_text(f'{{"text": "ok", "label": "Yes"}}\n{row}\n', encoding="utf-8")
+        with pytest.raises(DatasetError, match="rows.jsonl:2: expected a JSON object"):
+            load(not_object, "jsonl")
 
 
 def test_load_trims_labels_only(tmp_path) -> None:

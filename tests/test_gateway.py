@@ -32,7 +32,7 @@ from promptopt.gateway import (
 from promptopt.scripted import ScriptExhaustedError
 from promptopt.search import run
 
-from conftest import SequenceScript, scripted_gateway
+from conftest import SequenceScript, call, scripted_gateway
 
 
 def echo_gateway() -> Gateway:
@@ -41,7 +41,7 @@ def echo_gateway() -> Gateway:
 
 def test_scripted_passthrough_increments_counter() -> None:
     gw = Gateway(ScriptedBackend(lambda req: "Yes"))
-    resp = gw.call("task_eval", "label this")
+    resp = call(gw, "task_eval", "label this")
     assert resp.text == "Yes"
     assert gw.call_count() == 1
 
@@ -51,23 +51,23 @@ def test_counter_counts_each_complete() -> None:
     assert gw.call_count() == 0
     # Above temperature 0 a repeated request is sent each time.
     for _ in range(3):
-        gw.call("task_eval", "x", temperature=0.7)
+        call(gw, "task_eval", "x", temperature=0.7)
     assert gw.call_count() == 3
 
 
 def test_request_index_is_monotone_and_echoed() -> None:
     gw = echo_gateway()
-    indices = [gw.call("task_eval", f"p{i}").request_index for i in range(4)]
+    indices = [call(gw, "task_eval", f"p{i}").request_index for i in range(4)]
     assert indices == [0, 1, 2, 3]
 
 
 def test_eval_bucket_is_separate() -> None:
     gw = echo_gateway()
-    gw.call("gradient_gen", "a")
+    call(gw, "gradient_gen", "a")
     with gw.count_as_eval():
-        gw.call("task_eval", "b")
-        gw.call("task_eval", "c")
-    gw.call("prompt_edit", "d")
+        call(gw, "task_eval", "b")
+        call(gw, "task_eval", "c")
+    call(gw, "prompt_edit", "d")
     assert gw.optimize_calls() == 2
     assert gw.eval_calls() == 2
     assert gw.call_count() == 4
@@ -76,14 +76,14 @@ def test_eval_bucket_is_separate() -> None:
 def test_counter_equals_transcript_length_in_record_modes() -> None:
     gw = echo_gateway()
     for i in range(5):
-        gw.call("task_eval", f"p{i}")
+        call(gw, "task_eval", f"p{i}")
     assert gw.call_count() == len(gw.transcript.entries)
 
 
 def test_default_max_tokens_by_role() -> None:
     gw = echo_gateway()
-    gw.call("task_eval", "x")
-    gw.call("gradient_gen", "y")
+    call(gw, "task_eval", "x")
+    call(gw, "gradient_gen", "y")
     (req_eval, _), (req_grad, _) = gw.transcript.entries
     assert req_eval.max_tokens == 16
     assert req_grad.max_tokens == 512
@@ -91,21 +91,21 @@ def test_default_max_tokens_by_role() -> None:
 
 def test_unknown_role_tag_rejected() -> None:
     with pytest.raises(ValueError):
-        echo_gateway().call("chitchat", "x")
+        call(echo_gateway(), "chitchat", "x")
 
 
 def test_script_exhausted_error_does_not_count() -> None:
     gw = Gateway(ScriptedBackend(SequenceScript({"task_eval": ["Yes"]})))
-    assert gw.call("task_eval", "a").text == "Yes"
+    assert call(gw, "task_eval", "a").text == "Yes"
     with pytest.raises(ScriptExhaustedError):
-        gw.call("task_eval", "b")
+        call(gw, "task_eval", "b")
     assert gw.call_count() == 1
 
 
 def test_transcript_save_load_round_trip(tmp_path) -> None:
     gw = echo_gateway()
-    gw.call("task_eval", "first")
-    gw.call("gradient_gen", "second")
+    call(gw, "task_eval", "first")
+    call(gw, "gradient_gen", "second")
     path = tmp_path / "transcript.jsonl"
     gw.transcript.save(path)
     loaded = Transcript.load(path)
@@ -281,8 +281,8 @@ def test_transcript_save_empty_writes_empty_file(tmp_path) -> None:
 
 def _saved_lines(tmp_path) -> list[str]:
     gw = echo_gateway()
-    gw.call("task_eval", "first")
-    gw.call("gradient_gen", "second\nline")
+    call(gw, "task_eval", "first")
+    call(gw, "gradient_gen", "second\nline")
     path = tmp_path / "saved.jsonl"
     gw.transcript.save(path)
     return path.read_text(encoding="utf-8").splitlines()
@@ -398,7 +398,7 @@ def test_transcript_load_names_line_of_malformed_entry(tmp_path) -> None:
 
 def test_complete_stamps_index_and_keeps_request_fields() -> None:
     gw = echo_gateway()
-    gw.call("task_eval", "first")
+    call(gw, "task_eval", "first")
     resp = gw.complete(LlmRequest("prompt_edit", "edit me", 0.3, 77, request_index=99))
     req, _ = gw.transcript.entries[-1]
     assert resp.request_index == req.request_index == 1
@@ -424,9 +424,9 @@ def test_request_digest_is_not_kept_on_the_request() -> None:
 
 def test_complete_many_reserves_contiguous_indices_in_submission_order() -> None:
     gw = echo_gateway()
-    gw.call("task_eval", "a")
+    call(gw, "task_eval", "a")
     first = gw.complete_many("task_eval", ["b", "c", "d"])
-    gw.call("gradient_gen", "e")
+    call(gw, "gradient_gen", "e")
     second = gw.complete_many("prompt_edit", ["f", "g"], temperature=0.5, max_tokens=64)
     assert [r.request_index for r in first] == [1, 2, 3]
     assert [r.request_index for r in second] == [5, 6]
@@ -457,7 +457,7 @@ def test_complete_many_writes_the_bytes_of_one_call_per_prompt(
     def send(batched: bool):
         gw = echo_gateway()
         for i in range(before):
-            gw.call("task_eval", f"earlier {i}")
+            call(gw, "task_eval", f"earlier {i}")
         with gw.count_as_eval() if as_eval else nullcontext():
             if batched:
                 responses = gw.complete_many(
@@ -465,7 +465,7 @@ def test_complete_many_writes_the_bytes_of_one_call_per_prompt(
                 )
             else:
                 responses = [
-                    gw.call(role, p, temperature=temperature, max_tokens=max_tokens)
+                    call(gw, role, p, temperature=temperature, max_tokens=max_tokens)
                     for p in prompts
                 ]
         lines = "".join(transcript_line(req, resp) + "\n" for req, resp in gw.transcript.entries)
@@ -488,13 +488,13 @@ def test_complete_many_failure_at_k_keeps_the_k_calls_before_it(k) -> None:
     one_by_one = gateway()
     with pytest.raises(ScriptExhaustedError):
         for prompt in prompts:
-            one_by_one.call("task_eval", prompt)
+            call(one_by_one, "task_eval", prompt)
     assert len(batched.transcript.entries) == k
     assert batched.transcript.entries == one_by_one.transcript.entries
     assert (batched.optimize_calls(), batched.eval_calls()) == (k, 0)
     assert (one_by_one.optimize_calls(), one_by_one.eval_calls()) == (k, 0)
     # The failed request's index and the rest of the batch's stay unused.
-    assert batched.call("gradient_gen", "next").request_index == len(prompts)
+    assert call(batched, "gradient_gen", "next").request_index == len(prompts)
 
 
 def test_complete_many_inside_count_as_eval_counts_the_whole_batch() -> None:
@@ -509,7 +509,7 @@ def test_complete_many_rejects_unknown_role_before_reserving() -> None:
     gw = echo_gateway()
     with pytest.raises(ValueError, match="chitchat"):
         gw.complete_many("chitchat", ["x", "y"])
-    assert gw.call("task_eval", "z").request_index == 0
+    assert call(gw, "task_eval", "z").request_index == 0
     assert gw.call_count() == 1
 
 
@@ -518,7 +518,7 @@ def test_complete_many_empty_batch_reserves_nothing() -> None:
     assert gw.complete_many("task_eval", []) == []
     assert gw.transcript.entries == []
     assert gw.call_count() == 0
-    assert gw.call("task_eval", "x").request_index == 0
+    assert call(gw, "task_eval", "x").request_index == 0
 
 
 def test_complete_many_replay_elapsed_adds_latencies_in_order() -> None:
@@ -536,11 +536,11 @@ def test_complete_many_replay_elapsed_adds_latencies_in_order() -> None:
             return "Yes", next(self._latencies)
 
     batched = Gateway(Recorded())
-    batched.call("task_eval", "a")
+    call(batched, "task_eval", "a")
     batched.complete_many("task_eval", ["b", "c"])
     one_by_one = Gateway(Recorded())
     for prompt in "abc":
-        one_by_one.call("task_eval", prompt)
+        call(one_by_one, "task_eval", prompt)
     assert batched.elapsed_seconds() == one_by_one.elapsed_seconds() == (0.1 + 0.2) + 0.3
 
 
@@ -583,7 +583,7 @@ def test_memo_sends_a_repeat_inside_one_batch_once() -> None:
     assert [r.text for r in responses] == ["echo:x", "echo:y", "echo:x", "echo:x", "echo:z"]
     assert [r.request_index for r in responses] == [0, 1, 0, 0, 2]
     # Only the three sent requests reserved an index.
-    assert gw.call("prompt_edit", "w").request_index == 3
+    assert call(gw, "prompt_edit", "w").request_index == 3
     assert (gw.call_count(), gw.memo_hits(), gw.optimize_calls()) == (4, 2, 6)
 
 
@@ -591,10 +591,10 @@ def test_memo_never_answers_above_temperature_zero() -> None:
     backend = _Counting()
     gw = Gateway(backend)
     gw.complete_many("task_eval", ["a", "a"], temperature=0.7)
-    gw.call("task_eval", "a", temperature=0.7)
+    call(gw, "task_eval", "a", temperature=0.7)
     # Answers above temperature 0 do not fill the memo either.
-    gw.call("task_eval", "a")
-    gw.call("task_eval", "a")
+    call(gw, "task_eval", "a")
+    call(gw, "task_eval", "a")
     assert backend.sent == ["a"] * 4
     assert (gw.call_count(), gw.memo_hits(), len(gw.transcript.entries)) == (4, 1, 4)
 
@@ -602,10 +602,10 @@ def test_memo_never_answers_above_temperature_zero() -> None:
 def test_memo_keys_on_role_and_max_tokens() -> None:
     backend = _Counting()
     gw = Gateway(backend)
-    gw.call("task_eval", "a")
-    gw.call("task_eval", "a", max_tokens=32)
-    gw.call("gradient_gen", "a")
-    gw.call("task_eval", "a", max_tokens=16)
+    call(gw, "task_eval", "a")
+    call(gw, "task_eval", "a", max_tokens=32)
+    call(gw, "gradient_gen", "a")
+    call(gw, "task_eval", "a", max_tokens=16)
     assert backend.sent == ["a", "a", "a"]
     assert gw.memo_hits() == 1
 
@@ -622,7 +622,7 @@ def test_memo_hits_count_in_the_bucket_of_their_batch() -> None:
 def test_memo_failure_after_hits_reports_first_position_and_keeps_counts() -> None:
     backend = _Counting(fail_on="bad")
     gw = Gateway(backend)
-    gw.call("task_eval", "a")
+    call(gw, "task_eval", "a")
     with pytest.raises(LiveCallError) as err:
         gw.complete_many("task_eval", ["a", "b", "a", "bad", "c", "bad"])
     assert err.value.batch_position == 3
@@ -631,45 +631,45 @@ def test_memo_failure_after_hits_reports_first_position_and_keeps_counts() -> No
     assert (gw.call_count(), gw.memo_hits(), gw.optimize_calls()) == (2, 2, 4)
     assert [req.rendered_prompt for req, _ in gw.transcript.entries] == ["a", "b"]
     # "bad" and "c" reserved indices 2 and 3, which stay unused.
-    assert gw.call("task_eval", "d").request_index == 4
+    assert call(gw, "task_eval", "d").request_index == 4
 
 
 def test_replay_serves_recorded_responses(tmp_path) -> None:
     gw = echo_gateway()
-    gw.call("task_eval", "first")
+    call(gw, "task_eval", "first")
     path = tmp_path / "t.jsonl"
     gw.transcript.save(path)
 
     replay = Gateway(ReplayBackend(Transcript.load(path)))
     # At temperature 0.7 both requests reach the backend; a repeated identical
     # request sticks to the recorded response.
-    assert replay.call("task_eval", "first", temperature=0.7).text == "echo:first"
-    assert replay.call("task_eval", "first", temperature=0.7).text == "echo:first"
+    assert call(replay, "task_eval", "first", temperature=0.7).text == "echo:first"
+    assert call(replay, "task_eval", "first", temperature=0.7).text == "echo:first"
     assert replay.call_count() == 2
 
 
 def test_replay_miss_raises_without_counting(tmp_path) -> None:
     gw = echo_gateway()
-    gw.call("task_eval", "known")
+    call(gw, "task_eval", "known")
     path = tmp_path / "t.jsonl"
     gw.transcript.save(path)
 
     replay = Gateway(ReplayBackend(Transcript.load(path)))
     with pytest.raises(ReplayMissError):
-        replay.call("task_eval", "unknown")
+        call(replay, "task_eval", "unknown")
     assert replay.call_count() == 0
 
 
 def test_replay_ignores_index_temperature_and_max_tokens(tmp_path) -> None:
     gw = echo_gateway()
-    gw.call("task_eval", "zero")
-    gw.call("task_eval", "p", temperature=0.0)
+    call(gw, "task_eval", "zero")
+    call(gw, "task_eval", "p", temperature=0.0)
     path = tmp_path / "t.jsonl"
     gw.transcript.save(path)
 
     replay = Gateway(ReplayBackend(Transcript.load(path)))
     # Issued first, so its request_index (0) differs from the recorded one (1).
-    assert replay.call("task_eval", "p", temperature=0.7, max_tokens=3).text == "echo:p"
+    assert call(replay, "task_eval", "p", temperature=0.7, max_tokens=3).text == "echo:p"
     assert replay.complete(LlmRequest("task_eval", "zero", 1.0, 16, 42)).text == "echo:zero"
 
 
@@ -677,32 +677,32 @@ def test_replay_consumes_repeats_in_order_then_sticks_to_last() -> None:
     answers = iter(["one", "two", "three"])
     gw = Gateway(ScriptedBackend(lambda req: next(answers)))
     for _ in range(3):
-        gw.call("task_eval", "same", temperature=0.7)
+        call(gw, "task_eval", "same", temperature=0.7)
     replay = Gateway(ReplayBackend(gw.transcript))
-    texts = [replay.call("task_eval", "same", temperature=0.7).text for _ in range(5)]
+    texts = [call(replay, "task_eval", "same", temperature=0.7).text for _ in range(5)]
     assert texts == ["one", "two", "three", "three", "three"]
     assert replay.call_count() == 5
 
 
 def test_replay_miss_names_digest_prefix_and_role() -> None:
     gw = echo_gateway()
-    gw.call("task_eval", "known")
+    call(gw, "task_eval", "known")
     replay = Gateway(ReplayBackend(gw.transcript))
     prefix = request_digest("gradient_gen", "known")[:12]
     with pytest.raises(ReplayMissError, match=rf"gradient_gen request \(digest {prefix}\)$"):
-        replay.call("gradient_gen", "known")
+        call(replay, "gradient_gen", "known")
 
 
 def test_replay_lookup_ignores_issue_order(tmp_path) -> None:
     gw = echo_gateway()
-    gw.call("task_eval", "a")
-    gw.call("task_eval", "b")
+    call(gw, "task_eval", "a")
+    call(gw, "task_eval", "b")
     path = tmp_path / "t.jsonl"
     gw.transcript.save(path)
 
     replay = Gateway(ReplayBackend(Transcript.load(path)))
-    assert replay.call("task_eval", "b").text == "echo:b"
-    assert replay.call("task_eval", "a").text == "echo:a"
+    assert call(replay, "task_eval", "b").text == "echo:b"
+    assert call(replay, "task_eval", "a").text == "echo:a"
 
 
 class _Numbered:
@@ -749,7 +749,7 @@ def test_replay_table_serves_what_was_recorded(tmp_path_factory, requests, order
     def send(backend, sequence):
         gw = Gateway(backend)
         texts = [
-            gw.call(role, prompt, temperature=temperature, max_tokens=max_tokens).text
+            call(gw, role, prompt, temperature=temperature, max_tokens=max_tokens).text
             for role, prompt, temperature, max_tokens in sequence
         ]
         return gw, texts
@@ -843,7 +843,7 @@ def test_live_backend_builds_chat_payload() -> None:
         return 200, _ok_body("hello")
 
     gw = _live_gateway(transport)
-    resp = gw.call("task_eval", "the prompt", temperature=0.0)
+    resp = call(gw, "task_eval", "the prompt", temperature=0.0)
     assert resp.text == "hello"
     assert seen["url"].endswith("/chat/completions")
     assert seen["headers"]["Authorization"] == "Bearer k"
@@ -861,14 +861,14 @@ def test_live_backend_counts_every_attempt() -> None:
         return 200, _ok_body("ok")
 
     gw = _live_gateway(flaky, max_attempts=5)
-    assert gw.call("task_eval", "p").text == "ok"
+    assert call(gw, "task_eval", "p").text == "ok"
     assert gw.call_count() == 3  # two failed attempts also reached the wire
 
 
 def test_live_backend_gives_up_after_bounded_retries() -> None:
     gw = _live_gateway(lambda *a: (503, "down"), max_attempts=2)
     with pytest.raises(LiveCallError, match="gave up"):
-        gw.call("task_eval", "p")
+        call(gw, "task_eval", "p")
     assert gw.call_count() == 3  # max_attempts retries + the initial attempt
 
 
@@ -881,14 +881,14 @@ def test_live_backend_client_error_is_fatal() -> None:
 
     gw = _live_gateway(bad_request, max_attempts=5)
     with pytest.raises(LiveCallError, match="HTTP 400"):
-        gw.call("task_eval", "p")
+        call(gw, "task_eval", "p")
     assert attempts["n"] == 1
 
 
 def test_live_backend_retries_null_content() -> None:
     bodies = iter([json.dumps({"choices": [{"message": {"content": None}}]}), _ok_body("Yes")])
     gw = _live_gateway(lambda *a: (200, next(bodies)), max_attempts=3)
-    assert gw.call("task_eval", "p").text == "Yes"
+    assert call(gw, "task_eval", "p").text == "Yes"
     assert gw.call_count() == 2  # the null answer reached the wire too
 
 
@@ -896,14 +896,14 @@ def test_live_backend_gives_up_on_missing_content() -> None:
     gw = _live_gateway(lambda *a: (200, json.dumps({"choices": [{"message": {}}]})),
                        max_attempts=2)
     with pytest.raises(LiveCallError, match="content missing"):
-        gw.call("task_eval", "p")
+        call(gw, "task_eval", "p")
     assert gw.call_count() == 3
 
 
 def test_replay_elapsed_uses_recorded_latencies(tmp_path) -> None:
     # Record, then patch the stored latency and check replay sums it.
     gw = echo_gateway()
-    gw.call("task_eval", "p")
+    call(gw, "task_eval", "p")
     path = tmp_path / "t.jsonl"
     gw.transcript.save(path)
     row = json.loads(path.read_text().strip())
@@ -911,7 +911,7 @@ def test_replay_elapsed_uses_recorded_latencies(tmp_path) -> None:
     path.write_text(json.dumps(row) + "\n")
 
     replay = Gateway(ReplayBackend(Transcript.load(path)))
-    replay.call("task_eval", "p")
+    call(replay, "task_eval", "p")
     assert replay.elapsed_seconds() == 1.5
 
 
@@ -923,7 +923,7 @@ def test_scripted_digest_map_backend() -> None:
         return canned[request_digest(req.role_tag, req.rendered_prompt)]
 
     gw = Gateway(ScriptedBackend(by_digest))
-    assert gw.call("task_eval", "is water wet?").text == "Yes"
+    assert call(gw, "task_eval", "is water wet?").text == "Yes"
     assert gw.call_count() == 1
 
 
@@ -973,7 +973,7 @@ def test_live_backend_roundtrip_against_local_server() -> None:
         gw = Gateway(
             LiveBackend(LiveConfig(base_url=server.base_url, model="stub", api_key="k"))
         )
-        resp = gw.call("task_eval", "is this true")
+        resp = call(gw, "task_eval", "is this true")
         assert resp.text == "Yes"
         assert resp.latency_s > 0
         assert gw.call_count() == 1
@@ -990,7 +990,7 @@ def test_live_backend_retries_through_transient_errors() -> None:
             rng=random.Random(0),
         )
         gw = Gateway(backend)
-        assert gw.call("task_eval", "is this true").text == "Yes"
+        assert call(gw, "task_eval", "is this true").text == "Yes"
         assert gw.call_count() == 3  # two 503s + the success all reached the wire
         assert server.state["requests"] == 3
     finally:

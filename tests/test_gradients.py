@@ -133,7 +133,6 @@ def test_format_example_block_layout() -> None:
             Example(0, "first input", "Yes"),
             Example(1, "second input", "No"),
         ),
-        correctness="correct",
     )
     block = format_example_block(sample)
     assert block == (
@@ -150,13 +149,13 @@ def _engine(responses: dict, cfg=None):
     return engine, parent, gateway
 
 
-def _sample(want="correct"):
-    return ExampleSample(examples=(Example(0, "an input", "Yes"),), correctness=want)
+def _sample():
+    return ExampleSample(examples=(Example(0, "an input", "Yes"),))
 
 
 def test_generate_gradients_two_blocks() -> None:
     engine, parent, _ = _engine({"gradient_gen": ["<START>reason a<END><START>reason b<END>"]})
-    gradients = engine.generate_gradients(parent, _sample(), "(none)", round_index=1)
+    gradients = engine.generate_gradients(parent, _sample(), "(none)", 1, "positive", 2)
     assert [g.text for g in gradients] == ["reason a", "reason b"]
     assert all(g.polarity == "positive" for g in gradients)
     assert all(g.source_prompt_id == parent.id and g.round == 1 for g in gradients)
@@ -164,7 +163,7 @@ def test_generate_gradients_two_blocks() -> None:
 
 def test_generate_gradients_zero_blocks_logs_shortfall() -> None:
     engine, parent, _ = _engine({"gradient_gen": ["no delimiters at all"]})
-    assert engine.generate_gradients(parent, _sample(), "(none)", round_index=1) == []
+    assert engine.generate_gradients(parent, _sample(), "(none)", 1, "positive", 2) == []
     assert engine.parse_shortfalls == 1
 
 
@@ -172,15 +171,8 @@ def test_generate_gradients_truncates_to_requested_count() -> None:
     engine, parent, _ = _engine(
         {"gradient_gen": ["<START>a<END><START>b<END><START>c<END>"]}
     )
-    gradients = engine.generate_gradients(parent, _sample(), "(none)", round_index=1)
+    gradients = engine.generate_gradients(parent, _sample(), "(none)", 1, "positive", 2)
     assert [g.text for g in gradients] == ["a", "b"]
-
-
-def test_generate_gradients_empty_sample_skips_call() -> None:
-    engine, parent, gateway = _engine({"gradient_gen": ["<START>unused<END>"]})
-    empty = ExampleSample(examples=(), correctness="correct", shortfall=True)
-    assert engine.generate_gradients(parent, empty, "(none)", round_index=1) == []
-    assert gateway.call_count() == 0
 
 
 def test_apply_gradient_edit_call_count_and_lineage() -> None:
@@ -192,12 +184,8 @@ def test_apply_gradient_edit_call_count_and_lineage() -> None:
         },
         cfg=cfg,
     )
-    gradients = engine.generate_gradients(parent, _sample(), "(none)", round_index=1)
-    children = []
-    for i, gradient in enumerate(gradients):
-        children += engine.apply_gradient(
-            parent, gradient, _sample(), "(none)", 1, ordinal_start=1 + 4 * i
-        )
+    gradients = engine.generate_gradients(parent, _sample(), "(none)", 1, "positive", 2)
+    children = engine.apply_gradient(parent, gradients, _sample(), "(none)", 1, 1)
     assert gateway.call_count() == 1 + 8  # one generator call + c editor calls
     assert len(children) == 8
     assert {c.parent_id for c in children} == {parent.id}
@@ -213,8 +201,8 @@ def test_apply_gradient_single_child_text() -> None:
         },
         cfg=small_config(candidates_per_parent=2, num_gradients=1),
     )
-    gradient = engine.generate_gradients(parent, _sample(), "(none)", 1, count=1)[0]
-    children = engine.apply_gradient(parent, gradient, _sample(), "(none)", 1)
+    gradient = engine.generate_gradients(parent, _sample(), "(none)", 1, "positive", 1)[0]
+    children = engine.apply_gradient(parent, [gradient], _sample(), "(none)", 1, 1)
     assert [c.text for c in children] == ["improved prompt", "improved prompt"]
 
 
@@ -226,8 +214,8 @@ def test_apply_gradient_all_unparseable_yields_no_children() -> None:
         },
         cfg=small_config(candidates_per_parent=2, num_gradients=1),
     )
-    gradient = engine.generate_gradients(parent, _sample(), "(none)", 1, count=1)[0]
-    assert engine.apply_gradient(parent, gradient, _sample(), "(none)", 1) == []
+    gradient = engine.generate_gradients(parent, _sample(), "(none)", 1, "positive", 1)[0]
+    assert engine.apply_gradient(parent, [gradient], _sample(), "(none)", 1, 1) == []
     assert engine.parse_shortfalls == 2
 
 
@@ -239,8 +227,8 @@ def test_apply_gradient_ordinal_lines_are_distinct() -> None:
         },
         cfg=small_config(candidates_per_parent=2, num_gradients=1),
     )
-    gradient = engine.generate_gradients(parent, _sample(), "(none)", 1, count=1)[0]
-    engine.apply_gradient(parent, gradient, _sample(), "(none)", 1)
+    gradient = engine.generate_gradients(parent, _sample(), "(none)", 1, "positive", 1)[0]
+    engine.apply_gradient(parent, [gradient], _sample(), "(none)", 1, 1)
     edits = [r.rendered_prompt for r, _ in gateway.transcript.entries if r.role_tag == "prompt_edit"]
     assert edits[0] != edits[1]
     assert edits[0].endswith("Variant 1 of 2.")
@@ -256,9 +244,8 @@ def test_batched_edits_and_paraphrases_keep_children_ids_and_shortfalls() -> Non
         },
         cfg=small_config(candidates_per_parent=4, num_gradients=2),
     )
-    g1, g2 = engine.generate_gradients(parent, _sample(), "(none)", round_index=1)
-    children = engine.apply_gradient(parent, g1, _sample(), "(none)", 1, ordinal_start=1)
-    children += engine.apply_gradient(parent, g2, _sample(), "(none)", 1, ordinal_start=3)
+    g1, g2 = engine.generate_gradients(parent, _sample(), "(none)", 1, "positive", 2)
+    children = engine.apply_gradient(parent, [g1, g2], _sample(), "(none)", 1, 1)
     children += engine.paraphrase_expand(parent, 3, round_index=1)
     assert [(c.id, c.text, c.gradient_id) for c in children] == [
         (1, "c1", g1.id),
@@ -301,5 +288,5 @@ def test_scripted_round_trip_recovers_planted_blocks() -> None:
     planted = ["first reason", "second reason"]
     text = "".join(f"<START>{p}<END>" for p in planted)
     engine, parent, _ = _engine({"gradient_gen": [text]})
-    gradients = engine.generate_gradients(parent, _sample(), "(none)", round_index=1)
+    gradients = engine.generate_gradients(parent, _sample(), "(none)", 1, "positive", 2)
     assert [g.text for g in gradients] == planted
