@@ -147,7 +147,8 @@ def read_config_file(path: str | Path):
     )
     file = _existing_file(path, "config file")
     try:
-        parser.read(file, encoding="utf-8")
+        # utf-8-sig also reads a file that an editor saved with a byte order mark.
+        parser.read(file, encoding="utf-8-sig")
     except (configparser.Error, UnicodeDecodeError) as exc:
         raise ConfigError(f"malformed config file {file}: {exc}") from exc
     for name in parser.sections():
@@ -203,7 +204,7 @@ def _load_split(dataset: DatasetSpec | None, cfg: RunConfig):
         raise ConfigError("config file has no [dataset] section")
     examples = load(dataset.path, dataset.format, dataset.task_type)
     label_set = dataset.label_set or None
-    return examples, make_split(
+    split = make_split(
         examples,
         cfg.test_set_size,
         cfg.rng_seed,
@@ -211,6 +212,16 @@ def _load_split(dataset: DatasetSpec | None, cfg: RunConfig):
         positive_label=dataset.positive_label,
         label_set=label_set,
     )
+    # F1 counts hits on the positive label, compared case-insensitively as the
+    # scorer does; with any other label every score would read 0.0.
+    if split.task_type == "classification" and split.positive_label.lower() not in {
+        lb.lower() for lb in split.label_set
+    }:
+        raise DatasetError(
+            f"positive_label {split.positive_label!r} is not one of the labels "
+            f"{', '.join(split.label_set)}"
+        )
+    return examples, split
 
 
 def _scripted_backend(args, gateway_section: dict, cfg: RunConfig, examples, split):

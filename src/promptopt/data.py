@@ -7,6 +7,7 @@ same seed are bit-identical.
 from __future__ import annotations
 
 import json
+import math
 import random
 from dataclasses import dataclass
 from pathlib import Path
@@ -81,7 +82,8 @@ class DatasetSpec:
 def load(path: str | Path, format: str, task_type: str = "classification") -> list[Example]:
     """Read a TSV (``input<TAB>label``) or JSONL dataset into examples.
 
-    Ids follow file order; labels are trimmed but otherwise untouched.
+    A JSONL input or label is a string or a finite number. Ids follow file order;
+    labels are trimmed but otherwise untouched.
     """
     if format not in FORMATS:
         raise DatasetError(f"unknown format {format!r}, expected one of {FORMATS}")
@@ -125,6 +127,17 @@ def load(path: str | Path, format: str, task_type: str = "classification") -> li
                 raise DatasetError(
                     f"{file}:{lineno}: missing 'text'/'label' (or 'question'/'answer') keys"
                 )
+            for value in (input_text, label):
+                # A bool is an int, but `true` is neither text nor a number; nor
+                # is JSON's NaN or Infinity, which no answer can be scored against.
+                if (
+                    isinstance(value, bool)
+                    or not isinstance(value, (str, int, float))
+                    or (isinstance(value, float) and not math.isfinite(value))
+                ):
+                    raise DatasetError(
+                        f"{file}:{lineno}: expected a string or finite number, got {value!r:.40}"
+                    )
         input_text = str(input_text).strip()
         label = str(label).strip()
         if not input_text or not label:

@@ -154,11 +154,18 @@ class TemplateSet:
         """Override any of the defaults with ``<name>.txt`` files in a directory.
 
         An override may use only the slots of the default it replaces, which
-        are the slots the engine binds for that template. A file that is a
-        directory, is not UTF-8 text or names another slot raises
-        :class:`ConfigError` naming it, so no run starts with it.
+        are the slots the engine binds for that template. A ``.txt`` file
+        that names no template, is a directory, is not UTF-8 text or names
+        another slot raises :class:`ConfigError` naming it, so no run starts
+        with it.
         """
         directory = Path(directory)
+        names = [f"{f.name}.txt" for f in fields(cls)]
+        for file in sorted(directory.glob("*.txt")):
+            if file.name not in names:
+                raise ConfigError(
+                    f"template file {file} names no template; expected one of {', '.join(names)}"
+                )
         overrides = {}
         for f in fields(cls):
             file = directory / f"{f.name}.txt"

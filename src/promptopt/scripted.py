@@ -55,19 +55,33 @@ class HeuristicScript:
         self._seed = seed
         self._skill_lo, self._skill_hi = skill_range
         self._task_type = task_type
+        # Per prompt text, filled by its first task_eval: the prompt's skill and
+        # the UTF-8 bytes that start each of its answer coins' hash inputs.
+        self._per_prompt: dict[str, tuple[float, bytes]] = {}
+        # The label a wrong answer gives, per gold label.
+        self._wrong = {
+            gold: next((lb for lb in self._labels if lb.lower() != gold.lower()), gold)
+            for gold in {ex.label for ex in self._by_input.values()}
+        }
 
     def skill(self, prompt_text: str) -> float:
         u = _hash01(self._seed, "skill", prompt_text)
         return self._skill_lo + (self._skill_hi - self._skill_lo) * u
 
     def _answer(self, prompt_text: str, example: Example) -> str:
-        correct = _hash01(self._seed, "answer", prompt_text, example.id) < self.skill(prompt_text)
+        entry = self._per_prompt.get(prompt_text)
+        if entry is None:
+            entry = self._per_prompt[prompt_text] = (
+                self.skill(prompt_text),
+                f"{self._seed}|answer|{prompt_text}|".encode("utf-8"),
+            )
+        skill, coin_prefix = entry
+        # The same value as _hash01(self._seed, "answer", prompt_text, example.id).
+        digest = blake2b(coin_prefix + str(example.id).encode("utf-8"), digest_size=8).digest()
+        correct = int.from_bytes(digest, "big") / 2**64 < skill
         if self._task_type == "math":
             return f"#### {example.label}" if correct else "#### -99999"
-        if correct:
-            return example.label
-        wrong = [lb for lb in self._labels if lb.lower() != example.label.lower()]
-        return wrong[0] if wrong else example.label
+        return example.label if correct else self._wrong[example.label]
 
     def __call__(self, req: LlmRequest) -> str:
         if req.role_tag == "task_eval":

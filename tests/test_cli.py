@@ -196,6 +196,37 @@ def test_optimize_malformed_ini_is_config_error_and_values_are_literal(
         assert err.startswith(f"config error: malformed config file {file}: ")
 
 
+def test_read_config_file_accepts_a_byte_order_mark(config_file, tmp_path) -> None:
+    file = tmp_path / "bom.ini"
+    file.write_bytes(b"\xef\xbb\xbf" + CONFIG_BODY.lstrip().encode())
+    assert read_config_file(file) == read_config_file(config_file)
+    assert main(["optimize", "--config", str(file), "--out", str(tmp_path / "out")]) == EXIT_OK
+
+
+@pytest.mark.parametrize("command", ["optimize", "evaluate"])
+def test_positive_label_outside_the_labels_is_dataset_error_before_any_request(
+    command, tmp_path, monkeypatch, capsys
+) -> None:
+    def no_request(self, role_tag, prompts, **kwargs):
+        raise AssertionError(f"a {role_tag} request was sent")
+
+    monkeypatch.setattr(Gateway, "complete_many", no_request)
+    config = tmp_path / "run.ini"
+    body = CONFIG_BODY.replace("positive_label = Yes", "positive_label = Maybe")
+    config.write_text(body, encoding="utf-8")
+    prompt = tmp_path / "prompt.txt"
+    prompt.write_text("Answer Yes or No.", encoding="utf-8")
+    out = tmp_path / "out"
+    argv = {
+        "optimize": ["optimize", "--out", str(out)],
+        "evaluate": ["evaluate", "--prompt-file", str(prompt)],
+    }[command]
+    assert main([*argv, "--config", str(config), "--backend", "scripted"]) == EXIT_DATASET
+    err = capsys.readouterr().err
+    assert err == "dataset error: positive_label 'Maybe' is not one of the labels No, Yes\n"
+    assert not out.exists()
+
+
 def test_optimize_happy_path(config_file, tmp_path, capsys) -> None:
     out = tmp_path / "artifact"
     code = main(
@@ -777,6 +808,7 @@ BAD_TEMPLATES = {
     "unknown_slot": ("alpha.txt", lambda f: f.write_text("For a {taks_type}: {prompt}", encoding="utf-8")),
     "directory": ("tau.txt", lambda f: f.mkdir()),
     "not_utf8": ("paraphrase.txt", lambda f: f.write_bytes(b"Reword caf\xe9: {prompt}")),
+    "unknown_name": ("alpah.txt", lambda f: f.write_text("IGNORED {prompt}", encoding="utf-8")),
 }
 
 

@@ -76,6 +76,34 @@ def test_load_errors(tmp_path) -> None:
             load(not_object, "jsonl")
 
 
+@pytest.mark.parametrize(
+    "row",
+    [
+        '{"text": {"a": 1}, "label": "Yes"}',
+        '{"text": "ok", "label": true}',
+        '{"question": ["2+2"], "answer": 4}',
+        '{"question": "2+2?", "answer": NaN}',
+    ],
+    ids=["object-text", "bool-label", "list-question", "nan-answer"],
+)
+def test_load_jsonl_refuses_a_value_that_is_not_a_string_or_finite_number(tmp_path, row) -> None:
+    file = tmp_path / "rows.jsonl"
+    file.write_text(f'{{"text": "ok", "label": "Yes"}}\n{row}\n', encoding="utf-8")
+    with pytest.raises(DatasetError, match=r"rows.jsonl:2: "):
+        load(file, "jsonl")
+
+
+def test_load_jsonl_reads_numbers_as_text(tmp_path) -> None:
+    file = tmp_path / "math.jsonl"
+    file.write_text(
+        '{"question": 12, "answer": 4}\n{"question": "half of 5?", "answer": 2.5}\n', encoding="utf-8"
+    )
+    assert load(file, "jsonl", task_type="math") == [
+        Example(0, "12", "4"),
+        Example(1, "half of 5?", "2.5"),
+    ]
+
+
 def test_load_trims_labels_only(tmp_path) -> None:
     file = tmp_path / "d.tsv"
     file.write_text("text body\t Yes \n", encoding="utf-8")

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from promptopt import Gateway, PromptStore, ScriptedBackend, new_seed_prompt
+from promptopt import ConfigError, Gateway, PromptStore, ScriptedBackend, new_seed_prompt
 from promptopt.data import Example, ExampleSample
 from promptopt.gradients import (
     GradientEngine,
@@ -76,6 +76,17 @@ def test_template_override_from_dir(tmp_path) -> None:
     assert render(templates.tau, _bindings()) == "custom Answer Yes or No. with 2"
     # Untouched templates keep their defaults.
     assert templates.alpha.body == TEMPLATES.alpha.body
+
+
+def test_template_dir_refuses_a_file_that_names_no_template(tmp_path) -> None:
+    (tmp_path / "alpha.txt").write_text("kept {prompt}", encoding="utf-8")
+    (tmp_path / "alpah.txt").write_text("IGNORED {prompt}", encoding="utf-8")
+    with pytest.raises(ConfigError) as info:
+        TemplateSet.from_dir(tmp_path)
+    message = str(info.value)
+    assert str(tmp_path / "alpah.txt") in message
+    for name in ("tau", "alpha", "tau_negative", "alpha_negative", "paraphrase"):
+        assert f"{name}.txt" in message
 
 
 def test_parse_delimited_basic() -> None:
