@@ -42,27 +42,6 @@ def ucb_value(arm: ArmState, t: int, c_v: float) -> float:
     return arm.Q + c_v * math.sqrt(math.log(t) / arm.N)
 
 
-def _pick_arm(arms: Sequence[ArmState], t: int, c_v: float) -> ArmState:
-    """The arm with the highest UCB at step ``t``; ties go to the earliest arm.
-
-    With ``arms`` ordered by prompt id this is
-    ``min(arms, key=lambda a: (-ucb_value(a, t, c_v), a.prompt_id))``: the
-    first never-pulled arm if any, else the first arm of highest value.
-    """
-    for arm in arms:
-        if arm.N == 0:
-            return arm
-    log_t = math.log(t)
-    sqrt = math.sqrt
-    best = arms[0]
-    best_value = best.Q + c_v * sqrt(log_t / best.N)
-    for arm in arms:
-        value = arm.Q + c_v * sqrt(log_t / arm.N)
-        if value > best_value:
-            best, best_value = arm, value
-    return best
-
-
 def select(
     candidates: Sequence[Prompt],
     train: Sequence[Example],
@@ -86,7 +65,12 @@ def select(
     arms = [ArmState(prompt_id=p.id) for p in sorted(candidates, key=lambda p: p.id)]
     for t in range(1, cfg.time_steps + 1):
         batch = draw_examples(train, cfg.sample_size, rng)
-        arm = _pick_arm(arms, t, cfg.exploration)
+        # Until every arm is pulled, the first unpulled one has the highest
+        # UCB (+infinity) and the lowest id: pull the arms in id order.
+        if t <= len(arms):
+            arm = arms[t - 1]
+        else:
+            arm = min(arms, key=lambda a: (-ucb_value(a, t, cfg.exploration), a.prompt_id))
         reward = evaluate(by_id[arm.prompt_id], batch)
         arm.N += len(batch)
         arm.Q += reward / arm.N

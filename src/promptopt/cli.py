@@ -137,7 +137,7 @@ def _read_text_file(path: str | Path, what: str) -> str:
 def read_config_file(path: str | Path):
     """Parse the INI config into (run overrides, bandit overrides, dataset, gateway, extra).
 
-    ``extra`` holds ``[run]``'s seed_prompt or seed_prompt_file.
+    ``extra`` holds ``[run]``'s seed_prompt or seed_prompt_file, never both.
     """
     # Values are literal: a "%" in a prompt is text, not interpolation syntax.
     # No header can name the section "", so [DEFAULT] is an unknown section
@@ -162,11 +162,15 @@ def read_config_file(path: str | Path):
         values[name] = {key: _coerce(name, types, key, raw) for key, raw in items}
     run_overrides, bandit_overrides, dataset_section, gateway_section = values.values()
     extra = {key: run_overrides.pop(key) for key in _SECTIONS["run"][2] if key in run_overrides}
+    if len(extra) > 1:
+        raise ConfigError("[run] sets both seed_prompt and seed_prompt_file; keep one")
 
     dataset = None
     if parser.has_section("dataset"):
         if "path" not in dataset_section:
             raise ConfigError("[dataset] missing key 'path'")
+        if not dataset_section["path"]:
+            raise ConfigError("[dataset] path is empty")
         dataset = DatasetSpec(**dataset_section)
     timeout_s = gateway_section.get("timeout_s")
     # The HTTP client refuses such a timeout on every attempt, which the live

@@ -6,11 +6,11 @@ record/replay transcript store. The gateway owns the API-call counters and
 the transcript.
 
 At temperature 0 an exact repeat of a request already answered in the run,
-same role, token budget and rendered prompt, gets the answer the gateway
-holds and never reaches the backend. Two kinds of count follow: *wire* calls
-are the attempts that reach a backend, and only they join the transcript;
-the ``optimize`` and ``eval`` buckets count every request issued, memo hits
-included, so per-round call counts do not depend on the memo.
+same role and rendered prompt, gets the answer the gateway holds and never
+reaches the backend. Two kinds of count follow: *wire* calls are the attempts
+that reach a backend, and only they join the transcript; the ``optimize`` and
+``eval`` buckets count every request issued, memo hits included, so per-round
+call counts do not depend on the memo.
 """
 
 from __future__ import annotations
@@ -85,8 +85,9 @@ class LlmRequest(NamedTuple):
 
 
 class LlmResponse(NamedTuple):
+    """The answer half of one transcript line; its index is on the request."""
+
     text: str
-    request_index: int
     latency_s: float = 0.0
 
 
@@ -187,7 +188,7 @@ class Transcript:
                         f', "role_tag": {_json_str(role_tag)}, '
                         f'"temperature": {_json_num(temperature)}}}\n'
                     )
-                text, _, latency = resp
+                text, latency = resp
                 # request_digest, and the str, int and finite-float fast paths
                 # of _json_str and _json_num, inlined.
                 if type(prompt) is str:
@@ -218,12 +219,15 @@ class Transcript:
 
         Raises :class:`TranscriptFormatError` naming the path and the 1-based
         line number of the first line that is not a complete entry, such as
-        the cut-off last line of a file whose writer was killed.
+        the cut-off last line of a file whose writer was killed, or whose
+        ``response_text`` is not a string or ``latency_s`` not a finite
+        number >= 0.
         """
         scan = _SCANNER
         skip_space = _JSON_WHITESPACE
         make_request = LlmRequest._make
         make_response = LlmResponse._make
+        inf = math.inf
         entries: list[tuple[LlmRequest, LlmResponse]] = []
         lineno = 0
         try:
@@ -238,16 +242,23 @@ class Transcript:
                         if not line.strip():
                             continue
                         row = json.loads(line)
-                    index = row["request_index"]
+                    text = row["response_text"]
+                    latency = row["latency_s"]
+                    # A latency that is not a number raises TypeError here.
+                    if type(text) is not str or not 0 <= latency < inf:
+                        raise TranscriptFormatError(
+                            f"{path}: line {lineno}: response_text must be a string "
+                            "and latency_s a finite number >= 0"
+                        )
                     entries.append((
                         make_request((
                             row["role_tag"],
                             row["rendered_prompt"],
                             row["temperature"],
                             row["max_tokens"],
-                            index,
+                            row["request_index"],
                         )),
-                        make_response((row["response_text"], index, row["latency_s"])),
+                        make_response((text, latency)),
                     ))
         except (json.JSONDecodeError, KeyError, TypeError) as exc:
             raise TranscriptFormatError(
@@ -281,10 +292,10 @@ class ReplayBackend:
     """Serves responses from a recorded transcript; never touches a network.
 
     The answers sit in one dict per ``role_tag``, from a rendered prompt to
-    the ``(text, latency_s)`` pair recorded for it; ``request_index``,
+    the :class:`LlmResponse` recorded for it; ``request_index``,
     ``temperature`` and ``max_tokens`` take no part in the lookup. A prompt
     recorded more than once (at temperature > 0, or live before the gateway
-    answered temperature-0 repeats itself) holds a list of pairs instead,
+    answered temperature-0 repeats itself) holds a list of them instead,
     served in order until its last one, which is served from then on.
 
     A served entry is set again under the request's own prompt string, so
@@ -296,18 +307,17 @@ class ReplayBackend:
     transcript_mode = "replay"
 
     def __init__(self, transcript: Transcript):
-        self._answers: dict[str, dict[str, tuple[str, float] | list[tuple[str, float]]]] = {}
+        self._answers: dict[str, dict[str, LlmResponse | list[LlmResponse]]] = {}
         for req, resp in transcript.entries:
             table = self._answers.setdefault(req.role_tag, {})
-            answer = (resp.text, resp.latency_s)
-            held = table.setdefault(req.rendered_prompt, answer)
-            if held is not answer:
+            held = table.setdefault(req.rendered_prompt, resp)
+            if held is not resp:
                 if type(held) is list:
-                    held.append(answer)
+                    held.append(resp)
                 else:
-                    table[req.rendered_prompt] = [held, answer]
+                    table[req.rendered_prompt] = [held, resp]
 
-    def complete(self, req: LlmRequest, on_attempt: Callable[[], None]) -> tuple[str, float]:
+    def complete(self, req: LlmRequest, on_attempt: Callable[[], None]) -> LlmResponse:
         prompt = req.rendered_prompt
         table = self._answers.get(req.role_tag)
         held = table.pop(prompt, None) if table is not None else None
@@ -433,8 +443,8 @@ class Gateway:
 
     Requests at temperature 0 are memoised for the life of the gateway, which
     is one run: an exact repeat of a request already answered gets that
-    request's :class:`LlmResponse`, its ``request_index`` included, and
-    reaches neither the backend nor the transcript.
+    request's answer text and reaches neither the backend nor the
+    transcript.
 
     :meth:`call_count` counts wire calls: every attempt that reaches a backend,
     retries included. With the scripted and replay backends, which never
@@ -450,9 +460,9 @@ class Gateway:
         self._counts = {"optimize": 0, "eval": 0, "wire": 0, "memo_hits": 0}
         self._bucket = "optimize"
         self._next_index = 0
-        # One dict per (role_tag, max_tokens), from a rendered prompt to the
-        # answer it got; the key is the string its transcript entry holds.
-        self._memo: dict[tuple[str, int], dict[str, LlmResponse]] = {}
+        # One dict per role_tag, from a rendered prompt to the answer text it
+        # got: the key shape of ReplayBackend's table.
+        self._memo: dict[str, dict[str, str]] = {role: {} for role in ROLE_TAGS}
         self._lock = threading.Lock()
         self._t0 = time.monotonic()
         self._replay_latency = 0.0
@@ -463,16 +473,15 @@ class Gateway:
         rendered_prompts: Sequence[str],
         *,
         temperature: float = 0.0,
-        max_tokens: int | None = None,
-    ) -> list[LlmResponse]:
-        """Answer each prompt, in order; the responses come back in that order.
+    ) -> list[str]:
+        """Answer each prompt, in order; the answer texts come back in that order.
 
-        The role check, the token budget (``DEFAULT_MAX_TOKENS`` by role
-        unless given), the memo and the ``optimize``/``eval`` bucket are
-        settled once for the batch. At temperature 0 a prompt answered earlier
-        in the run, or earlier in this batch, is not sent: it gets the earlier
-        response. The requests that are sent reserve their ``request_index``
-        values together, in submission order, before the first one goes out.
+        The role check, the token budget (``DEFAULT_MAX_TOKENS`` of the role),
+        the memo and the ``optimize``/``eval`` bucket are settled once for the
+        batch. At temperature 0 a prompt answered earlier in the run, or
+        earlier in this batch, is not sent: it gets the earlier answer. The
+        requests that are sent reserve their ``request_index`` values
+        together, in submission order, before the first one goes out.
 
         Completed pairs join the transcript in index order even when a request
         fails. If the request for the prompt at position ``k`` raises, the
@@ -483,10 +492,9 @@ class Gateway:
         """
         if role_tag not in ROLE_TAGS:
             raise ValueError(f"unknown role_tag {role_tag!r}")
-        if max_tokens is None:
-            max_tokens = DEFAULT_MAX_TOKENS[role_tag]
+        max_tokens = DEFAULT_MAX_TOKENS[role_tag]
         if temperature == 0:
-            memo = self._memo.setdefault((role_tag, max_tokens), {})
+            memo = self._memo[role_tag]
             sent = len(set(rendered_prompts).difference(memo))
         else:
             memo = None
@@ -506,28 +514,27 @@ class Gateway:
         complete = self.backend.complete
         make_request = LlmRequest._make
         make_response = LlmResponse._make
-        responses: list[LlmResponse] = []
+        texts: list[str] = []
         done: list[tuple[LlmRequest, LlmResponse]] = []
         try:
             for prompt in rendered_prompts:
                 if memo is not None:
-                    resp = memo.get(prompt)
-                    if resp is not None:
-                        responses.append(resp)
+                    text = memo.get(prompt)
+                    if text is not None:
+                        texts.append(text)
                         continue
                 req = make_request((role_tag, prompt, temperature, max_tokens, index))
                 text, latency = complete(req, on_attempt)
-                resp = make_response((text, index, latency))
                 index += 1
-                done.append((req, resp))
-                responses.append(resp)
+                done.append((req, make_response((text, latency))))
+                texts.append(text)
                 if memo is not None:
-                    memo[prompt] = resp
+                    memo[prompt] = text
         except GatewayError as exc:
-            exc.batch_position = len(responses)
+            exc.batch_position = len(texts)
             raise
         finally:
-            hits = len(responses) - len(done)
+            hits = len(texts) - len(done)
             with lock:
                 counts[bucket] += hits
                 counts["memo_hits"] += hits
@@ -536,15 +543,12 @@ class Gateway:
                     # One at a time, so the float sum equals that of single calls.
                     for _, resp in done:
                         self._replay_latency += resp.latency_s
-        return responses
+        return texts
 
-    def complete(self, req: LlmRequest) -> LlmResponse:
-        """Issue ``req`` as a batch of one; its own ``request_index`` is ignored."""
+    def complete(self, req: LlmRequest) -> str:
+        """The answer text to ``req``, sent as a batch of one; its index and budget are ignored."""
         return self.complete_many(
-            req.role_tag,
-            (req.rendered_prompt,),
-            temperature=req.temperature,
-            max_tokens=req.max_tokens,
+            req.role_tag, (req.rendered_prompt,), temperature=req.temperature
         )[0]
 
     @contextmanager

@@ -16,7 +16,7 @@ from pathlib import Path
 from typing import Mapping, Sequence
 
 from .data import ExampleSample
-from .gateway import Gateway, LlmResponse
+from .gateway import Gateway
 from .model import END_DELIM, START_DELIM, ConfigError, Gradient, Prompt, PromptStore, RunConfig
 
 logger = logging.getLogger(__name__)
@@ -290,10 +290,10 @@ class GradientEngine:
                 "num_gradients": count,
             },
         )
-        resp = self.gateway.complete_many(
+        text = self.gateway.complete_many(
             "gradient_gen", [rendered], temperature=self.cfg.temperature
         )[0]
-        spans = [_clean_span(s) for s in parse_delimited(resp.text)]
+        spans = [_clean_span(s) for s in parse_delimited(text)]
         spans = [s for s in spans if s]
         if not spans:
             self.parse_shortfalls += 1
@@ -337,39 +337,39 @@ class GradientEngine:
         total = self.cfg.candidates_per_parent
         owners = [g for g in gradients for _ in range(self.edits_per_gradient)]
         ordinals = range(ordinal_start, ordinal_start + len(owners))
-        responses = self.gateway.complete_many(
+        texts = self.gateway.complete_many(
             "prompt_edit",
             [f"{rendered_base}\nVariant {ordinal} of {total}." for ordinal in ordinals],
             temperature=self.cfg.temperature,
         )
-        return self._children(parent, responses, round_index, owners, ordinal_start)
+        return self._children(parent, texts, round_index, owners, ordinal_start)
 
     def paraphrase_expand(self, parent: Prompt, n: int, round_index: int) -> list[Prompt]:
         """One batch of n paraphrase calls; each gives one reworded child with no gradient."""
         rendered = render(self.templates.paraphrase, {"prompt": parent.text})
-        responses = self.gateway.complete_many(
+        texts = self.gateway.complete_many(
             "paraphrase",
             [f"{rendered}\nVariant {ordinal} of {n}." for ordinal in range(1, n + 1)],
             temperature=self.cfg.temperature,
         )
-        return self._children(parent, responses, round_index, [None] * n)
+        return self._children(parent, texts, round_index, [None] * n)
 
     def _children(
         self,
         parent: Prompt,
-        responses: Sequence[LlmResponse],
+        texts: Sequence[str],
         round_index: int,
         gradients: Sequence[Gradient | None],
         ordinal_start: int = 1,
     ) -> list[Prompt]:
-        """One child per response whose first span holds text, with that response's gradient.
+        """One child per answer whose first span holds text, with that answer's gradient.
 
         Paraphrases have ``None`` for a gradient.
         """
         children: list[Prompt] = []
-        for ordinal, (resp, grad) in enumerate(zip(responses, gradients), start=ordinal_start):
+        for ordinal, (answer, grad) in enumerate(zip(texts, gradients), start=ordinal_start):
             gradient_id = grad.id if grad is not None else None
-            spans = parse_delimited(resp.text)
+            spans = parse_delimited(answer)
             text = _clean_span(spans[0]) if spans else ""
             if not text:
                 self.parse_shortfalls += 1

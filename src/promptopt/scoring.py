@@ -140,7 +140,7 @@ def evaluate_prompt(
     if not examples:
         raise ValueError("examples is empty")
     try:
-        responses = gateway.complete_many(
+        texts = gateway.complete_many(
             "task_eval",
             [f"{prompt.text}\n{ex.input_text}" for ex in examples],
             temperature=task.temperature,
@@ -152,8 +152,7 @@ def evaluate_prompt(
     append = predictions.append
     if task.task_type == "math":
         hits = 0
-        for ex, resp in zip(examples, responses):
-            text = resp.text
+        for ex, text in zip(examples, texts):
             parsed = parse_math_answer(text)
             correct = parsed is not None and parsed == canonical_number(ex.label)
             hits += correct
@@ -165,8 +164,7 @@ def evaluate_prompt(
         label_set = task.label_set
         positive = task.positive_label.lower()
         tp = fp = fn = 0
-        for ex, resp in zip(examples, responses):
-            text = resp.text
+        for ex, text in zip(examples, texts):
             parsed = parse_label(text, label_set)
             gold = ex.label.lower()
             pred = None if parsed is None else parsed.lower()

@@ -13,7 +13,6 @@ from promptopt import (
     GradientHistory,
     HeuristicScript,
     LlmRequest,
-    LlmResponse,
     RunConfig,
     BanditConfig,
     ScriptedBackend,
@@ -48,8 +47,8 @@ def small_config(**overrides) -> RunConfig:
     return RunConfig(**base)
 
 
-def call(gateway: Gateway, role_tag: str, rendered_prompt: str, **kwargs) -> LlmResponse:
-    """One request: a batch of one through :meth:`Gateway.complete_many`."""
+def call(gateway: Gateway, role_tag: str, rendered_prompt: str, **kwargs) -> str:
+    """One request's answer text: a batch of one through :meth:`Gateway.complete_many`."""
     return gateway.complete_many(role_tag, [rendered_prompt], **kwargs)[0]
 
 

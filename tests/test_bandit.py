@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from promptopt.bandit import ArmState, _pick_arm, select, ucb_value
+from promptopt.bandit import ArmState, select, ucb_value
 from promptopt.data import Example
 from promptopt.model import BanditConfig, Prompt, derived_rng
 
@@ -36,24 +36,40 @@ def test_ucb_value_matches_arbitrary_precision_oracle() -> None:
     assert ucb_value(arm, t=10, c_v=1.0) == pytest.approx(1.0799, abs=1e-4)
 
 
-@st.composite
-def _arm_table(draw):
-    """Arms ordered by prompt id; few distinct N and Q values, so UCB values tie."""
-    ids = sorted(draw(st.lists(st.integers(0, 60), min_size=1, max_size=12, unique=True)))
-    return [
-        ArmState(
-            prompt_id=i,
-            N=draw(st.sampled_from([0, 1, 2, 4, 8, 32])),
-            Q=draw(st.sampled_from([0.0, 0.1, 0.25, 0.5, 1.0])),
-        )
-        for i in ids
-    ]
+@given(
+    ids=st.lists(st.integers(0, 60), min_size=1, max_size=12, unique=True),
+    rewards=st.lists(st.sampled_from([0.0, 0.25, 0.5, 1.0]), min_size=1, max_size=8),
+    time_steps=st.integers(1, 40),
+    sample_size=st.sampled_from([1, 2, 4]),
+    c_v=st.sampled_from([0.0, 0.5, 1.0, 2.0]),
+)
+def test_select_pulls_follow_the_min_ucb_rule(ids, rewards, time_steps, sample_size, c_v) -> None:
+    """Each pull is the arm of highest UCB, ties to the lowest id, at every step.
 
+    Rewards come from a short cycle of few values, so UCB values tie.
+    """
+    candidates = [Prompt(id=i, text=f"candidate {i}", round=0) for i in ids]
+    cfg = BanditConfig(time_steps=time_steps, sample_size=sample_size, exploration=c_v)
 
-@given(_arm_table(), st.integers(1, 60), st.sampled_from([0.0, 0.5, 1.0, 2.0]))
-def test_pick_arm_matches_min_ucb_rule(arms, t, c_v) -> None:
-    expected = min(arms, key=lambda a: (-ucb_value(a, t, c_v), a.prompt_id))
-    assert _pick_arm(arms, t, c_v) is expected
+    def reward(step: int, prompt_id: int) -> float:
+        return rewards[(step + prompt_id) % len(rewards)]
+
+    pulls: list[int] = []
+
+    def evaluate(prompt: Prompt, batch) -> float:
+        pulls.append(prompt.id)
+        return reward(len(pulls), prompt.id)
+
+    select(candidates, _train(), cfg, 3, derived_rng(0, "t"), evaluate)
+
+    arms = [ArmState(prompt_id=i) for i in sorted(ids)]
+    expected: list[int] = []
+    for t in range(1, time_steps + 1):
+        arm = min(arms, key=lambda a: (-ucb_value(a, t, c_v), a.prompt_id))
+        expected.append(arm.prompt_id)
+        arm.N += sample_size
+        arm.Q += reward(t, arm.prompt_id) / arm.N
+    assert pulls == expected
 
 
 def test_select_singleton_returns_it() -> None:

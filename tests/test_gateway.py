@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import random
+import re
 import tracemalloc
 from collections import Counter
 from contextlib import nullcontext
@@ -41,8 +42,7 @@ def echo_gateway() -> Gateway:
 
 def test_scripted_passthrough_increments_counter() -> None:
     gw = Gateway(ScriptedBackend(lambda req: "Yes"))
-    resp = call(gw, "task_eval", "label this")
-    assert resp.text == "Yes"
+    assert call(gw, "task_eval", "label this") == "Yes"
     assert gw.call_count() == 1
 
 
@@ -55,10 +55,11 @@ def test_counter_counts_each_complete() -> None:
     assert gw.call_count() == 3
 
 
-def test_request_index_is_monotone_and_echoed() -> None:
+def test_request_index_is_monotone() -> None:
     gw = echo_gateway()
-    indices = [call(gw, "task_eval", f"p{i}").request_index for i in range(4)]
-    assert indices == [0, 1, 2, 3]
+    for i in range(4):
+        call(gw, "task_eval", f"p{i}")
+    assert [req.request_index for req, _ in gw.transcript.entries] == [0, 1, 2, 3]
 
 
 def test_eval_bucket_is_separate() -> None:
@@ -96,7 +97,7 @@ def test_unknown_role_tag_rejected() -> None:
 
 def test_script_exhausted_error_does_not_count() -> None:
     gw = Gateway(ScriptedBackend(SequenceScript({"task_eval": ["Yes"]})))
-    assert call(gw, "task_eval", "a").text == "Yes"
+    assert call(gw, "task_eval", "a") == "Yes"
     with pytest.raises(ScriptExhaustedError):
         call(gw, "task_eval", "b")
     assert gw.call_count() == 1
@@ -123,11 +124,11 @@ def test_transcript_save_golden_bytes(tmp_path) -> None:
         entries=[
             (
                 LlmRequest("task_eval", "Is it true?\nCafé — naïve", 0.0, 16, 0),
-                LlmResponse("Oui, yes", 0, 0.0),
+                LlmResponse("Oui, yes", 0.0),
             ),
             (
                 LlmRequest("gradient_gen", 'line one\nline "two"', 0.7, 512, 1),
-                LlmResponse("<START>reason\n<END>", 1, 0.25),
+                LlmResponse("<START>reason\n<END>", 0.25),
             ),
         ]
     )
@@ -238,7 +239,7 @@ def test_transcript_save_equals_transcript_line_per_entry(tmp_path_factory, runs
     entries = [
         (
             LlmRequest(role, prompt, temperature, max_tokens, index),
-            LlmResponse(text, index, latency),
+            LlmResponse(text, latency),
         )
         for role, temperature, max_tokens, rows in runs
         for prompt, index, text, latency in rows
@@ -255,7 +256,7 @@ def test_transcript_save_memory_stays_bounded(tmp_path) -> None:
     entries = [
         (
             LlmRequest("task_eval", f"prompt {i}: " + "word " * 200, 0.0, 16, i),
-            LlmResponse("positive", i, 0.0),
+            LlmResponse("positive", 0.0),
         )
         for i in range(4000)
     ]
@@ -317,7 +318,6 @@ def _load_line_by_line(path) -> list | str:
                 continue
             try:
                 row = json.loads(line)
-                index = row["request_index"]
                 entries.append(
                     (
                         LlmRequest(
@@ -325,9 +325,9 @@ def _load_line_by_line(path) -> list | str:
                             row["rendered_prompt"],
                             row["temperature"],
                             row["max_tokens"],
-                            index,
+                            row["request_index"],
                         ),
-                        LlmResponse(row["response_text"], index, row["latency_s"]),
+                        LlmResponse(row["response_text"], row["latency_s"]),
                     )
                 )
             except (json.JSONDecodeError, KeyError, TypeError) as exc:
@@ -396,17 +396,41 @@ def test_transcript_load_names_line_of_malformed_entry(tmp_path) -> None:
         Transcript.load(path)
 
 
+@pytest.mark.parametrize(
+    ("field", "value"),
+    [
+        ("response_text", None),
+        ("response_text", 5),
+        ("latency_s", "x"),
+        ("latency_s", None),
+        ("latency_s", float("nan")),
+        ("latency_s", float("inf")),
+        ("latency_s", -1.0),
+    ],
+)
+def test_transcript_load_names_line_of_unusable_field_type(tmp_path, field, value) -> None:
+    path = tmp_path / "t.jsonl"
+    first, second = _saved_lines(tmp_path)
+    row = json.loads(second)
+    row[field] = value
+    path.write_text(f"{first}\n{json.dumps(row)}\n", encoding="utf-8")
+    with pytest.raises(TranscriptFormatError, match=f"^{re.escape(str(path))}: line 2: "):
+        Transcript.load(path)
+
+
 def test_complete_stamps_index_and_keeps_request_fields() -> None:
     gw = echo_gateway()
     call(gw, "task_eval", "first")
-    resp = gw.complete(LlmRequest("prompt_edit", "edit me", 0.3, 77, request_index=99))
+    text = gw.complete(LlmRequest("prompt_edit", "edit me", 0.3, 77, request_index=99))
+    assert text == "echo:edit me"
     req, _ = gw.transcript.entries[-1]
-    assert resp.request_index == req.request_index == 1
+    assert req.request_index == 1
+    # The budget is the role's, whatever the request carried.
     assert (req.role_tag, req.rendered_prompt, req.temperature, req.max_tokens) == (
         "prompt_edit",
         "edit me",
         0.3,
-        77,
+        512,
     )
     assert req.digest == request_digest("prompt_edit", "edit me")
 
@@ -427,18 +451,15 @@ def test_complete_many_reserves_contiguous_indices_in_submission_order() -> None
     call(gw, "task_eval", "a")
     first = gw.complete_many("task_eval", ["b", "c", "d"])
     call(gw, "gradient_gen", "e")
-    second = gw.complete_many("prompt_edit", ["f", "g"], temperature=0.5, max_tokens=64)
-    assert [r.request_index for r in first] == [1, 2, 3]
-    assert [r.request_index for r in second] == [5, 6]
-    assert [r.text for r in first + second] == ["echo:b", "echo:c", "echo:d", "echo:f", "echo:g"]
+    second = gw.complete_many("prompt_edit", ["f", "g"], temperature=0.5)
+    assert first + second == ["echo:b", "echo:c", "echo:d", "echo:f", "echo:g"]
     entries = gw.transcript.entries
     assert [req.rendered_prompt for req, _ in entries] == list("abcdefg")
     assert [req.request_index for req, _ in entries] == list(range(7))
-    assert all(req.request_index == resp.request_index for req, resp in entries)
     assert [(req.temperature, req.max_tokens) for req, _ in entries] == [(0.0, 16)] * 4 + [
         (0.0, 512),
-        (0.5, 64),
-        (0.5, 64),
+        (0.5, 512),
+        (0.5, 512),
     ]
     assert gw.call_count() == 7
 
@@ -447,12 +468,11 @@ def test_complete_many_reserves_contiguous_indices_in_submission_order() -> None
     role=st.sampled_from(ROLE_TAGS),
     prompts=st.lists(st.text(max_size=20), max_size=6),
     temperature=st.sampled_from([0.0, 0.7]),
-    max_tokens=st.sampled_from([None, 1, 300]),
     before=st.integers(min_value=0, max_value=2),
     as_eval=st.booleans(),
 )
 def test_complete_many_writes_the_bytes_of_one_call_per_prompt(
-    role, prompts, temperature, max_tokens, before, as_eval
+    role, prompts, temperature, before, as_eval
 ) -> None:
     def send(batched: bool):
         gw = echo_gateway()
@@ -460,16 +480,11 @@ def test_complete_many_writes_the_bytes_of_one_call_per_prompt(
             call(gw, "task_eval", f"earlier {i}")
         with gw.count_as_eval() if as_eval else nullcontext():
             if batched:
-                responses = gw.complete_many(
-                    role, prompts, temperature=temperature, max_tokens=max_tokens
-                )
+                texts = gw.complete_many(role, prompts, temperature=temperature)
             else:
-                responses = [
-                    call(gw, role, p, temperature=temperature, max_tokens=max_tokens)
-                    for p in prompts
-                ]
+                texts = [call(gw, role, p, temperature=temperature) for p in prompts]
         lines = "".join(transcript_line(req, resp) + "\n" for req, resp in gw.transcript.entries)
-        return responses, lines, gw.optimize_calls(), gw.eval_calls()
+        return texts, lines, gw.optimize_calls(), gw.eval_calls()
 
     assert send(batched=True) == send(batched=False)
 
@@ -494,7 +509,8 @@ def test_complete_many_failure_at_k_keeps_the_k_calls_before_it(k) -> None:
     assert (batched.optimize_calls(), batched.eval_calls()) == (k, 0)
     assert (one_by_one.optimize_calls(), one_by_one.eval_calls()) == (k, 0)
     # The failed request's index and the rest of the batch's stay unused.
-    assert call(batched, "gradient_gen", "next").request_index == len(prompts)
+    call(batched, "gradient_gen", "next")
+    assert batched.transcript.entries[-1][0].request_index == len(prompts)
 
 
 def test_complete_many_inside_count_as_eval_counts_the_whole_batch() -> None:
@@ -509,7 +525,8 @@ def test_complete_many_rejects_unknown_role_before_reserving() -> None:
     gw = echo_gateway()
     with pytest.raises(ValueError, match="chitchat"):
         gw.complete_many("chitchat", ["x", "y"])
-    assert call(gw, "task_eval", "z").request_index == 0
+    call(gw, "task_eval", "z")
+    assert gw.transcript.entries[0][0].request_index == 0
     assert gw.call_count() == 1
 
 
@@ -518,7 +535,8 @@ def test_complete_many_empty_batch_reserves_nothing() -> None:
     assert gw.complete_many("task_eval", []) == []
     assert gw.transcript.entries == []
     assert gw.call_count() == 0
-    assert call(gw, "task_eval", "x").request_index == 0
+    call(gw, "task_eval", "x")
+    assert gw.transcript.entries[0][0].request_index == 0
 
 
 def test_complete_many_replay_elapsed_adds_latencies_in_order() -> None:
@@ -566,10 +584,9 @@ def test_memo_sends_a_repeat_across_batches_once() -> None:
     gw = Gateway(backend)
     first = gw.complete_many("task_eval", ["a", "b"])
     second = gw.complete_many("task_eval", ["b", "c", "a"])
+    # A hit is the earlier answer itself, and is not sent.
     assert backend.sent == ["a", "b", "c"]
-    # A hit is the earlier response itself, request_index included.
     assert second[0] is first[1] and second[2] is first[0]
-    assert [r.request_index for r in second] == [1, 2, 0]
     assert [req.rendered_prompt for req, _ in gw.transcript.entries] == ["a", "b", "c"]
     assert [req.request_index for req, _ in gw.transcript.entries] == [0, 1, 2]
     assert (gw.call_count(), gw.memo_hits(), gw.optimize_calls()) == (3, 2, 5)
@@ -578,12 +595,14 @@ def test_memo_sends_a_repeat_across_batches_once() -> None:
 def test_memo_sends_a_repeat_inside_one_batch_once() -> None:
     backend = _Counting()
     gw = Gateway(backend)
-    responses = gw.complete_many("prompt_edit", ["x", "y", "x", "x", "z"])
+    texts = gw.complete_many("prompt_edit", ["x", "y", "x", "x", "z"])
+    # The hits are not sent.
     assert backend.sent == ["x", "y", "z"]
-    assert [r.text for r in responses] == ["echo:x", "echo:y", "echo:x", "echo:x", "echo:z"]
-    assert [r.request_index for r in responses] == [0, 1, 0, 0, 2]
+    assert texts == ["echo:x", "echo:y", "echo:x", "echo:x", "echo:z"]
+    assert [req.request_index for req, _ in gw.transcript.entries] == [0, 1, 2]
     # Only the three sent requests reserved an index.
-    assert call(gw, "prompt_edit", "w").request_index == 3
+    call(gw, "prompt_edit", "w")
+    assert gw.transcript.entries[-1][0].request_index == 3
     assert (gw.call_count(), gw.memo_hits(), gw.optimize_calls()) == (4, 2, 6)
 
 
@@ -599,14 +618,13 @@ def test_memo_never_answers_above_temperature_zero() -> None:
     assert (gw.call_count(), gw.memo_hits(), len(gw.transcript.entries)) == (4, 1, 4)
 
 
-def test_memo_keys_on_role_and_max_tokens() -> None:
+def test_memo_keys_on_role() -> None:
     backend = _Counting()
     gw = Gateway(backend)
     call(gw, "task_eval", "a")
-    call(gw, "task_eval", "a", max_tokens=32)
     call(gw, "gradient_gen", "a")
-    call(gw, "task_eval", "a", max_tokens=16)
-    assert backend.sent == ["a", "a", "a"]
+    call(gw, "task_eval", "a")
+    assert backend.sent == ["a", "a"]
     assert gw.memo_hits() == 1
 
 
@@ -631,7 +649,8 @@ def test_memo_failure_after_hits_reports_first_position_and_keeps_counts() -> No
     assert (gw.call_count(), gw.memo_hits(), gw.optimize_calls()) == (2, 2, 4)
     assert [req.rendered_prompt for req, _ in gw.transcript.entries] == ["a", "b"]
     # "bad" and "c" reserved indices 2 and 3, which stay unused.
-    assert call(gw, "task_eval", "d").request_index == 4
+    call(gw, "task_eval", "d")
+    assert gw.transcript.entries[-1][0].request_index == 4
 
 
 def test_replay_serves_recorded_responses(tmp_path) -> None:
@@ -643,8 +662,8 @@ def test_replay_serves_recorded_responses(tmp_path) -> None:
     replay = Gateway(ReplayBackend(Transcript.load(path)))
     # At temperature 0.7 both requests reach the backend; a repeated identical
     # request sticks to the recorded response.
-    assert call(replay, "task_eval", "first", temperature=0.7).text == "echo:first"
-    assert call(replay, "task_eval", "first", temperature=0.7).text == "echo:first"
+    assert call(replay, "task_eval", "first", temperature=0.7) == "echo:first"
+    assert call(replay, "task_eval", "first", temperature=0.7) == "echo:first"
     assert replay.call_count() == 2
 
 
@@ -669,8 +688,8 @@ def test_replay_ignores_index_temperature_and_max_tokens(tmp_path) -> None:
 
     replay = Gateway(ReplayBackend(Transcript.load(path)))
     # Issued first, so its request_index (0) differs from the recorded one (1).
-    assert call(replay, "task_eval", "p", temperature=0.7, max_tokens=3).text == "echo:p"
-    assert replay.complete(LlmRequest("task_eval", "zero", 1.0, 16, 42)).text == "echo:zero"
+    assert call(replay, "task_eval", "p", temperature=0.7) == "echo:p"
+    assert replay.complete(LlmRequest("task_eval", "zero", 1.0, 3, 42)) == "echo:zero"
 
 
 def test_replay_consumes_repeats_in_order_then_sticks_to_last() -> None:
@@ -679,7 +698,7 @@ def test_replay_consumes_repeats_in_order_then_sticks_to_last() -> None:
     for _ in range(3):
         call(gw, "task_eval", "same", temperature=0.7)
     replay = Gateway(ReplayBackend(gw.transcript))
-    texts = [call(replay, "task_eval", "same", temperature=0.7).text for _ in range(5)]
+    texts = [call(replay, "task_eval", "same", temperature=0.7) for _ in range(5)]
     assert texts == ["one", "two", "three", "three", "three"]
     assert replay.call_count() == 5
 
@@ -701,8 +720,8 @@ def test_replay_lookup_ignores_issue_order(tmp_path) -> None:
     gw.transcript.save(path)
 
     replay = Gateway(ReplayBackend(Transcript.load(path)))
-    assert call(replay, "task_eval", "b").text == "echo:b"
-    assert call(replay, "task_eval", "a").text == "echo:a"
+    assert call(replay, "task_eval", "b") == "echo:b"
+    assert call(replay, "task_eval", "a") == "echo:a"
 
 
 class _Numbered:
@@ -720,15 +739,15 @@ class _Numbered:
 
 
 # One prompt text under two roles, temperature-0 repeats (answered by the
-# memo), repeats at 0.7 and a second token budget (both sent again).
+# memo) and repeats at 0.7 (sent again).
 _REPLAY_EXAMPLE = [
-    ("task_eval", "alpha", 0.0, 16),
-    ("gradient_gen", "alpha", 0.0, 512),
-    ("task_eval", "alpha", 0.0, 16),
-    ("task_eval", "beta", 0.7, 16),
-    ("task_eval", "beta", 0.7, 16),
-    ("task_eval", "alpha", 0.0, 512),
-    ("paraphrase", "beta", 0.0, 512),
+    ("task_eval", "alpha", 0.0),
+    ("gradient_gen", "alpha", 0.0),
+    ("task_eval", "alpha", 0.0),
+    ("task_eval", "beta", 0.7),
+    ("task_eval", "beta", 0.7),
+    ("task_eval", "alpha", 0.0),
+    ("paraphrase", "beta", 0.0),
 ]
 
 
@@ -739,7 +758,6 @@ _REPLAY_EXAMPLE = [
             st.sampled_from(ROLE_TAGS),
             st.sampled_from(["alpha", "beta", "alpha\nbeta", "é"]),
             st.sampled_from([0.0, 0.7]),
-            st.sampled_from([16, 512]),
         ),
         max_size=30,
     ),
@@ -749,8 +767,8 @@ def test_replay_table_serves_what_was_recorded(tmp_path_factory, requests, order
     def send(backend, sequence):
         gw = Gateway(backend)
         texts = [
-            call(gw, role, prompt, temperature=temperature, max_tokens=max_tokens).text
-            for role, prompt, temperature, max_tokens in sequence
+            call(gw, role, prompt, temperature=temperature)
+            for role, prompt, temperature in sequence
         ]
         return gw, texts
 
@@ -765,15 +783,15 @@ def test_replay_table_serves_what_was_recorded(tmp_path_factory, requests, order
     replay.transcript.save(replay_path)
     assert replay_path.read_bytes() == path.read_bytes()
 
-    # Lookup ignores temperature and token budget, so only content recorded
-    # once is served the same answer whatever the order.
+    # Lookup ignores temperature, so only content recorded once is served
+    # the same answer whatever the order.
     recorded = Counter(
         (req.role_tag, req.rendered_prompt) for req, _ in recording.transcript.entries
     )
     zero = [(request, text) for request, text in zip(requests, recorded_texts) if request[2] == 0]
     order.shuffle(zero)
     _, shuffled_texts = send(ReplayBackend(Transcript.load(path)), [r for r, _ in zero])
-    for ((role, prompt, _, _), text), got in zip(zero, shuffled_texts):
+    for ((role, prompt, _), text), got in zip(zero, shuffled_texts):
         if recorded[role, prompt] == 1:
             assert got == text
 
@@ -843,8 +861,7 @@ def test_live_backend_builds_chat_payload() -> None:
         return 200, _ok_body("hello")
 
     gw = _live_gateway(transport)
-    resp = call(gw, "task_eval", "the prompt", temperature=0.0)
-    assert resp.text == "hello"
+    assert call(gw, "task_eval", "the prompt", temperature=0.0) == "hello"
     assert seen["url"].endswith("/chat/completions")
     assert seen["headers"]["Authorization"] == "Bearer k"
     assert seen["payload"]["messages"] == [{"role": "user", "content": "the prompt"}]
@@ -861,7 +878,7 @@ def test_live_backend_counts_every_attempt() -> None:
         return 200, _ok_body("ok")
 
     gw = _live_gateway(flaky, max_attempts=5)
-    assert call(gw, "task_eval", "p").text == "ok"
+    assert call(gw, "task_eval", "p") == "ok"
     assert gw.call_count() == 3  # two failed attempts also reached the wire
 
 
@@ -888,7 +905,7 @@ def test_live_backend_client_error_is_fatal() -> None:
 def test_live_backend_retries_null_content() -> None:
     bodies = iter([json.dumps({"choices": [{"message": {"content": None}}]}), _ok_body("Yes")])
     gw = _live_gateway(lambda *a: (200, next(bodies)), max_attempts=3)
-    assert call(gw, "task_eval", "p").text == "Yes"
+    assert call(gw, "task_eval", "p") == "Yes"
     assert gw.call_count() == 2  # the null answer reached the wire too
 
 
@@ -923,7 +940,7 @@ def test_scripted_digest_map_backend() -> None:
         return canned[request_digest(req.role_tag, req.rendered_prompt)]
 
     gw = Gateway(ScriptedBackend(by_digest))
-    assert call(gw, "task_eval", "is water wet?").text == "Yes"
+    assert call(gw, "task_eval", "is water wet?") == "Yes"
     assert gw.call_count() == 1
 
 
@@ -973,8 +990,8 @@ def test_live_backend_roundtrip_against_local_server() -> None:
         gw = Gateway(
             LiveBackend(LiveConfig(base_url=server.base_url, model="stub", api_key="k"))
         )
-        resp = call(gw, "task_eval", "is this true")
-        assert resp.text == "Yes"
+        assert call(gw, "task_eval", "is this true") == "Yes"
+        _, resp = gw.transcript.entries[0]
         assert resp.latency_s > 0
         assert gw.call_count() == 1
     finally:
@@ -990,7 +1007,7 @@ def test_live_backend_retries_through_transient_errors() -> None:
             rng=random.Random(0),
         )
         gw = Gateway(backend)
-        assert call(gw, "task_eval", "is this true").text == "Yes"
+        assert call(gw, "task_eval", "is this true") == "Yes"
         assert gw.call_count() == 3  # two 503s + the success all reached the wire
         assert server.state["requests"] == 3
     finally:

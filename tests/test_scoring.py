@@ -307,22 +307,22 @@ def _two_pass_evaluate(prompt, examples, gateway, task):
     Builds every prediction, sorts them and the examples by id, then counts
     the confusion matrix in a second pass over the sorted pairs.
     """
-    responses = gateway.complete_many(
+    texts = gateway.complete_many(
         "task_eval",
         [f"{prompt.text}\n{ex.input_text}" for ex in examples],
         temperature=task.temperature,
     )
     predictions = []
-    for ex, resp in zip(examples, responses):
+    for ex, text in zip(examples, texts):
         if task.task_type == "math":
-            parsed = parse_math_answer(resp.text)
+            parsed = parse_math_answer(text)
             correct = parsed is not None and parsed == canonical_number(ex.label)
         else:
-            parsed = parse_label(resp.text, task.label_set)
+            parsed = parse_label(text, task.label_set)
             correct = parsed is not None and parsed.lower() == ex.label.lower()
         predictions.append(
             Prediction(
-                example_id=ex.id, raw_output=resp.text, parsed_label=parsed, correct=correct
+                example_id=ex.id, raw_output=text, parsed_label=parsed, correct=correct
             )
         )
     predictions.sort(key=lambda p: p.example_id)

@@ -20,7 +20,6 @@ SRC = REPO / "src" / "promptopt"
 # Reference implementations kept beside the fast code that tests compare
 # against them; each is named here with the reason it stays.
 ALLOWED = {
-    "bandit.ucb_value": "the UCB formula that bandit._pick_arm inlines; tests pin the two together",
     "gateway.transcript_line": "the one-line reference that tests pin Transcript.save's output to",
 }
 
