@@ -220,14 +220,15 @@ class Transcript:
         Raises :class:`TranscriptFormatError` naming the path and the 1-based
         line number of the first line that is not a complete entry, such as
         the cut-off last line of a file whose writer was killed, or whose
-        ``response_text`` is not a string or ``latency_s`` not a finite
-        number >= 0.
+        ``role_tag``, ``rendered_prompt`` or ``response_text`` is not a
+        string, or ``latency_s`` not an int or float that is finite and >= 0.
         """
         scan = _SCANNER
         skip_space = _JSON_WHITESPACE
         make_request = LlmRequest._make
         make_response = LlmResponse._make
         inf = math.inf
+        number = (int, float)
         entries: list[tuple[LlmRequest, LlmResponse]] = []
         lineno = 0
         try:
@@ -242,25 +243,33 @@ class Transcript:
                         if not line.strip():
                             continue
                         row = json.loads(line)
+                    role = row["role_tag"]
+                    prompt = row["rendered_prompt"]
                     text = row["response_text"]
                     latency = row["latency_s"]
-                    # A latency that is not a number raises TypeError here.
-                    if type(text) is not str or not 0 <= latency < inf:
+                    # An int too large for a float raises OverflowError here.
+                    if (
+                        type(role) is not str
+                        or type(prompt) is not str
+                        or type(text) is not str
+                        or type(latency) not in number
+                        or not 0 <= float(latency) < inf
+                    ):
                         raise TranscriptFormatError(
-                            f"{path}: line {lineno}: response_text must be a string "
-                            "and latency_s a finite number >= 0"
+                            f"{path}: line {lineno}: role_tag, rendered_prompt and "
+                            "response_text must be strings and latency_s a finite number >= 0"
                         )
                     entries.append((
                         make_request((
-                            row["role_tag"],
-                            row["rendered_prompt"],
+                            role,
+                            prompt,
                             row["temperature"],
                             row["max_tokens"],
                             row["request_index"],
                         )),
                         make_response((text, latency)),
                     ))
-        except (json.JSONDecodeError, KeyError, TypeError) as exc:
+        except (json.JSONDecodeError, KeyError, TypeError, OverflowError) as exc:
             raise TranscriptFormatError(
                 f"{path}: line {lineno}: not a transcript entry ({type(exc).__name__}: {exc})"
             ) from exc

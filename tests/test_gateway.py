@@ -14,6 +14,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from promptopt.gateway import (
+    DEFAULT_MAX_TOKENS,
     ROLE_TAGS,
     Gateway,
     LiveBackend,
@@ -406,6 +407,10 @@ def test_transcript_load_names_line_of_malformed_entry(tmp_path) -> None:
         ("latency_s", float("nan")),
         ("latency_s", float("inf")),
         ("latency_s", -1.0),
+        ("latency_s", True),
+        pytest.param("latency_s", 10**400, id="latency_s-int-too-large-for-a-float"),
+        ("role_tag", {"a": 1}),
+        ("rendered_prompt", [1]),
     ],
 )
 def test_transcript_load_names_line_of_unusable_field_type(tmp_path, field, value) -> None:
@@ -680,16 +685,23 @@ def test_replay_miss_raises_without_counting(tmp_path) -> None:
 
 
 def test_replay_ignores_index_temperature_and_max_tokens(tmp_path) -> None:
-    gw = echo_gateway()
-    call(gw, "task_eval", "zero")
-    call(gw, "task_eval", "p", temperature=0.0)
+    # Recorded with a budget other than the role's, at indices the replay does
+    # not reuse, so each request below differs from its entry in all three.
+    budget = DEFAULT_MAX_TOKENS["task_eval"]
+    assert budget != 3
     path = tmp_path / "t.jsonl"
-    gw.transcript.save(path)
+    Transcript(entries=[
+        (LlmRequest("task_eval", "zero", 0.0, 3, 5), LlmResponse("echo:zero", 0.0)),
+        (LlmRequest("task_eval", "p", 0.0, 3, 6), LlmResponse("echo:p", 0.0)),
+    ]).save(path)
 
     replay = Gateway(ReplayBackend(Transcript.load(path)))
-    # Issued first, so its request_index (0) differs from the recorded one (1).
     assert call(replay, "task_eval", "p", temperature=0.7) == "echo:p"
-    assert replay.complete(LlmRequest("task_eval", "zero", 1.0, 3, 42)) == "echo:zero"
+    assert call(replay, "task_eval", "zero") == "echo:zero"
+    assert [req[2:] for req, _ in replay.transcript.entries] == [
+        (0.7, budget, 0),
+        (0.0, budget, 1),
+    ]
 
 
 def test_replay_consumes_repeats_in_order_then_sticks_to_last() -> None:

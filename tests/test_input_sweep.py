@@ -162,6 +162,18 @@ CASES = {
     "transcript-negative-latency": Case(
         EXIT_CONFIG, transcript=_first_line("latency_s", -1.0), says="line 1: "
     ),
+    "transcript-bool-latency": Case(
+        EXIT_CONFIG, transcript=_first_line("latency_s", True), says="line 1: "
+    ),
+    "transcript-huge-int-latency": Case(
+        EXIT_CONFIG, transcript=_first_line("latency_s", 10**400), says="line 1: "
+    ),
+    "transcript-object-role-tag": Case(
+        EXIT_CONFIG, transcript=_first_line("role_tag", {"a": 1}), says="line 1: "
+    ),
+    "transcript-array-rendered-prompt": Case(
+        EXIT_CONFIG, transcript=_first_line("rendered_prompt", [1]), says="line 1: "
+    ),
     "evaluate-transcript-as-recorded": Case(EXIT_OK, transcript=lambda t: t, command="evaluate"),
     "evaluate-transcript-null-response-text": Case(
         EXIT_CONFIG,
