@@ -39,6 +39,7 @@ from .model import (
     EmptyPromptError,
     RunConfig,
     new_seed_prompt,
+    read_text,
 )
 from .scoring import TaskSpec, evaluate_prompt
 from .scripted import HeuristicScript
@@ -115,25 +116,6 @@ def _coerce(section: str, types: dict[str, type], key: str, raw: str):
         raise ConfigError(f"[{section}] {key}: {exc}") from exc
 
 
-def _existing_file(path: str | Path, what: str) -> Path:
-    """``path``, once it names something that exists and is not a directory."""
-    file = Path(path)
-    if not file.exists():
-        raise ConfigError(f"{what} not found: {file}")
-    if file.is_dir():
-        raise ConfigError(f"{what} is a directory: {file}")
-    return file
-
-
-def _read_text_file(path: str | Path, what: str) -> str:
-    """The UTF-8 text of the file ``path`` names."""
-    file = _existing_file(path, what)
-    try:
-        return file.read_text(encoding="utf-8")
-    except UnicodeDecodeError as exc:
-        raise ConfigError(f"{what} {file} is not UTF-8 text ({exc})") from exc
-
-
 def read_config_file(path: str | Path):
     """Parse the INI config into (run overrides, bandit overrides, dataset, gateway, extra).
 
@@ -145,12 +127,11 @@ def read_config_file(path: str | Path):
     parser = configparser.ConfigParser(
         inline_comment_prefixes=(";", "#"), interpolation=None, default_section=""
     )
-    file = _existing_file(path, "config file")
+    text = read_text(path, "config file")
     try:
-        # utf-8-sig also reads a file that an editor saved with a byte order mark.
-        parser.read(file, encoding="utf-8-sig")
-    except (configparser.Error, UnicodeDecodeError) as exc:
-        raise ConfigError(f"malformed config file {file}: {exc}") from exc
+        parser.read_string(text, source=str(path))
+    except configparser.Error as exc:
+        raise ConfigError(f"malformed config file {path}: {exc}") from exc
     for name in parser.sections():
         if name not in _SECTIONS:
             raise ConfigError(f"unknown section [{name}]; expected one of {', '.join(_SECTIONS)}")
@@ -237,7 +218,7 @@ def _replay_backend(args, gateway_section: dict, cfg: RunConfig, examples, split
     transcript_path = getattr(args, "transcript", None) or gateway_section.get("transcript")
     if not transcript_path:
         raise ConfigError("replay backend needs --transcript PATH")
-    return ReplayBackend(Transcript.load(_existing_file(transcript_path, "transcript")))
+    return ReplayBackend(Transcript.load(transcript_path))
 
 
 def _live_backend(args, gateway_section: dict, cfg: RunConfig, examples, split):
@@ -262,9 +243,18 @@ def build_gateway(args, gateway_section: dict, cfg: RunConfig, examples, split) 
     return Gateway(_BACKENDS[backend_name](args, gateway_section, cfg, examples, split))
 
 
+def _make_dir(path: Path, what: str) -> Path:
+    """``path``, made a directory with its parents unless it is one already."""
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create {what} {path}: {exc.strerror}") from exc
+    return path
+
+
 def _seed_prompt_text(extra: dict) -> str:
     if "seed_prompt_file" in extra:
-        return _read_text_file(extra["seed_prompt_file"], "seed prompt file")
+        return read_text(extra["seed_prompt_file"], "seed prompt file")
     if "seed_prompt" in extra:
         return extra["seed_prompt"]
     raise ConfigError("config needs [run] seed_prompt or seed_prompt_file")
@@ -276,17 +266,9 @@ def cmd_optimize(args) -> int:
     examples, split = _load_split(dataset, cfg)
     seed = new_seed_prompt(_seed_prompt_text(extra))
     gateway = build_gateway(args, gateway_section, cfg, examples, split)
-    templates = None
-    if args.templates:
-        if not Path(args.templates).is_dir():
-            raise ConfigError(f"template directory not found: {args.templates}")
-        templates = TemplateSet.from_dir(args.templates)
+    templates = TemplateSet.from_dir(args.templates) if args.templates else None
     method = args.mode or "mapo"
-    out_dir = Path(args.out or f"runs/{method}-seed{cfg.rng_seed}")
-    try:
-        out_dir.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise ConfigError(f"cannot create artifact directory {out_dir}: {exc.strerror}") from exc
+    out_dir = _make_dir(Path(args.out or f"runs/{method}-seed{cfg.rng_seed}"), "artifact directory")
 
     result = run(
         seed,
@@ -328,7 +310,7 @@ def cmd_optimize(args) -> int:
 def cmd_evaluate(args) -> int:
     run_overrides, bandit_overrides, dataset, gateway_section, _ = read_config_file(args.config)
     cfg = build_run_config(args, run_overrides, bandit_overrides)
-    prompt = new_seed_prompt(_read_text_file(args.prompt_file, "prompt file"))
+    prompt = new_seed_prompt(read_text(args.prompt_file, "prompt file"))
     examples, split = _load_split(dataset, cfg)
     gateway = build_gateway(args, gateway_section, cfg, examples, split)
     task = TaskSpec.from_split(split, cfg)
@@ -356,14 +338,16 @@ def cmd_report(args) -> int:
                 f"share the name {directory.name!r}; their CSV files would overwrite each other"
             )
         directories[directory.name] = directory
-    out_dir = Path(args.out or ".")
-    out_dir.mkdir(parents=True, exist_ok=True)
-    curves: dict[str, dict[int, float]] = {}
+    # Every artifact is read, and checked, before any CSV file is written.
+    runs = []
     for stem, directory in directories.items():
         events = artifact.read_events(directory)
         if not events:
             raise ConfigError(f"no events found in artifact dir {directory}")
-        meta = artifact.read_meta(directory)
+        runs.append((stem, directory, events, artifact.read_meta(directory)))
+    out_dir = _make_dir(Path(args.out or "."), "report directory")
+    curves: dict[str, dict[int, float]] = {}
+    for stem, directory, events, meta in runs:
         if meta.get("status") != "complete":
             print(f"warning: artifact {directory} is incomplete", file=sys.stderr)
         events.sort(key=lambda e: e["round"])

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
 
-from .model import ConfigError, derived_rng
+from .model import ConfigError, derived_rng, read_text
 
 FORMATS = ("tsv", "jsonl")
 TASK_TYPES = ("classification", "math")
@@ -83,29 +83,19 @@ def load(path: str | Path, format: str, task_type: str = "classification") -> li
     """Read a TSV (``input<TAB>label``) or JSONL dataset into examples.
 
     A JSONL input or label is a string or a finite number. Ids follow file order;
-    labels are trimmed but otherwise untouched.
+    labels are trimmed but otherwise untouched. A missing file, a directory or
+    a byte that is not UTF-8 raises :class:`DatasetError`, as
+    :func:`~promptopt.model.read_text` words it.
     """
     if format not in FORMATS:
         raise DatasetError(f"unknown format {format!r}, expected one of {FORMATS}")
     if task_type not in TASK_TYPES:
         raise DatasetError(f"unknown task_type {task_type!r}, expected one of {TASK_TYPES}")
     file = Path(path)
-    if not file.exists():
-        raise DatasetError(f"dataset file not found: {file}")
-    if file.is_dir():
-        raise DatasetError(f"dataset file is a directory: {file}")
-    # Bytes that are not UTF-8 are read as lone surrogates, so the error can
-    # name their line.
-    text = file.read_text(encoding="utf-8", errors="surrogateescape")
-    try:
-        text.encode("utf-8")
-    except UnicodeEncodeError as exc:
-        lineno = text.count("\n", 0, exc.start) + 1
-        byte = ord(text[exc.start]) - 0xDC00
-        raise DatasetError(f"{file}:{lineno}: not UTF-8 text (byte 0x{byte:02x})") from None
+    text = read_text(file, "dataset file", DatasetError)
     examples: list[Example] = []
-    # Reading in text mode turns CRLF into "\n"; str.splitlines() would also
-    # break at U+2028, form feeds and other characters that may sit inside a row.
+    # str.splitlines() would also break at U+2028, form feeds and other
+    # characters that may sit inside a row.
     for lineno, line in enumerate(text.split("\n"), start=1):
         if not line.strip():
             continue

@@ -222,7 +222,14 @@ class Transcript:
         the cut-off last line of a file whose writer was killed, or whose
         ``role_tag``, ``rendered_prompt`` or ``response_text`` is not a
         string, or ``latency_s`` not an int or float that is finite and >= 0.
+        A missing path or a directory raises it too. The file is streamed,
+        not read whole by :func:`~promptopt.model.read_text`, so a byte order
+        mark is not skipped: this program writes transcripts without one.
         """
+        if not Path(path).exists():
+            raise TranscriptFormatError(f"transcript not found: {path}")
+        if Path(path).is_dir():
+            raise TranscriptFormatError(f"transcript is a directory: {path}")
         scan = _SCANNER
         skip_space = _JSON_WHITESPACE
         make_request = LlmRequest._make

@@ -17,7 +17,7 @@ from typing import Mapping, Sequence
 
 from .data import ExampleSample
 from .gateway import Gateway
-from .model import END_DELIM, START_DELIM, ConfigError, Gradient, Prompt, PromptStore, RunConfig
+from .model import END_DELIM, START_DELIM, ConfigError, Gradient, Prompt, PromptStore, RunConfig, read_text
 
 logger = logging.getLogger(__name__)
 
@@ -154,12 +154,14 @@ class TemplateSet:
         """Override any of the defaults with ``<name>.txt`` files in a directory.
 
         An override may use only the slots of the default it replaces, which
-        are the slots the engine binds for that template. A ``.txt`` file
-        that names no template, is a directory, is not UTF-8 text or names
-        another slot raises :class:`ConfigError` naming it, so no run starts
-        with it.
+        are the slots the engine binds for that template. A ``directory``
+        that is not one, or a ``.txt`` file that names no template, is a
+        directory, is not UTF-8 text or names another slot, raises
+        :class:`ConfigError` naming it, so no run starts with it.
         """
         directory = Path(directory)
+        if not directory.is_dir():
+            raise ConfigError(f"template directory not found: {directory}")
         names = [f"{f.name}.txt" for f in fields(cls)]
         for file in sorted(directory.glob("*.txt")):
             if file.name not in names:
@@ -171,12 +173,7 @@ class TemplateSet:
             file = directory / f"{f.name}.txt"
             if not file.exists():
                 continue
-            if file.is_dir():
-                raise ConfigError(f"template file is a directory: {file}")
-            try:
-                body = file.read_text(encoding="utf-8")
-            except UnicodeDecodeError as exc:
-                raise ConfigError(f"template file {file} is not UTF-8 text ({exc})") from exc
+            body = read_text(file, "template file")
             known = set(_SLOT_RE.findall(f.default.body))
             unknown = set(_SLOT_RE.findall(body)) - known
             if unknown:

@@ -5,7 +5,8 @@ successor objects (see :class:`PromptStore`). Each checks its fields when it is
 built, by ``dataclasses.replace`` too, so a :class:`RunConfig` that exists is
 valid; a bad configuration value raises :class:`ConfigError`. The types an
 artifact writes one per line (prompts, gradients, beams) serialize to a
-self-describing one-line text record via :func:`to_record`.
+self-describing one-line text record via :func:`to_record`. Every input
+file a user names is read by :func:`read_text`.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import json
 import math
 import random
 from dataclasses import asdict, dataclass, field, replace
+from pathlib import Path
 
 GRADIENT_MODES = ("positive_only", "negative_only", "both")
 POLARITIES = ("positive", "negative")
@@ -24,6 +26,30 @@ END_DELIM = "<END>"
 
 class ConfigError(ValueError):
     """A run configuration field violates its contract."""
+
+
+def read_text(path: str | Path, what: str, error: type[Exception] = ConfigError) -> str:
+    """The text of the input file ``path``, read as UTF-8; a leading byte order mark is skipped.
+
+    A missing path or a directory raises ``error`` naming ``what`` and the
+    path; a byte that is not UTF-8 raises it naming the file and the line.
+    Newlines are read in text mode, so CRLF becomes ``"\\n"``.
+    """
+    file = Path(path)
+    if not file.exists():
+        raise error(f"{what} not found: {file}")
+    if file.is_dir():
+        raise error(f"{what} is a directory: {file}")
+    # Bytes that are not UTF-8 are read as lone surrogates, so the error can
+    # name their line.
+    text = file.read_text(encoding="utf-8-sig", errors="surrogateescape")
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError as exc:
+        lineno = text.count("\n", 0, exc.start) + 1
+        byte = ord(text[exc.start]) - 0xDC00
+        raise error(f"{file}:{lineno}: not UTF-8 text (byte 0x{byte:02x})") from None
+    return text
 
 
 class EmptyPromptError(ValueError):

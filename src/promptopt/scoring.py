@@ -70,24 +70,37 @@ class ConfusionCounts:
     tn: int = 0
 
 
+_WORD_RE = re.compile(r"\w")
+
+
+def _token(label: str) -> str:
+    """``label`` as a whole token: no word character may touch either end.
+
+    On an edge that is a word character ``\\b`` says so, and searches faster
+    than the lookaround that an edge such as the ``+`` of ``+1`` needs.
+    """
+    head = r"\b" if _WORD_RE.match(label[:1]) else r"(?<!\w)"
+    tail = r"\b" if _WORD_RE.match(label[-1:]) else r"(?!\w)"
+    return rf"{head}({re.escape(label)}){tail}"
+
+
 @functools.lru_cache(maxsize=64)
 def _label_pattern(label_set: tuple[str, ...]) -> re.Pattern:
-    """``\\b(l1)\\b|\\b(l2)\\b|...``: group ``k`` matches label ``k - 1``.
+    """``_token(l1)|_token(l2)|...``: group ``k`` matches label ``k - 1``.
 
     Search tries the alternatives in order at each position from the left,
     so the first match is the earliest occurrence of any label, with ties
     going to label_set order.
     """
-    return re.compile(
-        "|".join(rf"\b({re.escape(label)})\b" for label in label_set), re.IGNORECASE
-    )
+    return re.compile("|".join(_token(label) for label in label_set), re.IGNORECASE)
 
 
 def parse_label(raw: str, label_set: Sequence[str]) -> str | None:
     """Earliest case-insensitive whole-token label occurrence in ``raw``.
 
-    Ties at the same position go to label_set order. Labels must begin and end
-    with word characters for the token boundaries to apply.
+    A whole token has no word character just before or just after it, so
+    ``+1`` is found in ``"(+1)"`` but not in ``"x+1"``, and ``Yes`` not in
+    ``"Yesterday"``. Ties at the same position go to label_set order.
     """
     if not label_set:
         raise ValueError("label_set is empty")
@@ -100,9 +113,13 @@ _NUMBER_RE = re.compile(r"-?\d[\d,]*(?:\.\d+)?")
 
 
 def canonical_number(token: str) -> str:
-    """Strip commas/whitespace and a trailing ``.0`` tail from a number token."""
+    """Strip commas and whitespace, and the trailing zeros of a fraction.
+
+    ``1,234`` gives ``1234``, ``1.50`` gives ``1.5`` and ``2.00`` gives ``2``;
+    an integer keeps its zeros (``100``).
+    """
     cleaned = re.sub(r"[\s,]", "", token)
-    return re.sub(r"\.0+$", "", cleaned)
+    return re.sub(r"(\.\d*[1-9])0+$|\.0+$", r"\1", cleaned)
 
 
 def parse_math_answer(raw: str) -> str | None:

@@ -3,6 +3,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import shutil
 from dataclasses import fields
 from pathlib import Path
 
@@ -191,9 +192,28 @@ def test_optimize_malformed_ini_is_config_error_and_values_are_literal(
     if case == "percent_in_value":
         assert code == EXIT_OK, err
         assert json.loads((out / "config.json").read_text())["seed_prompt"] == PERCENT_PROMPT
+    elif case == "not_utf8":
+        # Named with its line, as a byte that is not UTF-8 is in every input file.
+        assert code == EXIT_CONFIG
+        assert err == f"config error: {file}:3: not UTF-8 text (byte 0xff)\n"
     else:
         assert code == EXIT_CONFIG
         assert err.startswith(f"config error: malformed config file {file}: ")
+
+
+def test_seed_prompt_file_with_a_byte_order_mark_gives_a_clean_seed_prompt(tmp_path) -> None:
+    seed = "Decide whether the statement happened. Answer Yes or No."
+    prompt = tmp_path / "seed.txt"
+    prompt.write_bytes(b"\xef\xbb\xbf" + seed.encode("utf-8") + b"\n")
+    config = tmp_path / "run.ini"
+    body = CONFIG_BODY.replace(f"seed_prompt = {seed}", f"seed_prompt_file = {prompt}")
+    config.write_text(body, encoding="utf-8")
+    out = tmp_path / "out"
+    argv = ["optimize", "--config", str(config), "--backend", "scripted", "--out", str(out)]
+    assert main(argv) == EXIT_OK
+    assert json.loads((out / "config.json").read_text(encoding="utf-8"))["seed_prompt"] == seed
+    # The transcript writes U+FEFF as the escape \ufeff.
+    assert "\\ufeff" not in (out / "transcript.jsonl").read_text(encoding="utf-8")
 
 
 def test_read_config_file_accepts_a_byte_order_mark(config_file, tmp_path) -> None:
@@ -763,6 +783,65 @@ def test_report_empty_artifact_dir_errors(tmp_path) -> None:
     empty = tmp_path / "empty"
     empty.mkdir()
     assert main(["report", str(empty)]) == EXIT_CONFIG
+
+
+@pytest.fixture(scope="module")
+def recorded_artifact(tmp_path_factory) -> Path:
+    """The artifact of one scripted run of CONFIG_BODY: round 0 and 2 rounds of events."""
+    directory = tmp_path_factory.mktemp("recorded")
+    config = directory / "run.ini"
+    config.write_text(CONFIG_BODY, encoding="utf-8")
+    out = directory / "rec"
+    argv = ["optimize", "--config", str(config), "--backend", "scripted", "--out", str(out)]
+    assert main(argv) == EXIT_OK
+    return out
+
+
+def _drop_best_test_score(path: Path) -> None:
+    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    row = json.loads(lines[1])
+    del row["best_test_score"]
+    lines[1] = json.dumps(row) + "\n"
+    path.write_text("".join(lines), encoding="utf-8")
+
+
+# Each damages one file of a recorded artifact, or is the file --out names:
+# (the file, how to damage it, what the one stderr line says after the path).
+BAD_REPORT_INPUTS = {
+    "events_line_cut": (
+        "events.jsonl",
+        lambda f: f.write_text(f.read_text(encoding="utf-8")[:-20], encoding="utf-8"),
+        ":3: invalid JSON",
+    ),
+    "meta_not_utf8": (
+        "run_meta.json",
+        lambda f: f.write_bytes(b'{"status": "compl\xe9te"}\n'),
+        ":1: not UTF-8 text",
+    ),
+    "event_without_best_test_score": (
+        "events.jsonl", _drop_best_test_score, ":2: best_test_score: expected a number"
+    ),
+    "out_is_a_file": ("out.csv", lambda f: f.write_text("", encoding="utf-8"), ": File exists"),
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_REPORT_INPUTS))
+def test_report_refuses_a_malformed_artifact_or_out_path(
+    case, recorded_artifact, tmp_path, capsys
+) -> None:
+    rec = tmp_path / "rec"
+    shutil.copytree(recorded_artifact, rec)
+    name, damage, says = BAD_REPORT_INPUTS[case]
+    path = tmp_path / name if case == "out_is_a_file" else rec / name
+    damage(path)
+    report_dir = path if case == "out_is_a_file" else tmp_path / "report"
+    capsys.readouterr()
+    assert main(["report", str(rec), "--out", str(report_dir)]) == EXIT_CONFIG
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1, lines
+    assert lines[0].startswith("config error: ")
+    assert f"{path}{says}" in lines[0]
+    assert report_dir.is_file() if case == "out_is_a_file" else not report_dir.exists()
 
 
 def test_optimize_live_backend_requires_endpoint_config(config_file) -> None:

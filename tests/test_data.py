@@ -56,6 +56,17 @@ def test_load_breaks_lines_at_newline_only(tmp_path, format, body, text) -> None
     assert examples == [Example(0, text, "Yes"), Example(1, text, "Yes")]
 
 
+@pytest.mark.parametrize(
+    "format, line",
+    [("tsv", "first\tYes\n"), ("jsonl", '{"text": "first", "label": "Yes"}\n')],
+    ids=["tsv", "jsonl"],
+)
+def test_load_skips_a_byte_order_mark(tmp_path, format, line) -> None:
+    file = tmp_path / f"d.{format}"
+    file.write_bytes(b"\xef\xbb\xbf" + line.encode("utf-8"))
+    assert load(file, format) == [Example(0, "first", "Yes")]
+
+
 def test_load_errors(tmp_path) -> None:
     empty = tmp_path / "empty.tsv"
     empty.write_text("", encoding="utf-8")

@@ -397,6 +397,13 @@ def test_transcript_load_names_line_of_malformed_entry(tmp_path) -> None:
         Transcript.load(path)
 
 
+def test_transcript_load_refuses_a_missing_path_or_a_directory(tmp_path) -> None:
+    with pytest.raises(TranscriptFormatError, match="^transcript not found: .*gone.jsonl$"):
+        Transcript.load(tmp_path / "gone.jsonl")
+    with pytest.raises(TranscriptFormatError, match="^transcript is a directory: "):
+        Transcript.load(tmp_path)
+
+
 @pytest.mark.parametrize(
     ("field", "value"),
     [

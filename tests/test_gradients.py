@@ -78,6 +78,11 @@ def test_template_override_from_dir(tmp_path) -> None:
     assert templates.alpha.body == TEMPLATES.alpha.body
 
 
+def test_template_dir_refuses_a_missing_directory(tmp_path) -> None:
+    with pytest.raises(ConfigError, match="template directory not found: .*nowhere"):
+        TemplateSet.from_dir(tmp_path / "nowhere")
+
+
 def test_template_dir_refuses_a_file_that_names_no_template(tmp_path) -> None:
     (tmp_path / "alpha.txt").write_text("kept {prompt}", encoding="utf-8")
     (tmp_path / "alpah.txt").write_text("IGNORED {prompt}", encoding="utf-8")

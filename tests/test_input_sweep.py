@@ -58,6 +58,7 @@ class Case(NamedTuple):
     templates: dict[str, str | bytes] | None = None
     transcript: Callable[[str], str] | None = None
     command: str = "optimize"
+    # Extra arguments; "{dir}" stands for the case's directory.
     flags: tuple[str, ...] = ()
     # Text the one stderr line of a refusal must hold.
     says: str = ""
@@ -137,11 +138,15 @@ CASES = {
         EXIT_DATASET, jsonl=lambda t: t + '{"text": {"a": 1}, "label": "Yes"}\n'
     ),
     "jsonl-bool-label": Case(EXIT_DATASET, jsonl=lambda t: t + '{"text": "a", "label": true}\n'),
+    "jsonl-byte-order-mark": Case(EXIT_OK, jsonl=lambda t: "\ufeff" + t),
     # The template directory.
     "templates-default-body": Case(EXIT_OK, templates={"tau.txt": TAU_BODY}),
     "templates-unknown-slot": Case(EXIT_CONFIG, templates={"alpha.txt": "For a {taks_type} task"}),
     "templates-unknown-file-name": Case(EXIT_CONFIG, templates={"alpah.txt": "{prompt}"}),
     "templates-not-utf8": Case(EXIT_CONFIG, templates={"tau.txt": b"caf\xe9 {prompt}"}),
+    "templates-missing-directory": Case(
+        EXIT_CONFIG, flags=("--templates", "{dir}/gone"), says="template directory not found"
+    ),
     # The recorded transcript, replayed.
     "transcript-as-recorded": Case(EXIT_OK, transcript=lambda t: t),
     "transcript-cut-last-line": Case(
@@ -212,7 +217,7 @@ def _argv(case: Case, directory: Path, recording: str) -> list[str]:
     # A lone surrogate stands for a byte that is not UTF-8.
     config.write_bytes(ini.encode("utf-8", "surrogateescape"))
 
-    argv = [case.command, "--config", str(config), *case.flags]
+    argv = [case.command, "--config", str(config), *(f.format(dir=directory) for f in case.flags)]
     if case.command == "evaluate":
         prompt = directory / "prompt.txt"
         prompt.write_text(SEED_PROMPT, encoding="utf-8")

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import replace
 
 import pytest
@@ -19,6 +20,7 @@ from promptopt.model import (
     RunConfig,
     derived_rng,
     new_seed_prompt,
+    read_text,
     to_record,
 )
 
@@ -211,3 +213,31 @@ def test_record_forms_only_for_artifact_lines() -> None:
     for obj in (GradientHistory(), BanditConfig(), RunConfig()):
         with pytest.raises(TypeError, match="no record form"):
             to_record(obj)
+
+
+def test_read_text_skips_a_byte_order_mark_and_reads_newlines_in_text_mode(tmp_path) -> None:
+    file = tmp_path / "prompt.txt"
+    file.write_bytes(b"\xef\xbb\xbfline one\r\nline two\n")
+    assert read_text(file, "prompt file") == "line one\nline two\n"
+    # Only the first mark is the encoding's; a second is text.
+    file.write_bytes(b"\xef\xbb\xbf\xef\xbb\xbfx")
+    assert read_text(file, "prompt file") == "\ufeffx"
+
+
+class _Refused(ValueError):
+    pass
+
+
+@pytest.mark.parametrize("error", [ConfigError, _Refused])
+def test_read_text_refuses_a_missing_path_a_directory_and_bytes_that_are_not_utf8(
+    tmp_path, error
+) -> None:
+    missing = tmp_path / "gone.txt"
+    with pytest.raises(error, match=f"^prompt file not found: {re.escape(str(missing))}$"):
+        read_text(missing, "prompt file", error)
+    with pytest.raises(error, match=f"^prompt file is a directory: {re.escape(str(tmp_path))}$"):
+        read_text(tmp_path, "prompt file", error)
+    latin1 = tmp_path / "latin1.txt"
+    latin1.write_bytes(b"\xef\xbb\xbffirst\nsecond\ncaf\xe9\n")
+    with pytest.raises(error, match=rf"^{re.escape(str(latin1))}:3: not UTF-8 text \(byte 0xe9\)$"):
+        read_text(latin1, "prompt file", error)

@@ -13,6 +13,7 @@ from promptopt.scoring import (
     ConfusionCounts,
     Prediction,
     TaskSpec,
+    _label_pattern,
     canonical_number,
     evaluate_prompt,
     f1,
@@ -49,11 +50,23 @@ def test_parse_label_case_insensitive_returns_canonical_casing() -> None:
     assert parse_label("the answer is yes", YES_NO) == "Yes"
 
 
+def test_parse_label_finds_labels_that_begin_or_end_with_non_word_characters() -> None:
+    plus_minus = ("+1", "-1")
+    assert parse_label("+1", plus_minus) == "+1"
+    assert parse_label("x+1, so (-1)", plus_minus) == "-1"
+    assert parse_label("n/a.", ("N/A.", "ok")) == "N/A."
+    # Word-edged labels keep the plain \b pattern, the faster of the two forms.
+    assert _label_pattern(YES_NO).pattern == r"\b(Yes)\b|\b(No)\b"
+
+
 def _parse_label_loop(raw: str, label_set) -> str | None:
-    """Reference: one whole-token search per label, earliest start wins."""
+    """Reference: one whole-token search per label, earliest start wins.
+
+    A whole token has no word character just before or just after it.
+    """
     best = None
     for label in label_set:
-        match = re.search(rf"\b{re.escape(label)}\b", raw, re.IGNORECASE)
+        match = re.search(rf"(?<!\w){re.escape(label)}(?!\w)", raw, re.IGNORECASE)
         if match and (best is None or match.start() < best[0]):
             best = (match.start(), label)
     return best[1] if best else None
@@ -100,6 +113,10 @@ def test_parse_math_canonicalization() -> None:
     assert parse_math_answer("#### 1,234") == "1234"
     assert parse_math_answer("#### 42.0") == "42"
     assert parse_math_answer("value 3.50 then 2.25") == "2.25"
+    assert parse_math_answer("#### 1.50") == "1.5"
+    assert canonical_number("1.50") == canonical_number("1.5") == "1.5"
+    assert canonical_number("100") == "100"
+    assert canonical_number("10.050") == "10.05"
 
 
 def test_f1_perfect() -> None:
