@@ -83,9 +83,8 @@ def load(path: str | Path, format: str, task_type: str = "classification") -> li
     """Read a TSV (``input<TAB>label``) or JSONL dataset into examples.
 
     A JSONL input or label is a string or a finite number. Ids follow file order;
-    labels are trimmed but otherwise untouched. A missing file, a directory or
-    a byte that is not UTF-8 raises :class:`DatasetError`, as
-    :func:`~promptopt.model.read_text` words it.
+    labels are trimmed but otherwise untouched. The file is read by
+    :func:`~promptopt.model.read_text`, so a bad path or byte raises :class:`DatasetError`.
     """
     if format not in FORMATS:
         raise DatasetError(f"unknown format {format!r}, expected one of {FORMATS}")
@@ -94,8 +93,7 @@ def load(path: str | Path, format: str, task_type: str = "classification") -> li
     file = Path(path)
     text = read_text(file, "dataset file", DatasetError)
     examples: list[Example] = []
-    # str.splitlines() would also break at U+2028, form feeds and other
-    # characters that may sit inside a row.
+    # str.splitlines() would also break at U+2028 and other characters inside a row.
     for lineno, line in enumerate(text.split("\n"), start=1):
         if not line.strip():
             continue

@@ -27,6 +27,8 @@ from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Callable, NamedTuple, Sequence
 
+from .model import check_file
+
 ROLE_TAGS = ("gradient_gen", "prompt_edit", "paraphrase", "task_eval")
 
 # Per-role completion budgets; task evaluation answers are short by design.
@@ -222,14 +224,10 @@ class Transcript:
         the cut-off last line of a file whose writer was killed, or whose
         ``role_tag``, ``rendered_prompt`` or ``response_text`` is not a
         string, or ``latency_s`` not an int or float that is finite and >= 0.
-        A missing path or a directory raises it too. The file is streamed,
-        not read whole by :func:`~promptopt.model.read_text`, so a byte order
-        mark is not skipped: this program writes transcripts without one.
+        A missing path or a directory raises it too. The file is streamed, so a
+        byte order mark is not skipped: this program writes transcripts without one.
         """
-        if not Path(path).exists():
-            raise TranscriptFormatError(f"transcript not found: {path}")
-        if Path(path).is_dir():
-            raise TranscriptFormatError(f"transcript is a directory: {path}")
+        check_file(path, "transcript", TranscriptFormatError)
         scan = _SCANNER
         skip_space = _JSON_WHITESPACE
         make_request = LlmRequest._make

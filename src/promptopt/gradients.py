@@ -161,7 +161,8 @@ class TemplateSet:
         """
         directory = Path(directory)
         if not directory.is_dir():
-            raise ConfigError(f"template directory not found: {directory}")
+            problem = "is not a directory" if directory.exists() else "not found"
+            raise ConfigError(f"template directory {problem}: {directory}")
         names = [f"{f.name}.txt" for f in fields(cls)]
         for file in sorted(directory.glob("*.txt")):
             if file.name not in names:

@@ -5,8 +5,7 @@ successor objects (see :class:`PromptStore`). Each checks its fields when it is
 built, by ``dataclasses.replace`` too, so a :class:`RunConfig` that exists is
 valid; a bad configuration value raises :class:`ConfigError`. The types an
 artifact writes one per line (prompts, gradients, beams) serialize to a
-self-describing one-line text record via :func:`to_record`. Every input
-file a user names is read by :func:`read_text`.
+self-describing one-line text record via :func:`to_record`.
 """
 
 from __future__ import annotations
@@ -28,18 +27,24 @@ class ConfigError(ValueError):
     """A run configuration field violates its contract."""
 
 
-def read_text(path: str | Path, what: str, error: type[Exception] = ConfigError) -> str:
-    """The text of the input file ``path``, read as UTF-8; a leading byte order mark is skipped.
-
-    A missing path or a directory raises ``error`` naming ``what`` and the
-    path; a byte that is not UTF-8 raises it naming the file and the line.
-    Newlines are read in text mode, so CRLF becomes ``"\\n"``.
-    """
+def check_file(path: str | Path, what: str, error: type[Exception] = ConfigError) -> Path:
+    """``path`` as a :class:`Path`; a missing path or a directory raises ``error`` naming ``what``."""
     file = Path(path)
     if not file.exists():
         raise error(f"{what} not found: {file}")
     if file.is_dir():
         raise error(f"{what} is a directory: {file}")
+    return file
+
+
+def read_text(path: str | Path, what: str, error: type[Exception] = ConfigError) -> str:
+    """The text of the input file ``path``, read as UTF-8; a leading byte order mark is skipped.
+
+    A missing path or a directory raises ``error`` as :func:`check_file` does;
+    a byte that is not UTF-8 raises it naming the file and the line.
+    Newlines are read in text mode, so CRLF becomes ``"\\n"``.
+    """
+    file = check_file(path, what, error)
     # Bytes that are not UTF-8 are read as lone surrogates, so the error can
     # name their line.
     text = file.read_text(encoding="utf-8-sig", errors="surrogateescape")

@@ -70,29 +70,17 @@ class ConfusionCounts:
     tn: int = 0
 
 
-_WORD_RE = re.compile(r"\w")
-
-
-def _token(label: str) -> str:
-    """``label`` as a whole token: no word character may touch either end.
-
-    On an edge that is a word character ``\\b`` says so, and searches faster
-    than the lookaround that an edge such as the ``+`` of ``+1`` needs.
-    """
-    head = r"\b" if _WORD_RE.match(label[:1]) else r"(?<!\w)"
-    tail = r"\b" if _WORD_RE.match(label[-1:]) else r"(?!\w)"
-    return rf"{head}({re.escape(label)}){tail}"
-
-
 @functools.lru_cache(maxsize=64)
 def _label_pattern(label_set: tuple[str, ...]) -> re.Pattern:
-    """``_token(l1)|_token(l2)|...``: group ``k`` matches label ``k - 1``.
+    """``(?<!\\w)(l1)(?!\\w)|...``: group ``k`` matches label ``k - 1`` as a whole token.
 
     Search tries the alternatives in order at each position from the left,
     so the first match is the earliest occurrence of any label, with ties
     going to label_set order.
     """
-    return re.compile("|".join(_token(label) for label in label_set), re.IGNORECASE)
+    return re.compile(
+        "|".join(rf"(?<!\w)({re.escape(label)})(?!\w)" for label in label_set), re.IGNORECASE
+    )
 
 
 def parse_label(raw: str, label_set: Sequence[str]) -> str | None:

@@ -81,6 +81,9 @@ def test_template_override_from_dir(tmp_path) -> None:
 def test_template_dir_refuses_a_missing_directory(tmp_path) -> None:
     with pytest.raises(ConfigError, match="template directory not found: .*nowhere"):
         TemplateSet.from_dir(tmp_path / "nowhere")
+    (tmp_path / "file").write_text("", encoding="utf-8")
+    with pytest.raises(ConfigError, match="template directory is not a directory: .*file"):
+        TemplateSet.from_dir(tmp_path / "file")
 
 
 def test_template_dir_refuses_a_file_that_names_no_template(tmp_path) -> None:

@@ -13,7 +13,6 @@ from promptopt.scoring import (
     ConfusionCounts,
     Prediction,
     TaskSpec,
-    _label_pattern,
     canonical_number,
     evaluate_prompt,
     f1,
@@ -55,8 +54,6 @@ def test_parse_label_finds_labels_that_begin_or_end_with_non_word_characters() -
     assert parse_label("+1", plus_minus) == "+1"
     assert parse_label("x+1, so (-1)", plus_minus) == "-1"
     assert parse_label("n/a.", ("N/A.", "ok")) == "N/A."
-    # Word-edged labels keep the plain \b pattern, the faster of the two forms.
-    assert _label_pattern(YES_NO).pattern == r"\b(Yes)\b|\b(No)\b"
 
 
 def _parse_label_loop(raw: str, label_set) -> str | None:
