@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import configparser
-import csv
 import math
 import os
 import sys
@@ -321,6 +320,8 @@ def cmd_evaluate(args) -> int:
 
 
 def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
+    import csv
+
     with path.open("w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
         writer.writerow(header)

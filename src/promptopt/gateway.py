@@ -16,6 +16,7 @@ call counts do not depend on the memo.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import math
 import random
@@ -466,6 +467,10 @@ class Gateway:
     (default) and ``eval`` (test-set scoring, switched with
     :meth:`count_as_eval`), which count those attempts plus memo hits, so cost
     reports state the calls the method issued whatever the memo saved.
+
+    A batch's attempts and memo hits reach the counters together when the
+    batch ends, whether it completed, failed or was interrupted; a backend
+    must not read the counters while a batch is in flight.
     """
 
     def __init__(self, backend):
@@ -518,13 +523,10 @@ class Gateway:
             index = self._next_index
             self._next_index += sent
             bucket = self._bucket
-        counts = self._counts
-
-        def on_attempt() -> None:
-            with lock:
-                counts[bucket] += 1
-                counts["wire"] += 1
-
+        # Attempts are counted without the lock and reach the counters once,
+        # in the finally block below.
+        attempts = itertools.count()
+        on_attempt = attempts.__next__
         complete = self.backend.complete
         make_request = LlmRequest._make
         make_response = LlmResponse._make
@@ -548,9 +550,12 @@ class Gateway:
             exc.batch_position = len(texts)
             raise
         finally:
+            wire = next(attempts)
             hits = len(texts) - len(done)
             with lock:
-                counts[bucket] += hits
+                counts = self._counts
+                counts["wire"] += wire
+                counts[bucket] += wire + hits
                 counts["memo_hits"] += hits
                 self.transcript.entries.extend(done)
                 if self.transcript.mode == "replay":

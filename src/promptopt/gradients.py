@@ -9,7 +9,6 @@ template support the baseline and ablation modes. Completions wrap payloads in
 
 from __future__ import annotations
 
-import logging
 import re
 from dataclasses import dataclass, field, fields
 from pathlib import Path
@@ -19,7 +18,13 @@ from .data import ExampleSample
 from .gateway import Gateway
 from .model import END_DELIM, START_DELIM, ConfigError, Gradient, Prompt, PromptStore, RunConfig, read_text
 
-logger = logging.getLogger(__name__)
+
+def _warn_shortfall(message: str, *args: object) -> None:
+    """Log a parse shortfall; ``logging`` is imported only when one happens."""
+    import logging
+
+    logging.getLogger(__name__).warning(message, *args)
+
 
 HISTORY_EMPTY = "(none)"
 
@@ -295,7 +300,7 @@ class GradientEngine:
         spans = [s for s in spans if s]
         if not spans:
             self.parse_shortfalls += 1
-            logger.warning("no parseable reasons for prompt %d (round %d)", parent.id, round_index)
+            _warn_shortfall("no parseable reasons for prompt %d (round %d)", parent.id, round_index)
         return [
             self.store.new_gradient(
                 text=span, source_prompt_id=parent.id, round=round_index, polarity=polarity
@@ -372,7 +377,7 @@ class GradientEngine:
             if not text:
                 self.parse_shortfalls += 1
                 what = f"edit along gradient {gradient_id}" if grad is not None else "paraphrase"
-                logger.warning("unparseable %s for prompt %d variant %d", what, parent.id, ordinal)
+                _warn_shortfall("unparseable %s for prompt %d variant %d", what, parent.id, ordinal)
                 continue
             children.append(
                 self.store.new_prompt(

@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import math
 import random
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 GRADIENT_MODES = ("positive_only", "negative_only", "both")
@@ -288,9 +288,13 @@ _TYPE_NAMES = {Prompt: "prompt", Gradient: "gradient", Beam: "beam"}
 
 
 def to_record(obj: object) -> str:
-    """Serialize a core type to one self-describing JSON line."""
+    """Serialize a core type to one self-describing JSON line.
+
+    The fields are read from the instance's ``__dict__``, not copied by
+    ``dataclasses.asdict``: every field of these types is a JSON scalar or a
+    tuple of ints, which ``json`` writes as ``asdict`` would leave them.
+    """
     name = _TYPE_NAMES.get(type(obj))
     if name is None:
         raise TypeError(f"{type(obj).__name__} has no record form")
-    payload = {"type": name, **asdict(obj)}  # type: ignore[call-overload]
-    return json.dumps(payload, sort_keys=True)
+    return json.dumps({"type": name, **vars(obj)}, sort_keys=True)

@@ -97,21 +97,36 @@ def parse_label(raw: str, label_set: Sequence[str]) -> str | None:
     return labels[match.lastindex - 1] if match else None
 
 
-_NUMBER_RE = re.compile(r"-?\d[\d,]*(?:\.\d+)?")
+_NUMBER_RE = re.compile(r"-?(?:\d[\d,]*(?:\.\d+)?|\.\d+)")
+# A number once commas and whitespace are gone: sign, integer digits, fraction digits.
+_NUMBER_PARTS = re.compile(r"([+-]?)(?=\.?\d)(\d*)(?:\.(\d+))?")
 
 
 def canonical_number(token: str) -> str:
-    """Strip commas and whitespace, and the trailing zeros of a fraction.
+    """One spelling per value: commas, whitespace and redundant digits and signs dropped.
 
-    ``1,234`` gives ``1234``, ``1.50`` gives ``1.5`` and ``2.00`` gives ``2``;
-    an integer keeps its zeros (``100``).
+    ``1,234`` gives ``1234``, ``1.50`` gives ``1.5``, ``2.00`` gives ``2``,
+    ``+5`` and ``05`` give ``5``, ``.5`` and ``00.5`` give ``0.5``, and
+    ``-0`` and ``-0.0`` give ``0``; an integer keeps its trailing zeros
+    (``100``). A token that is not a number comes back with only its commas
+    and whitespace removed.
     """
     cleaned = re.sub(r"[\s,]", "", token)
-    return re.sub(r"(\.\d*[1-9])0+$|\.0+$", r"\1", cleaned)
+    match = _NUMBER_PARTS.fullmatch(cleaned)
+    if match is None:
+        return cleaned
+    sign, whole, fraction = match.groups()
+    whole = whole.lstrip("0") or "0"
+    fraction = fraction.rstrip("0") if fraction else ""
+    number = f"{whole}.{fraction}" if fraction else whole
+    return "-" + number if sign == "-" and number != "0" else number
 
 
 def parse_math_answer(raw: str) -> str | None:
-    """Answer after a final ``####`` marker, else the last number token in ``raw``."""
+    """Answer after a final ``####`` marker, else the last number token in ``raw``.
+
+    A number token may start with its point: ``#### .5`` gives ``0.5``.
+    """
     if "####" in raw:
         tail = raw.rsplit("####", 1)[1]
         match = _NUMBER_RE.search(tail)
@@ -139,8 +154,10 @@ def evaluate_prompt(
     """Score a prompt over examples with one task_eval call per example, sent as one batch.
 
     The rendered input is the prompt text and the example input joined by a
-    single newline (zero-shot, no exemplars). Returns the score and the
-    per-example predictions ordered by example id.
+    single newline (zero-shot, no exemplars). Each distinct answer text in
+    the batch is parsed once and its parse reused for every answer equal to
+    it. Returns the score and the per-example predictions ordered by example
+    id.
     """
     if not examples:
         raise ValueError("examples is empty")
@@ -153,12 +170,17 @@ def evaluate_prompt(
     except GatewayError as exc:
         ex = examples[exc.batch_position]
         raise type(exc)(f"example id {ex.id}: {exc}") from exc
+    # Each distinct answer text is parsed once; a batch holds few of them.
     predictions: list[Prediction] = []
     append = predictions.append
     if task.task_type == "math":
+        answers: dict[str, str | None] = {}
         hits = 0
         for ex, text in zip(examples, texts):
-            parsed = parse_math_answer(text)
+            if text in answers:
+                parsed = answers[text]
+            else:
+                parsed = answers[text] = parse_math_answer(text)
             correct = parsed is not None and parsed == canonical_number(ex.label)
             hits += correct
             append(Prediction(ex.id, text, parsed, correct))
@@ -168,11 +190,16 @@ def evaluate_prompt(
         # unparsed answer counts as negative.
         label_set = task.label_set
         positive = task.positive_label.lower()
+        # An answer text's label and the label's lower-case form.
+        labels: dict[str, tuple[str | None, str | None]] = {}
         tp = fp = fn = 0
         for ex, text in zip(examples, texts):
-            parsed = parse_label(text, label_set)
+            parse = labels.get(text)
+            if parse is None:
+                parsed = parse_label(text, label_set)
+                parse = labels[text] = (parsed, None if parsed is None else parsed.lower())
+            parsed, pred = parse
             gold = ex.label.lower()
-            pred = None if parsed is None else parsed.lower()
             if pred == positive:
                 if gold == positive:
                     tp += 1

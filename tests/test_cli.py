@@ -3,12 +3,16 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import shutil
+import subprocess
+import sys
 from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
+import promptopt
 from promptopt import DatasetSpec, Gateway, Transcript, load, make_split, search
 from promptopt.cli import (
     EXIT_CONFIG,
@@ -1076,3 +1080,20 @@ def test_read_config_file_dataset_fields_from_the_spec(tmp_path, capsys) -> None
     with pytest.raises(ConfigError, match=r"\[dataset\] missing key 'path'"):
         read_config_file(file)
     assert "[dataset] missing key 'path'" in _optimize_config_error(file, tmp_path, capsys)
+
+
+def test_importing_the_package_and_cli_loads_neither_logging_nor_csv() -> None:
+    # Each is imported where it is used: logging on a parse shortfall, csv by
+    # the report command.
+    script = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import promptopt, promptopt.cli\n"
+        "print(' '.join(sorted({'logging', 'csv'} & (set(sys.modules) - before))))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(promptopt.__file__).parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == ""

@@ -665,6 +665,44 @@ def test_memo_failure_after_hits_reports_first_position_and_keeps_counts() -> No
     assert gw.transcript.entries[-1][0].request_index == 4
 
 
+class _Retrying:
+    """Makes three attempts per request, as a live backend retrying twice; stops on ``fail_on``."""
+
+    transcript_mode = "record"
+
+    def __init__(self, fail_on: str, error: type[BaseException]):
+        self.attempts = 0
+        self._fail_on = fail_on
+        self._error = error
+
+    def complete(self, req, on_attempt):
+        for _ in range(3):
+            on_attempt()
+            self.attempts += 1
+        if req.rendered_prompt == self._fail_on:
+            raise self._error("injected")
+        return f"echo:{req.rendered_prompt}", 0.0
+
+
+@pytest.mark.parametrize("error", [LiveCallError, KeyboardInterrupt])
+def test_batch_that_stops_counts_every_attempt_and_memo_hit(error) -> None:
+    backend = _Retrying(fail_on="bad", error=error)
+    gw = Gateway(backend)
+    call(gw, "task_eval", "a")
+    with gw.count_as_eval(), pytest.raises(error):
+        gw.complete_many("task_eval", ["a", "b", "b", "bad", "c"])
+    # The batch hit "a" and "b" in the memo and paid three attempts each for
+    # "b" and for "bad", whose last attempt failed; "c" was never sent.
+    assert backend.attempts == 9
+    assert gw.call_count() == 9
+    assert gw.memo_hits() == 2
+    assert (gw.optimize_calls(), gw.eval_calls()) == (3, 8)
+    assert [req.rendered_prompt for req, _ in gw.transcript.entries] == ["a", "b"]
+    # The bucket is restored when the block ends, the interrupt notwithstanding.
+    call(gw, "task_eval", "d")
+    assert (gw.optimize_calls(), gw.eval_calls(), gw.call_count()) == (6, 8, 12)
+
+
 def test_replay_serves_recorded_responses(tmp_path) -> None:
     gw = echo_gateway()
     call(gw, "task_eval", "first")

@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import pytest
 from hypothesis import given
@@ -206,6 +206,15 @@ def from_record(line: str) -> object:
 )
 def test_record_round_trip_is_identity(obj) -> None:
     assert from_record(to_record(obj)) == obj
+
+
+@given(
+    st.one_of(prompt_strategy, gradient_strategy, beam_strategy)
+)
+def test_record_equals_json_of_asdict(obj) -> None:
+    # to_record reads the fields without copying them; the line is the same.
+    name = next(name for name, cls in _RECORD_TYPES.items() if cls is type(obj))
+    assert to_record(obj) == json.dumps({"type": name, **asdict(obj)}, sort_keys=True)
 
 
 def test_record_forms_only_for_artifact_lines() -> None:

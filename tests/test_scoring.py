@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from promptopt import Gateway, ScriptedBackend, new_seed_prompt
+from promptopt import Gateway, ScriptedBackend, new_seed_prompt, scoring
 from promptopt.data import Example
 from promptopt.scoring import (
     ConfusionCounts,
@@ -411,5 +411,111 @@ def test_evaluate_prompt_matches_two_pass_reference(case) -> None:
 
     score, predictions = evaluate_prompt(prompt, batch, gateway(), task)
     ref_score, ref_predictions = _two_pass_evaluate(prompt, batch, gateway(), task)
+    assert score == ref_score
+    assert _field_tuples(predictions) == _field_tuples(ref_predictions)
+
+
+@pytest.mark.parametrize(
+    "token, canonical",
+    [
+        ("+5", "5"),
+        ("05", "5"),
+        ("+05", "5"),
+        (".5", "0.5"),
+        ("00.5", "0.5"),
+        ("+.50", "0.5"),
+        ("-.5", "-0.5"),
+        ("-0", "0"),
+        ("-0.0", "0"),
+        ("+0", "0"),
+        ("000", "0"),
+        ("-007.10", "-7.1"),
+        ("1,000", "1000"),
+        ("n/a", "n/a"),
+    ],
+)
+def test_canonical_number_drops_plus_leading_zeros_and_the_sign_of_zero(
+    token, canonical
+) -> None:
+    assert canonical_number(token) == canonical
+
+
+def test_parse_math_reads_a_number_that_starts_with_its_point() -> None:
+    assert parse_math_answer("#### .5") == "0.5"
+    assert parse_math_answer("#### -.25") == "-0.25"
+    assert parse_math_answer("about .75 of it") == "0.75"
+    assert parse_math_answer("#### +5") == "5"
+
+
+def test_evaluate_prompt_math_labels_with_plus_leading_zero_or_point() -> None:
+    examples = [Example(0, "q0", "+5"), Example(1, "q1", "05"), Example(2, "q2", ".5")]
+    answers = {"q0": "#### 5", "q1": "it is 5", "q2": "#### 0.50"}
+    gw = Gateway(ScriptedBackend(lambda req: answers[req.rendered_prompt.split("\n", 1)[1]]))
+    score, predictions = evaluate_prompt(
+        new_seed_prompt("solve"), examples, gw, _task(task_type="math", label_set=())
+    )
+    assert score == 1.0
+    assert [p.parsed_label for p in predictions] == ["5", "5", "0.5"]
+
+
+@pytest.mark.parametrize("task_type, parser", [
+    ("classification", "parse_label"), ("math", "parse_math_answer"),
+])
+def test_evaluate_prompt_parses_each_distinct_answer_once(monkeypatch, task_type, parser) -> None:
+    parsed: list[str] = []
+    parse = getattr(scoring, parser)
+
+    def counting(raw, *args):
+        parsed.append(raw)
+        return parse(raw, *args)
+
+    monkeypatch.setattr(scoring, parser, counting)
+    answers = ["Yes", "#### 3", "yes", "Yes", "mumble", "#### 3", "mumble", "Yes"]
+    examples = _examples(len(answers))
+    gw = Gateway(ScriptedBackend(lambda req: answers[int(req.rendered_prompt.rsplit(" ", 1)[1])]))
+    task = _task() if task_type == "classification" else _task(task_type="math", label_set=())
+    evaluate_prompt(new_seed_prompt("classify"), examples, gw, task)
+    assert sorted(parsed) == sorted(set(answers))
+
+
+_ANSWER_POOLS = {
+    "classification": st.sampled_from(
+        ["Yes", "yes", "YES", "No", "no", "I would say No.", "Yes or no", "unsure", ""]
+    ),
+    "math": st.sampled_from(
+        ["#### 3", "#### +3", "#### 03", "#### .5", "#### 0.50", "so 42.", "no idea", "7.00"]
+    ),
+}
+_GOLDS = {
+    "classification": st.tuples(st.sampled_from(YES_NO), _CASINGS).map(lambda lc: lc[1](lc[0])),
+    "math": st.sampled_from(["3", "+3", "03", ".5", "0.5", "42", "-0", "7"]),
+}
+
+
+@st.composite
+def _answer_list_case(draw, task_type: str):
+    """A task, examples with distinct ids, and an answer per example that often repeats."""
+    if task_type == "math":
+        task = TaskSpec(task_type="math")
+    else:
+        positive = draw(st.sampled_from(["Yes", "no", "", "Maybe"]))
+        task = TaskSpec(task_type="classification", label_set=YES_NO, positive_label=positive)
+    answers = draw(st.lists(_ANSWER_POOLS[task_type], min_size=1, max_size=16))
+    ids = draw(st.permutations(range(len(answers))))
+    examples = [Example(i, f"input {i}", draw(_GOLDS[task_type])) for i in ids]
+    return task, examples, answers
+
+
+@given(st.sampled_from(["classification", "math"]).flatmap(_answer_list_case))
+def test_evaluate_prompt_equals_parsing_each_answer_on_its_own(case) -> None:
+    task, examples, answers = case
+    answer_of = {ex.input_text: answer for ex, answer in zip(examples, answers)}
+    prompt = new_seed_prompt("classify")
+
+    def gateway() -> Gateway:
+        return Gateway(ScriptedBackend(lambda req: answer_of[req.rendered_prompt.split("\n", 1)[1]]))
+
+    score, predictions = evaluate_prompt(prompt, examples, gateway(), task)
+    ref_score, ref_predictions = _two_pass_evaluate(prompt, examples, gateway(), task)
     assert score == ref_score
     assert _field_tuples(predictions) == _field_tuples(ref_predictions)
