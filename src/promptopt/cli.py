@@ -40,7 +40,7 @@ from .model import (
     new_seed_prompt,
     read_text,
 )
-from .scoring import TaskSpec, evaluate_prompt
+from .scoring import evaluate_prompt
 from .scripted import HeuristicScript
 from .search import RunIncompleteError, run
 
@@ -121,10 +121,12 @@ def read_config_file(path: str | Path):
     ``extra`` holds ``[run]``'s seed_prompt or seed_prompt_file, never both.
     """
     # Values are literal: a "%" in a prompt is text, not interpolation syntax.
-    # No header can name the section "", so [DEFAULT] is an unknown section
-    # rather than defaults merged into every other one.
+    # A ";" or "#" starts an inline comment only with whitespace on both
+    # sides, so "#### <number>" in a prompt is text. No header can name the
+    # section "", so [DEFAULT] is an unknown section rather than defaults
+    # merged into every other one.
     parser = configparser.ConfigParser(
-        inline_comment_prefixes=(";", "#"), interpolation=None, default_section=""
+        inline_comment_prefixes=("; ", "# ", ";\t", "#\t"), interpolation=None, default_section=""
     )
     text = read_text(path, "config file")
     try:
@@ -239,7 +241,8 @@ def build_gateway(args, gateway_section: dict, cfg: RunConfig, examples, split) 
     backend_name = getattr(args, "backend", None) or gateway_section.get("backend", "scripted")
     if backend_name not in _BACKENDS:
         raise ConfigError(f"unknown backend {backend_name!r}")
-    return Gateway(_BACKENDS[backend_name](args, gateway_section, cfg, examples, split))
+    backend = _BACKENDS[backend_name](args, gateway_section, cfg, examples, split)
+    return Gateway(backend, cfg.temperature)
 
 
 def _make_dir(path: Path, what: str) -> Path:
@@ -312,9 +315,8 @@ def cmd_evaluate(args) -> int:
     prompt = new_seed_prompt(read_text(args.prompt_file, "prompt file"))
     examples, split = _load_split(dataset, cfg)
     gateway = build_gateway(args, gateway_section, cfg, examples, split)
-    task = TaskSpec.from_split(split, cfg)
     with gateway.count_as_eval():
-        score, _ = evaluate_prompt(prompt, split.test, gateway, task)
+        score, _ = evaluate_prompt(prompt, split.test, gateway, split)
     print(f"test_score={score:.4f} eval_calls={gateway.eval_calls()}")
     return EXIT_OK
 

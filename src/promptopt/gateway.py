@@ -2,8 +2,8 @@
 
 Three interchangeable backends sit behind :class:`Gateway`: a live adapter for
 chat-completions-style HTTP endpoints, a deterministic scripted backend, and a
-record/replay transcript store. The gateway owns the API-call counters and
-the transcript.
+record/replay transcript store. The gateway owns the run's temperature, the
+API-call counters and the transcript.
 
 At temperature 0 an exact repeat of a request already answered in the run,
 same role and rendered prompt, gets the answer the gateway holds and never
@@ -456,10 +456,11 @@ class Gateway:
     Every request goes through :meth:`complete_many`; :meth:`complete`, which
     sends a batch of one, stays only as the span the benchmark's tracer wraps.
 
-    Requests at temperature 0 are memoised for the life of the gateway, which
-    is one run: an exact repeat of a request already answered gets that
-    request's answer text and reaches neither the backend nor the
-    transcript.
+    ``temperature`` is the run's sampling temperature, sent with every
+    request. At temperature 0 requests are memoised for the life of the
+    gateway, which is one run: an exact repeat of a request already answered
+    gets that request's answer text and reaches neither the backend nor the
+    transcript. Above 0 there is no memo, and every request is sent.
 
     :meth:`call_count` counts wire calls: every attempt that reaches a backend,
     retries included. With the scripted and replay backends, which never
@@ -473,32 +474,29 @@ class Gateway:
     must not read the counters while a batch is in flight.
     """
 
-    def __init__(self, backend):
+    def __init__(self, backend, temperature: float = 0.0):
         self.backend = backend
+        self.temperature = temperature
         self.transcript = Transcript(entries=[], mode=backend.transcript_mode)
         self._counts = {"optimize": 0, "eval": 0, "wire": 0, "memo_hits": 0}
         self._bucket = "optimize"
         self._next_index = 0
         # One dict per role_tag, from a rendered prompt to the answer text it
         # got: the key shape of ReplayBackend's table.
-        self._memo: dict[str, dict[str, str]] = {role: {} for role in ROLE_TAGS}
+        self._memo: dict[str, dict[str, str]] | None = (
+            {role: {} for role in ROLE_TAGS} if temperature == 0 else None
+        )
         self._lock = threading.Lock()
         self._t0 = time.monotonic()
         self._replay_latency = 0.0
 
-    def complete_many(
-        self,
-        role_tag: str,
-        rendered_prompts: Sequence[str],
-        *,
-        temperature: float = 0.0,
-    ) -> list[str]:
+    def complete_many(self, role_tag: str, rendered_prompts: Sequence[str]) -> list[str]:
         """Answer each prompt, in order; the answer texts come back in that order.
 
-        The role check, the token budget (``DEFAULT_MAX_TOKENS`` of the role),
-        the memo and the ``optimize``/``eval`` bucket are settled once for the
-        batch. At temperature 0 a prompt answered earlier in the run, or
-        earlier in this batch, is not sent: it gets the earlier answer. The
+        The role check, the token budget (``DEFAULT_MAX_TOKENS`` of the role)
+        and the ``optimize``/``eval`` bucket are settled once for the batch.
+        At temperature 0 a prompt answered earlier in the run, or earlier in
+        this batch, is not sent: it gets the earlier answer. The
         requests that are sent reserve their ``request_index`` values
         together, in submission order, before the first one goes out.
 
@@ -512,7 +510,8 @@ class Gateway:
         if role_tag not in ROLE_TAGS:
             raise ValueError(f"unknown role_tag {role_tag!r}")
         max_tokens = DEFAULT_MAX_TOKENS[role_tag]
-        if temperature == 0:
+        temperature = self.temperature
+        if self._memo is not None:
             memo = self._memo[role_tag]
             sent = len(set(rendered_prompts).difference(memo))
         else:
@@ -565,10 +564,8 @@ class Gateway:
         return texts
 
     def complete(self, req: LlmRequest) -> str:
-        """The answer text to ``req``, sent as a batch of one; its index and budget are ignored."""
-        return self.complete_many(
-            req.role_tag, (req.rendered_prompt,), temperature=req.temperature
-        )[0]
+        """The answer text to ``req``, sent as a batch of one; the gateway sets its other fields."""
+        return self.complete_many(req.role_tag, (req.rendered_prompt,))[0]
 
     @contextmanager
     def count_as_eval(self):
@@ -587,7 +584,7 @@ class Gateway:
             return self._counts["wire"]
 
     def memo_hits(self) -> int:
-        """Temperature-0 requests answered from the memo, never sent."""
+        """Requests answered from the temperature-0 memo, never sent."""
         with self._lock:
             return self._counts["memo_hits"]
 

@@ -293,9 +293,7 @@ class GradientEngine:
                 "num_gradients": count,
             },
         )
-        text = self.gateway.complete_many(
-            "gradient_gen", [rendered], temperature=self.cfg.temperature
-        )[0]
+        text = self.gateway.complete_many("gradient_gen", [rendered])[0]
         spans = [_clean_span(s) for s in parse_delimited(text)]
         spans = [s for s in spans if s]
         if not spans:
@@ -343,7 +341,6 @@ class GradientEngine:
         texts = self.gateway.complete_many(
             "prompt_edit",
             [f"{rendered_base}\nVariant {ordinal} of {total}." for ordinal in ordinals],
-            temperature=self.cfg.temperature,
         )
         return self._children(parent, texts, round_index, owners, ordinal_start)
 
@@ -353,7 +350,6 @@ class GradientEngine:
         texts = self.gateway.complete_many(
             "paraphrase",
             [f"{rendered}\nVariant {ordinal} of {n}." for ordinal in range(1, n + 1)],
-            temperature=self.cfg.temperature,
         )
         return self._children(parent, texts, round_index, [None] * n)
 

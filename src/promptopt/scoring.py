@@ -10,27 +10,7 @@ from typing import NamedTuple, Sequence
 
 from .data import DatasetSplit, Example
 from .gateway import Gateway, GatewayError
-from .model import Prompt, RunConfig
-
-
-@dataclass(frozen=True)
-class TaskSpec:
-    """What the scorer needs to know about the task."""
-
-    task_type: str  # classification | math
-    label_set: tuple[str, ...] = ()
-    positive_label: str = ""
-    temperature: float = 0.0
-
-    @classmethod
-    def from_split(cls, split: DatasetSplit, cfg: RunConfig) -> "TaskSpec":
-        """The task a run or an evaluation of ``split`` under ``cfg`` scores."""
-        return cls(
-            task_type=split.task_type,
-            label_set=split.label_set,
-            positive_label=split.positive_label,
-            temperature=cfg.temperature,
-        )
+from .model import Prompt
 
 
 class _PredictionFields(NamedTuple):
@@ -149,23 +129,23 @@ def evaluate_prompt(
     prompt: Prompt,
     examples: Sequence[Example],
     gateway: Gateway,
-    task: TaskSpec,
+    split: DatasetSplit,
 ) -> tuple[float, list[Prediction]]:
     """Score a prompt over examples with one task_eval call per example, sent as one batch.
 
-    The rendered input is the prompt text and the example input joined by a
+    ``split`` gives the task: its type, labels and positive label. The
+    rendered input is the prompt text and the example input joined by a
     single newline (zero-shot, no exemplars). Each distinct answer text in
     the batch is parsed once and its parse reused for every answer equal to
-    it. Returns the score and the per-example predictions ordered by example
-    id.
+    it. A math label that holds ``####``, a worked solution in GSM8K's form,
+    is the number after its final ``####``. Returns the score and the
+    per-example predictions ordered by example id.
     """
     if not examples:
         raise ValueError("examples is empty")
     try:
         texts = gateway.complete_many(
-            "task_eval",
-            [f"{prompt.text}\n{ex.input_text}" for ex in examples],
-            temperature=task.temperature,
+            "task_eval", [f"{prompt.text}\n{ex.input_text}" for ex in examples]
         )
     except GatewayError as exc:
         ex = examples[exc.batch_position]
@@ -173,7 +153,7 @@ def evaluate_prompt(
     # Each distinct answer text is parsed once; a batch holds few of them.
     predictions: list[Prediction] = []
     append = predictions.append
-    if task.task_type == "math":
+    if split.task_type == "math":
         answers: dict[str, str | None] = {}
         hits = 0
         for ex, text in zip(examples, texts):
@@ -181,15 +161,16 @@ def evaluate_prompt(
                 parsed = answers[text]
             else:
                 parsed = answers[text] = parse_math_answer(text)
-            correct = parsed is not None and parsed == canonical_number(ex.label)
+            gold = parse_math_answer(ex.label) if "####" in ex.label else canonical_number(ex.label)
+            correct = parsed is not None and parsed == gold
             hits += correct
             append(Prediction(ex.id, text, parsed, correct))
         score = hits / len(predictions)
     else:
         # Parse, judge and count the confusion matrix in one pass; an
         # unparsed answer counts as negative.
-        label_set = task.label_set
-        positive = task.positive_label.lower()
+        label_set = split.label_set
+        positive = split.positive_label.lower()
         # An answer text's label and the label's lower-case form.
         labels: dict[str, tuple[str | None, str | None]] = {}
         tp = fp = fn = 0

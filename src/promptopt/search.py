@@ -21,6 +21,7 @@ from .gateway import Gateway, GatewayError
 from .gradients import GradientEngine, TemplateSet
 from .model import (
     Beam,
+    ConfigError,
     Gradient,
     GradientHistory,
     Prompt,
@@ -29,7 +30,7 @@ from .model import (
     derived_rng,
     to_record,
 )
-from .scoring import TaskSpec, evaluate_prompt
+from .scoring import evaluate_prompt
 
 
 class RunIncompleteError(GatewayError):
@@ -199,7 +200,6 @@ class _Search:
         self.store = PromptStore()
         # A test score the seed carries in was measured outside this run.
         self.seed = self.store.adopt(replace(seed_prompt, test_score=None))
-        self.task = TaskSpec.from_split(split, cfg)
         self.engine = GradientEngine(cfg, gateway, self.store, templates, split.task_type)
         self.history = GradientHistory()
         self.beams: list[Beam] = [Beam(round=0, prompts=(self.seed.id,))]
@@ -224,7 +224,7 @@ class _Search:
         scores: list[float] = []
         for parent_id in self.beams[-1].prompts:
             score, predictions = evaluate_prompt(
-                self.store.prompts[parent_id], minibatch, self.gateway, self.task
+                self.store.prompts[parent_id], minibatch, self.gateway, self.split
             )
             parent = self.store.set_train_score(parent_id, score)
             scores.append(score)
@@ -246,7 +246,7 @@ class _Search:
             self.cfg.bandit,
             self.cfg.beam_width,
             rng=derived_rng(self.cfg.rng_seed, "bandit", round_index),
-            evaluate=lambda p, batch: evaluate_prompt(p, batch, self.gateway, self.task)[0],
+            evaluate=lambda p, batch: evaluate_prompt(p, batch, self.gateway, self.split)[0],
         )
         beam = Beam(round=round_index, prompts=tuple(p.id for p in selection.selected))
         self.beams.append(beam)
@@ -270,7 +270,7 @@ class _Search:
         if stored is not None:
             return stored
         with self.gateway.count_as_eval():
-            score, predictions = evaluate_prompt(prompt, self.split.test, self.gateway, self.task)
+            score, predictions = evaluate_prompt(prompt, self.split.test, self.gateway, self.split)
         self.store.set_test_score(prompt.id, score)
         if self.cfg.emit_predictions:
             self.test_predictions.extend({"prompt_id": prompt.id, **p._asdict()} for p in predictions)
@@ -296,7 +296,7 @@ class _Search:
         batch = sample_minibatch(self.split, cfg.minibatch_size, cfg.rng_seed, cfg.search_depth + 1)
         ranked: list[tuple[float, int]] = []
         for prompt_id in self.beams[-1].prompts:
-            score, _ = evaluate_prompt(store.prompts[prompt_id], batch, self.gateway, self.task)
+            score, _ = evaluate_prompt(store.prompts[prompt_id], batch, self.gateway, self.split)
             store.set_train_score(prompt_id, score)
             ranked.append((-score, prompt_id))
         best = store.prompts[min(ranked)[1]]
@@ -322,7 +322,13 @@ def run(
     convergence report. Any abort writes a partial artifact flagged
     incomplete: an unrecoverable gateway failure then raises
     :class:`RunIncompleteError`, and any other exception is re-raised as is.
+    A gateway whose temperature is not ``cfg.temperature`` raises
+    :class:`ConfigError` before the artifact directory is made.
     """
+    if gateway.temperature != cfg.temperature:
+        raise ConfigError(
+            f"gateway temperature {gateway.temperature} is not the run's {cfg.temperature}"
+        )
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     state = _Search(seed_prompt, split, cfg, gateway, templates)

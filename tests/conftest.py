@@ -8,6 +8,7 @@ import pytest
 
 from promptopt import (
     ConfusionCounts,
+    DatasetSplit,
     Example,
     Gateway,
     GradientHistory,
@@ -47,14 +48,23 @@ def small_config(**overrides) -> RunConfig:
     return RunConfig(**base)
 
 
-def call(gateway: Gateway, role_tag: str, rendered_prompt: str, **kwargs) -> str:
+def call(gateway: Gateway, role_tag: str, rendered_prompt: str) -> str:
     """One request's answer text: a batch of one through :meth:`Gateway.complete_many`."""
-    return gateway.complete_many(role_tag, [rendered_prompt], **kwargs)[0]
+    return gateway.complete_many(role_tag, [rendered_prompt])[0]
 
 
-def scripted_gateway(examples, label_set, seed: int = 7, **script_kwargs) -> Gateway:
+def task_split(
+    task_type: str = "classification", label_set: tuple[str, ...] = (), positive_label: str = ""
+) -> DatasetSplit:
+    """A split with no examples: only the task fields that ``evaluate_prompt`` reads."""
+    return DatasetSplit((), (), positive_label, task_type, label_set)
+
+
+def scripted_gateway(
+    examples, label_set, seed: int = 7, temperature: float = 0.0, **script_kwargs
+) -> Gateway:
     responder = HeuristicScript(examples, label_set, seed=seed, **script_kwargs)
-    return Gateway(ScriptedBackend(responder))
+    return Gateway(ScriptedBackend(responder), temperature)
 
 
 @pytest.fixture

@@ -4,6 +4,7 @@ import argparse
 import hashlib
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -11,6 +12,8 @@ from dataclasses import fields
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import promptopt
 from promptopt import DatasetSpec, Gateway, Transcript, load, make_split, search
@@ -943,6 +946,46 @@ def test_read_config_file_strips_inline_comments(tmp_path) -> None:
     assert run_overrides == {"beam_width": 4, "search_depth": 6}
 
 
+def test_read_config_file_keeps_the_math_marker_in_a_seed_prompt(tmp_path) -> None:
+    file = tmp_path / "math.ini"
+    file.write_text(
+        "[run]\n"
+        "seed_prompt = Work it out. End with #### <number>.\n"
+        "beam_width = 4 # a comment still goes\n",
+        encoding="utf-8",
+    )
+    run_overrides, _, _, _, extra = read_config_file(file)
+    assert extra == {"seed_prompt": "Work it out. End with #### <number>."}
+    assert run_overrides == {"beam_width": 4}
+
+
+# One-line seed prompts built from pieces that hold "#", ";" and "%".
+_PROMPT_TEXTS = st.lists(
+    st.one_of(
+        st.sampled_from(["####", "#", ";", "%", "%(x)s", "50%", "<number>", "=", ":", "é"]),
+        st.text(alphabet="abcXYZ019.,!?#;% ", min_size=1, max_size=6),
+    ),
+    min_size=1,
+    max_size=8,
+).map("".join)
+
+
+# The prompt follows "seed_prompt = ", so a leading "; " or "# " has
+# whitespace on both sides too and starts a comment.
+@given(
+    text=_PROMPT_TEXTS.filter(
+        lambda t: t == t.strip() and re.search(r"\s[#;]\s", " " + t) is None
+    )
+)
+def test_read_config_file_reads_a_seed_prompt_without_a_spaced_comment_mark_whole(
+    tmp_path_factory, text
+) -> None:
+    file = tmp_path_factory.mktemp("ini") / "prompt.ini"
+    file.write_text(f"[run]\nseed_prompt = {text}\n", encoding="utf-8")
+    _, _, _, _, extra = read_config_file(file)
+    assert extra == {"seed_prompt": text}
+
+
 def test_optimize_missing_template_dir_is_config_error(config_file, tmp_path) -> None:
     code = main(
         [
@@ -997,6 +1040,8 @@ def test_math_task_through_cli(tmp_path, capsys) -> None:
     assert "test_score=" in printed
     config_echo = json.loads((out / "config.json").read_text())
     assert config_echo["dataset"]["task_type"] == "math"
+    # The "####" in the seed prompt is text, not the start of a comment.
+    assert config_echo["seed_prompt"] == "Work it out. End with #### <number>."
 
 
 def test_protegi_preset_defaults_gradient_count_when_file_silent(tmp_path) -> None:

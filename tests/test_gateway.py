@@ -37,8 +37,8 @@ from promptopt.search import run
 from conftest import SequenceScript, call, scripted_gateway
 
 
-def echo_gateway() -> Gateway:
-    return Gateway(ScriptedBackend(lambda req: f"echo:{req.rendered_prompt}"))
+def echo_gateway(temperature: float = 0.0) -> Gateway:
+    return Gateway(ScriptedBackend(lambda req: f"echo:{req.rendered_prompt}"), temperature)
 
 
 def test_scripted_passthrough_increments_counter() -> None:
@@ -48,11 +48,11 @@ def test_scripted_passthrough_increments_counter() -> None:
 
 
 def test_counter_counts_each_complete() -> None:
-    gw = echo_gateway()
+    gw = echo_gateway(0.7)
     assert gw.call_count() == 0
     # Above temperature 0 a repeated request is sent each time.
     for _ in range(3):
-        call(gw, "task_eval", "x", temperature=0.7)
+        call(gw, "task_eval", "x")
     assert gw.call_count() == 3
 
 
@@ -431,17 +431,18 @@ def test_transcript_load_names_line_of_unusable_field_type(tmp_path, field, valu
 
 
 def test_complete_stamps_index_and_keeps_request_fields() -> None:
-    gw = echo_gateway()
+    gw = echo_gateway(0.7)
     call(gw, "task_eval", "first")
     text = gw.complete(LlmRequest("prompt_edit", "edit me", 0.3, 77, request_index=99))
     assert text == "echo:edit me"
     req, _ = gw.transcript.entries[-1]
     assert req.request_index == 1
-    # The budget is the role's, whatever the request carried.
+    # The temperature is the gateway's and the budget the role's, whatever
+    # the request carried.
     assert (req.role_tag, req.rendered_prompt, req.temperature, req.max_tokens) == (
         "prompt_edit",
         "edit me",
-        0.3,
+        0.7,
         512,
     )
     assert req.digest == request_digest("prompt_edit", "edit me")
@@ -459,20 +460,18 @@ def test_request_digest_is_not_kept_on_the_request() -> None:
 
 
 def test_complete_many_reserves_contiguous_indices_in_submission_order() -> None:
-    gw = echo_gateway()
+    gw = echo_gateway(0.5)
     call(gw, "task_eval", "a")
     first = gw.complete_many("task_eval", ["b", "c", "d"])
     call(gw, "gradient_gen", "e")
-    second = gw.complete_many("prompt_edit", ["f", "g"], temperature=0.5)
+    second = gw.complete_many("prompt_edit", ["f", "g"])
     assert first + second == ["echo:b", "echo:c", "echo:d", "echo:f", "echo:g"]
     entries = gw.transcript.entries
     assert [req.rendered_prompt for req, _ in entries] == list("abcdefg")
     assert [req.request_index for req, _ in entries] == list(range(7))
-    assert [(req.temperature, req.max_tokens) for req, _ in entries] == [(0.0, 16)] * 4 + [
-        (0.0, 512),
-        (0.5, 512),
-        (0.5, 512),
-    ]
+    assert [(req.temperature, req.max_tokens) for req, _ in entries] == [(0.5, 16)] * 4 + [
+        (0.5, 512)
+    ] * 3
     assert gw.call_count() == 7
 
 
@@ -487,14 +486,14 @@ def test_complete_many_writes_the_bytes_of_one_call_per_prompt(
     role, prompts, temperature, before, as_eval
 ) -> None:
     def send(batched: bool):
-        gw = echo_gateway()
+        gw = echo_gateway(temperature)
         for i in range(before):
             call(gw, "task_eval", f"earlier {i}")
         with gw.count_as_eval() if as_eval else nullcontext():
             if batched:
-                texts = gw.complete_many(role, prompts, temperature=temperature)
+                texts = gw.complete_many(role, prompts)
             else:
-                texts = [call(gw, role, p, temperature=temperature) for p in prompts]
+                texts = [call(gw, role, p) for p in prompts]
         lines = "".join(transcript_line(req, resp) + "\n" for req, resp in gw.transcript.entries)
         return texts, lines, gw.optimize_calls(), gw.eval_calls()
 
@@ -620,14 +619,17 @@ def test_memo_sends_a_repeat_inside_one_batch_once() -> None:
 
 def test_memo_never_answers_above_temperature_zero() -> None:
     backend = _Counting()
-    gw = Gateway(backend)
-    gw.complete_many("task_eval", ["a", "a"], temperature=0.7)
-    call(gw, "task_eval", "a", temperature=0.7)
-    # Answers above temperature 0 do not fill the memo either.
+    gw = Gateway(backend, temperature=0.7)
+    gw.complete_many("task_eval", ["a", "a"])
     call(gw, "task_eval", "a")
-    call(gw, "task_eval", "a")
-    assert backend.sent == ["a"] * 4
-    assert (gw.call_count(), gw.memo_hits(), len(gw.transcript.entries)) == (4, 1, 4)
+    with gw.count_as_eval():
+        gw.complete_many("task_eval", ["a", "b", "a"])
+    # Every repeat is sent, within a batch and across batches and buckets.
+    assert backend.sent == ["a", "a", "a", "a", "b", "a"]
+    assert (gw.call_count(), gw.memo_hits(), len(gw.transcript.entries)) == (6, 0, 6)
+    assert (gw.optimize_calls(), gw.eval_calls()) == (3, 3)
+    assert [req.temperature for req, _ in gw.transcript.entries] == [0.7] * 6
+    assert [req.request_index for req, _ in gw.transcript.entries] == list(range(6))
 
 
 def test_memo_keys_on_role() -> None:
@@ -709,11 +711,11 @@ def test_replay_serves_recorded_responses(tmp_path) -> None:
     path = tmp_path / "t.jsonl"
     gw.transcript.save(path)
 
-    replay = Gateway(ReplayBackend(Transcript.load(path)))
+    replay = Gateway(ReplayBackend(Transcript.load(path)), temperature=0.7)
     # At temperature 0.7 both requests reach the backend; a repeated identical
     # request sticks to the recorded response.
-    assert call(replay, "task_eval", "first", temperature=0.7) == "echo:first"
-    assert call(replay, "task_eval", "first", temperature=0.7) == "echo:first"
+    assert call(replay, "task_eval", "first") == "echo:first"
+    assert call(replay, "task_eval", "first") == "echo:first"
     assert replay.call_count() == 2
 
 
@@ -740,22 +742,22 @@ def test_replay_ignores_index_temperature_and_max_tokens(tmp_path) -> None:
         (LlmRequest("task_eval", "p", 0.0, 3, 6), LlmResponse("echo:p", 0.0)),
     ]).save(path)
 
-    replay = Gateway(ReplayBackend(Transcript.load(path)))
-    assert call(replay, "task_eval", "p", temperature=0.7) == "echo:p"
+    replay = Gateway(ReplayBackend(Transcript.load(path)), temperature=0.7)
+    assert call(replay, "task_eval", "p") == "echo:p"
     assert call(replay, "task_eval", "zero") == "echo:zero"
     assert [req[2:] for req, _ in replay.transcript.entries] == [
         (0.7, budget, 0),
-        (0.0, budget, 1),
+        (0.7, budget, 1),
     ]
 
 
 def test_replay_consumes_repeats_in_order_then_sticks_to_last() -> None:
     answers = iter(["one", "two", "three"])
-    gw = Gateway(ScriptedBackend(lambda req: next(answers)))
+    gw = Gateway(ScriptedBackend(lambda req: next(answers)), temperature=0.7)
     for _ in range(3):
-        call(gw, "task_eval", "same", temperature=0.7)
-    replay = Gateway(ReplayBackend(gw.transcript))
-    texts = [call(replay, "task_eval", "same", temperature=0.7) for _ in range(5)]
+        call(gw, "task_eval", "same")
+    replay = Gateway(ReplayBackend(gw.transcript), temperature=0.7)
+    texts = [call(replay, "task_eval", "same") for _ in range(5)]
     assert texts == ["one", "two", "three", "three", "three"]
     assert replay.call_count() == 5
 
@@ -795,39 +797,38 @@ class _Numbered:
         return f"answer {self.calls}", self.calls / 8
 
 
-# One prompt text under two roles, temperature-0 repeats (answered by the
-# memo) and repeats at 0.7 (sent again).
+# One prompt text under two roles, and repeats: answered by the memo at
+# temperature 0, sent again at 0.7.
 _REPLAY_EXAMPLE = [
-    ("task_eval", "alpha", 0.0),
-    ("gradient_gen", "alpha", 0.0),
-    ("task_eval", "alpha", 0.0),
-    ("task_eval", "beta", 0.7),
-    ("task_eval", "beta", 0.7),
-    ("task_eval", "alpha", 0.0),
-    ("paraphrase", "beta", 0.0),
+    ("task_eval", "alpha"),
+    ("gradient_gen", "alpha"),
+    ("task_eval", "alpha"),
+    ("task_eval", "beta"),
+    ("task_eval", "beta"),
+    ("task_eval", "alpha"),
+    ("paraphrase", "beta"),
 ]
 
 
-@example(requests=_REPLAY_EXAMPLE, order=random.Random(0))
+@example(requests=_REPLAY_EXAMPLE, temperature=0.0, order=random.Random(0))
+@example(requests=_REPLAY_EXAMPLE, temperature=0.7, order=random.Random(0))
 @given(
     requests=st.lists(
         st.tuples(
             st.sampled_from(ROLE_TAGS),
             st.sampled_from(["alpha", "beta", "alpha\nbeta", "é"]),
-            st.sampled_from([0.0, 0.7]),
         ),
         max_size=30,
     ),
+    temperature=st.sampled_from([0.0, 0.7]),
     order=st.randoms(use_true_random=False),
 )
-def test_replay_table_serves_what_was_recorded(tmp_path_factory, requests, order) -> None:
+def test_replay_table_serves_what_was_recorded(
+    tmp_path_factory, requests, temperature, order
+) -> None:
     def send(backend, sequence):
-        gw = Gateway(backend)
-        texts = [
-            call(gw, role, prompt, temperature=temperature)
-            for role, prompt, temperature in sequence
-        ]
-        return gw, texts
+        gw = Gateway(backend, temperature)
+        return gw, [call(gw, role, prompt) for role, prompt in sequence]
 
     recording, recorded_texts = send(_Numbered(), requests)
     path = tmp_path_factory.mktemp("replay") / "transcript.jsonl"
@@ -840,16 +841,16 @@ def test_replay_table_serves_what_was_recorded(tmp_path_factory, requests, order
     replay.transcript.save(replay_path)
     assert replay_path.read_bytes() == path.read_bytes()
 
-    # Lookup ignores temperature, so only content recorded once is served
-    # the same answer whatever the order.
+    # Only content recorded once is served the same answer whatever the
+    # order: a repeat recorded at 0.7 is served its answers in turn.
     recorded = Counter(
         (req.role_tag, req.rendered_prompt) for req, _ in recording.transcript.entries
     )
-    zero = [(request, text) for request, text in zip(requests, recorded_texts) if request[2] == 0]
-    order.shuffle(zero)
-    _, shuffled_texts = send(ReplayBackend(Transcript.load(path)), [r for r, _ in zero])
-    for ((role, prompt, _), text), got in zip(zero, shuffled_texts):
-        if recorded[role, prompt] == 1:
+    pairs = list(zip(requests, recorded_texts))
+    order.shuffle(pairs)
+    _, shuffled_texts = send(ReplayBackend(Transcript.load(path)), [r for r, _ in pairs])
+    for (request, text), got in zip(pairs, shuffled_texts):
+        if recorded[request] == 1:
             assert got == text
 
 
@@ -895,7 +896,7 @@ def test_retry_policy_is_seed_deterministic() -> None:
     assert seq1 == seq2
 
 
-def _live_gateway(transport, max_attempts=3):
+def _live_gateway(transport, max_attempts=3, temperature=0.0):
     backend = LiveBackend(
         LiveConfig(base_url="https://llm.example/v1", model="test-model", api_key="k"),
         retry=RetryPolicy(base_delay_s=0.01, max_attempts=max_attempts),
@@ -903,7 +904,7 @@ def _live_gateway(transport, max_attempts=3):
         transport=transport,
         sleep=lambda s: None,
     )
-    return Gateway(backend)
+    return Gateway(backend, temperature)
 
 
 def _ok_body(text: str) -> str:
@@ -918,11 +919,14 @@ def test_live_backend_builds_chat_payload() -> None:
         return 200, _ok_body("hello")
 
     gw = _live_gateway(transport)
-    assert call(gw, "task_eval", "the prompt", temperature=0.0) == "hello"
+    assert call(gw, "task_eval", "the prompt") == "hello"
     assert seen["url"].endswith("/chat/completions")
     assert seen["headers"]["Authorization"] == "Bearer k"
     assert seen["payload"]["messages"] == [{"role": "user", "content": "the prompt"}]
     assert seen["payload"]["temperature"] == 0.0
+    # The temperature sent is the gateway's.
+    call(_live_gateway(transport, temperature=0.7), "task_eval", "the prompt")
+    assert seen["payload"]["temperature"] == 0.7
 
 
 def test_live_backend_counts_every_attempt() -> None:

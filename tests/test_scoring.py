@@ -12,7 +12,6 @@ from promptopt.data import Example
 from promptopt.scoring import (
     ConfusionCounts,
     Prediction,
-    TaskSpec,
     canonical_number,
     evaluate_prompt,
     f1,
@@ -21,7 +20,7 @@ from promptopt.scoring import (
 )
 from promptopt.scripted import ScriptExhaustedError
 
-from conftest import SequenceScript, confusion_counts
+from conftest import SequenceScript, confusion_counts, task_split
 
 YES_NO = ("Yes", "No")
 
@@ -180,10 +179,10 @@ def test_prediction_dict_form_keys_in_field_order() -> None:
     ]
 
 
-def _task(**kwargs) -> TaskSpec:
+def _task(**kwargs):
     base = dict(task_type="classification", label_set=YES_NO, positive_label="Yes")
     base.update(kwargs)
-    return TaskSpec(**base)
+    return task_split(**base)
 
 
 def _examples(n: int = 8) -> list[Example]:
@@ -322,15 +321,14 @@ def _two_pass_evaluate(prompt, examples, gateway, task):
     the confusion matrix in a second pass over the sorted pairs.
     """
     texts = gateway.complete_many(
-        "task_eval",
-        [f"{prompt.text}\n{ex.input_text}" for ex in examples],
-        temperature=task.temperature,
+        "task_eval", [f"{prompt.text}\n{ex.input_text}" for ex in examples]
     )
     predictions = []
     for ex, text in zip(examples, texts):
         if task.task_type == "math":
             parsed = parse_math_answer(text)
-            correct = parsed is not None and parsed == canonical_number(ex.label)
+            gold = parse_math_answer(ex.label) if "####" in ex.label else canonical_number(ex.label)
+            correct = parsed is not None and parsed == gold
         else:
             parsed = parse_label(text, task.label_set)
             correct = parsed is not None and parsed.lower() == ex.label.lower()
@@ -366,7 +364,7 @@ def _eval_case(draw, task_type: str):
     or several; the positive label may be empty or outside the label set.
     """
     if task_type == "math":
-        task = TaskSpec(task_type="math")
+        task = task_split("math")
         golds = _MATH_GOLDS
         answers = st.one_of(
             _MATH_GOLDS.map(lambda n: f"#### {n}"),
@@ -381,7 +379,7 @@ def _eval_case(draw, task_type: str):
                 st.sampled_from(["", "Maybe"]),
             )
         )
-        task = TaskSpec(task_type="classification", label_set=label_set, positive_label=positive)
+        task = task_split("classification", label_set, positive)
         golds = st.tuples(st.sampled_from(label_set), _CASINGS).map(lambda lc: lc[1](lc[0]))
         mention = st.tuples(st.sampled_from(label_set), _CASINGS).map(lambda lc: lc[1](lc[0]))
         answers = st.one_of(
@@ -458,6 +456,24 @@ def test_evaluate_prompt_math_labels_with_plus_leading_zero_or_point() -> None:
     assert [p.parsed_label for p in predictions] == ["5", "5", "0.5"]
 
 
+def test_evaluate_prompt_math_label_in_gsm8k_form_is_its_final_number() -> None:
+    # GSM8K's answer field is a worked solution ending "#### N".
+    examples = [
+        Example(0, "q0", "48 + 24 = <<48+24=72>>72.\n#### 72"),
+        Example(1, "q1", "Half of 3 is <<3/2=1.5>>1.5\n#### 1.50"),
+        Example(2, "q2", "2 * 3 = <<2*3=6>>6\n#### 6"),
+        Example(3, "q3", "#### +05"),
+        Example(4, "q4", "no number after the marker ####"),
+    ]
+    answers = {"q0": "#### 72", "q1": "so 1.5", "q2": "#### 7", "q3": "#### 5", "q4": "#### 0"}
+    gw = Gateway(ScriptedBackend(lambda req: answers[req.rendered_prompt.split("\n", 1)[1]]))
+    score, predictions = evaluate_prompt(
+        new_seed_prompt("solve"), examples, gw, _task(task_type="math", label_set=())
+    )
+    assert [p.correct for p in predictions] == [True, True, False, True, False]
+    assert score == 3 / 5
+
+
 @pytest.mark.parametrize("task_type, parser", [
     ("classification", "parse_label"), ("math", "parse_math_answer"),
 ])
@@ -488,7 +504,9 @@ _ANSWER_POOLS = {
 }
 _GOLDS = {
     "classification": st.tuples(st.sampled_from(YES_NO), _CASINGS).map(lambda lc: lc[1](lc[0])),
-    "math": st.sampled_from(["3", "+3", "03", ".5", "0.5", "42", "-0", "7"]),
+    "math": st.sampled_from(
+        ["3", "+3", "03", ".5", "0.5", "42", "-0", "7", "1 + 2 = <<1+2=3>>3\n#### 3", "#### .50"]
+    ),
 }
 
 
@@ -496,10 +514,10 @@ _GOLDS = {
 def _answer_list_case(draw, task_type: str):
     """A task, examples with distinct ids, and an answer per example that often repeats."""
     if task_type == "math":
-        task = TaskSpec(task_type="math")
+        task = task_split("math")
     else:
         positive = draw(st.sampled_from(["Yes", "no", "", "Maybe"]))
-        task = TaskSpec(task_type="classification", label_set=YES_NO, positive_label=positive)
+        task = task_split("classification", YES_NO, positive)
     answers = draw(st.lists(_ANSWER_POOLS[task_type], min_size=1, max_size=16))
     ids = draw(st.permutations(range(len(answers))))
     examples = [Example(i, f"input {i}", draw(_GOLDS[task_type])) for i in ids]

@@ -13,10 +13,10 @@ from hashlib import blake2b
 from hypothesis import given
 from hypothesis import strategies as st
 
-from promptopt import Example, HeuristicScript, LlmRequest, TaskSpec, evaluate_prompt, new_seed_prompt
+from promptopt import Example, HeuristicScript, LlmRequest, evaluate_prompt, new_seed_prompt
 from promptopt import scripted
 
-from conftest import SEED_TEXT, scripted_gateway, toy_examples
+from conftest import SEED_TEXT, scripted_gateway, task_split, toy_examples
 
 UNKNOWN_INPUT = "an input that no example holds"
 
@@ -99,6 +99,6 @@ def test_scoring_one_prompt_hashes_its_skill_once(monkeypatch) -> None:
     monkeypatch.setattr(scripted, "_hash01", counting_hash01)
     examples = toy_examples(40)
     gateway = scripted_gateway(examples, ["No", "Yes"])
-    task = TaskSpec(task_type="classification", positive_label="Yes", label_set=("No", "Yes"))
+    task = task_split("classification", ("No", "Yes"), "Yes")
     evaluate_prompt(new_seed_prompt(SEED_TEXT), examples, gateway, task)
     assert calls.count("skill") == 1

@@ -591,10 +591,24 @@ def test_run_passes_temperature_through_verbatim(tmp_path) -> None:
     examples = toy_examples()
     split = make_split(examples, 20, 7, task_type="classification", positive_label="Yes")
     cfg = small_config(search_depth=1, temperature=0.7)
-    gateway = scripted_gateway(examples, split.label_set)
+    gateway = scripted_gateway(examples, split.label_set, temperature=0.7)
     run(new_seed_prompt(SEED_TEXT), split, cfg, gateway, tmp_path / "temp")
     assert gateway.transcript.entries
     assert all(req.temperature == 0.7 for req, _ in gateway.transcript.entries)
+    # No memo above temperature 0: every request issued went out.
+    assert gateway.memo_hits() == 0
+    assert gateway.call_count() == gateway.optimize_calls() + gateway.eval_calls()
+
+
+def test_run_refuses_a_gateway_at_another_temperature(tmp_path) -> None:
+    examples = toy_examples()
+    split = make_split(examples, 20, 7, task_type="classification", positive_label="Yes")
+    cfg = small_config(temperature=0.7)
+    gateway = scripted_gateway(examples, split.label_set)
+    with pytest.raises(ConfigError, match="gateway temperature 0.0 is not the run's 0.7"):
+        run(new_seed_prompt(SEED_TEXT), split, cfg, gateway, tmp_path / "out")
+    assert not (tmp_path / "out").exists()
+    assert gateway.call_count() == 0
 
 
 def test_run_math_task_end_to_end(tmp_path) -> None:
