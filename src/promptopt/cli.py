@@ -28,14 +28,12 @@ from .gateway import (
     ReplayBackend,
     ScriptedBackend,
     Transcript,
-    TranscriptFormatError,
 )
 from .gradients import TemplateSet
 from .model import (
     GRADIENT_MODES,
     BanditConfig,
     ConfigError,
-    EmptyPromptError,
     RunConfig,
     new_seed_prompt,
     read_text,
@@ -115,6 +113,13 @@ def _coerce(section: str, types: dict[str, type], key: str, raw: str):
         raise ConfigError(f"[{section}] {key}: {exc}") from exc
 
 
+def _on_off(raw: str) -> bool:
+    """``--momentum``'s value as a bool; any word but ``on`` or ``off`` is a usage error."""
+    if raw not in ("on", "off"):
+        raise argparse.ArgumentTypeError(f"invalid choice: {raw!r} (choose from 'on', 'off')")
+    return raw == "on"
+
+
 def read_config_file(path: str | Path):
     """Parse the INI config into (run overrides, bandit overrides, dataset, gateway, extra).
 
@@ -165,23 +170,17 @@ def read_config_file(path: str | Path):
 def build_run_config(args, run_overrides: dict, bandit_overrides: dict) -> RunConfig:
     """One :class:`RunConfig` from the file's values, then the ``--mode`` preset, then the flags.
 
-    The values are merged first and checked once, when the config is built,
-    so a file value that a flag overrides is never checked on its own.
+    Each flag is stored under the name of the :class:`RunConfig` field it
+    sets, and a flag not given is None. The values are merged first and
+    checked once, when the config is built, so a file value that a flag
+    overrides is never checked on its own.
     """
     values = dict(run_overrides)
     if getattr(args, "mode", None):
         forced, defaults = _MODE_PRESETS[args.mode]
         values = {**defaults, **values, **forced}
-    if getattr(args, "gradient_mode", None):
-        values["gradient_mode"] = args.gradient_mode
-    if getattr(args, "momentum", None):
-        values["momentum_enabled"] = args.momentum == "on"
-    if getattr(args, "seed", None) is not None:
-        values["rng_seed"] = args.seed
-    if getattr(args, "target", None) is not None:
-        values["convergence_target"] = args.target
-    if getattr(args, "verbose_predictions", False):
-        values["emit_predictions"] = True
+    flags = {name: value for name, value in vars(args).items() if value is not None}
+    values.update((f.name, flags[f.name]) for f in fields(RunConfig) if f.name in flags)
     return RunConfig(bandit=BanditConfig(**bandit_overrides), **values)
 
 
@@ -210,38 +209,32 @@ def _load_split(dataset: DatasetSpec | None, cfg: RunConfig):
     return examples, split
 
 
-def _scripted_backend(args, gateway_section: dict, cfg: RunConfig, examples, split):
-    responder = HeuristicScript(examples, split.label_set, seed=cfg.rng_seed, task_type=split.task_type)
-    return ScriptedBackend(responder)
-
-
-def _replay_backend(args, gateway_section: dict, cfg: RunConfig, examples, split):
-    transcript_path = getattr(args, "transcript", None) or gateway_section.get("transcript")
-    if not transcript_path:
-        raise ConfigError("replay backend needs --transcript PATH")
-    return ReplayBackend(Transcript.load(transcript_path))
-
-
-def _live_backend(args, gateway_section: dict, cfg: RunConfig, examples, split):
-    base_url = gateway_section.get("base_url")
-    model = gateway_section.get("model")
-    if not base_url or not model:
-        raise ConfigError("[gateway] base_url and model are required for the live backend")
-    api_key = os.environ.get("PROMPTOPT_API_KEY") or os.environ.get("OPENAI_API_KEY", "")
-    # Only the fields the file sets, so LiveConfig's defaults fill the rest.
-    settings = {f.name: gateway_section[f.name] for f in fields(LiveConfig) if f.name in gateway_section}
-    return LiveBackend(LiveConfig(api_key=api_key, **settings))
-
-
 # The backend names that --backend and [gateway] backend accept.
-_BACKENDS = {"live": _live_backend, "replay": _replay_backend, "scripted": _scripted_backend}
+BACKENDS = ("live", "replay", "scripted")
 
 
 def build_gateway(args, gateway_section: dict, cfg: RunConfig, examples, split) -> Gateway:
+    """The gateway over the backend that ``--backend``, else ``[gateway] backend``, names."""
     backend_name = getattr(args, "backend", None) or gateway_section.get("backend", "scripted")
-    if backend_name not in _BACKENDS:
+    if backend_name == "scripted":
+        responder = HeuristicScript(examples, split.label_set, seed=cfg.rng_seed, task_type=split.task_type)
+        backend = ScriptedBackend(responder)
+    elif backend_name == "replay":
+        transcript_path = getattr(args, "transcript", None) or gateway_section.get("transcript")
+        if not transcript_path:
+            raise ConfigError("replay backend needs --transcript PATH")
+        backend = ReplayBackend(Transcript.load(transcript_path))
+    elif backend_name == "live":
+        base_url = gateway_section.get("base_url")
+        model = gateway_section.get("model")
+        if not base_url or not model:
+            raise ConfigError("[gateway] base_url and model are required for the live backend")
+        api_key = os.environ.get("PROMPTOPT_API_KEY") or os.environ.get("OPENAI_API_KEY", "")
+        # Only the fields the file sets, so LiveConfig's defaults fill the rest.
+        settings = {f.name: gateway_section[f.name] for f in fields(LiveConfig) if f.name in gateway_section}
+        backend = LiveBackend(LiveConfig(api_key=api_key, **settings))
+    else:
         raise ConfigError(f"unknown backend {backend_name!r}")
-    backend = _BACKENDS[backend_name](args, gateway_section, cfg, examples, split)
     return Gateway(backend, cfg.temperature)
 
 
@@ -321,7 +314,16 @@ def cmd_evaluate(args) -> int:
     return EXIT_OK
 
 
-def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
+# Each per-artifact CSV file of a report: the curve it is named after and the
+# event fields in its columns, where total_calls is optimize_calls + eval_calls.
+_CURVES = {
+    "score_vs_round": ("round", "best_test_score"),
+    "score_vs_time": ("elapsed_s", "best_test_score"),
+    "score_vs_calls": ("optimize_calls", "eval_calls", "total_calls", "best_test_score"),
+}
+
+
+def _write_csv(path: Path, header: typing.Sequence[str], rows: list[list]) -> None:
     import csv
 
     with path.open("w", newline="", encoding="utf-8") as handle:
@@ -354,29 +356,10 @@ def cmd_report(args) -> int:
         if meta.get("status") != "complete":
             print(f"warning: artifact {directory} is incomplete", file=sys.stderr)
         events.sort(key=lambda e: e["round"])
-        _write_csv(
-            out_dir / f"{stem}_score_vs_round.csv",
-            ["round", "best_test_score"],
-            [[e["round"], e["best_test_score"]] for e in events],
-        )
-        _write_csv(
-            out_dir / f"{stem}_score_vs_time.csv",
-            ["elapsed_s", "best_test_score"],
-            [[e["elapsed_s"], e["best_test_score"]] for e in events],
-        )
-        _write_csv(
-            out_dir / f"{stem}_score_vs_calls.csv",
-            ["optimize_calls", "eval_calls", "total_calls", "best_test_score"],
-            [
-                [
-                    e["optimize_calls"],
-                    e["eval_calls"],
-                    e["optimize_calls"] + e["eval_calls"],
-                    e["best_test_score"],
-                ]
-                for e in events
-            ],
-        )
+        for e in events:
+            e["total_calls"] = e["optimize_calls"] + e["eval_calls"]
+        for curve, columns in _CURVES.items():
+            _write_csv(out_dir / f"{stem}_{curve}.csv", columns, [[e[c] for c in columns] for e in events])
         method = meta.get("method", stem)
         if method in curves:
             method = f"{method}_{stem}"
@@ -399,27 +382,27 @@ def build_parser() -> argparse.ArgumentParser:
         description="Prompt optimization by beam search over LLM-edited candidates.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # The flags optimize and evaluate share. A flag that sets a RunConfig field is stored under its name.
+    run_flags = argparse.ArgumentParser(add_help=False)
+    run_flags.add_argument("--config", required=True, help="INI config file")
+    run_flags.add_argument("--backend", choices=BACKENDS)
+    run_flags.add_argument("--transcript", help="transcript path for the replay backend")
+    run_flags.add_argument("--seed", dest="rng_seed", type=int, metavar="SEED")
 
-    optimize = sub.add_parser("optimize", help="run the optimizer")
-    optimize.add_argument("--config", required=True, help="INI config file")
+    optimize = sub.add_parser("optimize", parents=[run_flags], help="run the optimizer")
     optimize.add_argument("--mode", choices=tuple(_MODE_PRESETS))
     optimize.add_argument("--gradient-mode", dest="gradient_mode", choices=GRADIENT_MODES)
-    optimize.add_argument("--momentum", choices=("on", "off"))
-    optimize.add_argument("--backend", choices=tuple(_BACKENDS))
-    optimize.add_argument("--transcript", help="transcript path for the replay backend")
-    optimize.add_argument("--seed", type=int)
-    optimize.add_argument("--target", type=float, help="convergence target score")
+    optimize.add_argument("--momentum", dest="momentum_enabled", type=_on_off, metavar="{on,off}")
+    optimize.add_argument(
+        "--target", dest="convergence_target", type=float, metavar="TARGET", help="convergence target score"
+    )
     optimize.add_argument("--templates", help="directory of template override files")
-    optimize.add_argument("--verbose-predictions", action="store_true")
+    optimize.add_argument("--verbose-predictions", dest="emit_predictions", action="store_const", const=True)
     optimize.add_argument("--out", help="artifact directory")
     optimize.set_defaults(func=cmd_optimize)
 
-    evaluate = sub.add_parser("evaluate", help="score a fixed prompt on the test split")
+    evaluate = sub.add_parser("evaluate", parents=[run_flags], help="score a fixed prompt on the test split")
     evaluate.add_argument("--prompt-file", required=True)
-    evaluate.add_argument("--config", required=True)
-    evaluate.add_argument("--backend", choices=tuple(_BACKENDS))
-    evaluate.add_argument("--transcript")
-    evaluate.add_argument("--seed", type=int)
     evaluate.set_defaults(func=cmd_evaluate)
 
     report = sub.add_parser("report", help="emit plot-ready CSVs from run artifacts")
@@ -433,7 +416,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, EmptyPromptError, TranscriptFormatError) as exc:
+    except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except DatasetError as exc:

@@ -1,4 +1,4 @@
-"""Dataset loading, splitting, and the per-round sampling streams.
+"""Dataset loading, splitting, the per-round sampling streams, and the numbers in math texts.
 
 All sampling here is a pure function of (data, seed, round): reruns under the
 same seed are bit-identical.
@@ -9,6 +9,7 @@ from __future__ import annotations
 import json
 import math
 import random
+import re
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -79,11 +80,63 @@ class DatasetSpec:
             )
 
 
+_NUMBER_RE = re.compile(r"-?(?:\d[\d,]*(?:\.\d+)?|\.\d+)")
+# A number once commas and whitespace are gone: sign, integer digits, fraction digits.
+_NUMBER_PARTS = re.compile(r"([+-]?)(?=\.?\d)(\d*)(?:\.(\d+))?")
+
+
+def canonical_number(token: str) -> str:
+    """One spelling per value: commas, whitespace and redundant digits and signs dropped.
+
+    ``1,234`` gives ``1234``, ``1.50`` gives ``1.5``, ``2.00`` gives ``2``,
+    ``+5`` and ``05`` give ``5``, ``.5`` and ``00.5`` give ``0.5``, and
+    ``-0`` and ``-0.0`` give ``0``; an integer keeps its trailing zeros
+    (``100``). A token that is not a number comes back with only its commas
+    and whitespace removed.
+    """
+    cleaned = re.sub(r"[\s,]", "", token)
+    match = _NUMBER_PARTS.fullmatch(cleaned)
+    if match is None:
+        return cleaned
+    sign, whole, fraction = match.groups()
+    whole = whole.lstrip("0") or "0"
+    fraction = fraction.rstrip("0") if fraction else ""
+    number = f"{whole}.{fraction}" if fraction else whole
+    return "-" + number if sign == "-" and number != "0" else number
+
+
+def parse_math_answer(raw: str) -> str | None:
+    """Answer after a final ``####`` marker, else the last number token in ``raw``.
+
+    A number token may start with its point: ``#### .5`` gives ``0.5``.
+    """
+    if "####" in raw:
+        tail = raw.rsplit("####", 1)[1]
+        match = _NUMBER_RE.search(tail)
+        return canonical_number(match.group(0)) if match else None
+    matches = _NUMBER_RE.findall(raw)
+    return canonical_number(matches[-1]) if matches else None
+
+
+def math_label(label: str) -> str | None:
+    """The number a math label means, in :func:`canonical_number`'s spelling; None when it holds none.
+
+    A label that holds ``####``, a worked solution in GSM8K's form, means the
+    number after its final ``####``. Any other label must be one number as a
+    whole, so ``72 apples`` and ``seventy-two`` mean none.
+    """
+    if "####" in label:
+        return parse_math_answer(label)
+    number = canonical_number(label)
+    return number if _NUMBER_PARTS.fullmatch(number) else None
+
+
 def load(path: str | Path, format: str, task_type: str = "classification") -> list[Example]:
     """Read a TSV (``input<TAB>label``) or JSONL dataset into examples.
 
-    A JSONL input or label is a string or a finite number. Ids follow file order;
-    labels are trimmed but otherwise untouched. The file is read by
+    A JSONL input or label is a string or a finite number, and a math label
+    means a number (:func:`math_label`). Ids follow file order; labels are
+    trimmed but otherwise untouched. The file is read by
     :func:`~promptopt.model.read_text`, so a bad path or byte raises :class:`DatasetError`.
     """
     if format not in FORMATS:
@@ -130,6 +183,11 @@ def load(path: str | Path, format: str, task_type: str = "classification") -> li
         label = str(label).strip()
         if not input_text or not label:
             raise DatasetError(f"{file}:{lineno}: empty input or label")
+        # Such a label could never be scored correct.
+        if task_type == "math" and math_label(label) is None:
+            raise DatasetError(
+                f"{file}:{lineno}: expected a number or a '#### <number>' math label, got {label!r:.40}"
+            )
         examples.append(Example(id=len(examples), input_text=input_text, label=label))
     if not examples:
         raise DatasetError(f"{file}: no examples")

@@ -28,7 +28,7 @@ from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Callable, NamedTuple, Sequence
 
-from .model import check_file
+from .model import ConfigError, check_file
 
 ROLE_TAGS = ("gradient_gen", "prompt_edit", "paraphrase", "task_eval")
 
@@ -150,7 +150,7 @@ _JSON_WHITESPACE = json.decoder.WHITESPACE.match
 _UNSET = object()
 
 
-class TranscriptFormatError(ValueError):
+class TranscriptFormatError(ConfigError):
     """A transcript file holds a line that is not a transcript entry."""
 
 

@@ -235,9 +235,9 @@ _HISTORY_SLOT_RE = re.compile(
 )
 
 
-def mask_history_slot(rendered: str, placeholder: str = "<HISTORY>") -> str:
-    """Replace the rendered history binding with a fixed placeholder."""
-    return _HISTORY_SLOT_RE.sub(rf"\g<1>{placeholder}\g<2>", rendered, count=1)
+def mask_history_slot(rendered: str) -> str:
+    """Replace the rendered history binding with the fixed placeholder ``<HISTORY>``."""
+    return _HISTORY_SLOT_RE.sub(r"\g<1><HISTORY>\g<2>", rendered, count=1)
 
 
 def format_example_block(sample: ExampleSample) -> str:

@@ -24,7 +24,12 @@ END_DELIM = "<END>"
 
 
 class ConfigError(ValueError):
-    """A run configuration field violates its contract."""
+    """Any configuration error; the CLI exits with code 2.
+
+    A run setting that violates its contract, an input file that cannot be
+    used, a malformed transcript (:class:`~promptopt.gateway.TranscriptFormatError`)
+    or an empty prompt (:class:`EmptyPromptError`).
+    """
 
 
 def check_file(path: str | Path, what: str, error: type[Exception] = ConfigError) -> Path:
@@ -57,7 +62,7 @@ def read_text(path: str | Path, what: str, error: type[Exception] = ConfigError)
     return text
 
 
-class EmptyPromptError(ValueError):
+class EmptyPromptError(ConfigError):
     """Prompt text is empty after trimming."""
 
 

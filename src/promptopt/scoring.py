@@ -8,7 +8,7 @@ import re
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
-from .data import DatasetSplit, Example
+from .data import DatasetSplit, Example, math_label, parse_math_answer
 from .gateway import Gateway, GatewayError
 from .model import Prompt
 
@@ -77,44 +77,6 @@ def parse_label(raw: str, label_set: Sequence[str]) -> str | None:
     return labels[match.lastindex - 1] if match else None
 
 
-_NUMBER_RE = re.compile(r"-?(?:\d[\d,]*(?:\.\d+)?|\.\d+)")
-# A number once commas and whitespace are gone: sign, integer digits, fraction digits.
-_NUMBER_PARTS = re.compile(r"([+-]?)(?=\.?\d)(\d*)(?:\.(\d+))?")
-
-
-def canonical_number(token: str) -> str:
-    """One spelling per value: commas, whitespace and redundant digits and signs dropped.
-
-    ``1,234`` gives ``1234``, ``1.50`` gives ``1.5``, ``2.00`` gives ``2``,
-    ``+5`` and ``05`` give ``5``, ``.5`` and ``00.5`` give ``0.5``, and
-    ``-0`` and ``-0.0`` give ``0``; an integer keeps its trailing zeros
-    (``100``). A token that is not a number comes back with only its commas
-    and whitespace removed.
-    """
-    cleaned = re.sub(r"[\s,]", "", token)
-    match = _NUMBER_PARTS.fullmatch(cleaned)
-    if match is None:
-        return cleaned
-    sign, whole, fraction = match.groups()
-    whole = whole.lstrip("0") or "0"
-    fraction = fraction.rstrip("0") if fraction else ""
-    number = f"{whole}.{fraction}" if fraction else whole
-    return "-" + number if sign == "-" and number != "0" else number
-
-
-def parse_math_answer(raw: str) -> str | None:
-    """Answer after a final ``####`` marker, else the last number token in ``raw``.
-
-    A number token may start with its point: ``#### .5`` gives ``0.5``.
-    """
-    if "####" in raw:
-        tail = raw.rsplit("####", 1)[1]
-        match = _NUMBER_RE.search(tail)
-        return canonical_number(match.group(0)) if match else None
-    matches = _NUMBER_RE.findall(raw)
-    return canonical_number(matches[-1]) if matches else None
-
-
 def f1(cc: ConfusionCounts) -> float:
     """Positive-class F1; zero true positives yield 0.0 by convention."""
     if cc.tp == 0:
@@ -137,9 +99,9 @@ def evaluate_prompt(
     rendered input is the prompt text and the example input joined by a
     single newline (zero-shot, no exemplars). Each distinct answer text in
     the batch is parsed once and its parse reused for every answer equal to
-    it. A math label that holds ``####``, a worked solution in GSM8K's form,
-    is the number after its final ``####``. Returns the score and the
-    per-example predictions ordered by example id.
+    it. A math label means the number :func:`~promptopt.data.math_label`
+    reads in it. Returns the score and the per-example predictions ordered
+    by example id.
     """
     if not examples:
         raise ValueError("examples is empty")
@@ -161,7 +123,7 @@ def evaluate_prompt(
                 parsed = answers[text]
             else:
                 parsed = answers[text] = parse_math_answer(text)
-            gold = parse_math_answer(ex.label) if "####" in ex.label else canonical_number(ex.label)
+            gold = math_label(ex.label)
             correct = parsed is not None and parsed == gold
             hits += correct
             append(Prediction(ex.id, text, parsed, correct))

@@ -447,18 +447,21 @@ def _write_artifact(
             for round_index, table in enumerate(state.arm_tables, start=1)
         ],
     )
-    if report is not None:
-        artifact.write_json(out / artifact.CONVERGENCE_FILE, asdict(report))
-    if best is not None:
-        artifact.write_json(
-            out / artifact.RESULT_FILE,
-            {
-                "best_prompt_id": best.id,
-                "text": best.text,
-                "train_score": best.train_score,
-                "test_score": best.test_score,
-            },
-        )
-    if state.test_predictions:
-        artifact.write_jsonl(out / "predictions.jsonl", state.test_predictions)
+    result = None if best is None else {
+        "best_prompt_id": best.id,
+        "text": best.text,
+        "train_score": best.train_score,
+        "test_score": best.test_score,
+    }
+    # A file this run does not write is removed, so a reused directory never
+    # shows another run's result, convergence report or predictions as this one's.
+    for name, write, payload in (
+        (artifact.CONVERGENCE_FILE, artifact.write_json, None if report is None else asdict(report)),
+        (artifact.RESULT_FILE, artifact.write_json, result),
+        ("predictions.jsonl", artifact.write_jsonl, state.test_predictions),
+    ):
+        if payload:
+            write(out / name, payload)
+        else:
+            (out / name).unlink(missing_ok=True)
     state.gateway.transcript.save(out / "transcript.jsonl")

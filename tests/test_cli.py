@@ -337,6 +337,65 @@ def test_optimize_momentum_flag(config_file, tmp_path) -> None:
     assert json.loads((out / "config.json").read_text())["momentum_enabled"] is False
 
 
+def test_each_flag_sets_the_run_config_field_it_is_stored_under(config_file, tmp_path, capsys) -> None:
+    out = tmp_path / "flags"
+    flags = ["--seed", "3", "--momentum", "off", "--target", "0.5", "--verbose-predictions"]
+    argv = ["optimize", "--config", str(config_file), "--backend", "scripted", *flags]
+    assert main([*argv, "--out", str(out)]) == EXIT_OK
+    echo = json.loads((out / "config.json").read_text())
+    assert (echo["rng_seed"], echo["momentum_enabled"]) == (3, False)
+    assert (echo["convergence_target"], echo["emit_predictions"]) == (0.5, True)
+    # evaluate --seed draws the same test split, so it scores the best prompt as the run did.
+    result = json.loads((out / "result.json").read_text())
+    prompt = tmp_path / "best.txt"
+    prompt.write_text(result["text"], encoding="utf-8")
+    capsys.readouterr()
+    argv = ["evaluate", "--config", str(config_file), "--prompt-file", str(prompt), "--seed", "3"]
+    assert main(argv) == EXIT_OK
+    assert capsys.readouterr().out.startswith(f"test_score={result['test_score']:.4f} ")
+
+
+def test_momentum_flag_refuses_a_word_but_on_or_off(config_file, capsys) -> None:
+    with pytest.raises(SystemExit) as exited:
+        main(["optimize", "--config", str(config_file), "--momentum", "maybe"])
+    assert exited.value.code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "argument --momentum: invalid choice: 'maybe' (choose from 'on', 'off')" in err
+    # The usage line names each value as before the flags were stored under field names.
+    for usage in ("[--momentum {on,off}]", "[--seed SEED]", "[--target TARGET]"):
+        assert usage in err
+
+
+@pytest.mark.parametrize(
+    ("rerun", "code"),
+    [
+        (["--backend", "replay", "--transcript", "{short}"], EXIT_INCOMPLETE),
+        (["--backend", "scripted", "--seed", "3"], EXIT_OK),
+    ],
+    ids=["replay-cut-short", "other-seed"],
+)
+def test_a_rerun_into_a_used_out_leaves_only_its_own_files(
+    rerun, code, config_file, tmp_path
+) -> None:
+    used, fresh = tmp_path / "used", tmp_path / "fresh"
+    optimize = ["optimize", "--config", str(config_file)]
+    assert main([*optimize, "--backend", "scripted", "--verbose-predictions", "--out", str(used)]) == EXIT_OK
+    short = tmp_path / "short.jsonl"
+    short.write_text("".join((used / "transcript.jsonl").read_text().splitlines(True)[:-1]))
+    argv = [*optimize, *(arg.format(short=short) for arg in rerun)]
+    assert main([*argv, "--out", str(used)]) == code
+    assert main([*argv, "--out", str(fresh)]) == code
+    names = sorted(path.name for path in used.iterdir())
+    assert names == sorted(path.name for path in fresh.iterdir())
+    assert "predictions.jsonl" not in names
+    if code == EXIT_INCOMPLETE:
+        assert "result.json" not in names and "convergence.json" not in names
+    # events.jsonl differs only in elapsed_s, the wall time of each run.
+    for name in names:
+        if name != "events.jsonl":
+            assert (used / name).read_bytes() == (fresh / name).read_bytes(), name
+
+
 def test_optimize_missing_config_is_config_error(tmp_path) -> None:
     assert main(["optimize", "--config", str(tmp_path / "nope.ini")]) == EXIT_CONFIG
 

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from promptopt.data import (
@@ -7,6 +9,7 @@ from promptopt.data import (
     Example,
     load,
     make_split,
+    math_label,
     sample_by_correctness,
     sample_minibatch,
 )
@@ -113,6 +116,35 @@ def test_load_jsonl_reads_numbers_as_text(tmp_path) -> None:
         Example(0, "12", "4"),
         Example(1, "half of 5?", "2.5"),
     ]
+
+
+@pytest.mark.parametrize(
+    ("label", "number"),
+    [
+        ("+5", "5"),
+        ("05", "5"),
+        (".5", "0.5"),
+        ("1,234", "1234"),
+        ("-0.0", "0"),
+        ("#### 72", "72"),
+        ("48 + 24 = <<48+24=72>>72.\n#### 72", "72"),
+        ("seventy-two", None),
+        ("#### none", None),
+        ("72 apples", None),
+        ("5.", None),
+    ],
+)
+def test_math_label_is_one_number_or_the_number_after_a_final_marker(tmp_path, label, number) -> None:
+    assert math_label(label) == number
+    # load refuses a math label that means no number, naming the file and the line.
+    file = tmp_path / "math.jsonl"
+    rows = [{"question": "q", "answer": "4"}, {"question": "q", "answer": label}]
+    file.write_text("".join(json.dumps(row) + "\n" for row in rows), encoding="utf-8")
+    if number is None:
+        with pytest.raises(DatasetError, match=r"math.jsonl:2: expected a number"):
+            load(file, "jsonl", task_type="math")
+    else:
+        assert load(file, "jsonl", task_type="math")[1].label == label
 
 
 def test_load_trims_labels_only(tmp_path) -> None:

@@ -1,19 +1,25 @@
-"""A fixed table of broken and odd inputs, each run through ``cli.main``.
+"""Broken and odd inputs, each run through ``cli.main``: a fixed table, then drawn dataset rows.
 
 Every case starts from a copy of the demo inputs (``demo.ini``, ``demo.tsv``, a
 JSONL copy of it, a template directory, or a transcript recorded from the
 demo) and changes one thing. Each must end in a documented way: exit 0, or a
 refusal with exit 2 (``config error:``) or 3 (``dataset error:``) that prints
 one stderr line, raises no traceback and leaves no artifact directory.
+Hypothesis then draws demo datasets with a few rows mutated, and holds each
+to the same rule.
 """
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 from pathlib import Path
 from typing import Callable, NamedTuple
 
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 from promptopt.cli import EXIT_CONFIG, EXIT_DATASET, EXIT_OK, main
 from promptopt.gradients import TAU_BODY
@@ -48,6 +54,20 @@ def _first_line(field: str, value) -> Callable[[str], str]:
         return json.dumps(row, sort_keys=True) + "\n" + rest
 
     return edit
+
+
+def _math_rows(*labels) -> Callable[[str], str]:
+    """The JSONL copy as a math task, its labels 1 and 0, then one row per label (line 81 on)."""
+
+    def edit(text: str) -> str:
+        text = text.replace('"label": "Yes"', '"label": "1"').replace('"label": "No"', '"label": "0"')
+        rows = (json.dumps({"text": f"row {i}", "label": label}) for i, label in enumerate(labels))
+        return text + "".join(row + "\n" for row in rows)
+
+    return edit
+
+
+_MATH = _replace("task_type = classification", "task_type = math")
 
 
 class Case(NamedTuple):
@@ -139,6 +159,21 @@ CASES = {
     ),
     "jsonl-bool-label": Case(EXIT_DATASET, jsonl=lambda t: t + '{"text": "a", "label": true}\n'),
     "jsonl-byte-order-mark": Case(EXIT_OK, jsonl=lambda t: "\ufeff" + t),
+    # A math label means a number: one number as a whole, or the number after a final "####".
+    "jsonl-math-label-forms": Case(
+        EXIT_OK,
+        ini=_MATH,
+        jsonl=_math_rows("+5", "05", ".5", "1,234", 7, "#### 72", "48 + 24 = <<48+24=72>>72.\n#### 72"),
+    ),
+    "jsonl-math-label-word": Case(
+        EXIT_DATASET, ini=_MATH, jsonl=_math_rows("seventy-two"), says=":81: "
+    ),
+    "jsonl-math-label-marker-without-number": Case(
+        EXIT_DATASET, ini=_MATH, jsonl=_math_rows("#### none"), says=":81: "
+    ),
+    "jsonl-math-label-number-and-word": Case(
+        EXIT_DATASET, ini=_MATH, jsonl=_math_rows("72 apples"), says=":81: "
+    ),
     # The template directory.
     "templates-default-body": Case(EXIT_OK, templates={"tau.txt": TAU_BODY}),
     "templates-unknown-slot": Case(EXIT_CONFIG, templates={"alpha.txt": "For a {taks_type} task"}),
@@ -257,4 +292,98 @@ def test_input_ends_in_a_documented_way(name, recording, tmp_path, capsys) -> No
         assert len(lines) == 1, err
         assert lines[0].startswith(PREFIX[code]), err
         assert case.says in lines[0]
+        assert not out.exists()
+
+
+# Dataset fields: labels of each task, the math label forms, and text that
+# may hold a tab, a newline or any other character.
+_FIELDS = st.one_of(
+    st.sampled_from(["", " ", "Yes", "no", "1", "+5", "05", ".5", "1,234", "#### 72"]),
+    st.sampled_from(["seventy-two", "#### none", "72 apples", "NaN", "true", "\u2028", "caf\u00e9"]),
+    st.text(max_size=6),
+)
+# JSON values: scalars, NaN and infinities, bools, nulls and nested arrays and objects.
+_VALUES = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(), st.floats(), _FIELDS),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=2), st.dictionaries(st.sampled_from(["text", "label"]), inner, max_size=2)
+    ),
+    max_leaves=4,
+)
+_ROWS = {
+    # One field is a row without a tab; three are a row with an extra one.
+    "tsv": st.lists(_FIELDS, min_size=1, max_size=3).map("\t".join),
+    "jsonl": st.one_of(
+        st.fixed_dictionaries(
+            {}, optional={key: _VALUES for key in ("text", "label", "question", "answer")}
+        ),
+        _VALUES,
+    ).map(json.dumps),
+}
+# Bytes put into a row: none half the time, else bytes that are not UTF-8.
+_BYTES = st.one_of(st.just(b""), st.sampled_from([b"\xe9", b"\xff", b"\x80abc", b"\xed\xa0\x80"]))
+# Rows that load: odd input text, and labels in the forms each task reads.
+_INPUTS = st.text(st.characters(blacklist_characters="\t\n\r"), min_size=1, max_size=6).filter(str.strip)
+_LABELS = {
+    "classification": st.sampled_from(["Yes", "No", "yes", "Maybe"]),
+    "math": st.sampled_from(["+5", "05", ".5", "-0", "1,234", "#### 72", "so 4 + 4 = 8\n#### 8"]),
+}
+
+
+def _row(data_format: str, text, label) -> str:
+    return f"{text}\t{label}" if data_format == "tsv" else json.dumps({"text": text, "label": label})
+
+
+@st.composite
+def _mutated_dataset(draw) -> tuple[str, str, bytes]:
+    """(format, task_type, file bytes): the demo's rows with one to three rows replaced or added.
+
+    Each new row is, as a coin falls, one that loads or one drawn from any fields and bytes.
+    """
+    data_format = draw(st.sampled_from(["tsv", "jsonl"]))
+    task_type = draw(st.sampled_from(["classification", "math"]))
+    rows = []
+    for line in DEMO_TSV.splitlines():
+        text, label = line.split("\t")
+        if task_type == "math":
+            label = "1" if label == "Yes" else "0"
+        rows.append(_row(data_format, text, label).encode("utf-8"))
+    for _ in range(draw(st.integers(1, 3))):
+        if draw(st.booleans()):
+            label = draw(_LABELS[task_type])
+            # A TSV field holds no newline; the GSM8K-form label is for JSONL.
+            row = _row(data_format, draw(_INPUTS), label.replace("\n", " ")).encode("utf-8")
+        else:
+            row = draw(_ROWS[data_format]).encode("utf-8")
+            cut = draw(st.integers(0, len(row)))
+            row = row[:cut] + draw(_BYTES) + row[cut:]
+        at = draw(st.integers(0, len(rows)))
+        rows[at : at + draw(st.integers(0, 1))] = [row]
+    return data_format, task_type, b"\n".join(rows) + b"\n"
+
+
+@settings(max_examples=50, deadline=None)
+@given(dataset=_mutated_dataset())
+def test_mutated_dataset_rows_end_in_a_documented_way(tmp_path_factory, dataset) -> None:
+    data_format, task_type, data = dataset
+    directory = tmp_path_factory.mktemp("rows")
+    path = directory / f"demo.{data_format}"
+    path.write_bytes(data)
+    ini = DEMO_INI.replace("tests/data/demo.tsv", str(path)).replace("format = tsv", f"format = {data_format}")
+    ini = ini.replace("task_type = classification", f"task_type = {task_type}")
+    # One round keeps each drawn run short.
+    (directory / "run.ini").write_text(ini.replace("search_depth = 2", "search_depth = 1"), encoding="utf-8")
+    out = directory / "out"
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(
+            ["optimize", "--config", str(directory / "run.ini"), "--backend", "scripted", "--out", str(out)]
+        )
+    err = err.getvalue()
+    event(f"exit {code}")
+    assert "Traceback" not in err
+    # Only the dataset differs from the demo, so a refusal is a dataset error.
+    assert code in (EXIT_OK, EXIT_DATASET), err
+    if code != EXIT_OK:
+        assert len(err.splitlines()) == 1 and err.startswith(PREFIX[code]), err
         assert not out.exists()

@@ -8,11 +8,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from promptopt import Gateway, ScriptedBackend, new_seed_prompt, scoring
-from promptopt.data import Example
+from promptopt.data import Example, canonical_number
 from promptopt.scoring import (
     ConfusionCounts,
     Prediction,
-    canonical_number,
     evaluate_prompt,
     f1,
     parse_label,
