@@ -203,7 +203,11 @@ def make_split(
     positive_label: str = "",
     label_set: Sequence[str] | None = None,
 ) -> DatasetSplit:
-    """Draw the test set uniformly without replacement; the rest is train."""
+    """Draw the test set uniformly without replacement; the rest is train.
+
+    Without a ``label_set``, a classification split takes its labels from the
+    examples; a math split has none.
+    """
     if len(examples) <= test_set_size:
         raise DatasetError(
             f"dataset too small: {len(examples)} examples for a test set of {test_set_size}"
@@ -213,7 +217,7 @@ def make_split(
     test = tuple(ex for ex in examples if ex.id in test_ids)
     train = tuple(ex for ex in examples if ex.id not in test_ids)
     if label_set is None:
-        label_set = sorted({ex.label for ex in examples})
+        label_set = sorted({ex.label for ex in examples}) if task_type == "classification" else ()
     return DatasetSplit(
         train=train,
         test=test,

@@ -354,7 +354,7 @@ class ReplayBackend:
 
 @dataclass(frozen=True)
 class RetryPolicy:
-    """Exponential backoff with seeded jitter; gives up after ``max_attempts``."""
+    """Exponential backoff with seeded jitter; up to ``max_attempts`` retries after the first try."""
 
     base_delay_s: float = 0.5
     max_attempts: int = 5
@@ -379,10 +379,21 @@ class LiveConfig:
 
 
 def _requests_transport(url: str, headers: dict, payload: dict, timeout: float):
-    import requests
+    """POST ``payload`` as JSON on a new connection; return the status and the body text.
 
-    resp = requests.post(url, headers=headers, json=payload, timeout=timeout)
-    return resp.status_code, resp.text
+    An error status is returned, not raised. The benchmark's tracer patches this name.
+    """
+    import urllib.error
+    import urllib.request
+
+    data = json.dumps(payload, allow_nan=False).encode("utf-8")
+    request = urllib.request.Request(url, data=data, headers=headers, method="POST")
+    try:
+        response = urllib.request.urlopen(request, timeout=timeout)
+    except urllib.error.HTTPError as error:
+        response = error
+    with response:
+        return response.status, response.read().decode("utf-8", errors="replace")
 
 
 class LiveBackend:
@@ -406,7 +417,7 @@ class LiveBackend:
 
     def complete(self, req: LlmRequest, on_attempt: Callable[[], None]) -> tuple[str, float]:
         url = self.config.base_url.rstrip("/") + "/chat/completions"
-        headers = {"Content-Type": "application/json"}
+        headers = {"Content-Type": "application/json", "User-Agent": "promptopt"}
         if self.config.api_key:
             headers["Authorization"] = f"Bearer {self.config.api_key}"
         payload = {

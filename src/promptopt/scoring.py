@@ -5,7 +5,6 @@ from __future__ import annotations
 import functools
 import operator
 import re
-from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 from .data import DatasetSplit, Example, math_label, parse_math_answer
@@ -42,14 +41,6 @@ class Prediction(_PredictionFields):
         return cls(*iterable)
 
 
-@dataclass(frozen=True)
-class ConfusionCounts:
-    tp: int = 0
-    fp: int = 0
-    fn: int = 0
-    tn: int = 0
-
-
 @functools.lru_cache(maxsize=64)
 def _label_pattern(label_set: tuple[str, ...]) -> re.Pattern:
     """``(?<!\\w)(l1)(?!\\w)|...``: group ``k`` matches label ``k - 1`` as a whole token.
@@ -77,11 +68,11 @@ def parse_label(raw: str, label_set: Sequence[str]) -> str | None:
     return labels[match.lastindex - 1] if match else None
 
 
-def f1(cc: ConfusionCounts) -> float:
-    """Positive-class F1; zero true positives yield 0.0 by convention."""
-    if cc.tp == 0:
+def f1(tp: int, fp: int, fn: int) -> float:
+    """Positive-class F1 from the confusion counts; zero true positives yield 0.0 by convention."""
+    if tp == 0:
         return 0.0
-    return 2 * cc.tp / (2 * cc.tp + cc.fp + cc.fn)
+    return 2 * tp / (2 * tp + fp + fn)
 
 
 _BY_EXAMPLE_ID = operator.itemgetter(0)
@@ -151,6 +142,6 @@ def evaluate_prompt(
             elif gold == positive:
                 fn += 1
             append(Prediction(ex.id, text, parsed, pred == gold))
-        score = f1(ConfusionCounts(tp=tp, fp=fp, fn=fn, tn=len(predictions) - tp - fp - fn))
+        score = f1(tp, fp, fn)
     predictions.sort(key=_BY_EXAMPLE_ID)
     return score, predictions

@@ -39,7 +39,8 @@ class HeuristicScript:
     Each prompt text gets a fixed accuracy in ``skill_range``; a task_eval
     answer is correct precisely when a per-(prompt, example) hash coin lands
     under that accuracy, so identical requests always yield identical answers.
-    Inputs must be single-line (as TSV guarantees) for example lookup.
+    The example is the one whose input follows the last newline, else, for a
+    multi-line input, the longest suffix after a newline that is an input.
     """
 
     def __init__(
@@ -85,8 +86,16 @@ class HeuristicScript:
 
     def __call__(self, req: LlmRequest) -> str:
         if req.role_tag == "task_eval":
-            prompt_text, _, input_text = req.rendered_prompt.rpartition("\n")
+            rendered = req.rendered_prompt
+            prompt_text, _, input_text = rendered.rpartition("\n")
             example = self._by_input.get(input_text)
+            newline = rendered.find("\n") if example is None else -1
+            while newline != -1:
+                example = self._by_input.get(rendered[newline + 1 :])
+                if example is not None:
+                    prompt_text = rendered[:newline]
+                    break
+                newline = rendered.find("\n", newline + 1)
             if example is None:
                 return self._labels[0] if self._labels else "unknown"
             return self._answer(prompt_text, example)

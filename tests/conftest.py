@@ -2,12 +2,11 @@ from __future__ import annotations
 
 import re
 from collections import deque
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 import pytest
 
 from promptopt import (
-    ConfusionCounts,
     DatasetSplit,
     Example,
     Gateway,
@@ -103,6 +102,13 @@ class SequenceScript:
         if not queue:
             raise ScriptExhaustedError(f"script exhausted for role_tag {req.role_tag!r}")
         return queue.popleft()
+
+
+class ConfusionCounts(NamedTuple):
+    tp: int = 0
+    fp: int = 0
+    fn: int = 0
+    tn: int = 0
 
 
 def confusion_counts(

@@ -67,7 +67,8 @@ def test_c1_f1_oracle_equivalence() -> None:
         fp = sum(1 for g, p in zip(golds, parsed) if g != "Yes" and p == "Yes")
         fn = sum(1 for g, p in zip(golds, parsed) if g == "Yes" and p != "Yes")
         oracle = 0.0 if tp == 0 else 2 * tp / (2 * tp + fp + fn)
-        assert f1(confusion_counts(golds, parsed, "Yes")) == oracle
+        cc = confusion_counts(golds, parsed, "Yes")
+        assert f1(cc.tp, cc.fp, cc.fn) == oracle
     elapsed = time.monotonic() - started
     assert elapsed < 5.0, f"took {elapsed:.2f}s"
     _passed(1, "f1 equals the brute-force confusion oracle on 1000 random sets")

@@ -1099,8 +1099,33 @@ def test_math_task_through_cli(tmp_path, capsys) -> None:
     assert "test_score=" in printed
     config_echo = json.loads((out / "config.json").read_text())
     assert config_echo["dataset"]["task_type"] == "math"
+    # A math split carries no label set: its answers are numbers, not labels.
+    assert config_echo["dataset"]["label_set"] == []
     # The "####" in the seed prompt is text, not the start of a comment.
     assert config_echo["seed_prompt"] == "Work it out. End with #### <number>."
+
+
+def test_multi_line_inputs_through_cli(tmp_path, capsys) -> None:
+    # A JSONL text keeps its newlines, and the scripted backend still finds its example.
+    data = tmp_path / "statements.jsonl"
+    rows = (
+        {"text": f"Statement {i}:\nthe event did happen (case {i}).", "label": ("No", "Yes")[i % 2]}
+        for i in range(60)
+    )
+    data.write_text("".join(json.dumps(row) + "\n" for row in rows), encoding="utf-8")
+    config = tmp_path / "run.ini"
+    config.write_text(
+        CONFIG_BODY.replace("search_depth = 2", "search_depth = 1")
+        .replace(f"path = {DATA}", f"path = {data}")
+        .replace("format = tsv", "format = jsonl"),
+        encoding="utf-8",
+    )
+    out = tmp_path / "run"
+    assert main(["optimize", "--config", str(config), "--backend", "scripted", "--out", str(out)]) == EXIT_OK
+    scores = re.search(r"train_score=(\S+) test_score=(\S+)", capsys.readouterr().out)
+    assert float(scores[1]) > 0 and float(scores[2]) > 0, scores[0]
+    answers = {row["response_text"] for row in _jsonl(out / "transcript.jsonl") if row["role_tag"] == "task_eval"}
+    assert answers == {"Yes", "No"}
 
 
 def test_protegi_preset_defaults_gradient_count_when_file_silent(tmp_path) -> None:

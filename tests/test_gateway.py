@@ -3,6 +3,8 @@ from __future__ import annotations
 import json
 import random
 import re
+import socket
+import sys
 import tracemalloc
 from collections import Counter
 from contextlib import nullcontext
@@ -1006,22 +1008,25 @@ def test_scripted_digest_map_backend() -> None:
 
 
 class _StubChatServer:
-    """Local OpenAI-compatible endpoint; can fail the first N requests."""
+    """Local OpenAI-compatible endpoint; can answer the first N requests with ``fail_status``."""
 
-    def __init__(self, fail_first: int = 0):
+    def __init__(self, fail_first: int = 0, fail_status: int = 503, fail_body: bytes = b""):
         import threading
         from http.server import BaseHTTPRequestHandler, HTTPServer
 
-        state = {"remaining_failures": fail_first, "requests": 0}
+        state = {"remaining_failures": fail_first, "requests": 0, "user_agents": []}
 
         class Handler(BaseHTTPRequestHandler):
             def do_POST(self):
                 body = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
                 state["requests"] += 1
+                state["user_agents"].append(self.headers["User-Agent"])
                 if state["remaining_failures"] > 0:
                     state["remaining_failures"] -= 1
-                    self.send_response(503)
+                    self.send_response(fail_status)
+                    self.send_header("Content-Length", str(len(fail_body)))
                     self.end_headers()
+                    self.wfile.write(fail_body)
                     return
                 content = body["messages"][0]["content"]
                 text = "Yes" if "true" in content else "No"
@@ -1045,7 +1050,9 @@ class _StubChatServer:
         self._server.server_close()
 
 
-def test_live_backend_roundtrip_against_local_server() -> None:
+def test_live_backend_roundtrip_against_local_server(monkeypatch) -> None:
+    # The default transport needs nothing outside the standard library.
+    monkeypatch.setitem(sys.modules, "requests", None)
     server = _StubChatServer()
     try:
         gw = Gateway(
@@ -1055,8 +1062,44 @@ def test_live_backend_roundtrip_against_local_server() -> None:
         _, resp = gw.transcript.entries[0]
         assert resp.latency_s > 0
         assert gw.call_count() == 1
+        assert server.state["user_agents"] == ["promptopt"]
     finally:
         server.close()
+
+
+@pytest.mark.parametrize(
+    "status, body, message",
+    [
+        (400, b'{"error": "no such model"}', 'HTTP 400: {"error": "no such model"}'),
+        # A byte that is not UTF-8 is decoded as a replacement character, not a transport error.
+        (200, b"\xff", "malformed completion body"),
+    ],
+)
+def test_live_backend_final_answer_from_local_server_is_fatal(status, body, message) -> None:
+    server = _StubChatServer(fail_first=1, fail_status=status, fail_body=body)
+    try:
+        gw = Gateway(LiveBackend(LiveConfig(base_url=server.base_url, model="stub")))
+        with pytest.raises(LiveCallError, match=re.escape(message)):
+            call(gw, "task_eval", "is this true")
+        assert server.state["requests"] == gw.call_count() == 1
+    finally:
+        server.close()
+
+
+def test_live_backend_retries_a_refused_connection_then_gives_up() -> None:
+    with socket.socket() as probe:
+        probe.bind(("127.0.0.1", 0))
+        port = probe.getsockname()[1]
+    # Nothing listens on the port now, so every attempt fails in the transport.
+    backend = LiveBackend(
+        LiveConfig(base_url=f"http://127.0.0.1:{port}/v1", model="stub"),
+        retry=RetryPolicy(base_delay_s=0.001, max_attempts=2),
+        rng=random.Random(0),
+    )
+    gw = Gateway(backend)
+    with pytest.raises(LiveCallError, match=r"gave up after 3 attempts \(last: transport error: "):
+        call(gw, "task_eval", "is this true")
+    assert gw.call_count() == 3
 
 
 def test_live_backend_retries_through_transient_errors() -> None:

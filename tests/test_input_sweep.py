@@ -5,8 +5,10 @@ JSONL copy of it, a template directory, or a transcript recorded from the
 demo) and changes one thing. Each must end in a documented way: exit 0, or a
 refusal with exit 2 (``config error:``) or 3 (``dataset error:``) that prints
 one stderr line, raises no traceback and leaves no artifact directory.
-Hypothesis then draws demo datasets with a few rows mutated, and holds each
-to the same rule.
+Hypothesis then draws demo datasets with a few rows mutated, template
+directories, and recorded transcripts with a few lines changed, and holds each
+to the same rule; a replayed transcript that lacks an answer the run asks for
+may also end the run incomplete, with exit 5 (``incomplete run:``).
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+from dataclasses import fields
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -21,14 +24,14 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from promptopt.cli import EXIT_CONFIG, EXIT_DATASET, EXIT_OK, main
-from promptopt.gradients import TAU_BODY
+from promptopt.cli import EXIT_CONFIG, EXIT_DATASET, EXIT_INCOMPLETE, EXIT_OK, main
+from promptopt.gradients import _SLOT_RE, TAU_BODY, TemplateSet
 
 DATA = Path(__file__).parent / "data"
 DEMO_INI = (DATA / "demo.ini").read_text(encoding="utf-8")
 DEMO_TSV = (DATA / "demo.tsv").read_text(encoding="utf-8")
 SEED_PROMPT = "Decide whether the statement happened. Answer Yes or No."
-PREFIX = {EXIT_CONFIG: "config error: ", EXIT_DATASET: "dataset error: "}
+PREFIX = {EXIT_CONFIG: "config error: ", EXIT_DATASET: "dataset error: ", EXIT_INCOMPLETE: "incomplete run: "}
 
 
 def _jsonl(tsv: str) -> str:
@@ -362,6 +365,25 @@ def _mutated_dataset(draw) -> tuple[str, str, bytes]:
     return data_format, task_type, b"\n".join(rows) + b"\n"
 
 
+def _run_drawn(directory: Path, argv: list[str]) -> tuple[int, str, Path]:
+    """``main(argv)`` with ``--out directory/out``: the exit code, stderr and the out path."""
+    out = directory / "out"
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main([*argv, "--out", str(out)])
+    event(f"exit {code}")
+    return code, err.getvalue(), out
+
+
+def _check_ending(code: int, err: str, out: Path) -> None:
+    """No traceback; a refusal prints one line with its exit code's prefix."""
+    assert "Traceback" not in err
+    if code != EXIT_OK:
+        assert len(err.splitlines()) == 1 and err.startswith(PREFIX[code]), err
+        # Only an incomplete run leaves its partial artifact.
+        assert out.exists() == (code == EXIT_INCOMPLETE)
+
+
 @settings(max_examples=50, deadline=None)
 @given(dataset=_mutated_dataset())
 def test_mutated_dataset_rows_end_in_a_documented_way(tmp_path_factory, dataset) -> None:
@@ -373,17 +395,96 @@ def test_mutated_dataset_rows_end_in_a_documented_way(tmp_path_factory, dataset)
     ini = ini.replace("task_type = classification", f"task_type = {task_type}")
     # One round keeps each drawn run short.
     (directory / "run.ini").write_text(ini.replace("search_depth = 2", "search_depth = 1"), encoding="utf-8")
-    out = directory / "out"
-    err = io.StringIO()
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-        code = main(
-            ["optimize", "--config", str(directory / "run.ini"), "--backend", "scripted", "--out", str(out)]
-        )
-    err = err.getvalue()
-    event(f"exit {code}")
-    assert "Traceback" not in err
+    argv = ["optimize", "--config", str(directory / "run.ini"), "--backend", "scripted"]
+    code, err, out = _run_drawn(directory, argv)
     # Only the dataset differs from the demo, so a refusal is a dataset error.
     assert code in (EXIT_OK, EXIT_DATASET), err
-    if code != EXIT_OK:
-        assert len(err.splitlines()) == 1 and err.startswith(PREFIX[code]), err
-        assert not out.exists()
+    _check_ending(code, err, out)
+
+
+_TEMPLATE_NAMES = [f"{f.name}.txt" for f in fields(TemplateSet)]
+_SLOTS = sorted({slot for f in fields(TemplateSet) for slot in _SLOT_RE.findall(f.default.body)})
+# Pieces of a template body: its slots, a misspelled one, braces, delimiters and text.
+_BODY_PIECES = st.one_of(
+    st.sampled_from([f"{{{slot}}}" for slot in _SLOTS] + ["{taks_type}", "{", "}", "{{prompt}}", "{Prompt}"]),
+    st.sampled_from(["<START>", "<END>", "\n", '"', "give 2 reasons", TAU_BODY]),
+    st.text(max_size=6),
+)
+_TEMPLATE_FILES = st.dictionaries(
+    st.sampled_from([*_TEMPLATE_NAMES, "alpah.txt", "TAU.txt", "notes.md"]),
+    # None stands for a directory of that name; a body may end in bytes that are not UTF-8.
+    st.one_of(
+        st.none(),
+        st.tuples(st.lists(_BODY_PIECES, max_size=5).map("".join), _BYTES).map(
+            lambda body: body[0].encode("utf-8") + body[1]
+        ),
+    ),
+    max_size=3,
+)
+
+
+@settings(max_examples=50, deadline=None)
+@given(files=_TEMPLATE_FILES)
+def test_drawn_template_files_end_in_a_documented_way(tmp_path_factory, files) -> None:
+    directory = tmp_path_factory.mktemp("templates")
+    templates = directory / "templates"
+    templates.mkdir()
+    for name, body in files.items():
+        if body is None:
+            (templates / name).mkdir()
+        else:
+            (templates / name).write_bytes(body)
+    ini = DEMO_INI.replace("tests/data/demo.tsv", str(DATA / "demo.tsv"))
+    (directory / "run.ini").write_text(ini.replace("search_depth = 2", "search_depth = 1"), encoding="utf-8")
+    argv = ["optimize", "--config", str(directory / "run.ini"), "--backend", "scripted"]
+    code, err, out = _run_drawn(directory, [*argv, "--templates", str(templates)])
+    # A template is checked when it is loaded, before the run starts.
+    assert code in (EXIT_OK, EXIT_CONFIG), err
+    _check_ending(code, err, out)
+
+
+_TRANSCRIPT_FIELDS = ("digest", "latency_s", "max_tokens", "rendered_prompt", "request_index",
+                      "response_text", "role_tag", "temperature")
+
+
+def _drawn_line(draw, recorded: bytes) -> bytes | None:
+    """A line in place of ``recorded``, or None to delete it.
+
+    As a coin falls: the recorded line with one field set to a drawn value or
+    removed, the line cut and bytes put in, or a drawn row or JSON value.
+    """
+    kind = draw(st.sampled_from(["field", "drop-field", "bytes", "row", "delete"]))
+    row = json.loads(recorded)
+    if kind == "field":
+        row[draw(st.sampled_from(_TRANSCRIPT_FIELDS))] = draw(_VALUES)
+    elif kind == "drop-field":
+        del row[draw(st.sampled_from(_TRANSCRIPT_FIELDS))]
+    elif kind == "bytes":
+        cut = draw(st.integers(0, len(recorded)))
+        return recorded[:cut] + draw(_BYTES) + draw(_FIELDS).encode("utf-8")
+    elif kind == "row":
+        return draw(_ROWS["jsonl"]).encode("utf-8")
+    else:
+        return None
+    return json.dumps(row, sort_keys=True).encode("utf-8")
+
+
+@settings(max_examples=50, deadline=None)
+@given(data=st.data())
+def test_drawn_transcript_lines_end_in_a_documented_way(tmp_path_factory, recording, data) -> None:
+    # One to three recorded lines, each replaced by a drawn line or followed by one.
+    lines = [line.encode("utf-8") for line in recording.splitlines()]
+    positions = st.lists(st.integers(0, len(lines) - 1), min_size=1, max_size=3, unique=True)
+    for at in sorted(data.draw(positions, label="lines"), reverse=True):
+        line = _drawn_line(data.draw, lines[at])
+        new = [] if line is None else [line]
+        lines[at : at + 1] = [lines[at], *new] if data.draw(st.booleans(), label="insert") else new
+    directory = tmp_path_factory.mktemp("transcript")
+    transcript = directory / "transcript.jsonl"
+    transcript.write_bytes(b"\n".join(lines) + b"\n")
+    ini = DEMO_INI.replace("tests/data/demo.tsv", str(DATA / "demo.tsv"))
+    (directory / "run.ini").write_text(ini, encoding="utf-8")
+    argv = ["optimize", "--config", str(directory / "run.ini"), "--backend", "replay"]
+    code, err, out = _run_drawn(directory, [*argv, "--transcript", str(transcript)])
+    assert code in (EXIT_OK, EXIT_CONFIG, EXIT_INCOMPLETE), err
+    _check_ending(code, err, out)

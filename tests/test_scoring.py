@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from promptopt import Gateway, ScriptedBackend, new_seed_prompt, scoring
 from promptopt.data import Example, canonical_number
 from promptopt.scoring import (
-    ConfusionCounts,
     Prediction,
     evaluate_prompt,
     f1,
@@ -19,7 +18,7 @@ from promptopt.scoring import (
 )
 from promptopt.scripted import ScriptExhaustedError
 
-from conftest import SequenceScript, confusion_counts, task_split
+from conftest import ConfusionCounts, SequenceScript, confusion_counts, task_split
 
 YES_NO = ("Yes", "No")
 
@@ -115,16 +114,16 @@ def test_parse_math_canonicalization() -> None:
 
 
 def test_f1_perfect() -> None:
-    assert f1(ConfusionCounts(tp=5, fp=0, fn=0, tn=0)) == 1.0
+    assert f1(tp=5, fp=0, fn=0) == 1.0
 
 
 def test_f1_hand_computed() -> None:
-    assert f1(ConfusionCounts(tp=3, fp=1, fn=2, tn=0)) == pytest.approx(2 * 3 / (6 + 1 + 2))
+    assert f1(tp=3, fp=1, fn=2) == pytest.approx(2 * 3 / (6 + 1 + 2))
 
 
 def test_f1_zero_tp_convention() -> None:
-    assert f1(ConfusionCounts(tp=0, fp=0, fn=0, tn=9)) == 0.0
-    assert f1(ConfusionCounts(tp=0, fp=4, fn=3, tn=2)) == 0.0
+    assert f1(tp=0, fp=0, fn=0) == 0.0
+    assert f1(tp=0, fp=4, fn=3) == 0.0
 
 
 def test_confusion_counts_total_invariant() -> None:
@@ -145,7 +144,8 @@ def test_f1_matches_brute_force_oracle_on_random_sets() -> None:
         fp = sum(1 for g, p in zip(golds, parsed) if g == "No" and p == "Yes")
         fn = sum(1 for g, p in zip(golds, parsed) if g == "Yes" and p != "Yes")
         oracle = 0.0 if tp == 0 else 2 * tp / (2 * tp + fp + fn)
-        assert f1(confusion_counts(golds, parsed, "Yes")) == oracle
+        cc = confusion_counts(golds, parsed, "Yes")
+        assert f1(cc.tp, cc.fp, cc.fn) == oracle
 
 
 def test_prediction_rejects_unparseable_correct() -> None:
@@ -346,7 +346,7 @@ def _two_pass_evaluate(prompt, examples, gateway, task):
             [p.parsed_label for p in predictions],
             task.positive_label,
         )
-        score = f1(cc)
+        score = f1(cc.tp, cc.fp, cc.fn)
     return score, predictions
 
 
