@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .data import Example, draw_examples
 from .model import BanditConfig, Prompt
@@ -27,8 +27,7 @@ class ArmState:
     Q: float = 0.0
 
 
-@dataclass(frozen=True)
-class SelectionResult:
+class SelectionResult(NamedTuple):
     selected: tuple[Prompt, ...]
     arms: tuple[ArmState, ...]  # final table, ordered by prompt id
 

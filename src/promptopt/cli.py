@@ -10,7 +10,6 @@ environment supplies only the API key (PROMPTOPT_API_KEY or OPENAI_API_KEY).
 from __future__ import annotations
 
 import argparse
-import configparser
 import math
 import os
 import sys
@@ -125,6 +124,8 @@ def read_config_file(path: str | Path):
 
     ``extra`` holds ``[run]``'s seed_prompt or seed_prompt_file, never both.
     """
+    import configparser
+
     # Values are literal: a "%" in a prompt is text, not interpolation syntax.
     # A ";" or "#" starts an inline comment only with whitespace on both
     # sides, so "#### <number>" in a prompt is text. No header can name the

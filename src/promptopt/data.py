@@ -12,7 +12,7 @@ import random
 import re
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .model import ConfigError, derived_rng, read_text
 
@@ -37,8 +37,7 @@ class Example:
             raise ValueError("example label is empty")
 
 
-@dataclass(frozen=True)
-class DatasetSplit:
+class DatasetSplit(NamedTuple):
     """Fixed train/test partition plus the task descriptor fields the scorer needs."""
 
     train: tuple[Example, ...]
@@ -48,8 +47,7 @@ class DatasetSplit:
     label_set: tuple[str, ...] = ()
 
 
-@dataclass(frozen=True)
-class ExampleSample:
+class ExampleSample(NamedTuple):
     """Examples drawn by correctness for gradient generation.
 
     ``shortfall`` marks that fewer matching examples existed than were asked

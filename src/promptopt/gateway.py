@@ -352,8 +352,7 @@ class ReplayBackend:
         return answer
 
 
-@dataclass(frozen=True)
-class RetryPolicy:
+class RetryPolicy(NamedTuple):
     """Exponential backoff with seeded jitter; up to ``max_attempts`` retries after the first try."""
 
     base_delay_s: float = 0.5
@@ -475,10 +474,11 @@ class Gateway:
 
     :meth:`call_count` counts wire calls: every attempt that reaches a backend,
     retries included. With the scripted and replay backends, which never
-    retry, it equals the number of transcript entries. Requests issued are attributed to one of two buckets, ``optimize``
-    (default) and ``eval`` (test-set scoring, switched with
-    :meth:`count_as_eval`), which count those attempts plus memo hits, so cost
-    reports state the calls the method issued whatever the memo saved.
+    retry, it equals the number of transcript entries. Requests issued are
+    attributed to one of two buckets, ``optimize`` (default) and ``eval``
+    (test-set scoring, switched with :meth:`count_as_eval`), which count those
+    attempts plus memo hits, so cost reports state the calls the method issued
+    whatever the memo saved.
 
     A batch's attempts and memo hits reach the counters together when the
     batch ends, whether it completed, failed or was interrupted; a backend

@@ -12,7 +12,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field, fields
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .data import ExampleSample
 from .gateway import Gateway
@@ -33,8 +33,7 @@ class TemplateError(ValueError):
     """A template slot was left unbound at render time."""
 
 
-@dataclass(frozen=True)
-class PromptTemplate:
+class PromptTemplate(NamedTuple):
     name: str
     body: str
 

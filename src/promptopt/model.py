@@ -1,11 +1,14 @@
 """Shared domain vocabulary: prompts, gradients, beams, history, run configuration.
 
-All value types are frozen dataclasses; state evolves only by constructing
-successor objects (see :class:`PromptStore`). Each checks its fields when it is
-built, by ``dataclasses.replace`` too, so a :class:`RunConfig` that exists is
-valid; a bad configuration value raises :class:`ConfigError`. The types an
-artifact writes one per line (prompts, gradients, beams) serialize to a
-self-describing one-line text record via :func:`to_record`.
+All value types are immutable; state evolves only by constructing successor
+objects (see :class:`PromptStore`). The records an artifact writes one per
+line (:class:`Prompt`, :class:`Gradient`, :class:`Beam`) are named tuples and
+serialize to a self-describing one-line text record via :func:`to_record`.
+The configuration types (:class:`RunConfig`, :class:`BanditConfig`) are
+frozen dataclasses, because the CLI walks their fields. Each type checks its
+fields when it is built, by ``_make``/``_replace`` or ``dataclasses.replace``
+too, so a :class:`RunConfig` that exists is valid; a bad configuration value
+raises :class:`ConfigError`.
 """
 
 from __future__ import annotations
@@ -13,8 +16,9 @@ from __future__ import annotations
 import json
 import math
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 GRADIENT_MODES = ("positive_only", "negative_only", "both")
 POLARITIES = ("positive", "negative")
@@ -66,14 +70,7 @@ class EmptyPromptError(ConfigError):
     """Prompt text is empty after trimming."""
 
 
-@dataclass(frozen=True)
-class Prompt:
-    """One candidate prompt with lineage and cached scores.
-
-    ``round`` is the beam-search round at which the prompt was created; only
-    the seed prompt (round 0) has no parent.
-    """
-
+class _PromptFields(NamedTuple):
     id: int
     text: str
     round: int
@@ -82,47 +79,91 @@ class Prompt:
     train_score: float | None = None
     test_score: float | None = None
 
-    def __post_init__(self) -> None:
-        if not self.text.strip():
-            raise EmptyPromptError("prompt text is empty after trimming")
-        if (self.round == 0) != (self.parent_id is None):
-            raise ValueError("round 0 iff parent_id absent")
-        if self.gradient_id is not None and self.parent_id is None:
-            raise ValueError("gradient_id requires a parent_id")
 
+class Prompt(_PromptFields):
+    """One candidate prompt with lineage and cached scores.
 
-@dataclass(frozen=True)
-class Gradient:
-    """One natural-language reason extracted from a completion.
-
-    Attributed to the prompt it appraised and the round it was generated in.
+    ``round`` is the beam-search round at which the prompt was created; only
+    the seed prompt (round 0) has no parent.
     """
 
+    __slots__ = ()
+
+    def __new__(
+        cls,
+        id: int,
+        text: str,
+        round: int,
+        parent_id: int | None = None,
+        gradient_id: int | None = None,
+        train_score: float | None = None,
+        test_score: float | None = None,
+    ) -> "Prompt":
+        if not text.strip():
+            raise EmptyPromptError("prompt text is empty after trimming")
+        if (round == 0) != (parent_id is None):
+            raise ValueError("round 0 iff parent_id absent")
+        if gradient_id is not None and parent_id is None:
+            raise ValueError("gradient_id requires a parent_id")
+        return tuple.__new__(
+            cls, (id, text, round, parent_id, gradient_id, train_score, test_score)
+        )
+
+    @classmethod
+    def _make(cls, iterable) -> "Prompt":
+        return cls(*iterable)
+
+
+class _GradientFields(NamedTuple):
     id: int
     text: str
     source_prompt_id: int
     round: int
     polarity: str = "positive"
 
-    def __post_init__(self) -> None:
-        if not self.text.strip():
+
+class Gradient(_GradientFields):
+    """One natural-language reason extracted from a completion.
+
+    Attributed to the prompt it appraised and the round it was generated in.
+    """
+
+    __slots__ = ()
+
+    def __new__(
+        cls, id: int, text: str, source_prompt_id: int, round: int, polarity: str = "positive"
+    ) -> "Gradient":
+        if not text.strip():
             raise ValueError("gradient text is empty")
-        if START_DELIM in self.text or END_DELIM in self.text:
+        if START_DELIM in text or END_DELIM in text:
             raise ValueError("gradient text contains a wrap delimiter")
-        if self.polarity not in POLARITIES:
-            raise ValueError(f"unknown polarity {self.polarity!r}")
+        if polarity not in POLARITIES:
+            raise ValueError(f"unknown polarity {polarity!r}")
+        return tuple.__new__(cls, (id, text, source_prompt_id, round, polarity))
+
+    @classmethod
+    def _make(cls, iterable) -> "Gradient":
+        return cls(*iterable)
 
 
-@dataclass(frozen=True)
-class Beam:
-    """Ordered prompt ids retained after one selection round (best first)."""
-
+class _BeamFields(NamedTuple):
     round: int
     prompts: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        if len(set(self.prompts)) != len(self.prompts):
+
+class Beam(_BeamFields):
+    """Ordered prompt ids retained after one selection round (best first)."""
+
+    __slots__ = ()
+
+    def __new__(cls, round: int, prompts: tuple[int, ...]) -> "Beam":
+        if len(set(prompts)) != len(prompts):
             raise ValueError("duplicate prompt ids within a beam")
+        return tuple.__new__(cls, (round, prompts))
+
+    @classmethod
+    def _make(cls, iterable) -> "Beam":
+        return cls(*iterable)
 
 
 @dataclass
@@ -270,12 +311,12 @@ class PromptStore:
         return gradient
 
     def set_train_score(self, prompt_id: int, score: float) -> Prompt:
-        updated = replace(self.prompts[prompt_id], train_score=score)
+        updated = self.prompts[prompt_id]._replace(train_score=score)
         self.prompts[prompt_id] = updated
         return updated
 
     def set_test_score(self, prompt_id: int, score: float) -> Prompt:
-        updated = replace(self.prompts[prompt_id], test_score=score)
+        updated = self.prompts[prompt_id]._replace(test_score=score)
         self.prompts[prompt_id] = updated
         return updated
 
@@ -295,11 +336,10 @@ _TYPE_NAMES = {Prompt: "prompt", Gradient: "gradient", Beam: "beam"}
 def to_record(obj: object) -> str:
     """Serialize a core type to one self-describing JSON line.
 
-    The fields are read from the instance's ``__dict__``, not copied by
-    ``dataclasses.asdict``: every field of these types is a JSON scalar or a
-    tuple of ints, which ``json`` writes as ``asdict`` would leave them.
+    Every field of these types is a JSON scalar or a tuple of ints, which
+    ``json`` writes as a list.
     """
     name = _TYPE_NAMES.get(type(obj))
     if name is None:
         raise TypeError(f"{type(obj).__name__} has no record form")
-    return json.dumps({"type": name, **vars(obj)}, sort_keys=True)
+    return json.dumps({"type": name, **obj._asdict()}, sort_keys=True)

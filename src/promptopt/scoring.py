@@ -96,9 +96,11 @@ def evaluate_prompt(
     """
     if not examples:
         raise ValueError("examples is empty")
+    # Read once: a named tuple's field costs more to read than a local.
+    prompt_text = prompt.text
     try:
         texts = gateway.complete_many(
-            "task_eval", [f"{prompt.text}\n{ex.input_text}" for ex in examples]
+            "task_eval", [f"{prompt_text}\n{ex.input_text}" for ex in examples]
         )
     except GatewayError as exc:
         ex = examples[exc.batch_position]

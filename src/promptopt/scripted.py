@@ -39,8 +39,8 @@ class HeuristicScript:
     Each prompt text gets a fixed accuracy in ``skill_range``; a task_eval
     answer is correct precisely when a per-(prompt, example) hash coin lands
     under that accuracy, so identical requests always yield identical answers.
-    The example is the one whose input follows the last newline, else, for a
-    multi-line input, the longest suffix after a newline that is an input.
+    The example is the one whose input is the longest suffix after a newline;
+    the text before that newline is the prompt.
     """
 
     def __init__(
@@ -86,16 +86,14 @@ class HeuristicScript:
 
     def __call__(self, req: LlmRequest) -> str:
         if req.role_tag == "task_eval":
-            rendered = req.rendered_prompt
-            prompt_text, _, input_text = rendered.rpartition("\n")
+            # Longest suffix first, so a multi-line input is found whole even
+            # when its last lines are another example's input.
+            prompt_text, _, input_text = req.rendered_prompt.partition("\n")
             example = self._by_input.get(input_text)
-            newline = rendered.find("\n") if example is None else -1
-            while newline != -1:
-                example = self._by_input.get(rendered[newline + 1 :])
-                if example is not None:
-                    prompt_text = rendered[:newline]
-                    break
-                newline = rendered.find("\n", newline + 1)
+            while example is None and "\n" in input_text:
+                line, _, input_text = input_text.partition("\n")
+                prompt_text = f"{prompt_text}\n{line}"
+                example = self._by_input.get(input_text)
             if example is None:
                 return self._labels[0] if self._labels else "unknown"
             return self._answer(prompt_text, example)

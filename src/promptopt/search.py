@@ -11,9 +11,9 @@ score-versus-round/time/calls reports and the convergence detector.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict
 from pathlib import Path
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from . import artifact, bandit, momentum
 from .data import DatasetSplit, Example, sample_by_correctness, sample_minibatch
@@ -41,8 +41,7 @@ class RunIncompleteError(GatewayError):
         self.artifact_dir = artifact_dir
 
 
-@dataclass(frozen=True)
-class MetricEvent:
+class MetricEvent(NamedTuple):
     """One telemetry row; counters are cumulative and nondecreasing.
 
     ``best_train_score`` is None only on the round-0 event, where no training
@@ -60,8 +59,7 @@ class MetricEvent:
     best_prompt_id: int
 
 
-@dataclass(frozen=True)
-class ConvergenceReport:
+class ConvergenceReport(NamedTuple):
     target_score: float | None
     reached: bool
     convergence_time_s: float | None = None
@@ -69,15 +67,13 @@ class ConvergenceReport:
     convergence_steps: int | None = None
 
 
-@dataclass(frozen=True)
-class Expansion:
+class Expansion(NamedTuple):
     children: tuple[Prompt, ...]
     gradients: tuple[Gradient, ...]
     shortfall: bool
 
 
-@dataclass
-class RunResult:
+class RunResult(NamedTuple):
     best: Prompt
     events: list[MetricEvent]
     report: ConvergenceReport
@@ -199,7 +195,7 @@ class _Search:
         self.split, self.cfg, self.gateway = split, cfg, gateway
         self.store = PromptStore()
         # A test score the seed carries in was measured outside this run.
-        self.seed = self.store.adopt(replace(seed_prompt, test_score=None))
+        self.seed = self.store.adopt(seed_prompt._replace(test_score=None))
         self.engine = GradientEngine(cfg, gateway, self.store, templates, split.task_type)
         self.history = GradientHistory()
         self.beams: list[Beam] = [Beam(round=0, prompts=(self.seed.id,))]
@@ -417,7 +413,7 @@ def _write_artifact(
             "notes": _RUN_NOTES,
         },
     )
-    artifact.write_jsonl(out / artifact.EVENTS_FILE, [asdict(e) for e in state.events])
+    artifact.write_jsonl(out / artifact.EVENTS_FILE, [e._asdict() for e in state.events])
     artifact.write_jsonl(out / "beams.jsonl", [to_record(b) for b in state.beams])
     artifact.write_jsonl(
         out / "prompts.jsonl",
@@ -456,7 +452,7 @@ def _write_artifact(
     # A file this run does not write is removed, so a reused directory never
     # shows another run's result, convergence report or predictions as this one's.
     for name, write, payload in (
-        (artifact.CONVERGENCE_FILE, artifact.write_json, None if report is None else asdict(report)),
+        (artifact.CONVERGENCE_FILE, artifact.write_json, None if report is None else report._asdict()),
         (artifact.RESULT_FILE, artifact.write_json, result),
         ("predictions.jsonl", artifact.write_jsonl, state.test_predictions),
     ):

@@ -1211,14 +1211,14 @@ def test_read_config_file_dataset_fields_from_the_spec(tmp_path, capsys) -> None
     assert "[dataset] missing key 'path'" in _optimize_config_error(file, tmp_path, capsys)
 
 
-def test_importing_the_package_and_cli_loads_neither_logging_nor_csv() -> None:
+def test_importing_the_package_and_cli_loads_no_logging_csv_or_configparser() -> None:
     # Each is imported where it is used: logging on a parse shortfall, csv by
-    # the report command.
+    # the report command, configparser when a config file is read.
     script = (
         "import sys\n"
         "before = set(sys.modules)\n"
         "import promptopt, promptopt.cli\n"
-        "print(' '.join(sorted({'logging', 'csv'} & (set(sys.modules) - before))))\n"
+        "print(' '.join(sorted({'logging', 'csv', 'configparser'} & (set(sys.modules) - before))))\n"
     )
     env = dict(os.environ, PYTHONPATH=str(Path(promptopt.__file__).parents[1]))
     done = subprocess.run(

@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import asdict, replace
+from dataclasses import replace
 
 import pytest
 from hypothesis import given
@@ -64,6 +64,31 @@ def test_gradient_rejects_embedded_delimiters() -> None:
 def test_beam_rejects_duplicate_ids() -> None:
     with pytest.raises(ValueError):
         Beam(round=1, prompts=(1, 2, 1))
+
+
+# (a valid record, a field change it refuses, the refusal's message)
+_REFUSED_CHANGES = {
+    "prompt-blank-text": (Prompt(1, "x", 1, parent_id=0), {"text": "  \n"}, "empty"),
+    "prompt-round-0-with-parent": (Prompt(1, "x", 1, parent_id=0), {"round": 0}, "round 0"),
+    "gradient-unknown-polarity": (Gradient(0, "why", 0, 1), {"polarity": "neutral"}, "polarity"),
+    "gradient-delimiter-in-text": (Gradient(0, "why", 0, 1), {"text": "a <END> b"}, "delimiter"),
+    "beam-repeated-id": (Beam(1, (1, 2)), {"prompts": (1, 2, 1)}, "duplicate"),
+}
+
+
+@pytest.mark.parametrize("case", list(_REFUSED_CHANGES))
+def test_record_refuses_a_bad_value_however_it_is_built(case) -> None:
+    record, change, message = _REFUSED_CHANGES[case]
+    cls = type(record)
+    values = record._asdict() | change
+    with pytest.raises(ValueError, match=message):
+        cls(**values)
+    with pytest.raises(ValueError, match=message):
+        cls._make(values.values())
+    with pytest.raises(ValueError, match=message):
+        record._replace(**change)
+    # A valid change keeps the type.
+    assert type(record._replace(round=2)) is cls
 
 
 def test_validate_config_accepts_defaults() -> None:
@@ -212,9 +237,9 @@ def test_record_round_trip_is_identity(obj) -> None:
     st.one_of(prompt_strategy, gradient_strategy, beam_strategy)
 )
 def test_record_equals_json_of_asdict(obj) -> None:
-    # to_record reads the fields without copying them; the line is the same.
+    # The line is the type name and the fields, as JSON with sorted keys.
     name = next(name for name, cls in _RECORD_TYPES.items() if cls is type(obj))
-    assert to_record(obj) == json.dumps({"type": name, **asdict(obj)}, sort_keys=True)
+    assert to_record(obj) == json.dumps({"type": name, **obj._asdict()}, sort_keys=True)
 
 
 def test_record_forms_only_for_artifact_lines() -> None:

@@ -102,3 +102,11 @@ def test_scoring_one_prompt_hashes_its_skill_once(monkeypatch) -> None:
     task = task_split("classification", ("No", "Yes"), "Yes")
     evaluate_prompt(new_seed_prompt(SEED_TEXT), examples, gateway, task)
     assert calls.count("skill") == 1
+
+
+def test_a_multi_line_input_is_answered_as_itself_not_as_its_last_line() -> None:
+    # The last line of the first input is the whole of the second.
+    examples = [Example(0, "Statement 0:\nthe end", "Yes"), Example(1, "the end", "No")]
+    script = HeuristicScript(examples, ["Yes", "No"], skill_range=(1.0, 1.0))
+    assert script(LlmRequest("task_eval", "P\nStatement 0:\nthe end")) == "Yes"
+    assert script(LlmRequest("task_eval", "P\nthe end")) == "No"

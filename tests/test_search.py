@@ -455,7 +455,7 @@ def test_run_tests_a_seed_that_carries_a_test_score(tmp_path) -> None:
     # A score measured before the run, on some other split, is not this run's.
     examples = toy_examples()
     split = make_split(examples, 20, 7, task_type="classification", positive_label="Yes")
-    seed = replace(new_seed_prompt(SEED_TEXT), test_score=0.999)
+    seed = new_seed_prompt(SEED_TEXT)._replace(test_score=0.999)
     gateway = scripted_gateway(examples, split.label_set)
     result = run(seed, split, small_config(search_depth=1), gateway, tmp_path)
     assert result.events[0].eval_calls == 20
