@@ -208,6 +208,39 @@ def test_run_artifact_golden_sha256(tmp_path) -> None:
     assert digests == _GOLDEN_ARTIFACT_SHA256
 
 
+def test_run_both_polarities_golden_sha256(tmp_path) -> None:
+    # Momentum pools only positive gradients of the round's own children, so
+    # this run's history pins that rule against survivors it must leave out.
+    examples = toy_examples()
+    split = make_split(examples, 20, 7, task_type="classification", positive_label="Yes")
+    gateway = scripted_gateway(examples, split.label_set)
+    cfg = small_config(gradient_mode="both", search_depth=3)
+    result = run(new_seed_prompt(SEED_TEXT), split, cfg, gateway, tmp_path)
+    digests = {
+        name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+        for name in ("transcript.jsonl", "history.json")
+    }
+    assert digests == {
+        "transcript.jsonl": "6938c212bbd17a216025f247ece1e0cf08294733f1dce6d957a9be4543dca2f4",
+        "history.json": "39ce131cb168b0e2c8875b772c6b373f998aa47368acb6a63c59ace9eb65b662",
+    }
+    store = result.store
+    negative = carried = 0
+    for beam in result.beams[1:]:
+        for prompt_id in beam.prompts:
+            prompt = store.prompts[prompt_id]
+            if prompt.gradient_id is None:
+                continue
+            gradient = store.gradients[prompt.gradient_id]
+            if prompt.round == beam.round:
+                negative += gradient.polarity == "negative"
+            else:
+                carried += gradient.round == prompt.round
+    # 2 and 1 in this run.
+    assert negative >= 1
+    assert carried >= 1
+
+
 def test_run_beam_shape(small_run) -> None:
     result, _, cfg, _, _ = small_run
     assert len(result.beams[0].prompts) == 1
