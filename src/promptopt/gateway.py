@@ -159,7 +159,6 @@ class Transcript:
     """Append-only record of request/response pairs for replay and audit."""
 
     entries: list[tuple[LlmRequest, LlmResponse]]
-    mode: str = "record"
 
     def save(self, path: str | Path) -> None:
         """Write the entries in order, one line and one ``write`` at a time.
@@ -281,7 +280,7 @@ class Transcript:
             ) from exc
         except UnicodeDecodeError as exc:
             raise TranscriptFormatError(f"{path}: not UTF-8 text ({exc})") from exc
-        return cls(entries=entries, mode="replay")
+        return cls(entries=entries)
 
 
 class ScriptedBackend:
@@ -291,8 +290,6 @@ class ScriptedBackend:
     :class:`ScriptExhaustedError` when a canned script runs dry. Scripted
     latency is always 0.0 so recorded transcripts are byte-stable.
     """
-
-    transcript_mode = "scripted"
 
     def __init__(self, responder: Callable[[LlmRequest], str]):
         self._responder = responder
@@ -318,8 +315,6 @@ class ReplayBackend:
     run holds anyway. Calls must not overlap: the gateway sends one request
     at a time.
     """
-
-    transcript_mode = "replay"
 
     def __init__(self, transcript: Transcript):
         self._answers: dict[str, dict[str, LlmResponse | list[LlmResponse]]] = {}
@@ -397,8 +392,6 @@ def _requests_transport(url: str, headers: dict, payload: dict, timeout: float):
 
 class LiveBackend:
     """OpenAI-compatible chat-completions adapter with retry and backoff."""
-
-    transcript_mode = "record"
 
     def __init__(
         self,
@@ -483,12 +476,16 @@ class Gateway:
     A batch's attempts and memo hits reach the counters together when the
     batch ends, whether it completed, failed or was interrupted; a backend
     must not read the counters while a batch is in flight.
+
+    :meth:`elapsed_seconds` keeps the wall clock, except behind a
+    :class:`ReplayBackend`, chosen once when the gateway is built: a replay's
+    clock is the sum of the latencies recorded for the answers it served.
     """
 
     def __init__(self, backend, temperature: float = 0.0):
         self.backend = backend
         self.temperature = temperature
-        self.transcript = Transcript(entries=[], mode=backend.transcript_mode)
+        self.transcript = Transcript(entries=[])
         self._counts = {"optimize": 0, "eval": 0, "wire": 0, "memo_hits": 0}
         self._bucket = "optimize"
         self._next_index = 0
@@ -499,6 +496,7 @@ class Gateway:
         )
         self._lock = threading.Lock()
         self._t0 = time.monotonic()
+        self._replaying = isinstance(backend, ReplayBackend)
         self._replay_latency = 0.0
 
     def complete_many(self, role_tag: str, rendered_prompts: Sequence[str]) -> list[str]:
@@ -568,7 +566,7 @@ class Gateway:
                 counts[bucket] += wire + hits
                 counts["memo_hits"] += hits
                 self.transcript.entries.extend(done)
-                if self.transcript.mode == "replay":
+                if self._replaying:
                     # One at a time, so the float sum equals that of single calls.
                     for _, resp in done:
                         self._replay_latency += resp.latency_s
@@ -608,8 +606,8 @@ class Gateway:
             return self._counts["eval"]
 
     def elapsed_seconds(self) -> float:
-        """Wall-clock elapsed time; in replay mode, the sum of recorded latencies."""
-        if self.transcript.mode == "replay":
+        """Wall-clock elapsed time; behind a replay backend, the sum of recorded latencies."""
+        if self._replaying:
             with self._lock:
                 return self._replay_latency
         return time.monotonic() - self._t0

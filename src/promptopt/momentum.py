@@ -1,9 +1,9 @@
 """Round-indexed gradient history and the momentum sample.
 
-After each selection round, the gradients that produced the surviving prompts
-form that round's pool; a single positive gradient sampled from the pool is
-injected into the next round's generator and editor templates as textual
-momentum.
+After each selection round, the positive gradients of that round that
+produced the surviving prompts form that round's pool; a single gradient
+sampled from the pool is injected into the next round's generator and editor
+templates as textual momentum.
 """
 
 from __future__ import annotations
@@ -16,23 +16,26 @@ from .model import Beam, Gradient, GradientHistory, Prompt, derived_rng
 
 def record_round(
     beam_next: Beam,
-    all_gradients: Sequence[Gradient],
+    gradients: Mapping[int, Gradient],
     prompts: Mapping[int, Prompt],
 ) -> list[Gradient]:
     """Pool of this round's positive gradients that produced a surviving prompt.
 
-    A survivor carried over from an earlier round attributes nothing here; an
-    all-carryover beam yields an empty pool.
+    ``gradients`` and ``prompts`` map ids to records, as the run's
+    :class:`~promptopt.model.PromptStore` holds them; ``gradients`` must hold
+    the gradient of every survivor that has one. A gradient counts only when
+    its ``round`` is ``beam_next.round``, so a survivor carried over from an
+    earlier round attributes nothing here and an all-carryover beam yields an
+    empty pool.
     """
-    by_id = {g.id: g for g in all_gradients}
     pool: list[Gradient] = []
     seen: set[int] = set()
     for prompt_id in beam_next.prompts:
         gradient_id = prompts[prompt_id].gradient_id
-        if gradient_id is None or gradient_id in seen or gradient_id not in by_id:
+        if gradient_id is None or gradient_id in seen:
             continue
-        gradient = by_id[gradient_id]
-        if gradient.polarity != "positive":
+        gradient = gradients[gradient_id]
+        if gradient.round != beam_next.round or gradient.polarity != "positive":
             continue
         pool.append(gradient)
         seen.add(gradient_id)

@@ -22,7 +22,6 @@ from .gradients import GradientEngine, TemplateSet
 from .model import (
     Beam,
     ConfigError,
-    Gradient,
     GradientHistory,
     Prompt,
     PromptStore,
@@ -65,12 +64,6 @@ class ConvergenceReport(NamedTuple):
     convergence_time_s: float | None = None
     convergence_calls: int | None = None
     convergence_steps: int | None = None
-
-
-class Expansion(NamedTuple):
-    children: tuple[Prompt, ...]
-    gradients: tuple[Gradient, ...]
-    shortfall: bool
 
 
 class RunResult(NamedTuple):
@@ -135,19 +128,18 @@ def expand_parent(
     minibatch: Sequence[Example],
     correctness: dict[int, bool],
     history_binding: str,
-) -> Expansion:
-    """Produce a parent's candidate children for this round.
+) -> bool:
+    """Expand a parent into this round's children, which the engine adds to the store.
 
     For each polarity in the plan: sample correct (positive) or incorrect
     (negative) examples, make one generator call, then one batch of editor
     calls along all of that polarity's gradients. One batch of
     ``paraphrases_per_parent`` paraphrases of the parent follows. An empty
     correctness sample skips that polarity and the parent simply carries
-    through.
+    through. Returns whether a correctness sample fell short of
+    ``num_correct_examples``.
     """
     cfg = engine.cfg
-    children: list[Prompt] = []
-    gradients: list[Gradient] = []
     shortfall = False
     ordinal = 1
     for polarity, count in _polarity_plan(cfg):
@@ -163,22 +155,15 @@ def expand_parent(
         shortfall = shortfall or sample.shortfall
         if not sample.examples:
             continue
-        polarity_gradients = engine.generate_gradients(
+        gradients = engine.generate_gradients(
             parent, sample, history_binding, round_index, polarity, count
         )
-        if polarity_gradients:
-            children.extend(
-                engine.apply_gradient(
-                    parent, polarity_gradients, sample, history_binding, round_index, ordinal
-                )
-            )
-            ordinal += engine.edits_per_gradient * len(polarity_gradients)
-        gradients.extend(polarity_gradients)
+        if gradients:
+            engine.apply_gradient(parent, gradients, sample, history_binding, round_index, ordinal)
+            ordinal += engine.edits_per_gradient * len(gradients)
     if cfg.paraphrases_per_parent > 0:
-        children.extend(
-            engine.paraphrase_expand(parent, cfg.paraphrases_per_parent, round_index)
-        )
-    return Expansion(children=tuple(children), gradients=tuple(gradients), shortfall=shortfall)
+        engine.paraphrase_expand(parent, cfg.paraphrases_per_parent, round_index)
+    return shortfall
 
 
 class _Search:
@@ -195,28 +180,26 @@ class _Search:
         self.split, self.cfg, self.gateway = split, cfg, gateway
         self.store = PromptStore()
         # A test score the seed carries in was measured outside this run.
-        self.seed = self.store.adopt(seed_prompt._replace(test_score=None))
+        seed = self.store.adopt(seed_prompt._replace(test_score=None))
         self.engine = GradientEngine(cfg, gateway, self.store, templates, split.task_type)
         self.history = GradientHistory()
-        self.beams: list[Beam] = [Beam(round=0, prompts=(self.seed.id,))]
+        self.beams: list[Beam] = [Beam(round=0, prompts=(seed.id,))]
         self.arm_tables: list[tuple[bandit.ArmState, ...]] = []
         self.events: list[MetricEvent] = []
         self.test_predictions: list[dict] = []
         self.sample_shortfalls = 0
 
-    def expand(self, round_index: int) -> tuple[list[Prompt], list[Gradient], float]:
+    def expand(self, round_index: int) -> float:
         """Score each parent on the round's minibatch and expand it into children.
 
-        Returns the candidates (each parent after its children), the round's
-        gradients and the best parent score.
+        The children and their gradients go to the store. Returns the best
+        parent score.
         """
         cfg = self.cfg
         minibatch = sample_minibatch(self.split, cfg.minibatch_size, cfg.rng_seed, round_index)
         history_binding = momentum.history_text(
             self.history, round_index, self.store.gradients, enabled=cfg.momentum_enabled
         )
-        candidates: list[Prompt] = []
-        gradients: list[Gradient] = []
         scores: list[float] = []
         for parent_id in self.beams[-1].prompts:
             score, predictions = evaluate_prompt(
@@ -225,17 +208,16 @@ class _Search:
             parent = self.store.set_train_score(parent_id, score)
             scores.append(score)
             correctness = {p.example_id: p.correct for p in predictions}
-            expansion = expand_parent(
+            self.sample_shortfalls += expand_parent(
                 self.engine, parent, round_index, minibatch, correctness, history_binding
             )
-            candidates.extend(expansion.children)
-            candidates.append(parent)
-            gradients.extend(expansion.gradients)
-            self.sample_shortfalls += expansion.shortfall
-        return candidates, gradients, max(scores)
+        return max(scores)
 
-    def select(self, round_index: int, candidates: list[Prompt]) -> Beam:
-        """Prune the candidates to the beam width with the UCB bandit."""
+    def select(self, round_index: int) -> None:
+        """Prune the parents and the round's children to the beam width with the UCB bandit."""
+        prompts = self.store.prompts
+        candidates = [prompts[parent_id] for parent_id in self.beams[-1].prompts]
+        candidates += [p for p in prompts.values() if p.round == round_index]
         selection = bandit.select(
             candidates,
             self.split.train,
@@ -244,14 +226,13 @@ class _Search:
             rng=derived_rng(self.cfg.rng_seed, "bandit", round_index),
             evaluate=lambda p, batch: evaluate_prompt(p, batch, self.gateway, self.split)[0],
         )
-        beam = Beam(round=round_index, prompts=tuple(p.id for p in selection.selected))
-        self.beams.append(beam)
+        self.beams.append(Beam(round=round_index, prompts=tuple(p.id for p in selection.selected)))
         self.arm_tables.append(selection.arms)
-        return beam
 
-    def record_momentum(self, beam: Beam, gradients: list[Gradient]) -> None:
-        """Pool the round's gradients that produced a survivor and sample one."""
-        pool = momentum.record_round(beam, gradients, self.store.prompts)
+    def record_momentum(self) -> None:
+        """Pool the round's positive gradients that produced a survivor and sample one."""
+        beam = self.beams[-1]
+        pool = momentum.record_round(beam, self.store.gradients, self.store.prompts)
         self.history.pools[beam.round] = tuple(g.id for g in pool)
         sampled = momentum.sample_history_gradient(pool, self.cfg.rng_seed, beam.round)
         if sampled is not None:
@@ -272,8 +253,9 @@ class _Search:
             self.test_predictions.extend({"prompt_id": prompt.id, **p._asdict()} for p in predictions)
         return score
 
-    def test_event(self, round_index: int, train_best: float | None, prompt: Prompt) -> None:
-        """Test the round's top prompt and append the round's metric event."""
+    def test_event(self, round_index: int, train_best: float | None) -> None:
+        """Test the latest beam's top prompt and append the round's metric event."""
+        prompt = self.store.prompts[self.beams[-1].prompts[0]]
         test_score = self.score_on_test(prompt)
         gateway = self.gateway
         self.events.append(MetricEvent(
@@ -335,12 +317,12 @@ def run(
     best: Prompt | None = None
     report: ConvergenceReport | None = None
     try:
-        state.test_event(0, None, state.seed)
+        state.test_event(0, None)
         for round_index in range(1, cfg.search_depth + 1):
-            candidates, gradients, train_best = state.expand(round_index)
-            beam = state.select(round_index, candidates)
-            state.record_momentum(beam, gradients)
-            state.test_event(round_index, train_best, state.store.prompts[beam.prompts[0]])
+            train_best = state.expand(round_index)
+            state.select(round_index)
+            state.record_momentum()
+            state.test_event(round_index, train_best)
         best = state.final_argmax()
         if cfg.convergence_target is not None:
             report = detect_convergence(state.events, cfg.convergence_target)

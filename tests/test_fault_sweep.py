@@ -45,7 +45,6 @@ class FailAt:
     """Passes calls to ``backend`` and raises at its ``k``-th one."""
 
     def __init__(self, backend, k: int):
-        self.transcript_mode = backend.transcript_mode
         self._backend = backend
         self._k = k
         self._calls = 0

@@ -113,7 +113,6 @@ def test_transcript_save_load_round_trip(tmp_path) -> None:
     path = tmp_path / "transcript.jsonl"
     gw.transcript.save(path)
     loaded = Transcript.load(path)
-    assert loaded.mode == "replay"
     assert [(r.role_tag, r.rendered_prompt) for r, _ in loaded.entries] == [
         ("task_eval", "first"),
         ("gradient_gen", "second"),
@@ -554,22 +553,15 @@ def test_complete_many_empty_batch_reserves_nothing() -> None:
 
 def test_complete_many_replay_elapsed_adds_latencies_in_order() -> None:
     # 0.1 + (0.2 + 0.3) != (0.1 + 0.2) + 0.3 in binary floating point.
-    latencies = [0.1, 0.2, 0.3]
+    recorded = Transcript(entries=[
+        (LlmRequest("task_eval", prompt, 0.0, 16, index), LlmResponse("Yes", latency))
+        for index, (prompt, latency) in enumerate(zip("abc", [0.1, 0.2, 0.3]))
+    ])
 
-    class Recorded:
-        transcript_mode = "replay"
-
-        def __init__(self):
-            self._latencies = iter(latencies)
-
-        def complete(self, req, on_attempt):
-            on_attempt()
-            return "Yes", next(self._latencies)
-
-    batched = Gateway(Recorded())
+    batched = Gateway(ReplayBackend(recorded))
     call(batched, "task_eval", "a")
     batched.complete_many("task_eval", ["b", "c"])
-    one_by_one = Gateway(Recorded())
+    one_by_one = Gateway(ReplayBackend(recorded))
     for prompt in "abc":
         call(one_by_one, "task_eval", prompt)
     assert batched.elapsed_seconds() == one_by_one.elapsed_seconds() == (0.1 + 0.2) + 0.3
@@ -577,8 +569,6 @@ def test_complete_many_replay_elapsed_adds_latencies_in_order() -> None:
 
 class _Counting:
     """Echo backend that lists the prompts reaching it."""
-
-    transcript_mode = "scripted"
 
     def __init__(self, fail_on: str | None = None):
         self.sent: list[str] = []
@@ -671,8 +661,6 @@ def test_memo_failure_after_hits_reports_first_position_and_keeps_counts() -> No
 
 class _Retrying:
     """Makes three attempts per request, as a live backend retrying twice; stops on ``fail_on``."""
-
-    transcript_mode = "record"
 
     def __init__(self, fail_on: str, error: type[BaseException]):
         self.attempts = 0
@@ -787,8 +775,6 @@ def test_replay_lookup_ignores_issue_order(tmp_path) -> None:
 
 class _Numbered:
     """Records a distinct answer, and a distinct latency, for every call."""
-
-    transcript_mode = "record"
 
     def __init__(self):
         self.calls = 0

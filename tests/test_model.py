@@ -233,13 +233,19 @@ def test_record_round_trip_is_identity(obj) -> None:
     assert from_record(to_record(obj)) == obj
 
 
-@given(
-    st.one_of(prompt_strategy, gradient_strategy, beam_strategy)
-)
-def test_record_equals_json_of_asdict(obj) -> None:
+def test_record_equals_json_of_asdict() -> None:
     # The line is the type name and the fields, as JSON with sorted keys.
-    name = next(name for name, cls in _RECORD_TYPES.items() if cls is type(obj))
-    assert to_record(obj) == json.dumps({"type": name, **obj._asdict()}, sort_keys=True)
+    lines = {
+        Prompt(id=3, text='Say "Yes" or No.', round=1, parent_id=0, gradient_id=2, train_score=0.5):
+            '{"gradient_id": 2, "id": 3, "parent_id": 0, "round": 1, "test_score": null, '
+            '"text": "Say \\"Yes\\" or No.", "train_score": 0.5, "type": "prompt"}',
+        Gradient(id=2, text="too terse", source_prompt_id=0, round=1, polarity="negative"):
+            '{"id": 2, "polarity": "negative", "round": 1, "source_prompt_id": 0, '
+            '"text": "too terse", "type": "gradient"}',
+        Beam(round=1, prompts=(3, 0)): '{"prompts": [3, 0], "round": 1, "type": "beam"}',
+    }
+    for obj, line in lines.items():
+        assert to_record(obj) == line
 
 
 def test_record_forms_only_for_artifact_lines() -> None:

@@ -18,8 +18,14 @@ def _prompt(pid: int, gradient_id: int | None = None, parent: int | None = None)
     return Prompt(id=pid, text=f"p{pid}", round=1, parent_id=parent or 0, gradient_id=gradient_id)
 
 
-def _gradient(gid: int, polarity: str = "positive") -> Gradient:
-    return Gradient(id=gid, text=f"reason {gid}", source_prompt_id=0, round=1, polarity=polarity)
+def _gradient(gid: int, polarity: str = "positive", round: int = 1) -> Gradient:
+    return Gradient(
+        id=gid, text=f"reason {gid}", source_prompt_id=0, round=round, polarity=polarity
+    )
+
+
+def _by_id(gradients: list[Gradient]) -> dict[int, Gradient]:
+    return {g.id: g for g in gradients}
 
 
 def test_record_round_pools_survivor_gradients() -> None:
@@ -32,13 +38,13 @@ def test_record_round_pools_survivor_gradients() -> None:
         4: _prompt(4, gradient_id=1),
     }
     beam = Beam(round=1, prompts=(1, 2, 3, 4))
-    pool = record_round(beam, gradients, prompts)
+    pool = record_round(beam, _by_id(gradients), prompts)
     assert {g.id for g in pool} == {0, 1}
 
 
 def test_record_round_seed_only_beam_is_empty() -> None:
     prompts = {0: _prompt(0)}
-    assert record_round(Beam(round=1, prompts=(0,)), [_gradient(0)], prompts) == []
+    assert record_round(Beam(round=1, prompts=(0,)), _by_id([_gradient(0)]), prompts) == []
 
 
 def test_record_round_attribution_matches_brute_force_scan() -> None:
@@ -48,7 +54,7 @@ def test_record_round_attribution_matches_brute_force_scan() -> None:
     for pid, gid in enumerate([0, 1, 2, 3, 4, 5, 6, 7], start=1):
         prompts[pid] = _prompt(pid, gradient_id=gid)
     beam = Beam(round=1, prompts=(2, 5, 7, 0))  # survivors: children of g1, g4, g6 + the seed
-    pool = record_round(beam, gradients, prompts)
+    pool = record_round(beam, _by_id(gradients), prompts)
 
     oracle = {
         prompts[pid].gradient_id
@@ -60,14 +66,18 @@ def test_record_round_attribution_matches_brute_force_scan() -> None:
 
 
 def test_record_round_excludes_negative_and_stale_gradients() -> None:
-    fresh = [_gradient(5), _gradient(6, polarity="negative")]
+    gradients = [
+        _gradient(5, round=2),
+        _gradient(6, polarity="negative", round=2),
+        _gradient(99, round=1),
+    ]
     prompts = {
         0: _prompt(0),
         1: _prompt(1, gradient_id=5),
         2: _prompt(2, gradient_id=6),
         3: _prompt(3, gradient_id=99),  # produced by an earlier round's gradient
     }
-    pool = record_round(Beam(round=2, prompts=(1, 2, 3)), fresh, prompts)
+    pool = record_round(Beam(round=2, prompts=(1, 2, 3)), _by_id(gradients), prompts)
     assert [g.id for g in pool] == [5]
 
 

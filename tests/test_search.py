@@ -668,8 +668,7 @@ def test_expand_parent_empty_sample_passes_parent_through(tmp_path) -> None:
     engine = GradientEngine(cfg=cfg, gateway=gateway, store=store)
     correctness = {ex.id: False for ex in examples}  # nothing to sample from
 
-    expansion = expand_parent(engine, parent, 1, examples, correctness, "(none)")
-    assert expansion.children == ()
-    assert expansion.gradients == ()
-    assert expansion.shortfall
+    assert expand_parent(engine, parent, 1, examples, correctness, "(none)")
+    assert store.prompts == {parent.id: parent}
+    assert store.gradients == {}
     assert gateway.call_count() == 0  # the generator call was skipped entirely
