@@ -7,7 +7,7 @@ backends make every run reproducible offline.
 """
 
 from .bandit import ArmState, SelectionResult, select, ucb_value
-from .data import DatasetSpec, DatasetSplit, Example, ExampleSample, load, make_split
+from .data import DatasetSpec, DatasetSplit, Example, load, make_split
 from .gateway import (
     Gateway,
     GatewayError,

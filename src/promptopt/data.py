@@ -47,17 +47,6 @@ class DatasetSplit(NamedTuple):
     label_set: tuple[str, ...] = ()
 
 
-class ExampleSample(NamedTuple):
-    """Examples drawn by correctness for gradient generation.
-
-    ``shortfall`` marks that fewer matching examples existed than were asked
-    for; the caller proceeds with the smaller (possibly empty) sample.
-    """
-
-    examples: tuple[Example, ...]
-    shortfall: bool = False
-
-
 @dataclass(frozen=True)
 class DatasetSpec:
     """Descriptor naming a dataset file and how to interpret it."""
@@ -248,11 +237,12 @@ def sample_by_correctness(
     want: str,
     seed: int | str,
     round_index: int,
-) -> ExampleSample:
+) -> tuple[Example, ...]:
     """Draw ``n`` minibatch examples the prompt got right (or wrong).
 
-    When fewer than ``n`` match, the whole matching subset is returned with
-    the shortfall flag set; an empty sample is legal and non-fatal.
+    When at most ``n`` distinct examples match, all of them are returned in
+    id order. A sample shorter than ``n`` is a shortfall, which the caller
+    counts and proceeds with; an empty sample is legal and non-fatal.
     """
     if want not in ("correct", "incorrect"):
         raise ValueError(f"want must be 'correct' or 'incorrect', got {want!r}")
@@ -269,6 +259,6 @@ def sample_by_correctness(
         if per_example_correctness[ex.id] == target:
             pool.append(ex)
     if len(pool) <= n:
-        return ExampleSample(examples=tuple(pool), shortfall=len(pool) < n)
+        return tuple(pool)
     rng = derived_rng(seed, "by_correctness", want, round_index)
-    return ExampleSample(examples=tuple(rng.sample(pool, n)))
+    return tuple(rng.sample(pool, n))

@@ -191,23 +191,23 @@ class Transcript:
                         f'"temperature": {_json_num(temperature)}}}\n'
                     )
                 text, latency = resp
-                # request_digest, and the str, int and finite-float fast paths
-                # of _json_str and _json_num, inlined.
-                if type(prompt) is str:
-                    digest = sha256((digest_head + prompt).encode("utf-8")).hexdigest()
-                    prompt_json = encode_basestring_ascii(prompt)
-                else:
-                    digest = request_digest(role_tag, prompt)
-                    prompt_json = _json_str(prompt)
-                latency_json = (
-                    repr(latency) if type(latency) is float and -inf < latency < inf
-                    else _json_num(latency)
-                )
-                index_json = repr(index) if type(index) is int else _json_num(index)
-                text_json = encode_basestring_ascii(text) if type(text) is str else _json_str(text)
+                # An entry with a field that is not a str, a plain int or a
+                # finite float takes the reference line.
+                if (
+                    type(prompt) is not str
+                    or type(text) is not str
+                    or type(index) is not int
+                    or type(latency) is not float
+                    or not -inf < latency < inf
+                ):
+                    write(transcript_line(req, resp) + "\n")
+                    continue
+                # request_digest and the fast paths of _json_str and _json_num, inlined.
+                digest = sha256((digest_head + prompt).encode("utf-8")).hexdigest()
                 write(
-                    f'{{"digest": "{digest}", "latency_s": {latency_json}{middle}{prompt_json}, '
-                    f'"request_index": {index_json}, "response_text": {text_json}{tail}'
+                    f'{{"digest": "{digest}", "latency_s": {latency!r}{middle}'
+                    f'{encode_basestring_ascii(prompt)}, "request_index": {index!r}, '
+                    f'"response_text": {encode_basestring_ascii(text)}{tail}'
                 )
 
     @classmethod

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Mapping, NamedTuple, Sequence
 
-from .data import ExampleSample
+from .data import Example
 from .gateway import Gateway
 from .model import END_DELIM, START_DELIM, ConfigError, Gradient, Prompt, PromptStore, RunConfig, read_text
 
@@ -221,7 +221,9 @@ def parse_delimited(raw: str) -> list[str]:
     """Inner texts of all non-overlapping delimiter spans, in order, trimmed.
 
     Each closer pairs with the nearest preceding opener, so stray unmatched
-    delimiters around a payload never swallow it.
+    delimiters around a payload never swallow it, and a span never holds a
+    delimiter: an opener inside it would be the nearer one, and the first
+    closer after the opener ends it.
     """
     return [match.group(1).strip() for match in _SPAN_RE.finditer(raw)]
 
@@ -239,15 +241,10 @@ def mask_history_slot(rendered: str) -> str:
     return _HISTORY_SLOT_RE.sub(r"\g<1><HISTORY>\g<2>", rendered, count=1)
 
 
-def format_example_block(sample: ExampleSample) -> str:
+def format_example_block(sample: Sequence[Example]) -> str:
     """Input/answer blocks separated by blank lines, as bound into templates."""
-    parts = [f"Input: {ex.input_text}\nCorrect answer: {ex.label}" for ex in sample.examples]
+    parts = [f"Input: {ex.input_text}\nCorrect answer: {ex.label}" for ex in sample]
     return "\n\n".join(parts)
-
-
-def _clean_span(span: str) -> str:
-    # Degenerate completions may nest delimiters; drop the markers, keep the text.
-    return span.replace(START_DELIM, "").replace(END_DELIM, "").strip()
 
 
 class GradientEngine:
@@ -275,7 +272,7 @@ class GradientEngine:
     def generate_gradients(
         self,
         parent: Prompt,
-        sample: ExampleSample,
+        sample: Sequence[Example],
         history_text: str,
         round_index: int,
         polarity: str,
@@ -293,8 +290,7 @@ class GradientEngine:
             },
         )
         text = self.gateway.complete_many("gradient_gen", [rendered])[0]
-        spans = [_clean_span(s) for s in parse_delimited(text)]
-        spans = [s for s in spans if s]
+        spans = [s for s in parse_delimited(text) if s]
         if not spans:
             self.parse_shortfalls += 1
             _warn_shortfall("no parseable reasons for prompt %d (round %d)", parent.id, round_index)
@@ -309,7 +305,7 @@ class GradientEngine:
         self,
         parent: Prompt,
         gradients: Sequence[Gradient],
-        sample: ExampleSample,
+        sample: Sequence[Example],
         history_text: str,
         round_index: int,
         ordinal_start: int,
@@ -368,7 +364,7 @@ class GradientEngine:
         for ordinal, (answer, grad) in enumerate(zip(texts, gradients), start=ordinal_start):
             gradient_id = grad.id if grad is not None else None
             spans = parse_delimited(answer)
-            text = _clean_span(spans[0]) if spans else ""
+            text = spans[0] if spans else ""
             if not text:
                 self.parse_shortfalls += 1
                 what = f"edit along gradient {gradient_id}" if grad is not None else "paraphrase"

@@ -49,7 +49,7 @@ def sample_history_gradient(
     if not pool:
         return None
     rng = derived_rng(seed, "momentum", round_index)
-    return rng.choice(list(pool))
+    return rng.choice(pool)
 
 
 def history_text(

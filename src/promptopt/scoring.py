@@ -88,11 +88,14 @@ def evaluate_prompt(
 
     ``split`` gives the task: its type, labels and positive label. The
     rendered input is the prompt text and the example input joined by a
-    single newline (zero-shot, no exemplars). Each distinct answer text in
-    the batch is parsed once and its parse reused for every answer equal to
-    it. A math label means the number :func:`~promptopt.data.math_label`
-    reads in it. Returns the score and the per-example predictions ordered
-    by example id.
+    single newline (zero-shot, no exemplars). Math answers are parsed by
+    :func:`~promptopt.data.parse_math_answer` and judged against
+    :func:`~promptopt.data.math_label`; classification answers by
+    :func:`parse_label`, judged case-insensitively. Each distinct answer
+    text in the batch is parsed once. An answer is correct when it parses
+    and equals its gold form. The score is accuracy for math and F1 for
+    classification, where an unparsed answer counts as negative. Returns
+    the score and the per-example predictions ordered by example id.
     """
     if not examples:
         raise ValueError("examples is empty")
@@ -105,45 +108,37 @@ def evaluate_prompt(
     except GatewayError as exc:
         ex = examples[exc.batch_position]
         raise type(exc)(f"example id {ex.id}: {exc}") from exc
-    # Each distinct answer text is parsed once; a batch holds few of them.
+    # The task type picks the answer parser and each gold label's form.
+    math = split.task_type == "math"
+    if math:
+        parse, gold_of = parse_math_answer, math_label
+    else:
+        label_set = split.label_set
+        parse, gold_of = (lambda text: parse_label(text, label_set)), str.lower
+    positive = split.positive_label.lower()
+    # Each distinct answer text's label and the form judged against gold;
+    # a batch holds few distinct texts.
+    parses: dict[str, tuple[str | None, str | None]] = {}
     predictions: list[Prediction] = []
     append = predictions.append
-    if split.task_type == "math":
-        answers: dict[str, str | None] = {}
-        hits = 0
-        for ex, text in zip(examples, texts):
-            if text in answers:
-                parsed = answers[text]
+    hits = tp = fp = fn = 0
+    for ex, text in zip(examples, texts):
+        answer = parses.get(text)
+        if answer is None:
+            parsed = parse(text)
+            answer = parses[text] = (parsed, parsed if math or parsed is None else parsed.lower())
+        parsed, pred = answer
+        gold = gold_of(ex.label)
+        correct = pred is not None and pred == gold
+        hits += correct
+        if pred == positive:
+            if gold == positive:
+                tp += 1
             else:
-                parsed = answers[text] = parse_math_answer(text)
-            gold = math_label(ex.label)
-            correct = parsed is not None and parsed == gold
-            hits += correct
-            append(Prediction(ex.id, text, parsed, correct))
-        score = hits / len(predictions)
-    else:
-        # Parse, judge and count the confusion matrix in one pass; an
-        # unparsed answer counts as negative.
-        label_set = split.label_set
-        positive = split.positive_label.lower()
-        # An answer text's label and the label's lower-case form.
-        labels: dict[str, tuple[str | None, str | None]] = {}
-        tp = fp = fn = 0
-        for ex, text in zip(examples, texts):
-            parse = labels.get(text)
-            if parse is None:
-                parsed = parse_label(text, label_set)
-                parse = labels[text] = (parsed, None if parsed is None else parsed.lower())
-            parsed, pred = parse
-            gold = ex.label.lower()
-            if pred == positive:
-                if gold == positive:
-                    tp += 1
-                else:
-                    fp += 1
-            elif gold == positive:
-                fn += 1
-            append(Prediction(ex.id, text, parsed, pred == gold))
-        score = f1(tp, fp, fn)
+                fp += 1
+        elif gold == positive:
+            fn += 1
+        append(Prediction(ex.id, text, parsed, correct))
+    score = hits / len(predictions) if math else f1(tp, fp, fn)
     predictions.sort(key=_BY_EXAMPLE_ID)
     return score, predictions

@@ -152,8 +152,8 @@ def expand_parent(
             seed=f"{cfg.rng_seed}|parent{parent.id}",
             round_index=round_index,
         )
-        shortfall = shortfall or sample.shortfall
-        if not sample.examples:
+        shortfall = shortfall or len(sample) < cfg.num_correct_examples
+        if not sample:
             continue
         gradients = engine.generate_gradients(
             parent, sample, history_binding, round_index, polarity, count
@@ -417,10 +417,8 @@ def _write_artifact(
         [
             {
                 "round": round_index,
-                "arms": [
-                    {"prompt_id": a.prompt_id, "N": a.N, "Q": a.Q}
-                    for a in sorted(table, key=lambda a: a.prompt_id)
-                ],
+                # bandit.select returns the arm table in prompt id order.
+                "arms": [{"prompt_id": a.prompt_id, "N": a.N, "Q": a.Q} for a in table],
             }
             for round_index, table in enumerate(state.arm_tables, start=1)
         ],

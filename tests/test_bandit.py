@@ -60,7 +60,9 @@ def test_select_pulls_follow_the_min_ucb_rule(ids, rewards, time_steps, sample_s
         pulls.append(prompt.id)
         return reward(len(pulls), prompt.id)
 
-    select(candidates, _train(), cfg, 3, derived_rng(0, "t"), evaluate)
+    result = select(candidates, _train(), cfg, 3, derived_rng(0, "t"), evaluate)
+    # The candidates come in drawn order; the arm table is in id order.
+    assert [a.prompt_id for a in result.arms] == sorted(ids)
 
     arms = [ArmState(prompt_id=i) for i in sorted(ids)]
     expected: list[int] = []

@@ -216,25 +216,22 @@ def test_sample_by_correctness_draws_requested_count() -> None:
     minibatch = toy_examples(64)
     correctness = _correctness(minibatch, 40)
     sample = sample_by_correctness(minibatch, correctness, 3, "correct", seed=1, round_index=1)
-    assert len(sample.examples) == 3
-    assert not sample.shortfall
-    assert all(correctness[e.id] for e in sample.examples)
+    assert len(sample) == 3
+    assert all(correctness[e.id] for e in sample)
 
 
 def test_sample_by_correctness_empty_subset_flags_shortfall() -> None:
     minibatch = toy_examples(10)
     correctness = _correctness(minibatch, 0)
     sample = sample_by_correctness(minibatch, correctness, 3, "correct", seed=1, round_index=1)
-    assert sample.examples == ()
-    assert sample.shortfall
+    assert sample == ()
 
 
 def test_sample_by_correctness_partial_subset_returned_whole() -> None:
     minibatch = toy_examples(10)
     correctness = _correctness(minibatch, 2)
     sample = sample_by_correctness(minibatch, correctness, 3, "correct", seed=1, round_index=1)
-    assert len(sample.examples) == 2
-    assert sample.shortfall
+    assert len(sample) == 2
 
 
 def test_sample_by_correctness_never_disagrees_with_polarity() -> None:
@@ -245,7 +242,7 @@ def test_sample_by_correctness_never_disagrees_with_polarity() -> None:
             sample = sample_by_correctness(
                 minibatch, correctness, 5, want, seed=11, round_index=round_index
             )
-            assert all(correctness[e.id] == (want == "correct") for e in sample.examples)
+            assert all(correctness[e.id] == (want == "correct") for e in sample)
 
 
 def test_sample_by_correctness_requires_full_coverage() -> None:

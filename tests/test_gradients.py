@@ -5,7 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from promptopt import ConfigError, Gateway, PromptStore, ScriptedBackend, new_seed_prompt
-from promptopt.data import Example, ExampleSample
+from promptopt.data import Example
 from promptopt.gradients import (
     GradientEngine,
     TemplateError,
@@ -137,6 +137,21 @@ def test_parse_delimited_recovers_planted_blocks(payloads, gaps) -> None:
     assert parse_delimited("".join(parts)) == [p.strip() for p in payloads]
 
 
+delimiter_fragments = st.lists(
+    st.sampled_from(["<START>", "<END>", "<START", "END>", "a", "b", " ", "\n"]), max_size=40
+).map("".join)
+
+
+@given(delimiter_fragments)
+def test_parse_delimited_spans_hold_no_delimiter(raw) -> None:
+    # The engine keeps spans as they come, so no span may carry a marker or
+    # surrounding whitespace, however the delimiters nest.
+    for span in parse_delimited(raw):
+        assert "<START>" not in span
+        assert "<END>" not in span
+        assert span == span.strip()
+
+
 def test_mask_history_slot_normalizes_both_templates() -> None:
     for template in (TEMPLATES.tau, TEMPLATES.alpha, TEMPLATES.tau_negative, TEMPLATES.alpha_negative):
         with_history = render(template, _bindings(positive_gradient_history="a past reason"))
@@ -147,11 +162,9 @@ def test_mask_history_slot_normalizes_both_templates() -> None:
 
 
 def test_format_example_block_layout() -> None:
-    sample = ExampleSample(
-        examples=(
-            Example(0, "first input", "Yes"),
-            Example(1, "second input", "No"),
-        ),
+    sample = (
+        Example(0, "first input", "Yes"),
+        Example(1, "second input", "No"),
     )
     block = format_example_block(sample)
     assert block == (
@@ -169,7 +182,7 @@ def _engine(responses: dict, cfg=None):
 
 
 def _sample():
-    return ExampleSample(examples=(Example(0, "an input", "Yes"),))
+    return (Example(0, "an input", "Yes"),)
 
 
 def test_generate_gradients_two_blocks() -> None:

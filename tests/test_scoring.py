@@ -360,10 +360,12 @@ def _eval_case(draw, task_type: str):
     """A task, a batch drawn with replacement from a few examples, and each input's answer.
 
     Gold labels and answers come in mixed case; answers may name no label,
-    or several; the positive label may be empty or outside the label set.
+    or several; the positive label may be empty or outside the label set,
+    and a math task may name one of its gold numbers.
     """
     if task_type == "math":
-        task = task_split("math")
+        # A positive label means nothing to a math score; drawing one checks that.
+        task = task_split("math", positive_label=draw(st.sampled_from([""]) | _MATH_GOLDS))
         golds = _MATH_GOLDS
         answers = st.one_of(
             _MATH_GOLDS.map(lambda n: f"#### {n}"),

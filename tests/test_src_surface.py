@@ -19,9 +19,7 @@ SRC = REPO / "src" / "promptopt"
 
 # Reference implementations kept beside the fast code that tests compare
 # against them; each is named here with the reason it stays.
-ALLOWED = {
-    "gateway.transcript_line": "the one-line reference that tests pin Transcript.save's output to",
-}
+ALLOWED: dict[str, str] = {}
 
 
 def _definitions(module: str, tree: ast.Module):
