@@ -310,7 +310,7 @@ def cmd_evaluate(args) -> int:
     examples, split = _load_split(dataset, cfg)
     gateway = build_gateway(args, gateway_section, cfg, examples, split)
     with gateway.count_as_eval():
-        score, _ = evaluate_prompt(prompt, split.test, gateway, split)
+        score = evaluate_prompt(prompt, split.test, gateway, split)[0]
     print(f"test_score={score:.4f} eval_calls={gateway.eval_calls()}")
     return EXIT_OK
 

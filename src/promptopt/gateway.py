@@ -98,9 +98,11 @@ def request_digest(role_tag: str, rendered_prompt: str) -> str:
     """sha256 hex of a request's content, written to each transcript line.
 
     Independent of issue order; its first 12 characters name a request that
-    replay could not find.
+    replay could not find. A lone surrogate, which JSON text can carry as a
+    ``\\ud800`` escape, is hashed as its three UTF-8-style bytes
+    (``surrogatepass``) instead of failing the encode.
     """
-    material = f"{role_tag}\n{rendered_prompt}".encode("utf-8")
+    material = f"{role_tag}\n{rendered_prompt}".encode("utf-8", "surrogatepass")
     return hashlib.sha256(material).hexdigest()
 
 
@@ -203,7 +205,7 @@ class Transcript:
                     write(transcript_line(req, resp) + "\n")
                     continue
                 # request_digest and the fast paths of _json_str and _json_num, inlined.
-                digest = sha256((digest_head + prompt).encode("utf-8")).hexdigest()
+                digest = sha256((digest_head + prompt).encode("utf-8", "surrogatepass")).hexdigest()
                 write(
                     f'{{"digest": "{digest}", "latency_s": {latency!r}{middle}'
                     f'{encode_basestring_ascii(prompt)}, "request_index": {index!r}, '
@@ -294,10 +296,10 @@ class ScriptedBackend:
     def __init__(self, responder: Callable[[LlmRequest], str]):
         self._responder = responder
 
-    def complete(self, req: LlmRequest, on_attempt: Callable[[], None]) -> tuple[str, float]:
+    def complete(self, req: LlmRequest, on_attempt: Callable[[], None]) -> LlmResponse:
         text = self._responder(req)
         on_attempt()
-        return text, 0.0
+        return LlmResponse(text, 0.0)
 
 
 class ReplayBackend:
@@ -407,7 +409,7 @@ class LiveBackend:
         self._transport = transport or _requests_transport
         self._sleep = sleep
 
-    def complete(self, req: LlmRequest, on_attempt: Callable[[], None]) -> tuple[str, float]:
+    def complete(self, req: LlmRequest, on_attempt: Callable[[], None]) -> LlmResponse:
         url = self.config.base_url.rstrip("/") + "/chat/completions"
         headers = {"Content-Type": "application/json", "User-Agent": "promptopt"}
         if self.config.api_key:
@@ -437,7 +439,7 @@ class LiveBackend:
                             json.JSONDecodeError) as exc:
                         raise LiveCallError(f"malformed completion body: {exc}") from exc
                     if isinstance(text, str):
-                        return text, time.monotonic() - started
+                        return LlmResponse(text, time.monotonic() - started)
                     # Null or missing content is retried like a 503: scoring
                     # and editing need text.
                     last_error = "completion content missing or not a string"
@@ -472,6 +474,10 @@ class Gateway:
     (test-set scoring, switched with :meth:`count_as_eval`), which count those
     attempts plus memo hits, so cost reports state the calls the method issued
     whatever the memo saved.
+
+    A backend's ``complete(req, on_attempt)`` calls ``on_attempt()`` once per
+    attempt and returns the :class:`LlmResponse` that the transcript keeps as
+    it is: a replay's entries are the recorded objects themselves.
 
     A batch's attempts and memo hits reach the counters together when the
     batch ends, whether it completed, failed or was interrupted; a backend
@@ -536,8 +542,7 @@ class Gateway:
         attempts = itertools.count()
         on_attempt = attempts.__next__
         complete = self.backend.complete
-        make_request = LlmRequest._make
-        make_response = LlmResponse._make
+        new = tuple.__new__
         texts: list[str] = []
         done: list[tuple[LlmRequest, LlmResponse]] = []
         try:
@@ -547,10 +552,12 @@ class Gateway:
                     if text is not None:
                         texts.append(text)
                         continue
-                req = make_request((role_tag, prompt, temperature, max_tokens, index))
-                text, latency = complete(req, on_attempt)
+                # What LlmRequest._make does, less its length check and frame.
+                req = new(LlmRequest, (role_tag, prompt, temperature, max_tokens, index))
+                resp = complete(req, on_attempt)
                 index += 1
-                done.append((req, make_response((text, latency))))
+                done.append((req, resp))
+                text = resp[0]
                 texts.append(text)
                 if memo is not None:
                     memo[prompt] = text

@@ -5,7 +5,7 @@ from __future__ import annotations
 import functools
 import operator
 import re
-from typing import NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .data import DatasetSplit, Example, math_label, parse_math_answer
 from .gateway import Gateway, GatewayError
@@ -20,7 +20,11 @@ class _PredictionFields(NamedTuple):
 
 
 class Prediction(_PredictionFields):
-    """One scored answer: an immutable named tuple, one per task_eval request.
+    """One scored answer, as ``predictions.jsonl`` writes it: an immutable named tuple.
+
+    A run makes them through :func:`prediction_records`, only for the test
+    answers of a run with ``emit_predictions``; :func:`evaluate_prompt`
+    builds none.
 
     Building one, also through ``_make`` and ``_replace``, checks that an
     unparseable output is not marked correct. ``_asdict()`` gives the fields
@@ -78,12 +82,24 @@ def f1(tp: int, fp: int, fn: int) -> float:
 _BY_EXAMPLE_ID = operator.itemgetter(0)
 
 
+def _parser(split: DatasetSplit) -> Callable[[str], str | None]:
+    """The task type's answer parser, chosen here only.
+
+    Math answers go to :func:`~promptopt.data.parse_math_answer`, the others
+    to :func:`parse_label` over the split's labels, looked up at each call.
+    """
+    if split.task_type == "math":
+        return parse_math_answer
+    label_set = split.label_set
+    return lambda text: parse_label(text, label_set)
+
+
 def evaluate_prompt(
     prompt: Prompt,
     examples: Sequence[Example],
     gateway: Gateway,
     split: DatasetSplit,
-) -> tuple[float, list[Prediction]]:
+) -> tuple[float, list[str], list[bool]]:
     """Score a prompt over examples with one task_eval call per example, sent as one batch.
 
     ``split`` gives the task: its type, labels and positive label. The
@@ -94,8 +110,11 @@ def evaluate_prompt(
     :func:`parse_label`, judged case-insensitively. Each distinct answer
     text in the batch is parsed once. An answer is correct when it parses
     and equals its gold form. The score is accuracy for math and F1 for
-    classification, where an unparsed answer counts as negative. Returns
-    the score and the per-example predictions ordered by example id.
+    classification, where an unparsed answer counts as negative.
+
+    Returns the score, the answer texts and whether each answer is correct,
+    both lists in the order of ``examples``. No :class:`Prediction` is built:
+    :func:`prediction_records` makes them from these values.
     """
     if not examples:
         raise ValueError("examples is empty")
@@ -108,29 +127,26 @@ def evaluate_prompt(
     except GatewayError as exc:
         ex = examples[exc.batch_position]
         raise type(exc)(f"example id {ex.id}: {exc}") from exc
-    # The task type picks the answer parser and each gold label's form.
+    parse = _parser(split)
+    # The form of a label judged against gold.
     math = split.task_type == "math"
-    if math:
-        parse, gold_of = parse_math_answer, math_label
-    else:
-        label_set = split.label_set
-        parse, gold_of = (lambda text: parse_label(text, label_set)), str.lower
+    gold_of = math_label if math else str.lower
     positive = split.positive_label.lower()
-    # Each distinct answer text's label and the form judged against gold;
-    # a batch holds few distinct texts.
-    parses: dict[str, tuple[str | None, str | None]] = {}
-    predictions: list[Prediction] = []
-    append = predictions.append
+    # Each distinct answer text's judged form; a batch holds few distinct texts.
+    preds: dict[str, str | None] = {}
+    correct: list[bool] = []
+    append = correct.append
     hits = tp = fp = fn = 0
     for ex, text in zip(examples, texts):
-        answer = parses.get(text)
-        if answer is None:
+        if text in preds:
+            pred = preds[text]
+        else:
             parsed = parse(text)
-            answer = parses[text] = (parsed, parsed if math or parsed is None else parsed.lower())
-        parsed, pred = answer
+            pred = preds[text] = parsed if math or parsed is None else parsed.lower()
         gold = gold_of(ex.label)
-        correct = pred is not None and pred == gold
-        hits += correct
+        ok = pred is not None and pred == gold
+        append(ok)
+        hits += ok
         if pred == positive:
             if gold == positive:
                 tp += 1
@@ -138,7 +154,26 @@ def evaluate_prompt(
                 fp += 1
         elif gold == positive:
             fn += 1
-        append(Prediction(ex.id, text, parsed, correct))
-    score = hits / len(predictions) if math else f1(tp, fp, fn)
-    predictions.sort(key=_BY_EXAMPLE_ID)
-    return score, predictions
+    score = hits / len(correct) if math else f1(tp, fp, fn)
+    return score, texts, correct
+
+
+def prediction_records(
+    examples: Sequence[Example],
+    texts: Sequence[str],
+    correct: Sequence[bool],
+    split: DatasetSplit,
+) -> list[Prediction]:
+    """One :class:`Prediction` per example, ordered by example id.
+
+    ``texts`` and ``correct`` are what :func:`evaluate_prompt` returned for
+    ``examples`` and ``split``. Each distinct text is parsed again, once, by
+    the task type's parser for its ``parsed_label``.
+    """
+    parse = _parser(split)
+    parsed = {text: parse(text) for text in dict.fromkeys(texts)}
+    records = [
+        Prediction(ex.id, text, parsed[text], ok) for ex, text, ok in zip(examples, texts, correct)
+    ]
+    records.sort(key=_BY_EXAMPLE_ID)
+    return records

@@ -24,13 +24,13 @@ _NUM_GRADIENTS_RE = re.compile(r"give (\d+) reasons")
 
 def _hash01(seed: int, *parts: object) -> float:
     key = "|".join(str(p) for p in parts)
-    digest = blake2b(f"{seed}|{key}".encode("utf-8"), digest_size=8).digest()
+    digest = blake2b(f"{seed}|{key}".encode("utf-8", "surrogatepass"), digest_size=8).digest()
     return int.from_bytes(digest, "big") / 2**64
 
 
 def _hash_tag(seed: int, *parts: object) -> str:
     key = "|".join(str(p) for p in parts)
-    return blake2b(f"{seed}|{key}".encode("utf-8"), digest_size=4).hexdigest()
+    return blake2b(f"{seed}|{key}".encode("utf-8", "surrogatepass"), digest_size=4).hexdigest()
 
 
 class HeuristicScript:
@@ -74,7 +74,7 @@ class HeuristicScript:
         if entry is None:
             entry = self._per_prompt[prompt_text] = (
                 self.skill(prompt_text),
-                f"{self._seed}|answer|{prompt_text}|".encode("utf-8"),
+                f"{self._seed}|answer|{prompt_text}|".encode("utf-8", "surrogatepass"),
             )
         skill, coin_prefix = entry
         # The same value as _hash01(self._seed, "answer", prompt_text, example.id).

@@ -29,7 +29,7 @@ from .model import (
     derived_rng,
     to_record,
 )
-from .scoring import evaluate_prompt
+from .scoring import evaluate_prompt, prediction_records
 
 
 class RunIncompleteError(GatewayError):
@@ -200,14 +200,15 @@ class _Search:
         history_binding = momentum.history_text(
             self.history, round_index, self.store.gradients, enabled=cfg.momentum_enabled
         )
+        ids = [ex.id for ex in minibatch]
         scores: list[float] = []
         for parent_id in self.beams[-1].prompts:
-            score, predictions = evaluate_prompt(
+            score, _, correct = evaluate_prompt(
                 self.store.prompts[parent_id], minibatch, self.gateway, self.split
             )
             parent = self.store.set_train_score(parent_id, score)
             scores.append(score)
-            correctness = {p.example_id: p.correct for p in predictions}
+            correctness = dict(zip(ids, correct))
             self.sample_shortfalls += expand_parent(
                 self.engine, parent, round_index, minibatch, correctness, history_binding
             )
@@ -246,11 +247,15 @@ class _Search:
         stored = self.store.prompts[prompt.id].test_score
         if stored is not None:
             return stored
+        test = self.split.test
         with self.gateway.count_as_eval():
-            score, predictions = evaluate_prompt(prompt, self.split.test, self.gateway, self.split)
+            score, texts, correct = evaluate_prompt(prompt, test, self.gateway, self.split)
         self.store.set_test_score(prompt.id, score)
         if self.cfg.emit_predictions:
-            self.test_predictions.extend({"prompt_id": prompt.id, **p._asdict()} for p in predictions)
+            self.test_predictions.extend(
+                {"prompt_id": prompt.id, **p._asdict()}
+                for p in prediction_records(test, texts, correct, self.split)
+            )
         return score
 
     def test_event(self, round_index: int, train_best: float | None) -> None:
@@ -274,7 +279,7 @@ class _Search:
         batch = sample_minibatch(self.split, cfg.minibatch_size, cfg.rng_seed, cfg.search_depth + 1)
         ranked: list[tuple[float, int]] = []
         for prompt_id in self.beams[-1].prompts:
-            score, _ = evaluate_prompt(store.prompts[prompt_id], batch, self.gateway, self.split)
+            score = evaluate_prompt(store.prompts[prompt_id], batch, self.gateway, self.split)[0]
             store.set_train_score(prompt_id, score)
             ranked.append((-score, prompt_id))
         best = store.prompts[min(ranked)[1]]

@@ -685,6 +685,41 @@ def test_replay_accepts_a_recording_that_tests_a_prompt_again(
         assert (rep / name).read_bytes() == (rec / name).read_bytes(), name
 
 
+def test_a_lone_surrogate_in_a_dataset_row_is_recorded_and_replayed(tmp_path, capsys) -> None:
+    # json reads a "\ud800" escape as a lone surrogate, which has no strict
+    # UTF-8 form; the request digest and the scripted backend's hashes must
+    # take it all the same.
+    rows = [line.split("\t") for line in DATA.read_text(encoding="utf-8").splitlines()]
+    dataset = tmp_path / "demo.jsonl"
+    dataset.write_text(
+        "".join(
+            json.dumps({"text": text + (" \ud800" if i % 3 == 0 else ""), "label": label}) + "\n"
+            for i, (text, label) in enumerate(rows)
+        ),
+        encoding="utf-8",
+    )
+    assert "\\ud800" in dataset.read_text(encoding="utf-8")
+    ini = (REPO / "tests" / "data" / "demo.ini").read_text(encoding="utf-8")
+    config = tmp_path / "demo.ini"
+    config.write_text(
+        ini.replace("tests/data/demo.tsv", str(dataset)).replace("format = tsv", "format = jsonl"),
+        encoding="utf-8",
+    )
+    argv = ["optimize", "--config", str(config), "--verbose-predictions"]
+    rec, rep = tmp_path / "rec", tmp_path / "rep"
+    assert main([*argv, "--backend", "scripted", "--out", str(rec)]) == EXIT_OK
+    transcript = rec / "transcript.jsonl"
+    assert "\\ud800" in transcript.read_text(encoding="utf-8")
+    replay = ["--backend", "replay", "--transcript", str(transcript), "--out", str(rep)]
+    assert main([*argv, *replay]) == EXIT_OK
+    assert "Traceback" not in capsys.readouterr().err
+    names = sorted(path.name for path in rec.iterdir())
+    assert names == sorted(path.name for path in rep.iterdir())
+    for name in names:
+        if name != "events.jsonl":  # its elapsed_s is wall time on record
+            assert (rep / name).read_bytes() == (rec / name).read_bytes(), name
+
+
 # Fields whose check a value derived from the default would fail.
 _VALID_VALUES = {
     "gradient_mode": "both",

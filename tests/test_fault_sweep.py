@@ -34,7 +34,15 @@ import pytest
 
 from promptopt import cli
 from promptopt.cli import EXIT_INCOMPLETE, EXIT_OK, main
-from promptopt.gateway import Gateway, LiveBackend, LiveCallError, LiveConfig, LlmRequest, RetryPolicy
+from promptopt.gateway import (
+    Gateway,
+    LiveBackend,
+    LiveCallError,
+    LiveConfig,
+    LlmRequest,
+    LlmResponse,
+    RetryPolicy,
+)
 
 REPO = Path(__file__).parents[1]
 DEMO_ARGS = ["optimize", "--config", "tests/data/demo.ini", "--backend", "scripted"]
@@ -60,11 +68,11 @@ class MalformAt(FailAt):
     """Passes calls to ``backend`` and answers its ``k``-th one with no delimiters."""
 
     def complete(self, req, on_attempt):
-        text, latency = self._backend.complete(req, on_attempt)
+        resp = self._backend.complete(req, on_attempt)
         if self._calls == self._k:
-            text = "no delimiters"
+            resp = LlmResponse("no delimiters", resp.latency_s)
         self._calls += 1
-        return text, latency
+        return resp
 
 
 @pytest.mark.parametrize("preset", sorted(PRESETS))

@@ -207,6 +207,19 @@ class _Int(int):
 # that consecutive entries can share them.
 _LOOKALIKES = [0, 0.0, -0.0, False, True, 1, _Int(1), float("nan"), 0.7, 16, 512]
 
+# A prompt or response text: any text, text that holds lone surrogates (a
+# JSON ``\ud800`` escape decodes to one), or a value that is not a str.
+_TEXTS = st.one_of(
+    st.text(max_size=20),
+    st.lists(
+        st.one_of(st.characters(), st.sampled_from(["\ud800", "\udbff", "\udc00", "\udfff"])),
+        max_size=8,
+    ).map("".join),
+    st.none(),
+    st.integers(),
+    st.integers().map(_Int),
+)
+
 
 def _lookalike_runs() -> list:
     """Runs of one role whose shared fields only look alike, each next to the last."""
@@ -225,9 +238,9 @@ def _lookalike_runs() -> list:
             st.sampled_from(_LOOKALIKES),  # max_tokens
             st.lists(
                 st.tuples(
-                    st.text(max_size=20),  # prompt
+                    _TEXTS,  # prompt
                     st.one_of(st.integers(), st.sampled_from(_LOOKALIKES)),  # index
-                    st.text(max_size=20),  # response text
+                    _TEXTS,  # response text
                     st.one_of(st.floats(), st.sampled_from(_LOOKALIKES)),  # latency
                 ),
                 min_size=1,
@@ -579,7 +592,7 @@ class _Counting:
             raise LiveCallError("injected")
         self.sent.append(req.rendered_prompt)
         on_attempt()
-        return f"echo:{req.rendered_prompt}", 0.0
+        return LlmResponse(f"echo:{req.rendered_prompt}", 0.0)
 
 
 def test_memo_sends_a_repeat_across_batches_once() -> None:
@@ -673,7 +686,7 @@ class _Retrying:
             self.attempts += 1
         if req.rendered_prompt == self._fail_on:
             raise self._error("injected")
-        return f"echo:{req.rendered_prompt}", 0.0
+        return LlmResponse(f"echo:{req.rendered_prompt}", 0.0)
 
 
 @pytest.mark.parametrize("error", [LiveCallError, KeyboardInterrupt])
@@ -782,7 +795,7 @@ class _Numbered:
     def complete(self, req, on_attempt):
         self.calls += 1
         on_attempt()
-        return f"answer {self.calls}", self.calls / 8
+        return LlmResponse(f"answer {self.calls}", self.calls / 8)
 
 
 # One prompt text under two roles, and repeats: answered by the memo at

@@ -15,6 +15,7 @@ from promptopt.scoring import (
     f1,
     parse_label,
     parse_math_answer,
+    prediction_records,
 )
 from promptopt.scripted import ScriptExhaustedError
 
@@ -167,6 +168,14 @@ def test_prediction_make_and_replace_keep_the_check() -> None:
     assert type(record._replace(raw_output="y")) is Prediction
 
 
+def test_prediction_records_keep_the_check_against_an_unparsed_correct_answer() -> None:
+    examples = _examples(2)
+    with pytest.raises(ValueError, match="unparseable"):
+        prediction_records(examples, ["Yes", "mumble"], [True, True], _task())
+    records = prediction_records(examples, ["Yes", "mumble"], [True, False], _task())
+    assert [(p.parsed_label, p.correct) for p in records] == [("Yes", True), (None, False)]
+
+
 def test_prediction_dict_form_keys_in_field_order() -> None:
     # The keys and order dataclasses.asdict gave while the record was a dataclass.
     record = Prediction(4, "no", "No", False)
@@ -199,16 +208,16 @@ def _oracle_gateway() -> Gateway:
 
 def test_evaluate_prompt_oracle_backend_scores_one() -> None:
     prompt = new_seed_prompt("classify")
-    score, predictions = evaluate_prompt(prompt, _examples(), _oracle_gateway(), _task())
+    score, _, correct = evaluate_prompt(prompt, _examples(), _oracle_gateway(), _task())
     assert score == 1.0
-    assert all(p.correct for p in predictions)
+    assert all(correct)
 
 
 def test_evaluate_prompt_always_negative_scores_zero() -> None:
     gw = Gateway(ScriptedBackend(lambda req: "No"))
-    score, predictions = evaluate_prompt(new_seed_prompt("classify"), _examples(), gw, _task())
+    score, _, correct = evaluate_prompt(new_seed_prompt("classify"), _examples(), gw, _task())
     assert score == 0.0
-    assert any(not p.correct for p in predictions)
+    assert not all(correct)
 
 
 def test_evaluate_prompt_one_call_per_example() -> None:
@@ -228,10 +237,11 @@ def test_evaluate_prompt_score_invariant_under_permutation() -> None:
         idx = int(req.rendered_prompt.rsplit(" ", 1)[1])
         return "Yes" if idx % 3 == 0 else "No"
 
-    s1, p1 = evaluate_prompt(prompt, examples, Gateway(ScriptedBackend(flaky)), _task())
-    s2, p2 = evaluate_prompt(prompt, shuffled, Gateway(ScriptedBackend(flaky)), _task())
+    s1, *r1 = evaluate_prompt(prompt, examples, Gateway(ScriptedBackend(flaky)), _task())
+    s2, *r2 = evaluate_prompt(prompt, shuffled, Gateway(ScriptedBackend(flaky)), _task())
     assert s1 == s2
-    assert p1 == p2  # ordered by example id
+    # The records are ordered by example id.
+    assert prediction_records(examples, *r1, _task()) == prediction_records(shuffled, *r2, _task())
 
 
 def test_evaluate_prompt_math_accuracy_is_mean_of_correct() -> None:
@@ -241,20 +251,22 @@ def test_evaluate_prompt_math_accuracy_is_mean_of_correct() -> None:
         idx = int(req.rendered_prompt.rsplit(" ", 1)[1])
         return f"#### {idx}" if idx < 7 else "#### 0"
 
-    score, predictions = evaluate_prompt(
+    score, _, correct = evaluate_prompt(
         new_seed_prompt("solve"),
         examples,
         Gateway(ScriptedBackend(solver)),
         _task(task_type="math", label_set=(), positive_label=""),
     )
-    assert score == pytest.approx(sum(p.correct for p in predictions) / len(predictions))
+    assert score == pytest.approx(sum(correct) / len(correct))
     assert score == pytest.approx(0.7)
 
 
 def test_evaluate_prompt_unparseable_counts_as_negative() -> None:
     gw = Gateway(ScriptedBackend(lambda req: "mumble"))
-    score, predictions = evaluate_prompt(new_seed_prompt("classify"), _examples(4), gw, _task())
+    examples = _examples(4)
+    score, texts, correct = evaluate_prompt(new_seed_prompt("classify"), examples, gw, _task())
     assert score == 0.0
+    predictions = prediction_records(examples, texts, correct, _task())
     assert all(p.parsed_label is None and not p.correct for p in predictions)
 
 
@@ -275,12 +287,13 @@ def test_evaluate_prompt_sends_examples_in_given_order_and_tags_by_position() ->
     with pytest.raises(ScriptExhaustedError, match="example id 3"):
         evaluate_prompt(new_seed_prompt("classify"), examples, gw, _task())
     gw = Gateway(ScriptedBackend(lambda req: "Yes"))
-    _, predictions = evaluate_prompt(new_seed_prompt("classify"), examples, gw, _task())
+    _, texts, correct = evaluate_prompt(new_seed_prompt("classify"), examples, gw, _task())
     assert [req.rendered_prompt for req, _ in gw.transcript.entries] == [
         "classify\ninput 5",
         "classify\ninput 3",
         "classify\ninput 9",
     ]
+    predictions = prediction_records(examples, texts, correct, _task())
     assert [p.example_id for p in predictions] == [3, 5, 9]
 
 
@@ -306,23 +319,25 @@ def test_evaluate_prompt_score_always_within_unit_interval() -> None:
         return rng.choice(outputs)
 
     for _ in range(20):
-        score, predictions = evaluate_prompt(
+        score, texts, correct = evaluate_prompt(
             new_seed_prompt("classify"), examples, Gateway(ScriptedBackend(chaotic)), _task()
         )
         assert 0.0 <= score <= 1.0
-        assert len(predictions) == len(examples)
+        assert len(texts) == len(correct) == len(examples)
 
 
 def _two_pass_evaluate(prompt, examples, gateway, task):
-    """Reference: evaluate_prompt as it was before it scored in one pass.
+    """Reference: evaluate_prompt and its records as they were before it scored in one pass.
 
     Builds every prediction, sorts them and the examples by id, then counts
-    the confusion matrix in a second pass over the sorted pairs.
+    the confusion matrix in a second pass over the sorted pairs. Returns the
+    score, each answer's correctness in the order given, and the records.
     """
     texts = gateway.complete_many(
         "task_eval", [f"{prompt.text}\n{ex.input_text}" for ex in examples]
     )
     predictions = []
+    correctness = []
     for ex, text in zip(examples, texts):
         if task.task_type == "math":
             parsed = parse_math_answer(text)
@@ -331,6 +346,7 @@ def _two_pass_evaluate(prompt, examples, gateway, task):
         else:
             parsed = parse_label(text, task.label_set)
             correct = parsed is not None and parsed.lower() == ex.label.lower()
+        correctness.append(correct)
         predictions.append(
             Prediction(
                 example_id=ex.id, raw_output=text, parsed_label=parsed, correct=correct
@@ -347,7 +363,7 @@ def _two_pass_evaluate(prompt, examples, gateway, task):
             task.positive_label,
         )
         score = f1(cc.tp, cc.fp, cc.fn)
-    return score, predictions
+    return score, correctness, predictions
 
 
 _CASINGS = st.sampled_from([str, str.upper, str.lower, str.swapcase])
@@ -408,9 +424,12 @@ def test_evaluate_prompt_matches_two_pass_reference(case) -> None:
     def gateway() -> Gateway:
         return Gateway(ScriptedBackend(lambda req: answer_of[req.rendered_prompt.split("\n", 1)[1]]))
 
-    score, predictions = evaluate_prompt(prompt, batch, gateway(), task)
-    ref_score, ref_predictions = _two_pass_evaluate(prompt, batch, gateway(), task)
+    score, texts, correct = evaluate_prompt(prompt, batch, gateway(), task)
+    ref_score, ref_correct, ref_predictions = _two_pass_evaluate(prompt, batch, gateway(), task)
     assert score == ref_score
+    assert correct == ref_correct
+    assert texts == [answer_of[ex.input_text] for ex in batch]
+    predictions = prediction_records(batch, texts, correct, task)
     assert _field_tuples(predictions) == _field_tuples(ref_predictions)
 
 
@@ -450,10 +469,10 @@ def test_evaluate_prompt_math_labels_with_plus_leading_zero_or_point() -> None:
     examples = [Example(0, "q0", "+5"), Example(1, "q1", "05"), Example(2, "q2", ".5")]
     answers = {"q0": "#### 5", "q1": "it is 5", "q2": "#### 0.50"}
     gw = Gateway(ScriptedBackend(lambda req: answers[req.rendered_prompt.split("\n", 1)[1]]))
-    score, predictions = evaluate_prompt(
-        new_seed_prompt("solve"), examples, gw, _task(task_type="math", label_set=())
-    )
+    task = _task(task_type="math", label_set=())
+    score, texts, correct = evaluate_prompt(new_seed_prompt("solve"), examples, gw, task)
     assert score == 1.0
+    predictions = prediction_records(examples, texts, correct, task)
     assert [p.parsed_label for p in predictions] == ["5", "5", "0.5"]
 
 
@@ -468,10 +487,10 @@ def test_evaluate_prompt_math_label_in_gsm8k_form_is_its_final_number() -> None:
     ]
     answers = {"q0": "#### 72", "q1": "so 1.5", "q2": "#### 7", "q3": "#### 5", "q4": "#### 0"}
     gw = Gateway(ScriptedBackend(lambda req: answers[req.rendered_prompt.split("\n", 1)[1]]))
-    score, predictions = evaluate_prompt(
+    score, _, correct = evaluate_prompt(
         new_seed_prompt("solve"), examples, gw, _task(task_type="math", label_set=())
     )
-    assert [p.correct for p in predictions] == [True, True, False, True, False]
+    assert correct == [True, True, False, True, False]
     assert score == 3 / 5
 
 
@@ -534,7 +553,9 @@ def test_evaluate_prompt_equals_parsing_each_answer_on_its_own(case) -> None:
     def gateway() -> Gateway:
         return Gateway(ScriptedBackend(lambda req: answer_of[req.rendered_prompt.split("\n", 1)[1]]))
 
-    score, predictions = evaluate_prompt(prompt, examples, gateway(), task)
-    ref_score, ref_predictions = _two_pass_evaluate(prompt, examples, gateway(), task)
+    score, texts, correct = evaluate_prompt(prompt, examples, gateway(), task)
+    ref_score, ref_correct, ref_predictions = _two_pass_evaluate(prompt, examples, gateway(), task)
     assert score == ref_score
+    assert correct == ref_correct
+    predictions = prediction_records(examples, texts, correct, task)
     assert _field_tuples(predictions) == _field_tuples(ref_predictions)

@@ -10,6 +10,7 @@ import pytest
 
 from promptopt import (
     ConfigError,
+    DatasetSplit,
     Example,
     Gateway,
     HeuristicScript,
@@ -20,9 +21,12 @@ from promptopt import (
     Transcript,
     make_split,
     new_seed_prompt,
+    scoring,
 )
 from promptopt.cli import build_run_config
+from promptopt.data import math_label
 from promptopt.gateway import RetryPolicy
+from promptopt.scoring import f1
 from promptopt.scripted import ScriptExhaustedError
 from promptopt.search import (
     ConvergenceReport,
@@ -38,6 +42,7 @@ from conftest import (
     SEED_TEXT,
     SequenceScript,
     check_history,
+    confusion_counts,
     extract_history_binding,
     scripted_gateway,
     small_config,
@@ -484,6 +489,94 @@ def test_run_emit_predictions_writes_records(tmp_path) -> None:
     assert {"prompt_id", "example_id", "raw_output", "parsed_label", "correct"} <= set(rows[0])
 
 
+def test_prediction_records_are_built_only_for_predictions_jsonl(monkeypatch, tmp_path) -> None:
+    examples = toy_examples()
+    split = make_split(examples, 20, 7, task_type="classification", positive_label="Yes")
+    built = []
+    make = scoring.Prediction
+
+    def counting(*fields):
+        built.append(make(*fields))
+        return built[-1]
+
+    monkeypatch.setattr(scoring, "Prediction", counting)
+    run(new_seed_prompt(SEED_TEXT), split, small_config(), scripted_gateway(examples, split.label_set),
+        tmp_path / "default")
+    assert built == []
+
+    # The configuration of the golden artifact, whose predictions.jsonl is pinned.
+    cfg = small_config(emit_predictions=True)
+    result = run(new_seed_prompt(SEED_TEXT), split, cfg, scripted_gateway(examples, split.label_set),
+                 tmp_path / "verbose")
+    tested = [p for p in result.store.prompts.values() if p.test_score is not None]
+    assert len(tested) > 1
+    assert len(built) == len(tested) * len(split.test)
+    data = (tmp_path / "verbose" / "predictions.jsonl").read_bytes()
+    assert hashlib.sha256(data).hexdigest() == _GOLDEN_ARTIFACT_SHA256["predictions.jsonl"]
+
+
+def _math_task() -> tuple[list[Example], DatasetSplit]:
+    examples = [Example(i, f"compute the total for case {i}", str(100 + i)) for i in range(60)]
+    return examples, make_split(examples, 10, 7, task_type="math", positive_label="")
+
+
+@pytest.mark.parametrize("task_type", ["classification", "math"])
+def test_predictions_agree_with_the_test_scores(task_type, tmp_path) -> None:
+    # evaluate_prompt gives the score; prediction_records makes the rows from
+    # its values in a second call. Each prompt's rows must give its score back.
+    if task_type == "math":
+        examples, split = _math_task()
+        gateway = scripted_gateway(examples, split.label_set, task_type="math")
+    else:
+        examples = toy_examples()
+        split = make_split(examples, 20, 7, task_type="classification", positive_label="Yes")
+        gateway = scripted_gateway(examples, split.label_set)
+    cfg = small_config(emit_predictions=True, test_set_size=len(split.test))
+    run(new_seed_prompt(SEED_TEXT), split, cfg, gateway, tmp_path)
+    gold = {ex.id: ex.label for ex in split.test}
+    rows = [json.loads(line) for line in (tmp_path / "predictions.jsonl").read_text().splitlines()]
+    assert not [row for row in rows if row["correct"] and row["parsed_label"] is None]
+    tested = [
+        prompt
+        for prompt in map(json.loads, (tmp_path / "prompts.jsonl").read_text().splitlines())
+        if prompt["test_score"] is not None
+    ]
+    assert tested
+    for prompt in tested:
+        mine = [row for row in rows if row["prompt_id"] == prompt["id"]]
+        assert sorted(row["example_id"] for row in mine) == sorted(gold)
+        for row in mine:
+            label = gold[row["example_id"]]
+            want = math_label(label) if task_type == "math" else label.lower()
+            parsed = row["parsed_label"]
+            judged = parsed if task_type == "math" or parsed is None else parsed.lower()
+            assert row["correct"] == (judged is not None and judged == want), row
+        if task_type == "math":
+            score = sum(row["correct"] for row in mine) / len(mine)
+        else:
+            cc = confusion_counts(
+                [gold[row["example_id"]] for row in mine],
+                [row["parsed_label"] for row in mine],
+                split.positive_label,
+            )
+            score = f1(cc.tp, cc.fp, cc.fn)
+        assert score == prompt["test_score"], prompt["id"]
+
+
+def test_replayed_run_keeps_the_recorded_responses(tmp_path) -> None:
+    examples = toy_examples()
+    split = make_split(examples, 20, 7, task_type="classification", positive_label="Yes")
+    run(new_seed_prompt(SEED_TEXT), split, small_config(), scripted_gateway(examples, split.label_set),
+        tmp_path / "rec")
+    recorded = Transcript.load(tmp_path / "rec" / "transcript.jsonl")
+    responses = [resp for _, resp in recorded.entries]
+    gateway = Gateway(ReplayBackend(recorded))
+    run(new_seed_prompt(SEED_TEXT), split, small_config(), gateway, tmp_path / "rep")
+    kept = [resp for _, resp in gateway.transcript.entries]
+    assert len(kept) == len(responses)
+    assert all(mine is theirs for mine, theirs in zip(kept, responses))
+
+
 def test_run_tests_a_seed_that_carries_a_test_score(tmp_path) -> None:
     # A score measured before the run, on some other split, is not this run's.
     examples = toy_examples()
@@ -645,8 +738,7 @@ def test_run_refuses_a_gateway_at_another_temperature(tmp_path) -> None:
 
 
 def test_run_math_task_end_to_end(tmp_path) -> None:
-    examples = [Example(i, f"compute the total for case {i}", str(100 + i)) for i in range(60)]
-    split = make_split(examples, 10, 7, task_type="math", positive_label="")
+    examples, split = _math_task()
     cfg = small_config(search_depth=1, test_set_size=10)
     gateway = scripted_gateway(examples, split.label_set, task_type="math")
     result = run(new_seed_prompt("Work out the answer. End with #### <number>."),
