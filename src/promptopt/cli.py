@@ -256,6 +256,15 @@ def _seed_prompt_text(extra: dict) -> str:
     raise ConfigError("config needs [run] seed_prompt or seed_prompt_file")
 
 
+def _say(line: str) -> None:
+    """Print ``line``; a character that standard output cannot encode is written as a backslash escape.
+
+    A prompt or a path can hold a lone surrogate, which no strict encoder takes.
+    """
+    encoding = sys.stdout.encoding or "utf-8"
+    print(line.encode(encoding, "backslashreplace").decode(encoding))
+
+
 def cmd_optimize(args) -> int:
     run_overrides, bandit_overrides, dataset, gateway_section, extra = read_config_file(args.config)
     cfg = build_run_config(args, run_overrides, bandit_overrides)
@@ -281,10 +290,10 @@ def cmd_optimize(args) -> int:
             "seed_prompt": seed.text,
         },
     )
-    print(f"artifact: {result.artifact_dir}")
-    print(f"best prompt (id {result.best.id}):")
-    print(result.best.text)
-    print(
+    _say(f"artifact: {result.artifact_dir}")
+    _say(f"best prompt (id {result.best.id}):")
+    _say(result.best.text)
+    _say(
         f"train_score={result.best.train_score:.4f} "
         f"test_score={result.best.test_score:.4f} "
         f"optimize_calls={gateway.optimize_calls()} eval_calls={gateway.eval_calls()} "
@@ -292,14 +301,14 @@ def cmd_optimize(args) -> int:
     )
     report = result.report
     if report.target_score is None:
-        print("convergence: no target configured")
+        _say("convergence: no target configured")
     elif report.reached:
-        print(
+        _say(
             f"convergence: reached {report.target_score} at step {report.convergence_steps} "
             f"({report.convergence_time_s:.2f}s, {report.convergence_calls} calls)"
         )
     else:
-        print(f"convergence: target {report.target_score} not reached")
+        _say(f"convergence: target {report.target_score} not reached")
     return EXIT_OK
 
 
@@ -373,7 +382,7 @@ def cmd_report(args) -> int:
         ["round", *methods],
         [[r, *[curves[m].get(r, "") for m in methods]] for r in rounds],
     )
-    print(f"wrote report CSVs to {out_dir}")
+    _say(f"wrote report CSVs to {out_dir}")
     return EXIT_OK
 
 

@@ -106,41 +106,23 @@ def request_digest(role_tag: str, rendered_prompt: str) -> str:
     return hashlib.sha256(material).hexdigest()
 
 
-# Encodes a transcript field that is not a ``str``, a plain ``int`` or a
-# finite ``float`` exactly as ``json.dumps(..., sort_keys=True)`` would.
-_TRANSCRIPT_ENCODER = json.JSONEncoder(sort_keys=True)
-
-
-def _json_str(value) -> str:
-    if type(value) is str:
-        return encode_basestring_ascii(value)
-    return _TRANSCRIPT_ENCODER.encode(value)
-
-
-def _json_num(value) -> str:
-    kind = type(value)
-    if kind is int or (kind is float and math.isfinite(value)):
-        return repr(value)
-    return _TRANSCRIPT_ENCODER.encode(value)
-
-
 def transcript_line(req: LlmRequest, resp: LlmResponse) -> str:
-    """One transcript line, without its newline.
+    """One transcript line, without its newline: ``json.dumps`` of the eight-field row, keys sorted.
 
-    A fixed template with the keys in sorted order: equal to
-    ``json.dumps(row, sort_keys=True)`` of the eight-field row for every
-    input, since any value the fast paths do not cover (a bool, NaN, an
-    ``int`` subclass) goes through the generic encoder. It is the reference
-    for :meth:`Transcript.save`, which writes the same bytes per entry.
+    It is the reference for :meth:`Transcript.save`, which writes the same
+    bytes per entry.
     """
-    return (
-        f'{{"digest": {_json_str(req.digest)}, "latency_s": {_json_num(resp.latency_s)}, '
-        f'"max_tokens": {_json_num(req.max_tokens)}, '
-        f'"rendered_prompt": {_json_str(req.rendered_prompt)}, '
-        f'"request_index": {_json_num(req.request_index)}, '
-        f'"response_text": {_json_str(resp.text)}, "role_tag": {_json_str(req.role_tag)}, '
-        f'"temperature": {_json_num(req.temperature)}}}'
-    )
+    row = {
+        "digest": req.digest,
+        "latency_s": resp.latency_s,
+        "max_tokens": req.max_tokens,
+        "rendered_prompt": req.rendered_prompt,
+        "request_index": req.request_index,
+        "response_text": resp.text,
+        "role_tag": req.role_tag,
+        "temperature": req.temperature,
+    }
+    return json.dumps(row, sort_keys=True)
 
 
 # The C scanner that ``json.loads`` runs under its Python-level wrapper: it
@@ -169,11 +151,15 @@ class Transcript:
         property test pins the two to each other. The fields that a run
         of consecutive entries shares (``role_tag``, ``temperature`` and
         ``max_tokens``, and the ``role_tag`` line that starts the digest's
-        input) are rendered once per run. A run lasts while those
-        fields are the same objects, not merely equal ones: ``0``, ``0.0``,
-        ``-0.0`` and ``False`` compare equal but render differently.
+        input) are rendered by ``json.dumps`` once per distinct three
+        objects, and looked up once per run. Both go by identity, not
+        equality: ``0``, ``0.0``, ``-0.0`` and ``False`` compare equal but
+        render differently.
         """
         run_role = run_temperature = run_max_tokens = _UNSET
+        # Keyed by the objects' ids, which stay unique while the entries hold them.
+        rendered: dict[tuple[int, int, int], tuple[str, str, str]] = {}
+        dumps = json.dumps
         sha256 = hashlib.sha256
         inf = math.inf
         with open(path, "w", encoding="utf-8") as handle:
@@ -186,12 +172,15 @@ class Transcript:
                     or max_tokens is not run_max_tokens
                 ):
                     run_role, run_temperature, run_max_tokens = role_tag, temperature, max_tokens
-                    digest_head = f"{role_tag}\n"
-                    middle = f', "max_tokens": {_json_num(max_tokens)}, "rendered_prompt": '
-                    tail = (
-                        f', "role_tag": {_json_str(role_tag)}, '
-                        f'"temperature": {_json_num(temperature)}}}\n'
-                    )
+                    key = (id(role_tag), id(temperature), id(max_tokens))
+                    if key not in rendered:
+                        rendered[key] = (
+                            f"{role_tag}\n",
+                            f', "max_tokens": {dumps(max_tokens, sort_keys=True)}, "rendered_prompt": ',
+                            f', "role_tag": {dumps(role_tag, sort_keys=True)}, '
+                            f'"temperature": {dumps(temperature, sort_keys=True)}}}\n',
+                        )
+                    digest_head, middle, tail = rendered[key]
                 text, latency = resp
                 # An entry with a field that is not a str, a plain int or a
                 # finite float takes the reference line.
@@ -204,7 +193,7 @@ class Transcript:
                 ):
                     write(transcript_line(req, resp) + "\n")
                     continue
-                # request_digest and the fast paths of _json_str and _json_num, inlined.
+                # request_digest and json.dumps of each field, inlined.
                 digest = sha256((digest_head + prompt).encode("utf-8", "surrogatepass")).hexdigest()
                 write(
                     f'{{"digest": "{digest}", "latency_s": {latency!r}{middle}'

@@ -4,11 +4,12 @@ All value types are immutable; state evolves only by constructing successor
 objects (see :class:`PromptStore`). The records an artifact writes one per
 line (:class:`Prompt`, :class:`Gradient`, :class:`Beam`) are named tuples and
 serialize to a self-describing one-line text record via :func:`to_record`.
-The configuration types (:class:`RunConfig`, :class:`BanditConfig`) are
-frozen dataclasses, because the CLI walks their fields. Each type checks its
-fields when it is built, by ``_make``/``_replace`` or ``dataclasses.replace``
-too, so a :class:`RunConfig` that exists is valid; a bad configuration value
-raises :class:`ConfigError`.
+Each declares its fields once, and :class:`Checked` runs its ``_check`` on
+every build, ``_make`` and ``_replace`` included. The configuration types
+(:class:`RunConfig`, :class:`BanditConfig`) are frozen dataclasses, because
+the CLI walks their fields; ``__post_init__`` checks them, after
+``dataclasses.replace`` too, so a :class:`RunConfig` that exists is valid. A
+bad configuration value raises :class:`ConfigError`.
 """
 
 from __future__ import annotations
@@ -70,6 +71,28 @@ class EmptyPromptError(ConfigError):
     """Prompt text is empty after trimming."""
 
 
+class Checked:
+    """Base of a record that checks its own fields, however it is built.
+
+    A record is declared as ``class Record(Checked, _RecordFields)``: the
+    ``NamedTuple`` ``_RecordFields`` declares the fields and their defaults
+    once, and the record adds only a ``_check`` method, which raises on a bad
+    value. ``__new__`` runs the named tuple's generated constructor and then
+    ``_check``; ``_make``, and so ``_replace``, goes through ``__new__``.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        self._check()
+        return self
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
+
+
 class _PromptFields(NamedTuple):
     id: int
     text: str
@@ -80,38 +103,24 @@ class _PromptFields(NamedTuple):
     test_score: float | None = None
 
 
-class Prompt(_PromptFields):
+class Prompt(Checked, _PromptFields):
     """One candidate prompt with lineage and cached scores.
 
     ``round`` is the beam-search round at which the prompt was created; only
-    the seed prompt (round 0) has no parent.
+    the seed prompt (round 0) has no parent, and a prompt with a gradient has
+    a parent. Text that is blank after trimming raises
+    :class:`EmptyPromptError`, a broken lineage ``ValueError``.
     """
 
     __slots__ = ()
 
-    def __new__(
-        cls,
-        id: int,
-        text: str,
-        round: int,
-        parent_id: int | None = None,
-        gradient_id: int | None = None,
-        train_score: float | None = None,
-        test_score: float | None = None,
-    ) -> "Prompt":
-        if not text.strip():
+    def _check(self) -> None:
+        if not self.text.strip():
             raise EmptyPromptError("prompt text is empty after trimming")
-        if (round == 0) != (parent_id is None):
+        if (self.round == 0) != (self.parent_id is None):
             raise ValueError("round 0 iff parent_id absent")
-        if gradient_id is not None and parent_id is None:
+        if self.gradient_id is not None and self.parent_id is None:
             raise ValueError("gradient_id requires a parent_id")
-        return tuple.__new__(
-            cls, (id, text, round, parent_id, gradient_id, train_score, test_score)
-        )
-
-    @classmethod
-    def _make(cls, iterable) -> "Prompt":
-        return cls(*iterable)
 
 
 class _GradientFields(NamedTuple):
@@ -122,28 +131,23 @@ class _GradientFields(NamedTuple):
     polarity: str = "positive"
 
 
-class Gradient(_GradientFields):
+class Gradient(Checked, _GradientFields):
     """One natural-language reason extracted from a completion.
 
     Attributed to the prompt it appraised and the round it was generated in.
+    Its text is not blank and holds no wrap delimiter, and its polarity is
+    one of :data:`POLARITIES`; anything else raises ``ValueError``.
     """
 
     __slots__ = ()
 
-    def __new__(
-        cls, id: int, text: str, source_prompt_id: int, round: int, polarity: str = "positive"
-    ) -> "Gradient":
-        if not text.strip():
+    def _check(self) -> None:
+        if not self.text.strip():
             raise ValueError("gradient text is empty")
-        if START_DELIM in text or END_DELIM in text:
+        if START_DELIM in self.text or END_DELIM in self.text:
             raise ValueError("gradient text contains a wrap delimiter")
-        if polarity not in POLARITIES:
-            raise ValueError(f"unknown polarity {polarity!r}")
-        return tuple.__new__(cls, (id, text, source_prompt_id, round, polarity))
-
-    @classmethod
-    def _make(cls, iterable) -> "Gradient":
-        return cls(*iterable)
+        if self.polarity not in POLARITIES:
+            raise ValueError(f"unknown polarity {self.polarity!r}")
 
 
 class _BeamFields(NamedTuple):
@@ -151,19 +155,14 @@ class _BeamFields(NamedTuple):
     prompts: tuple[int, ...]
 
 
-class Beam(_BeamFields):
-    """Ordered prompt ids retained after one selection round (best first)."""
+class Beam(Checked, _BeamFields):
+    """Ordered prompt ids retained after one selection round (best first); no id twice."""
 
     __slots__ = ()
 
-    def __new__(cls, round: int, prompts: tuple[int, ...]) -> "Beam":
-        if len(set(prompts)) != len(prompts):
+    def _check(self) -> None:
+        if len(set(self.prompts)) != len(self.prompts):
             raise ValueError("duplicate prompt ids within a beam")
-        return tuple.__new__(cls, (round, prompts))
-
-    @classmethod
-    def _make(cls, iterable) -> "Beam":
-        return cls(*iterable)
 
 
 @dataclass

@@ -9,7 +9,7 @@ from typing import Callable, NamedTuple, Sequence
 
 from .data import DatasetSplit, Example, math_label, parse_math_answer
 from .gateway import Gateway, GatewayError
-from .model import Prompt
+from .model import Checked, Prompt
 
 
 class _PredictionFields(NamedTuple):
@@ -19,7 +19,7 @@ class _PredictionFields(NamedTuple):
     correct: bool
 
 
-class Prediction(_PredictionFields):
+class Prediction(Checked, _PredictionFields):
     """One scored answer, as ``predictions.jsonl`` writes it: an immutable named tuple.
 
     A run makes them through :func:`prediction_records`, only for the test
@@ -33,16 +33,9 @@ class Prediction(_PredictionFields):
 
     __slots__ = ()
 
-    def __new__(
-        cls, example_id: int, raw_output: str, parsed_label: str | None, correct: bool
-    ) -> "Prediction":
-        if parsed_label is None and correct:
+    def _check(self) -> None:
+        if self.parsed_label is None and self.correct:
             raise ValueError("an unparseable output cannot be correct")
-        return tuple.__new__(cls, (example_id, raw_output, parsed_label, correct))
-
-    @classmethod
-    def _make(cls, iterable) -> "Prediction":
-        return cls(*iterable)
 
 
 @functools.lru_cache(maxsize=64)

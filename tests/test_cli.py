@@ -27,6 +27,7 @@ from promptopt.cli import (
     read_config_file,
 )
 from promptopt.model import BanditConfig, ConfigError, RunConfig
+from promptopt.scripted import HeuristicScript
 
 DATA = Path(__file__).parent / "data" / "demo.tsv"
 
@@ -718,6 +719,26 @@ def test_a_lone_surrogate_in_a_dataset_row_is_recorded_and_replayed(tmp_path, ca
     for name in names:
         if name != "events.jsonl":  # its elapsed_s is wall time on record
             assert (rep / name).read_bytes() == (rec / name).read_bytes(), name
+
+
+def test_a_best_prompt_with_a_lone_surrogate_is_printed_escaped(monkeypatch, tmp_path, capsys) -> None:
+    # A live model's JSON can carry a "\ud800" escape into an edit, and so
+    # into the best prompt, which no strict encoder writes to stdout.
+    respond = HeuristicScript.__call__
+
+    def with_surrogate(self, req):
+        text = respond(self, req)
+        return text.replace("<END>", "\ud800<END>") if req.role_tag == "prompt_edit" else text
+
+    monkeypatch.setattr(HeuristicScript, "__call__", with_surrogate)
+    monkeypatch.chdir(REPO)
+    out = tmp_path / "demo"
+    assert main([*DEMO_ARGS, "--backend", "scripted", "--out", str(out)]) == EXIT_OK
+    best = json.loads((out / "result.json").read_text(encoding="utf-8"))["text"]
+    assert best.endswith("\ud800")
+    printed = capsys.readouterr().out
+    assert best.replace("\ud800", "\\ud800") + "\n" in printed
+    assert json.loads((out / "run_meta.json").read_text(encoding="utf-8"))["status"] == "complete"
 
 
 # Fields whose check a value derived from the default would fail.

@@ -9,7 +9,6 @@ import tracemalloc
 from collections import Counter
 from contextlib import nullcontext
 from pathlib import Path
-from types import SimpleNamespace
 
 import pytest
 from hypothesis import example, given
@@ -158,48 +157,18 @@ _TEXT = st.text(
     st.one_of(st.characters(exclude_categories=()), st.sampled_from(_SPECIAL_CHARS)),
     max_size=40,
 )
+_INT = st.one_of(st.integers(), st.integers(min_value=-(2**80), max_value=2**80))
 _NUMBER = st.one_of(
-    st.integers(),
-    st.integers(min_value=-(2**80), max_value=2**80),
+    _INT,
     st.floats(),
     st.sampled_from([-0.0, 0.0, 1e-7, 1e16, 1e22, 0.1, 2.5e-324, float("nan"), float("inf")]),
 )
-# Values the line writer sends to the generic encoder.
+# Values that json writes in forms of their own, allowed in any field.
 _OTHER = st.one_of(st.booleans(), st.none(), st.sampled_from([float("-inf")]))
 
 
-@given(
-    strings=st.lists(st.one_of(_TEXT, _OTHER), min_size=4, max_size=4),
-    numbers=st.lists(st.one_of(_NUMBER, _OTHER), min_size=4, max_size=4),
-)
-def test_transcript_line_equals_json_dumps(strings, numbers) -> None:
-    digest, prompt, text, role = strings
-    latency, max_tokens, index, temperature = numbers
-    # Stand-ins, so that every field, the digest included, can take any value.
-    req = SimpleNamespace(
-        digest=digest,
-        role_tag=role,
-        rendered_prompt=prompt,
-        temperature=temperature,
-        max_tokens=max_tokens,
-        request_index=index,
-    )
-    resp = SimpleNamespace(text=text, latency_s=latency)
-    row = {
-        "digest": digest,
-        "role_tag": role,
-        "rendered_prompt": prompt,
-        "temperature": temperature,
-        "max_tokens": max_tokens,
-        "request_index": index,
-        "response_text": text,
-        "latency_s": latency,
-    }
-    assert transcript_line(req, resp) == json.dumps(row, sort_keys=True)
-
-
 class _Int(int):
-    """An ``int`` subclass, which the line writer sends to the generic encoder."""
+    """An ``int`` subclass, which ``Transcript.save`` hands to ``transcript_line``."""
 
 
 # Values that compare equal in Python but render differently (0, 0.0, -0.0,
@@ -210,15 +179,20 @@ _LOOKALIKES = [0, 0.0, -0.0, False, True, 1, _Int(1), float("nan"), 0.7, 16, 512
 # A prompt or response text: any text, text that holds lone surrogates (a
 # JSON ``\ud800`` escape decodes to one), or a value that is not a str.
 _TEXTS = st.one_of(
-    st.text(max_size=20),
+    _TEXT,
     st.lists(
         st.one_of(st.characters(), st.sampled_from(["\ud800", "\udbff", "\udc00", "\udfff"])),
         max_size=8,
     ).map("".join),
-    st.none(),
-    st.integers(),
+    _NUMBER,
+    _OTHER,
     st.integers().map(_Int),
 )
+# A number field: any number, an equal-looking shared object, or another value.
+_NUMBERS = st.one_of(_NUMBER, st.sampled_from(_LOOKALIKES), _OTHER)
+
+
+_NON_FINITE = [float("inf"), float("nan"), float("-inf")]
 
 
 def _lookalike_runs() -> list:
@@ -230,18 +204,21 @@ def _lookalike_runs() -> list:
 
 
 @example(runs=_lookalike_runs())
+# Non-finite latencies among entries that save would otherwise write itself.
+@example(runs=[("task_eval", 0.0, 16, [("p", i, "a", x) for i, x in enumerate(_NON_FINITE)])])
 @given(
     runs=st.lists(
         st.tuples(
-            st.sampled_from(ROLE_TAGS),
-            st.sampled_from(_LOOKALIKES),  # temperature
-            st.sampled_from(_LOOKALIKES),  # max_tokens
+            st.one_of(st.sampled_from(ROLE_TAGS), _TEXT, _OTHER),  # role
+            _NUMBERS,  # temperature
+            _NUMBERS,  # max_tokens
             st.lists(
-                st.tuples(
-                    _TEXTS,  # prompt
-                    st.one_of(st.integers(), st.sampled_from(_LOOKALIKES)),  # index
-                    _TEXTS,  # response text
-                    st.one_of(st.floats(), st.sampled_from(_LOOKALIKES)),  # latency
+                st.one_of(
+                    # (prompt, index, response text, latency) of the types
+                    # that save writes itself, non-finite floats included ...
+                    st.tuples(_TEXT, _INT, _TEXT, st.floats()),
+                    # ... or of any type.
+                    st.tuples(_TEXTS, _NUMBERS, _TEXTS, _NUMBERS),
                 ),
                 min_size=1,
                 max_size=4,
@@ -251,17 +228,30 @@ def _lookalike_runs() -> list:
     )
 )
 def test_transcript_save_equals_transcript_line_per_entry(tmp_path_factory, runs) -> None:
-    entries = [
-        (
-            LlmRequest(role, prompt, temperature, max_tokens, index),
-            LlmResponse(text, latency),
-        )
-        for role, temperature, max_tokens, rows in runs
-        for prompt, index, text, latency in rows
-    ]
+    # Each line must be json.dumps of its row, whichever of save's paths
+    # writes it: the inlined one, or transcript_line for a value that is not
+    # a str, a plain int or a finite float.
+    entries = []
+    expected = ""
+    for role, temperature, max_tokens, rows in runs:
+        for prompt, index, text, latency in rows:
+            entries.append((
+                LlmRequest(role, prompt, temperature, max_tokens, index),
+                LlmResponse(text, latency),
+            ))
+            row = {
+                "digest": request_digest(role, prompt),
+                "role_tag": role,
+                "rendered_prompt": prompt,
+                "temperature": temperature,
+                "max_tokens": max_tokens,
+                "request_index": index,
+                "response_text": text,
+                "latency_s": latency,
+            }
+            expected += json.dumps(row, sort_keys=True) + "\n"
     path = tmp_path_factory.mktemp("save") / "transcript.jsonl"
     Transcript(entries=entries).save(path)
-    expected = "".join(transcript_line(req, resp) + "\n" for req, resp in entries)
     assert path.read_bytes() == expected.encode("utf-8")
 
 
