@@ -10,11 +10,10 @@ environment supplies only the API key (PROMPTOPT_API_KEY or OPENAI_API_KEY).
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import sys
 import typing
-from dataclasses import asdict, fields
+from dataclasses import MISSING, asdict, fields
 from pathlib import Path
 
 from . import artifact
@@ -27,6 +26,7 @@ from .gateway import (
     ReplayBackend,
     ScriptedBackend,
     Transcript,
+    check_timeout,
 )
 from .gradients import TemplateSet
 from .model import (
@@ -120,9 +120,11 @@ def _on_off(raw: str) -> bool:
 
 
 def read_config_file(path: str | Path):
-    """Parse the INI config into (run overrides, bandit overrides, dataset, gateway, extra).
+    """Parse the INI config into (run, bandit, dataset, gateway), each section as read.
 
-    ``extra`` holds ``[run]``'s seed_prompt or seed_prompt_file, never both.
+    ``dataset`` is the :class:`DatasetSpec` of ``[dataset]``, or None; the others are dicts of
+    typed values. ``[run]`` sets seed_prompt or seed_prompt_file, not both, and a ``[gateway]``
+    ``timeout_s`` is checked whichever backend runs.
     """
     import configparser
 
@@ -148,27 +150,21 @@ def read_config_file(path: str | Path):
         types = {**_field_types(cls, skip), **dict.fromkeys(extra_keys, str)}
         items = parser.items(name) if parser.has_section(name) else []
         values[name] = {key: _coerce(name, types, key, raw) for key, raw in items}
-    run_overrides, bandit_overrides, dataset_section, gateway_section = values.values()
-    extra = {key: run_overrides.pop(key) for key in _SECTIONS["run"][2] if key in run_overrides}
-    if len(extra) > 1:
+    run_section, bandit_section, dataset_section, gateway_section = values.values()
+    if "seed_prompt" in run_section and "seed_prompt_file" in run_section:
         raise ConfigError("[run] sets both seed_prompt and seed_prompt_file; keep one")
-
-    dataset = None
-    if parser.has_section("dataset"):
-        if "path" not in dataset_section:
-            raise ConfigError("[dataset] missing key 'path'")
-        if not dataset_section["path"]:
-            raise ConfigError("[dataset] path is empty")
-        dataset = DatasetSpec(**dataset_section)
-    timeout_s = gateway_section.get("timeout_s")
-    # The HTTP client refuses such a timeout on every attempt, which the live
-    # backend would retry as a transport error.
-    if timeout_s is not None and not (math.isfinite(timeout_s) and timeout_s > 0):
-        raise ConfigError(f"[gateway] timeout_s: expected a finite number > 0, got {timeout_s}")
-    return run_overrides, bandit_overrides, dataset, gateway_section, extra
+    # A field with neither a default nor a default factory is a key its section needs.
+    for name, (cls, _, _) in _SECTIONS.items():
+        for key in (f.name for f in fields(cls) if f.default is f.default_factory is MISSING):
+            if parser.has_section(name) and key not in values[name]:
+                raise ConfigError(f"[{name}] missing key {key!r}")
+    dataset = DatasetSpec(**dataset_section) if parser.has_section("dataset") else None
+    if "timeout_s" in gateway_section:
+        check_timeout(gateway_section["timeout_s"])
+    return run_section, bandit_section, dataset, gateway_section
 
 
-def build_run_config(args, run_overrides: dict, bandit_overrides: dict) -> RunConfig:
+def build_run_config(args, run_section: dict, bandit_section: dict) -> RunConfig:
     """One :class:`RunConfig` from the file's values, then the ``--mode`` preset, then the flags.
 
     Each flag is stored under the name of the :class:`RunConfig` field it
@@ -176,38 +172,27 @@ def build_run_config(args, run_overrides: dict, bandit_overrides: dict) -> RunCo
     checked once, when the config is built, so a file value that a flag
     overrides is never checked on its own.
     """
-    values = dict(run_overrides)
+    values = {f.name: run_section[f.name] for f in fields(RunConfig) if f.name in run_section}
     if getattr(args, "mode", None):
         forced, defaults = _MODE_PRESETS[args.mode]
         values = {**defaults, **values, **forced}
     flags = {name: value for name, value in vars(args).items() if value is not None}
     values.update((f.name, flags[f.name]) for f in fields(RunConfig) if f.name in flags)
-    return RunConfig(bandit=BanditConfig(**bandit_overrides), **values)
+    return RunConfig(bandit=BanditConfig(**bandit_section), **values)
 
 
 def _load_split(dataset: DatasetSpec | None, cfg: RunConfig):
     if dataset is None:
         raise ConfigError("config file has no [dataset] section")
     examples = load(dataset.path, dataset.format, dataset.task_type)
-    label_set = dataset.label_set or None
-    split = make_split(
+    return examples, make_split(
         examples,
         cfg.test_set_size,
         cfg.rng_seed,
         task_type=dataset.task_type,
         positive_label=dataset.positive_label,
-        label_set=label_set,
+        label_set=dataset.label_set,
     )
-    # F1 counts hits on the positive label, compared case-insensitively as the
-    # scorer does; with any other label every score would read 0.0.
-    if split.task_type == "classification" and split.positive_label.lower() not in {
-        lb.lower() for lb in split.label_set
-    }:
-        raise DatasetError(
-            f"positive_label {split.positive_label!r} is not one of the labels "
-            f"{', '.join(split.label_set)}"
-        )
-    return examples, split
 
 
 # The backend names that --backend and [gateway] backend accept.
@@ -226,10 +211,6 @@ def build_gateway(args, gateway_section: dict, cfg: RunConfig, examples, split) 
             raise ConfigError("replay backend needs --transcript PATH")
         backend = ReplayBackend(Transcript.load(transcript_path))
     elif backend_name == "live":
-        base_url = gateway_section.get("base_url")
-        model = gateway_section.get("model")
-        if not base_url or not model:
-            raise ConfigError("[gateway] base_url and model are required for the live backend")
         api_key = os.environ.get("PROMPTOPT_API_KEY") or os.environ.get("OPENAI_API_KEY", "")
         # Only the fields the file sets, so LiveConfig's defaults fill the rest.
         settings = {f.name: gateway_section[f.name] for f in fields(LiveConfig) if f.name in gateway_section}
@@ -248,11 +229,11 @@ def _make_dir(path: Path, what: str) -> Path:
     return path
 
 
-def _seed_prompt_text(extra: dict) -> str:
-    if "seed_prompt_file" in extra:
-        return read_text(extra["seed_prompt_file"], "seed prompt file")
-    if "seed_prompt" in extra:
-        return extra["seed_prompt"]
+def _seed_prompt_text(run_section: dict) -> str:
+    if "seed_prompt_file" in run_section:
+        return read_text(run_section["seed_prompt_file"], "seed prompt file")
+    if "seed_prompt" in run_section:
+        return run_section["seed_prompt"]
     raise ConfigError("config needs [run] seed_prompt or seed_prompt_file")
 
 
@@ -266,10 +247,10 @@ def _say(line: str) -> None:
 
 
 def cmd_optimize(args) -> int:
-    run_overrides, bandit_overrides, dataset, gateway_section, extra = read_config_file(args.config)
-    cfg = build_run_config(args, run_overrides, bandit_overrides)
+    run_section, bandit_section, dataset, gateway_section = read_config_file(args.config)
+    cfg = build_run_config(args, run_section, bandit_section)
     examples, split = _load_split(dataset, cfg)
-    seed = new_seed_prompt(_seed_prompt_text(extra))
+    seed = new_seed_prompt(_seed_prompt_text(run_section))
     gateway = build_gateway(args, gateway_section, cfg, examples, split)
     templates = TemplateSet.from_dir(args.templates) if args.templates else None
     method = args.mode or "mapo"
@@ -313,8 +294,8 @@ def cmd_optimize(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    run_overrides, bandit_overrides, dataset, gateway_section, _ = read_config_file(args.config)
-    cfg = build_run_config(args, run_overrides, bandit_overrides)
+    run_section, bandit_section, dataset, gateway_section = read_config_file(args.config)
+    cfg = build_run_config(args, run_section, bandit_section)
     prompt = new_seed_prompt(read_text(args.prompt_file, "prompt file"))
     examples, split = _load_split(dataset, cfg)
     gateway = build_gateway(args, gateway_section, cfg, examples, split)

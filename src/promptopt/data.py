@@ -49,7 +49,7 @@ class DatasetSplit(NamedTuple):
 
 @dataclass(frozen=True)
 class DatasetSpec:
-    """Descriptor naming a dataset file and how to interpret it."""
+    """Descriptor naming a dataset file and how to interpret it; a bad value is a :class:`ConfigError`."""
 
     path: str
     format: str = "tsv"
@@ -59,6 +59,8 @@ class DatasetSpec:
 
     def __post_init__(self) -> None:
         # A typo in the config is a config error, found before the file is opened.
+        if not self.path:
+            raise ConfigError("[dataset] path is empty")
         if self.format not in FORMATS:
             raise ConfigError(f"[dataset] format: expected one of {FORMATS}, got {self.format!r}")
         if self.task_type not in TASK_TYPES:
@@ -192,8 +194,9 @@ def make_split(
 ) -> DatasetSplit:
     """Draw the test set uniformly without replacement; the rest is train.
 
-    Without a ``label_set``, a classification split takes its labels from the
-    examples; a math split has none.
+    Without a ``label_set`` (None or empty), a classification split takes its labels from the
+    examples; a math split has none. A classification ``positive_label`` that is none of the
+    labels (compared case-insensitively, as F1 counts it) raises :class:`DatasetError`.
     """
     if len(examples) <= test_set_size:
         raise DatasetError(
@@ -203,8 +206,12 @@ def make_split(
     test_ids = set(rng.sample([ex.id for ex in examples], test_set_size))
     test = tuple(ex for ex in examples if ex.id in test_ids)
     train = tuple(ex for ex in examples if ex.id not in test_ids)
-    if label_set is None:
+    if not label_set:
         label_set = sorted({ex.label for ex in examples}) if task_type == "classification" else ()
+    if task_type == "classification" and positive_label.lower() not in map(str.lower, label_set):
+        raise DatasetError(
+            f"positive_label {positive_label!r} is not one of the labels {', '.join(label_set)}"
+        )
     return DatasetSplit(
         train=train,
         test=test,

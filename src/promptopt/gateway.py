@@ -151,14 +151,17 @@ class Transcript:
         property test pins the two to each other. The fields that a run
         of consecutive entries shares (``role_tag``, ``temperature`` and
         ``max_tokens``, and the ``role_tag`` line that starts the digest's
-        input) are rendered by ``json.dumps`` once per distinct three
-        objects, and looked up once per run. Both go by identity, not
-        equality: ``0``, ``0.0``, ``-0.0`` and ``False`` compare equal but
-        render differently.
+        input) are looked up once per run, by the three objects' identity,
+        and three objects not seen before by each value's type and ``repr``.
+        So ``json.dumps`` renders each distinct three values once, also for
+        a transcript just read by :meth:`load`, whose every line decoded to
+        objects of its own. Neither lookup goes by equality: ``0``, ``0.0``,
+        ``-0.0`` and ``False`` compare equal but render differently.
         """
         run_role = run_temperature = run_max_tokens = _UNSET
         # Keyed by the objects' ids, which stay unique while the entries hold them.
         rendered: dict[tuple[int, int, int], tuple[str, str, str]] = {}
+        by_value: dict[tuple, tuple[str, str, str]] = {}
         dumps = json.dumps
         sha256 = hashlib.sha256
         inf = math.inf
@@ -173,14 +176,21 @@ class Transcript:
                 ):
                     run_role, run_temperature, run_max_tokens = role_tag, temperature, max_tokens
                     key = (id(role_tag), id(temperature), id(max_tokens))
-                    if key not in rendered:
-                        rendered[key] = (
-                            f"{role_tag}\n",
-                            f', "max_tokens": {dumps(max_tokens, sort_keys=True)}, "rendered_prompt": ',
-                            f', "role_tag": {dumps(role_tag, sort_keys=True)}, '
-                            f'"temperature": {dumps(temperature, sort_keys=True)}}}\n',
+                    parts = rendered.get(key)
+                    if parts is None:
+                        value = (
+                            type(role_tag), repr(role_tag), type(temperature), repr(temperature),
+                            type(max_tokens), repr(max_tokens),
                         )
-                    digest_head, middle, tail = rendered[key]
+                        parts = by_value.get(value)
+                        if parts is None:
+                            parts = by_value[value] = rendered[key] = (
+                                f"{role_tag}\n",
+                                f', "max_tokens": {dumps(max_tokens, sort_keys=True)}, "rendered_prompt": ',
+                                f', "role_tag": {dumps(role_tag, sort_keys=True)}, '
+                                f'"temperature": {dumps(temperature, sort_keys=True)}}}\n',
+                            )
+                    digest_head, middle, tail = parts
                 text, latency = resp
                 # An entry with a field that is not a str, a plain int or a
                 # finite float takes the reference line.
@@ -355,12 +365,25 @@ class RetryPolicy(NamedTuple):
         return min(raw, self.max_delay_s)
 
 
+def check_timeout(timeout_s: float) -> None:
+    """:class:`ConfigError` unless ``timeout_s`` is a finite number above 0, which the HTTP client needs."""
+    if not (math.isfinite(timeout_s) and timeout_s > 0):
+        raise ConfigError(f"[gateway] timeout_s: expected a finite number > 0, got {timeout_s}")
+
+
 @dataclass(frozen=True)
 class LiveConfig:
-    base_url: str
-    model: str
+    """The live backend's endpoint; an empty ``base_url`` or ``model`` or a bad ``timeout_s`` is refused."""
+
+    base_url: str = ""
+    model: str = ""
     api_key: str = ""
     timeout_s: float = 60.0
+
+    def __post_init__(self) -> None:
+        if not self.base_url or not self.model:
+            raise ConfigError("[gateway] base_url and model are required for the live backend")
+        check_timeout(self.timeout_s)
 
 
 def _requests_transport(url: str, headers: dict, payload: dict, timeout: float):

@@ -250,11 +250,8 @@ class RunConfig:
 
 
 def new_seed_prompt(text: str) -> Prompt:
-    """Build the round-0 seed prompt (id 0, no parent, no scores)."""
-    trimmed = text.strip()
-    if not trimmed:
-        raise EmptyPromptError("seed prompt text is empty after trimming")
-    return Prompt(id=0, text=trimmed, round=0)
+    """Round-0 seed prompt (id 0, no parent) of ``text``, trimmed; :class:`Prompt` refuses blank text."""
+    return Prompt(id=0, text=text.strip(), round=0)
 
 
 class PromptStore:

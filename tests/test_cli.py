@@ -63,11 +63,11 @@ def config_file(tmp_path) -> Path:
 
 
 def test_read_config_file_sections(config_file) -> None:
-    run_overrides, bandit_overrides, dataset, gateway_section, extra = read_config_file(config_file)
-    assert run_overrides["beam_width"] == 2
-    assert bandit_overrides == {"time_steps": 8, "sample_size": 4}
+    run_section, bandit_section, dataset, gateway_section = read_config_file(config_file)
+    assert run_section["beam_width"] == 2
+    assert bandit_section == {"time_steps": 8, "sample_size": 4}
     assert dataset.positive_label == "Yes"
-    assert extra["seed_prompt"].startswith("Decide whether")
+    assert run_section["seed_prompt"].startswith("Decide whether")
     assert gateway_section == {}
 
 
@@ -786,7 +786,7 @@ def test_every_config_field_round_trips_through_ini(tmp_path) -> None:
     sections = {"run": _changed_fields(RunConfig), "bandit": _changed_fields(BanditConfig)}
     file = tmp_path / "all.ini"
     file.write_text(_ini_text(sections), encoding="utf-8")
-    run_overrides, bandit_overrides, _, _, _ = read_config_file(file)
+    run_overrides, bandit_overrides, _, _ = read_config_file(file)
 
     def typed(values: dict) -> dict:
         return {key: (type(value), value) for key, value in values.items()}
@@ -803,7 +803,7 @@ def test_every_config_field_reaches_the_built_config(tmp_path) -> None:
     }
     file = tmp_path / "all.ini"
     file.write_text(_ini_text(sections), encoding="utf-8")
-    run_overrides, bandit_overrides, dataset, _, _ = read_config_file(file)
+    run_overrides, bandit_overrides, dataset, _ = read_config_file(file)
     cfg = build_run_config(argparse.Namespace(), run_overrides, bandit_overrides)
     built = {"run": cfg, "bandit": cfg.bandit, "dataset": dataset}
     for name, values in sections.items():
@@ -1057,7 +1057,7 @@ def test_read_config_file_strips_inline_comments(tmp_path) -> None:
         "search_depth = 6            # beam search rounds\n",
         encoding="utf-8",
     )
-    run_overrides, _, _, _, _ = read_config_file(file)
+    run_overrides, _, _, _ = read_config_file(file)
     assert run_overrides == {"beam_width": 4, "search_depth": 6}
 
 
@@ -1069,9 +1069,8 @@ def test_read_config_file_keeps_the_math_marker_in_a_seed_prompt(tmp_path) -> No
         "beam_width = 4 # a comment still goes\n",
         encoding="utf-8",
     )
-    run_overrides, _, _, _, extra = read_config_file(file)
-    assert extra == {"seed_prompt": "Work it out. End with #### <number>."}
-    assert run_overrides == {"beam_width": 4}
+    run_section = read_config_file(file)[0]
+    assert run_section == {"seed_prompt": "Work it out. End with #### <number>.", "beam_width": 4}
 
 
 # One-line seed prompts built from pieces that hold "#", ";" and "%".
@@ -1097,8 +1096,7 @@ def test_read_config_file_reads_a_seed_prompt_without_a_spaced_comment_mark_whol
 ) -> None:
     file = tmp_path_factory.mktemp("ini") / "prompt.ini"
     file.write_text(f"[run]\nseed_prompt = {text}\n", encoding="utf-8")
-    _, _, _, _, extra = read_config_file(file)
-    assert extra == {"seed_prompt": text}
+    assert read_config_file(file)[0] == {"seed_prompt": text}
 
 
 def test_optimize_missing_template_dir_is_config_error(config_file, tmp_path) -> None:

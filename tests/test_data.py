@@ -4,8 +4,10 @@ import json
 
 import pytest
 
+from promptopt import ConfigError
 from promptopt.data import (
     DatasetError,
+    DatasetSpec,
     Example,
     load,
     make_split,
@@ -155,7 +157,7 @@ def test_load_trims_labels_only(tmp_path) -> None:
 
 def test_make_split_sizes_and_disjointness() -> None:
     examples = toy_examples(1000)
-    split = make_split(examples, 200, seed=7)
+    split = make_split(examples, 200, seed=7, positive_label="Yes")
     assert len(split.test) == 200
     assert len(split.train) == 800
     assert not {e.id for e in split.test} & {e.id for e in split.train}
@@ -163,7 +165,7 @@ def test_make_split_sizes_and_disjointness() -> None:
 
 def test_make_split_boundary_and_error() -> None:
     examples = toy_examples(201)
-    split = make_split(examples, 200, seed=1)
+    split = make_split(examples, 200, seed=1, positive_label="Yes")
     assert len(split.train) == 1
     with pytest.raises(DatasetError, match="too small"):
         make_split(toy_examples(100), 200, seed=1)
@@ -171,34 +173,53 @@ def test_make_split_boundary_and_error() -> None:
 
 def test_make_split_is_seed_deterministic() -> None:
     examples = toy_examples(300)
-    a = make_split(examples, 50, seed=9)
-    b = make_split(examples, 50, seed=9)
-    c = make_split(examples, 50, seed=10)
+    a = make_split(examples, 50, seed=9, positive_label="Yes")
+    b = make_split(examples, 50, seed=9, positive_label="Yes")
+    c = make_split(examples, 50, seed=10, positive_label="Yes")
     assert [e.id for e in a.test] == [e.id for e in b.test]
     assert [e.id for e in a.test] != [e.id for e in c.test]
 
 
 def test_make_split_infers_label_set() -> None:
-    split = make_split(toy_examples(30), 5, seed=0)
+    split = make_split(toy_examples(30), 5, seed=0, positive_label="Yes")
     assert split.label_set == ("No", "Yes")
+    assert make_split(toy_examples(30), 5, seed=0, positive_label="Yes", label_set=()) == split
+
+
+@pytest.mark.parametrize("label_set", [None, (), ("No", "Yes")])
+def test_make_split_refuses_a_positive_label_outside_the_labels(label_set) -> None:
+    # F1 counts hits on the positive label, so with any other every score would read 0.0.
+    message = "positive_label 'Maybe' is not one of the labels No, Yes"
+    with pytest.raises(DatasetError, match=f"^{message}$"):
+        make_split(toy_examples(30), 5, seed=0, positive_label="Maybe", label_set=label_set)
+    with pytest.raises(DatasetError, match="positive_label '' is not one of the labels"):
+        make_split(toy_examples(30), 5, seed=0, label_set=label_set)
+    # Compared case-insensitively, as the scorer compares labels.
+    split = make_split(toy_examples(30), 5, seed=0, positive_label="yes", label_set=label_set)
+    assert split.positive_label == "yes"
+
+
+def test_dataset_spec_refuses_an_empty_path() -> None:
+    with pytest.raises(ConfigError, match=r"^\[dataset\] path is empty$"):
+        DatasetSpec(path="")
 
 
 def test_sample_minibatch_distinct_when_train_large() -> None:
-    split = make_split(toy_examples(900), 100, seed=3)
+    split = make_split(toy_examples(900), 100, seed=3, positive_label="Yes")
     batch = sample_minibatch(split, 64, seed=3, round_index=1)
     assert len(batch) == 64
     assert len({e.id for e in batch}) == 64
 
 
 def test_sample_minibatch_with_replacement_when_train_small() -> None:
-    split = make_split(toy_examples(12), 2, seed=3)
+    split = make_split(toy_examples(12), 2, seed=3, positive_label="Yes")
     batch = sample_minibatch(split, 64, seed=3, round_index=1)
     assert len(batch) == 64
     assert {e.id for e in batch} <= {e.id for e in split.train}
 
 
 def test_sample_minibatch_streams_by_round() -> None:
-    split = make_split(toy_examples(900), 100, seed=3)
+    split = make_split(toy_examples(900), 100, seed=3, positive_label="Yes")
     again = sample_minibatch(split, 64, seed=3, round_index=1)
     first = sample_minibatch(split, 64, seed=3, round_index=1)
     second = sample_minibatch(split, 64, seed=3, round_index=2)

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import math
 import random
 import re
 import socket
@@ -32,6 +33,7 @@ from promptopt.gateway import (
     request_digest,
     transcript_line,
 )
+from promptopt.model import ConfigError
 from promptopt.scripted import ScriptExhaustedError
 from promptopt.search import run
 
@@ -253,6 +255,38 @@ def test_transcript_save_equals_transcript_line_per_entry(tmp_path_factory, runs
     path = tmp_path_factory.mktemp("save") / "transcript.jsonl"
     Transcript(entries=entries).save(path)
     assert path.read_bytes() == expected.encode("utf-8")
+
+
+def test_transcript_save_of_a_loaded_transcript_renders_each_shared_value_once(
+    tmp_path, monkeypatch
+) -> None:
+    # Every line of a loaded transcript decodes to objects of its own, so the
+    # shared fields are found by value: json.dumps renders each of role_tag,
+    # temperature and max_tokens once per distinct triple, not once per entry.
+    entries = []
+    for temperature in (0.0, 0.7):
+        for role in ("task_eval", "gradient_gen", "prompt_edit") * 20:
+            i = len(entries)
+            request = LlmRequest(role, f"prompt {i}", temperature, DEFAULT_MAX_TOKENS[role], i)
+            entries.append((request, LlmResponse(f"answer {i}", 0.25)))
+    recorded = tmp_path / "recorded.jsonl"
+    Transcript(entries=entries).save(recorded)
+    loaded = Transcript.load(recorded)
+    triples = {(req.role_tag, req.temperature, req.max_tokens) for req, _ in loaded.entries}
+    dumps = json.dumps
+    rendered = []
+
+    def counting_dumps(*args, **kwargs):
+        rendered.append(args[0])
+        return dumps(*args, **kwargs)
+
+    monkeypatch.setattr(json, "dumps", counting_dumps)
+    saved = tmp_path / "saved.jsonl"
+    loaded.save(saved)
+    monkeypatch.undo()
+    assert saved.read_bytes() == recorded.read_bytes()
+    assert len(triples) == 6
+    assert len(rendered) <= 3 * len(triples)
 
 
 def test_transcript_save_memory_stays_bounded(tmp_path) -> None:
@@ -896,6 +930,27 @@ def _live_gateway(transport, max_attempts=3, temperature=0.0):
         sleep=lambda s: None,
     )
     return Gateway(backend, temperature)
+
+
+@pytest.mark.parametrize(
+    "settings",
+    [
+        {"base_url": "", "model": "test-model"},
+        {"base_url": "https://llm.example/v1", "model": ""},
+        {"model": "test-model"},
+        *(
+            {"base_url": "https://llm.example/v1", "model": "m", "timeout_s": timeout_s}
+            for timeout_s in (0, -1, math.nan, math.inf)
+        ),
+    ],
+)
+def test_live_config_refuses_a_bad_value_before_any_attempt(settings) -> None:
+    attempts = []
+    message = r"^\[gateway\] (base_url and model are required|timeout_s: expected a finite number > 0)"
+    with pytest.raises(ConfigError, match=message):
+        gw = Gateway(LiveBackend(LiveConfig(**settings), transport=attempts.append, sleep=attempts.append))
+        call(gw, "task_eval", "the prompt")
+    assert attempts == []
 
 
 def _ok_body(text: str) -> str:
