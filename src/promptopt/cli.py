@@ -13,7 +13,7 @@ import argparse
 import os
 import sys
 import typing
-from dataclasses import MISSING, asdict, fields
+from dataclasses import asdict, fields
 from pathlib import Path
 
 from . import artifact
@@ -153,12 +153,11 @@ def read_config_file(path: str | Path):
     run_section, bandit_section, dataset_section, gateway_section = values.values()
     if "seed_prompt" in run_section and "seed_prompt_file" in run_section:
         raise ConfigError("[run] sets both seed_prompt and seed_prompt_file; keep one")
-    # A field with neither a default nor a default factory is a key its section needs.
-    for name, (cls, _, _) in _SECTIONS.items():
-        for key in (f.name for f in fields(cls) if f.default is f.default_factory is MISSING):
-            if parser.has_section(name) and key not in values[name]:
-                raise ConfigError(f"[{name}] missing key {key!r}")
-    dataset = DatasetSpec(**dataset_section) if parser.has_section("dataset") else None
+    dataset = None
+    if parser.has_section("dataset"):
+        if "path" not in dataset_section:
+            raise ConfigError("[dataset] missing key 'path'")
+        dataset = DatasetSpec(**dataset_section)
     if "timeout_s" in gateway_section:
         check_timeout(gateway_section["timeout_s"])
     return run_section, bandit_section, dataset, gateway_section

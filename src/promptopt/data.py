@@ -196,7 +196,8 @@ def make_split(
 
     Without a ``label_set`` (None or empty), a classification split takes its labels from the
     examples; a math split has none. A classification ``positive_label`` that is none of the
-    labels (compared case-insensitively, as F1 counts it) raises :class:`DatasetError`.
+    labels (compared case-insensitively, as F1 counts it) raises :class:`DatasetError`, so the
+    default ``positive_label`` of ``""`` suits only a math split, which scores no label.
     """
     if len(examples) <= test_set_size:
         raise DatasetError(

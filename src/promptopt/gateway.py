@@ -151,17 +151,15 @@ class Transcript:
         property test pins the two to each other. The fields that a run
         of consecutive entries shares (``role_tag``, ``temperature`` and
         ``max_tokens``, and the ``role_tag`` line that starts the digest's
-        input) are looked up once per run, by the three objects' identity,
-        and three objects not seen before by each value's type and ``repr``.
-        So ``json.dumps`` renders each distinct three values once, also for
-        a transcript just read by :meth:`load`, whose every line decoded to
-        objects of its own. Neither lookup goes by equality: ``0``, ``0.0``,
-        ``-0.0`` and ``False`` compare equal but render differently.
+        input) are looked up once per run, by each value's type and
+        ``repr``, so ``json.dumps`` renders each distinct three values once,
+        also for a transcript just read by :meth:`load`, whose every line
+        decoded to objects of its own. The lookup does not go by equality:
+        ``0``, ``0.0``, ``-0.0`` and ``False`` compare equal but render
+        differently.
         """
         run_role = run_temperature = run_max_tokens = _UNSET
-        # Keyed by the objects' ids, which stay unique while the entries hold them.
-        rendered: dict[tuple[int, int, int], tuple[str, str, str]] = {}
-        by_value: dict[tuple, tuple[str, str, str]] = {}
+        rendered: dict[tuple, tuple[str, str, str]] = {}
         dumps = json.dumps
         sha256 = hashlib.sha256
         inf = math.inf
@@ -175,21 +173,18 @@ class Transcript:
                     or max_tokens is not run_max_tokens
                 ):
                     run_role, run_temperature, run_max_tokens = role_tag, temperature, max_tokens
-                    key = (id(role_tag), id(temperature), id(max_tokens))
+                    key = (
+                        type(role_tag), repr(role_tag), type(temperature), repr(temperature),
+                        type(max_tokens), repr(max_tokens),
+                    )
                     parts = rendered.get(key)
                     if parts is None:
-                        value = (
-                            type(role_tag), repr(role_tag), type(temperature), repr(temperature),
-                            type(max_tokens), repr(max_tokens),
+                        parts = rendered[key] = (
+                            f"{role_tag}\n",
+                            f', "max_tokens": {dumps(max_tokens, sort_keys=True)}, "rendered_prompt": ',
+                            f', "role_tag": {dumps(role_tag, sort_keys=True)}, '
+                            f'"temperature": {dumps(temperature, sort_keys=True)}}}\n',
                         )
-                        parts = by_value.get(value)
-                        if parts is None:
-                            parts = by_value[value] = rendered[key] = (
-                                f"{role_tag}\n",
-                                f', "max_tokens": {dumps(max_tokens, sort_keys=True)}, "rendered_prompt": ',
-                                f', "role_tag": {dumps(role_tag, sort_keys=True)}, '
-                                f'"temperature": {dumps(temperature, sort_keys=True)}}}\n',
-                            )
                     digest_head, middle, tail = parts
                 text, latency = resp
                 # An entry with a field that is not a str, a plain int or a
