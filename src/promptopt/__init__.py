@@ -31,7 +31,7 @@ from .model import (
     RunConfig,
     new_seed_prompt,
 )
-from .scoring import Prediction, evaluate_prompt, f1, prediction_records
+from .scoring import evaluate_prompt, f1
 from .scripted import HeuristicScript
 from .search import (
     ConvergenceReport,

@@ -33,16 +33,13 @@ RESULT_FILE = "result.json"
 REPORT_FIELDS = ("round", "elapsed_s", "optimize_calls", "eval_calls", "best_test_score")
 
 
-def _dump(payload: Any) -> str:
-    return json.dumps(payload, sort_keys=True)
-
-
 def write_json(path: Path, payload: Any) -> None:
     path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n", encoding="utf-8")
 
 
-def write_jsonl(path: Path, rows: Iterable[Any]) -> None:
-    lines = [row if isinstance(row, str) else _dump(row) for row in rows]
+def write_jsonl(path: Path, rows: Iterable[dict]) -> None:
+    """Write each row as one line of JSON with sorted keys; every JSONL artifact row is written here."""
+    lines = [json.dumps(row, sort_keys=True) for row in rows]
     path.write_text("\n".join(lines) + ("\n" if lines else ""), encoding="utf-8")
 
 

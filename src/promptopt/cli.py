@@ -12,9 +12,9 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-import typing
 from dataclasses import asdict, fields
 from pathlib import Path
+from typing import Sequence
 
 from . import artifact
 from .data import DatasetError, DatasetSpec, load, make_split
@@ -34,6 +34,7 @@ from .model import (
     BanditConfig,
     ConfigError,
     RunConfig,
+    field_types,
     new_seed_prompt,
     read_text,
 )
@@ -69,28 +70,6 @@ _SECTIONS = {
     "dataset": (DatasetSpec, (), ()),
     "gateway": (LiveConfig, ("api_key",), ("backend", "transcript")),
 }
-
-
-def _field_types(cls, skip: tuple[str, ...] = ()) -> dict[str, type]:
-    """Value type of each INI-settable field, read from the dataclass annotations.
-
-    ``model`` postpones its annotations, so they are evaluated here; an
-    optional field such as ``convergence_target: float | None`` takes the
-    type of its non-None member, and ``tuple[str, ...]`` is read as a
-    comma-separated list.
-    """
-    hints = typing.get_type_hints(cls)
-    types = {}
-    for f in fields(cls):
-        if f.name in skip:
-            continue
-        hint = hints[f.name]
-        if typing.get_origin(hint) is tuple:
-            types[f.name] = tuple
-            continue
-        members = [t for t in typing.get_args(hint) if t is not type(None)]
-        types[f.name] = members[0] if members else hint
-    return types
 
 
 def _coerce(section: str, types: dict[str, type], key: str, raw: str):
@@ -147,7 +126,8 @@ def read_config_file(path: str | Path):
 
     values: dict[str, dict] = {}
     for name, (cls, skip, extra_keys) in _SECTIONS.items():
-        types = {**_field_types(cls, skip), **dict.fromkeys(extra_keys, str)}
+        types = {name: kind for name, kind in field_types(cls).items() if name not in skip}
+        types.update(dict.fromkeys(extra_keys, str))
         items = parser.items(name) if parser.has_section(name) else []
         values[name] = {key: _coerce(name, types, key, raw) for key, raw in items}
     run_section, bandit_section, dataset_section, gateway_section = values.values()
@@ -313,7 +293,7 @@ _CURVES = {
 }
 
 
-def _write_csv(path: Path, header: typing.Sequence[str], rows: list[list]) -> None:
+def _write_csv(path: Path, header: Sequence[str], rows: list[list]) -> None:
     import csv
 
     with path.open("w", newline="", encoding="utf-8") as handle:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, NamedTuple, Sequence
 
-from .model import ConfigError, derived_rng, read_text
+from .model import ConfigError, check_field_types, derived_rng, read_text
 
 FORMATS = ("tsv", "jsonl")
 TASK_TYPES = ("classification", "math")
@@ -59,6 +59,7 @@ class DatasetSpec:
 
     def __post_init__(self) -> None:
         # A typo in the config is a config error, found before the file is opened.
+        check_field_types(self, "[dataset] ")
         if not self.path:
             raise ConfigError("[dataset] path is empty")
         if self.format not in FORMATS:

@@ -28,7 +28,7 @@ from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Callable, NamedTuple, Sequence
 
-from .model import ConfigError, check_file
+from .model import ConfigError, check_field_types, check_file
 
 ROLE_TAGS = ("gradient_gen", "prompt_edit", "paraphrase", "task_eval")
 
@@ -368,7 +368,11 @@ def check_timeout(timeout_s: float) -> None:
 
 @dataclass(frozen=True)
 class LiveConfig:
-    """The live backend's endpoint; an empty ``base_url`` or ``model`` or a bad ``timeout_s`` is refused."""
+    """The live backend's endpoint, checked when it is built.
+
+    An empty ``base_url`` or ``model``, a bad ``timeout_s`` or a value not of
+    its field's type raises :class:`ConfigError`.
+    """
 
     base_url: str = ""
     model: str = ""
@@ -376,6 +380,7 @@ class LiveConfig:
     timeout_s: float = 60.0
 
     def __post_init__(self) -> None:
+        check_field_types(self, "[gateway] ")
         if not self.base_url or not self.model:
             raise ConfigError("[gateway] base_url and model are required for the live backend")
         check_timeout(self.timeout_s)

@@ -2,22 +2,24 @@
 
 All value types are immutable; state evolves only by constructing successor
 objects (see :class:`PromptStore`). The records an artifact writes one per
-line (:class:`Prompt`, :class:`Gradient`, :class:`Beam`) are named tuples and
-serialize to a self-describing one-line text record via :func:`to_record`.
+line (:class:`Prompt`, :class:`Gradient`, :class:`Beam`) are named tuples; a
+run writes each as the dict of its fields, tagged with its type.
 Each declares its fields once, and :class:`Checked` runs its ``_check`` on
 every build, ``_make`` and ``_replace`` included. The configuration types
 (:class:`RunConfig`, :class:`BanditConfig`) are frozen dataclasses, because
-the CLI walks their fields; ``__post_init__`` checks them, after
-``dataclasses.replace`` too, so a :class:`RunConfig` that exists is valid. A
-bad configuration value raises :class:`ConfigError`.
+the CLI walks their fields (:func:`field_types`); ``__post_init__`` checks
+them, after ``dataclasses.replace`` too, so a :class:`RunConfig` that exists
+is valid. A bad configuration value, a wrongly typed one included, raises
+:class:`ConfigError`.
 """
 
 from __future__ import annotations
 
-import json
+import functools
 import math
 import random
-from dataclasses import dataclass, field
+import typing
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import NamedTuple
 
@@ -65,6 +67,45 @@ def read_text(path: str | Path, what: str, error: type[Exception] = ConfigError)
         byte = ord(text[exc.start]) - 0xDC00
         raise error(f"{file}:{lineno}: not UTF-8 text (byte 0x{byte:02x})") from None
     return text
+
+
+@functools.cache
+def field_types(cls: type) -> dict[str, type]:
+    """Value type of each field of the dataclass ``cls``, read from its annotations once per class.
+
+    The config modules postpone their annotations, so they are evaluated
+    here; an optional field such as ``convergence_target: float | None``
+    takes the type of its non-None member, and ``tuple[str, ...]`` is
+    ``tuple``.
+    """
+    hints = typing.get_type_hints(cls)
+    types = {}
+    for f in fields(cls):
+        hint = hints[f.name]
+        if typing.get_origin(hint) is tuple:
+            types[f.name] = tuple
+            continue
+        members = [t for t in typing.get_args(hint) if t is not type(None)]
+        types[f.name] = members[0] if members else hint
+    return types
+
+
+def check_field_types(config: object, prefix: str = "") -> None:
+    """Raise :class:`ConfigError` naming the first field of the dataclass ``config`` not of its type.
+
+    Each field's type is the one :func:`field_types` reads. An int is a valid
+    float, a bool is no int or float, and a field whose default is None may be
+    None. The message names the field after ``prefix``.
+    """
+    types = field_types(type(config))
+    for f in fields(config):
+        value, kind = getattr(config, f.name), types[f.name]
+        if value is None and f.default is None:
+            continue
+        if not isinstance(value, (int, float) if kind is float else kind) or (
+            isinstance(value, bool) and kind is not bool
+        ):
+            raise ConfigError(f"{prefix}{f.name}: expected {kind.__name__}, got {value!r:.40}")
 
 
 class EmptyPromptError(ConfigError):
@@ -186,6 +227,7 @@ class BanditConfig:
     exploration: float = 1.0
 
     def __post_init__(self) -> None:
+        check_field_types(self, "bandit.")
         if self.time_steps < 1:
             raise ConfigError("bandit.time_steps must be a positive integer")
         if self.sample_size < 1:
@@ -199,7 +241,8 @@ class RunConfig:
     """Full hyperparameter set for one optimization run.
 
     Every instance holds valid values, however it was built (``replace``
-    included): an out-of-range field raises :class:`ConfigError` naming it.
+    included): a field out of range or not of its type raises
+    :class:`ConfigError` naming it.
     """
 
     beam_width: int = 4
@@ -219,6 +262,7 @@ class RunConfig:
     emit_predictions: bool = False
 
     def __post_init__(self) -> None:
+        check_field_types(self)
         positive_fields = (
             "beam_width",
             "search_depth",
@@ -324,18 +368,3 @@ def derived_rng(seed: int | str, *stream: object) -> random.Random:
     are stable across processes and platforms.
     """
     return random.Random("|".join(str(part) for part in (seed, *stream)))
-
-
-_TYPE_NAMES = {Prompt: "prompt", Gradient: "gradient", Beam: "beam"}
-
-
-def to_record(obj: object) -> str:
-    """Serialize a core type to one self-describing JSON line.
-
-    Every field of these types is a JSON scalar or a tuple of ints, which
-    ``json`` writes as a list.
-    """
-    name = _TYPE_NAMES.get(type(obj))
-    if name is None:
-        raise TypeError(f"{type(obj).__name__} has no record form")
-    return json.dumps({"type": name, **obj._asdict()}, sort_keys=True)

@@ -3,39 +3,12 @@
 from __future__ import annotations
 
 import functools
-import operator
 import re
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Sequence
 
 from .data import DatasetSplit, Example, math_label, parse_math_answer
 from .gateway import Gateway, GatewayError
-from .model import Checked, Prompt
-
-
-class _PredictionFields(NamedTuple):
-    example_id: int
-    raw_output: str
-    parsed_label: str | None
-    correct: bool
-
-
-class Prediction(Checked, _PredictionFields):
-    """One scored answer, as ``predictions.jsonl`` writes it: an immutable named tuple.
-
-    A run makes them through :func:`prediction_records`, only for the test
-    answers of a run with ``emit_predictions``; :func:`evaluate_prompt`
-    builds none.
-
-    Building one, also through ``_make`` and ``_replace``, checks that an
-    unparseable output is not marked correct. ``_asdict()`` gives the fields
-    in declaration order.
-    """
-
-    __slots__ = ()
-
-    def _check(self) -> None:
-        if self.parsed_label is None and self.correct:
-            raise ValueError("an unparseable output cannot be correct")
+from .model import Prompt
 
 
 @functools.lru_cache(maxsize=64)
@@ -72,9 +45,6 @@ def f1(tp: int, fp: int, fn: int) -> float:
     return 2 * tp / (2 * tp + fp + fn)
 
 
-_BY_EXAMPLE_ID = operator.itemgetter(0)
-
-
 def _parser(split: DatasetSplit) -> Callable[[str], str | None]:
     """The task type's answer parser, chosen here only.
 
@@ -106,8 +76,8 @@ def evaluate_prompt(
     classification, where an unparsed answer counts as negative.
 
     Returns the score, the answer texts and whether each answer is correct,
-    both lists in the order of ``examples``. No :class:`Prediction` is built:
-    :func:`prediction_records` makes them from these values.
+    both lists in the order of ``examples``. No row is built:
+    :func:`prediction_rows` makes them from these values.
     """
     if not examples:
         raise ValueError("examples is empty")
@@ -151,13 +121,14 @@ def evaluate_prompt(
     return score, texts, correct
 
 
-def prediction_records(
+def prediction_rows(
+    prompt_id: int,
     examples: Sequence[Example],
     texts: Sequence[str],
     correct: Sequence[bool],
     split: DatasetSplit,
-) -> list[Prediction]:
-    """One :class:`Prediction` per example, ordered by example id.
+) -> list[dict]:
+    """One prompt's ``predictions.jsonl`` rows, one per example, ordered by example id.
 
     ``texts`` and ``correct`` are what :func:`evaluate_prompt` returned for
     ``examples`` and ``split``. Each distinct text is parsed again, once, by
@@ -165,8 +136,9 @@ def prediction_records(
     """
     parse = _parser(split)
     parsed = {text: parse(text) for text in dict.fromkeys(texts)}
-    records = [
-        Prediction(ex.id, text, parsed[text], ok) for ex, text, ok in zip(examples, texts, correct)
+    answers = sorted(zip(examples, texts, correct), key=lambda answer: answer[0].id)
+    return [
+        {"prompt_id": prompt_id, "example_id": ex.id, "raw_output": text,
+         "parsed_label": parsed[text], "correct": ok}
+        for ex, text, ok in answers
     ]
-    records.sort(key=_BY_EXAMPLE_ID)
-    return records

@@ -27,9 +27,8 @@ from .model import (
     PromptStore,
     RunConfig,
     derived_rng,
-    to_record,
 )
-from .scoring import evaluate_prompt, prediction_records
+from .scoring import evaluate_prompt, prediction_rows
 
 
 class RunIncompleteError(GatewayError):
@@ -252,10 +251,7 @@ class _Search:
             score, texts, correct = evaluate_prompt(prompt, test, self.gateway, self.split)
         self.store.set_test_score(prompt.id, score)
         if self.cfg.emit_predictions:
-            self.test_predictions.extend(
-                {"prompt_id": prompt.id, **p._asdict()}
-                for p in prediction_records(test, texts, correct, self.split)
-            )
+            self.test_predictions += prediction_rows(prompt.id, test, texts, correct, self.split)
         return score
 
     def test_event(self, round_index: int, train_best: float | None) -> None:
@@ -305,12 +301,18 @@ def run(
     convergence report. Any abort writes a partial artifact flagged
     incomplete: an unrecoverable gateway failure then raises
     :class:`RunIncompleteError`, and any other exception is re-raised as is.
-    A gateway whose temperature is not ``cfg.temperature`` raises
+    A gateway whose temperature is not ``cfg.temperature``, or a split whose
+    test set does not hold ``cfg.test_set_size`` examples, raises
     :class:`ConfigError` before the artifact directory is made.
     """
     if gateway.temperature != cfg.temperature:
         raise ConfigError(
             f"gateway temperature {gateway.temperature} is not the run's {cfg.temperature}"
+        )
+    if len(split.test) != cfg.test_set_size:
+        raise ConfigError(
+            f"split has {len(split.test)} test examples, "
+            f"not the run's test_set_size {cfg.test_set_size}"
         )
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -401,14 +403,16 @@ def _write_artifact(
         },
     )
     artifact.write_jsonl(out / artifact.EVENTS_FILE, [e._asdict() for e in state.events])
-    artifact.write_jsonl(out / "beams.jsonl", [to_record(b) for b in state.beams])
+    # Each record's row is its fields and its type; json writes a tuple as a
+    # list. Generators, so that each row is dropped once it is encoded.
+    artifact.write_jsonl(out / "beams.jsonl", ({"type": "beam", **b._asdict()} for b in state.beams))
     artifact.write_jsonl(
         out / "prompts.jsonl",
-        [to_record(store.prompts[pid]) for pid in sorted(store.prompts)],
+        ({"type": "prompt", **store.prompts[pid]._asdict()} for pid in sorted(store.prompts)),
     )
     artifact.write_jsonl(
         out / "gradients.jsonl",
-        [to_record(store.gradients[gid]) for gid in sorted(store.gradients)],
+        ({"type": "gradient", **store.gradients[gid]._asdict()} for gid in sorted(store.gradients)),
     )
     artifact.write_json(
         out / "history.json",

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import argparse
+import csv
 import hashlib
 import json
 import os
@@ -884,6 +885,22 @@ def test_report_emits_three_curves_and_comparison(config_file, tmp_path) -> None
     comparison = (report_dir / "comparison.csv").read_text().splitlines()
     assert comparison[0] == "round,mapo,protegi"
     assert len(comparison) == 1 + 3
+
+
+def test_report_names_a_repeated_method_after_its_directory(config_file, tmp_path) -> None:
+    # Two MAPO seeds: the second column is named after its directory, so neither is lost.
+    dirs = [tmp_path / f"seed{seed}" for seed in (1, 2)]
+    for seed, out in enumerate(dirs, start=1):
+        argv = ["optimize", "--config", str(config_file), "--backend", "scripted", "--seed", str(seed)]
+        assert main([*argv, "--out", str(out)]) == EXIT_OK
+    report_dir = tmp_path / "report"
+    assert main(["report", *map(str, dirs), "--out", str(report_dir)]) == EXIT_OK
+    with (report_dir / "comparison.csv").open(newline="", encoding="utf-8") as handle:
+        comparison = list(csv.reader(handle))
+    assert comparison[0] == ["round", "mapo", "mapo_seed2"]
+    for column, out in enumerate(dirs, start=1):
+        events = [json.loads(line) for line in (out / "events.jsonl").read_text().splitlines()]
+        assert [row[column] for row in comparison[1:]] == [str(e["best_test_score"]) for e in events]
 
 
 def test_report_refuses_artifact_dirs_with_the_same_name(config_file, tmp_path, capsys) -> None:

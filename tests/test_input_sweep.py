@@ -4,7 +4,9 @@ Every case starts from a copy of the demo inputs (``demo.ini``, ``demo.tsv``, a
 JSONL copy of it, a template directory, or a transcript recorded from the
 demo) and changes one thing. Each must end in a documented way: exit 0, or a
 refusal with exit 2 (``config error:``) or 3 (``dataset error:``) that prints
-one stderr line, raises no traceback and leaves no artifact directory.
+one stderr line, raises no traceback and leaves no artifact directory;
+``evaluate`` on a replayed transcript that lacks the prompt's answers ends the
+same way with exit 4 (``gateway error:``).
 Hypothesis then draws demo datasets with a few rows mutated, template
 directories, and recorded transcripts with a few lines changed, and holds each
 to the same rule; a replayed transcript that lacks an answer the run asks for
@@ -24,14 +26,19 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from promptopt.cli import EXIT_CONFIG, EXIT_DATASET, EXIT_INCOMPLETE, EXIT_OK, main
+from promptopt.cli import EXIT_CONFIG, EXIT_DATASET, EXIT_GATEWAY, EXIT_INCOMPLETE, EXIT_OK, main
 from promptopt.gradients import _SLOT_RE, TAU_BODY, TemplateSet
 
 DATA = Path(__file__).parent / "data"
 DEMO_INI = (DATA / "demo.ini").read_text(encoding="utf-8")
 DEMO_TSV = (DATA / "demo.tsv").read_text(encoding="utf-8")
 SEED_PROMPT = "Decide whether the statement happened. Answer Yes or No."
-PREFIX = {EXIT_CONFIG: "config error: ", EXIT_DATASET: "dataset error: ", EXIT_INCOMPLETE: "incomplete run: "}
+PREFIX = {
+    EXIT_CONFIG: "config error: ",
+    EXIT_DATASET: "dataset error: ",
+    EXIT_GATEWAY: "gateway error: ",
+    EXIT_INCOMPLETE: "incomplete run: ",
+}
 
 
 def _jsonl(tsv: str) -> str:
@@ -55,6 +62,19 @@ def _first_line(field: str, value) -> Callable[[str], str]:
         row = json.loads(first)
         row[field] = value
         return json.dumps(row, sort_keys=True) + "\n" + rest
+
+    return edit
+
+
+def _without_prompt(prompt: str) -> Callable[[str], str]:
+    """Drop every transcript line whose request was sent with ``prompt``."""
+
+    def edit(text: str) -> str:
+        lines = text.splitlines(keepends=True)
+        sent = f"{prompt}\n"
+        kept = [line for line in lines if not json.loads(line)["rendered_prompt"].startswith(sent)]
+        assert len(kept) < len(lines)
+        return "".join(kept)
 
     return edit
 
@@ -218,6 +238,12 @@ CASES = {
         EXIT_CONFIG, transcript=_first_line("rendered_prompt", [1]), says="line 1: "
     ),
     "evaluate-transcript-as-recorded": Case(EXIT_OK, transcript=lambda t: t, command="evaluate"),
+    "evaluate-transcript-without-the-prompt": Case(
+        EXIT_GATEWAY,
+        transcript=_without_prompt(SEED_PROMPT),
+        command="evaluate",
+        says="no recorded response for task_eval request",
+    ),
     "evaluate-transcript-null-response-text": Case(
         EXIT_CONFIG,
         transcript=_first_line("response_text", None),
@@ -279,7 +305,7 @@ def _argv(case: Case, directory: Path, recording: str) -> list[str]:
 @pytest.mark.parametrize("name", list(CASES))
 def test_input_ends_in_a_documented_way(name, recording, tmp_path, capsys) -> None:
     case = CASES[name]
-    assert case.code in (EXIT_OK, EXIT_CONFIG, EXIT_DATASET)
+    assert case.code in (EXIT_OK, EXIT_CONFIG, EXIT_DATASET, EXIT_GATEWAY)
     argv = _argv(case, tmp_path, recording)
     out = tmp_path / "out"
     if case.command == "optimize":

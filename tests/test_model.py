@@ -2,26 +2,27 @@ from __future__ import annotations
 
 import json
 import re
+import tempfile
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from promptopt import DatasetSpec, LiveConfig, artifact
 from promptopt.model import (
     Beam,
     BanditConfig,
     ConfigError,
     EmptyPromptError,
     Gradient,
-    GradientHistory,
     Prompt,
     PromptStore,
     RunConfig,
     derived_rng,
     new_seed_prompt,
     read_text,
-    to_record,
 )
 
 
@@ -137,6 +138,39 @@ def test_validate_config_rejects_non_finite_floats(bad) -> None:
         RunConfig(convergence_target=bad)
 
 
+_LIVE = {"base_url": "http://localhost:1/v1", "model": "m"}
+
+
+@pytest.mark.parametrize(
+    "build, field",
+    [
+        (lambda: RunConfig(beam_width="4"), "beam_width"),
+        (lambda: RunConfig(beam_width=True), "beam_width"),
+        (lambda: RunConfig(temperature="0"), "temperature"),
+        (lambda: RunConfig(temperature=False), "temperature"),
+        (lambda: RunConfig(momentum_enabled=1), "momentum_enabled"),
+        (lambda: RunConfig(gradient_mode=None), "gradient_mode"),
+        (lambda: RunConfig(bandit={"time_steps": 3}), "bandit"),
+        (lambda: replace(RunConfig(), search_depth=2.0), "search_depth"),
+        (lambda: BanditConfig(time_steps="3"), "bandit.time_steps"),
+        (lambda: BanditConfig(exploration=None), "bandit.exploration"),
+        (lambda: DatasetSpec(path=Path("data.tsv")), r"\[dataset\] path"),
+        (lambda: DatasetSpec(path="data.tsv", label_set=["Yes", "No"]), r"\[dataset\] label_set"),
+        (lambda: LiveConfig(**_LIVE, timeout_s="5"), r"\[gateway\] timeout_s"),
+        (lambda: LiveConfig(**_LIVE, api_key=None), r"\[gateway\] api_key"),
+    ],
+)
+def test_config_types_refuse_a_value_not_of_the_field_type(build, field) -> None:
+    with pytest.raises(ConfigError, match=f"^{field}: expected "):
+        build()
+
+
+def test_config_types_take_an_int_for_a_float_field() -> None:
+    cfg = RunConfig(temperature=1, convergence_target=1, bandit=BanditConfig(exploration=2))
+    assert (cfg.temperature, cfg.convergence_target, cfg.bandit.exploration) == (1, 1, 2)
+    assert LiveConfig(**_LIVE, timeout_s=5).timeout_s == 5
+
+
 def test_validate_config_accepts_finite_convergence_target() -> None:
     cfg = RunConfig(convergence_target=0.8, bandit=BanditConfig(exploration=0.0))
     assert (cfg.convergence_target, cfg.bandit.exploration) == (0.8, 0.0)
@@ -217,8 +251,17 @@ beam_strategy = st.builds(
 _RECORD_TYPES = {"prompt": Prompt, "gradient": Gradient, "beam": Beam}
 
 
+def to_line(obj) -> str:
+    """The line :func:`artifact.write_jsonl` writes for the artifact row of ``obj``, as a run builds it."""
+    name = next(name for name, cls in _RECORD_TYPES.items() if type(obj) is cls)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "records.jsonl"
+        artifact.write_jsonl(path, [{"type": name, **obj._asdict()}])
+        return path.read_text(encoding="utf-8").removesuffix("\n")
+
+
 def from_record(line: str) -> object:
-    """Decode a :func:`to_record` line back into the object it was made from."""
+    """Decode an artifact row's line back into the object it was made from."""
     payload = json.loads(line)
     cls = _RECORD_TYPES[payload.pop("type")]
     if cls is Beam:
@@ -230,7 +273,7 @@ def from_record(line: str) -> object:
     st.one_of(prompt_strategy, gradient_strategy, beam_strategy)
 )
 def test_record_round_trip_is_identity(obj) -> None:
-    assert from_record(to_record(obj)) == obj
+    assert from_record(to_line(obj)) == obj
 
 
 def test_record_equals_json_of_asdict() -> None:
@@ -245,14 +288,7 @@ def test_record_equals_json_of_asdict() -> None:
         Beam(round=1, prompts=(3, 0)): '{"prompts": [3, 0], "round": 1, "type": "beam"}',
     }
     for obj, line in lines.items():
-        assert to_record(obj) == line
-
-
-def test_record_forms_only_for_artifact_lines() -> None:
-    # history.json and config.json are written from dicts, not records.
-    for obj in (GradientHistory(), BanditConfig(), RunConfig()):
-        with pytest.raises(TypeError, match="no record form"):
-            to_record(obj)
+        assert to_line(obj) == line
 
 
 def test_read_text_skips_a_byte_order_mark_and_reads_newlines_in_text_mode(tmp_path) -> None:

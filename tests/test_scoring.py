@@ -10,12 +10,11 @@ from hypothesis import strategies as st
 from promptopt import Gateway, ScriptedBackend, new_seed_prompt, scoring
 from promptopt.data import Example, canonical_number
 from promptopt.scoring import (
-    Prediction,
     evaluate_prompt,
     f1,
     parse_label,
     parse_math_answer,
-    prediction_records,
+    prediction_rows,
 )
 from promptopt.scripted import ScriptExhaustedError
 
@@ -149,42 +148,16 @@ def test_f1_matches_brute_force_oracle_on_random_sets() -> None:
         assert f1(cc.tp, cc.fp, cc.fn) == oracle
 
 
-def test_prediction_rejects_unparseable_correct() -> None:
-    with pytest.raises(ValueError, match="unparseable"):
-        Prediction(0, "x", None, True)
-    with pytest.raises(ValueError, match="unparseable"):
-        Prediction(example_id=0, raw_output="x", parsed_label=None, correct=True)
-    assert not Prediction(0, "x", None, False).correct
-    assert Prediction(0, "Yes", "Yes", True).correct
-
-
-def test_prediction_make_and_replace_keep_the_check() -> None:
-    record = Prediction(0, "x", None, False)
-    with pytest.raises(ValueError, match="unparseable"):
-        record._replace(correct=True)
-    with pytest.raises(ValueError, match="unparseable"):
-        Prediction._make([0, "x", None, True])
-    assert Prediction._make(record) == record
-    assert type(record._replace(raw_output="y")) is Prediction
-
-
-def test_prediction_records_keep_the_check_against_an_unparsed_correct_answer() -> None:
-    examples = _examples(2)
-    with pytest.raises(ValueError, match="unparseable"):
-        prediction_records(examples, ["Yes", "mumble"], [True, True], _task())
-    records = prediction_records(examples, ["Yes", "mumble"], [True, False], _task())
-    assert [(p.parsed_label, p.correct) for p in records] == [("Yes", True), (None, False)]
-
-
 def test_prediction_dict_form_keys_in_field_order() -> None:
-    # The keys and order dataclasses.asdict gave while the record was a dataclass.
-    record = Prediction(4, "no", "No", False)
-    assert list(record._asdict().items()) == [
+    # The keys predictions.jsonl has written since its rows were dataclasses, the prompt id first.
+    rows = prediction_rows(7, [Example(4, "q", "No")], ["no"], [True], _task())
+    assert [list(row.items()) for row in rows] == [[
+        ("prompt_id", 7),
         ("example_id", 4),
         ("raw_output", "no"),
         ("parsed_label", "No"),
-        ("correct", False),
-    ]
+        ("correct", True),
+    ]]
 
 
 def _task(**kwargs):
@@ -240,8 +213,8 @@ def test_evaluate_prompt_score_invariant_under_permutation() -> None:
     s1, *r1 = evaluate_prompt(prompt, examples, Gateway(ScriptedBackend(flaky)), _task())
     s2, *r2 = evaluate_prompt(prompt, shuffled, Gateway(ScriptedBackend(flaky)), _task())
     assert s1 == s2
-    # The records are ordered by example id.
-    assert prediction_records(examples, *r1, _task()) == prediction_records(shuffled, *r2, _task())
+    # The rows are ordered by example id.
+    assert prediction_rows(0, examples, *r1, _task()) == prediction_rows(0, shuffled, *r2, _task())
 
 
 def test_evaluate_prompt_math_accuracy_is_mean_of_correct() -> None:
@@ -266,8 +239,8 @@ def test_evaluate_prompt_unparseable_counts_as_negative() -> None:
     examples = _examples(4)
     score, texts, correct = evaluate_prompt(new_seed_prompt("classify"), examples, gw, _task())
     assert score == 0.0
-    predictions = prediction_records(examples, texts, correct, _task())
-    assert all(p.parsed_label is None and not p.correct for p in predictions)
+    predictions = prediction_rows(0, examples, texts, correct, _task())
+    assert all(row["parsed_label"] is None and not row["correct"] for row in predictions)
 
 
 def test_evaluate_prompt_rejects_empty_examples() -> None:
@@ -293,8 +266,8 @@ def test_evaluate_prompt_sends_examples_in_given_order_and_tags_by_position() ->
         "classify\ninput 3",
         "classify\ninput 9",
     ]
-    predictions = prediction_records(examples, texts, correct, _task())
-    assert [p.example_id for p in predictions] == [3, 5, 9]
+    predictions = prediction_rows(0, examples, texts, correct, _task())
+    assert [row["example_id"] for row in predictions] == [3, 5, 9]
 
 
 def test_parse_label_numeric_label_set() -> None:
@@ -327,11 +300,11 @@ def test_evaluate_prompt_score_always_within_unit_interval() -> None:
 
 
 def _two_pass_evaluate(prompt, examples, gateway, task):
-    """Reference: evaluate_prompt and its records as they were before it scored in one pass.
+    """Reference: evaluate_prompt and its prediction rows as they were before it scored in one pass.
 
-    Builds every prediction, sorts them and the examples by id, then counts
+    Builds every prediction row, sorts them and the examples by id, then counts
     the confusion matrix in a second pass over the sorted pairs. Returns the
-    score, each answer's correctness in the order given, and the records.
+    score, each answer's correctness in the order given, and the rows.
     """
     texts = gateway.complete_many(
         "task_eval", [f"{prompt.text}\n{ex.input_text}" for ex in examples]
@@ -347,19 +320,21 @@ def _two_pass_evaluate(prompt, examples, gateway, task):
             parsed = parse_label(text, task.label_set)
             correct = parsed is not None and parsed.lower() == ex.label.lower()
         correctness.append(correct)
-        predictions.append(
-            Prediction(
-                example_id=ex.id, raw_output=text, parsed_label=parsed, correct=correct
-            )
-        )
-    predictions.sort(key=lambda p: p.example_id)
+        predictions.append({
+            "prompt_id": prompt.id,
+            "example_id": ex.id,
+            "raw_output": text,
+            "parsed_label": parsed,
+            "correct": correct,
+        })
+    predictions.sort(key=lambda p: p["example_id"])
     if task.task_type == "math":
-        score = sum(p.correct for p in predictions) / len(predictions)
+        score = sum(p["correct"] for p in predictions) / len(predictions)
     else:
         ordered = sorted(examples, key=lambda e: e.id)
         cc = confusion_counts(
             [ex.label for ex in ordered],
-            [p.parsed_label for p in predictions],
+            [p["parsed_label"] for p in predictions],
             task.positive_label,
         )
         score = f1(cc.tp, cc.fp, cc.fn)
@@ -412,10 +387,6 @@ def _eval_case(draw, task_type: str):
     return task, batch, answer_of
 
 
-def _field_tuples(predictions) -> list[tuple]:
-    return [(p.example_id, p.raw_output, p.parsed_label, p.correct) for p in predictions]
-
-
 @given(st.sampled_from(["classification", "math"]).flatmap(_eval_case))
 def test_evaluate_prompt_matches_two_pass_reference(case) -> None:
     task, batch, answer_of = case
@@ -429,8 +400,7 @@ def test_evaluate_prompt_matches_two_pass_reference(case) -> None:
     assert score == ref_score
     assert correct == ref_correct
     assert texts == [answer_of[ex.input_text] for ex in batch]
-    predictions = prediction_records(batch, texts, correct, task)
-    assert _field_tuples(predictions) == _field_tuples(ref_predictions)
+    assert prediction_rows(prompt.id, batch, texts, correct, task) == ref_predictions
 
 
 @pytest.mark.parametrize(
@@ -472,8 +442,8 @@ def test_evaluate_prompt_math_labels_with_plus_leading_zero_or_point() -> None:
     task = _task(task_type="math", label_set=())
     score, texts, correct = evaluate_prompt(new_seed_prompt("solve"), examples, gw, task)
     assert score == 1.0
-    predictions = prediction_records(examples, texts, correct, task)
-    assert [p.parsed_label for p in predictions] == ["5", "5", "0.5"]
+    predictions = prediction_rows(0, examples, texts, correct, task)
+    assert [row["parsed_label"] for row in predictions] == ["5", "5", "0.5"]
 
 
 def test_evaluate_prompt_math_label_in_gsm8k_form_is_its_final_number() -> None:
@@ -557,5 +527,4 @@ def test_evaluate_prompt_equals_parsing_each_answer_on_its_own(case) -> None:
     ref_score, ref_correct, ref_predictions = _two_pass_evaluate(prompt, examples, gateway(), task)
     assert score == ref_score
     assert correct == ref_correct
-    predictions = prediction_records(examples, texts, correct, task)
-    assert _field_tuples(predictions) == _field_tuples(ref_predictions)
+    assert prediction_rows(prompt.id, examples, texts, correct, task) == ref_predictions

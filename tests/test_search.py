@@ -21,7 +21,7 @@ from promptopt import (
     Transcript,
     make_split,
     new_seed_prompt,
-    scoring,
+    search,
 )
 from promptopt.cli import build_run_config
 from promptopt.data import math_label
@@ -493,13 +493,14 @@ def test_prediction_records_are_built_only_for_predictions_jsonl(monkeypatch, tm
     examples = toy_examples()
     split = make_split(examples, 20, 7, task_type="classification", positive_label="Yes")
     built = []
-    make = scoring.Prediction
+    make = search.prediction_rows
 
-    def counting(*fields):
-        built.append(make(*fields))
-        return built[-1]
+    def counting(*args):
+        rows = make(*args)
+        built.extend(rows)
+        return rows
 
-    monkeypatch.setattr(scoring, "Prediction", counting)
+    monkeypatch.setattr(search, "prediction_rows", counting)
     run(new_seed_prompt(SEED_TEXT), split, small_config(), scripted_gateway(examples, split.label_set),
         tmp_path / "default")
     assert built == []
@@ -522,7 +523,7 @@ def _math_task() -> tuple[list[Example], DatasetSplit]:
 
 @pytest.mark.parametrize("task_type", ["classification", "math"])
 def test_predictions_agree_with_the_test_scores(task_type, tmp_path) -> None:
-    # evaluate_prompt gives the score; prediction_records makes the rows from
+    # evaluate_prompt gives the score; prediction_rows makes the rows from
     # its values in a second call. Each prompt's rows must give its score back.
     if task_type == "math":
         examples, split = _math_task()
@@ -733,6 +734,17 @@ def test_run_refuses_a_gateway_at_another_temperature(tmp_path) -> None:
     gateway = scripted_gateway(examples, split.label_set)
     with pytest.raises(ConfigError, match="gateway temperature 0.0 is not the run's 0.7"):
         run(new_seed_prompt(SEED_TEXT), split, cfg, gateway, tmp_path / "out")
+    assert not (tmp_path / "out").exists()
+    assert gateway.call_count() == 0
+
+
+def test_run_refuses_a_split_of_another_test_set_size(tmp_path) -> None:
+    # config.json echoes test_set_size, so a split of another size would be misreported.
+    examples = toy_examples()
+    split = make_split(examples, 15, 7, task_type="classification", positive_label="Yes")
+    gateway = scripted_gateway(examples, split.label_set)
+    with pytest.raises(ConfigError, match="split has 15 test examples, not the run's test_set_size 20"):
+        run(new_seed_prompt(SEED_TEXT), split, small_config(), gateway, tmp_path / "out")
     assert not (tmp_path / "out").exists()
     assert gateway.call_count() == 0
 
