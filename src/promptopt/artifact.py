@@ -7,7 +7,7 @@ Layout (all JSON/JSONL, deterministic key order):
     beams.jsonl        one beam per selection round
     prompts.jsonl      every prompt record
     gradients.jsonl    every gradient record
-    history.json       gradient pools and the per-round momentum samples
+    history.json       gradient pools and the per-round momentum samples; empty when momentum is off
     bandit.jsonl       final (N, Q) table per round
     convergence.json   convergence report
     result.json        the returned best prompt and its scores

@@ -231,7 +231,7 @@ def cmd_optimize(args) -> int:
     examples, split = _load_split(dataset, cfg)
     seed = new_seed_prompt(_seed_prompt_text(run_section))
     gateway = build_gateway(args, gateway_section, cfg, examples, split)
-    templates = TemplateSet.from_dir(args.templates) if args.templates else None
+    templates = TemplateSet.from_dir(args.templates) if args.templates else TemplateSet()
     method = args.mode or "mapo"
     out_dir = _make_dir(Path(args.out or f"runs/{method}-seed{cfg.rng_seed}"), "artifact directory")
 

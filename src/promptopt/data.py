@@ -196,9 +196,10 @@ def make_split(
     """Draw the test set uniformly without replacement; the rest is train.
 
     Without a ``label_set`` (None or empty), a classification split takes its labels from the
-    examples; a math split has none. A classification ``positive_label`` that is none of the
-    labels (compared case-insensitively, as F1 counts it) raises :class:`DatasetError`, so the
-    default ``positive_label`` of ``""`` suits only a math split, which scores no label.
+    examples; a math split has none. A classification ``positive_label`` or example label that
+    is none of the labels (compared case-insensitively, as F1 counts it) raises
+    :class:`DatasetError`, so the default ``positive_label`` of ``""`` suits only a math split,
+    which scores no label.
     """
     if len(examples) <= test_set_size:
         raise DatasetError(
@@ -210,10 +211,19 @@ def make_split(
     train = tuple(ex for ex in examples if ex.id not in test_ids)
     if not label_set:
         label_set = sorted({ex.label for ex in examples}) if task_type == "classification" else ()
-    if task_type == "classification" and positive_label.lower() not in map(str.lower, label_set):
-        raise DatasetError(
-            f"positive_label {positive_label!r} is not one of the labels {', '.join(label_set)}"
-        )
+    if task_type == "classification":
+        labels = {label.lower() for label in label_set}
+        if positive_label.lower() not in labels:
+            raise DatasetError(
+                f"positive_label {positive_label!r} is not one of the labels {', '.join(label_set)}"
+            )
+        # Such an example could never be scored correct.
+        for ex in examples:
+            if ex.label.lower() not in labels:
+                raise DatasetError(
+                    f"example {ex.id}: label {ex.label!r:.40} "
+                    f"is not one of the labels {', '.join(label_set)}"
+                )
     return DatasetSplit(
         train=train,
         test=test,

@@ -10,7 +10,6 @@ template support the baseline and ablation modes. Completions wrap payloads in
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Mapping, NamedTuple, Sequence
 
@@ -31,11 +30,6 @@ HISTORY_EMPTY = "(none)"
 
 class TemplateError(ValueError):
     """A template slot was left unbound at render time."""
-
-
-class PromptTemplate(NamedTuple):
-    name: str
-    body: str
 
 
 TAU_BODY = """\
@@ -139,19 +133,14 @@ Wrap the new instruction with <START> and <END>.
 Output:
 """
 
-@dataclass(frozen=True)
-class TemplateSet:
-    """The five templates in play; defaults are the embedded bodies."""
+class TemplateSet(NamedTuple):
+    """The body of each of the five templates in play; defaults are the embedded bodies."""
 
-    tau: PromptTemplate = field(default=PromptTemplate("tau", TAU_BODY))
-    alpha: PromptTemplate = field(default=PromptTemplate("alpha", ALPHA_BODY))
-    tau_negative: PromptTemplate = field(
-        default=PromptTemplate("tau_negative", TAU_NEGATIVE_BODY)
-    )
-    alpha_negative: PromptTemplate = field(
-        default=PromptTemplate("alpha_negative", ALPHA_NEGATIVE_BODY)
-    )
-    paraphrase: PromptTemplate = field(default=PromptTemplate("paraphrase", PARAPHRASE_BODY))
+    tau: str = TAU_BODY
+    alpha: str = ALPHA_BODY
+    tau_negative: str = TAU_NEGATIVE_BODY
+    alpha_negative: str = ALPHA_NEGATIVE_BODY
+    paraphrase: str = PARAPHRASE_BODY
 
     @classmethod
     def from_dir(cls, directory: str | Path) -> "TemplateSet":
@@ -167,48 +156,43 @@ class TemplateSet:
         if not directory.is_dir():
             problem = "is not a directory" if directory.exists() else "not found"
             raise ConfigError(f"template directory {problem}: {directory}")
-        names = [f"{f.name}.txt" for f in fields(cls)]
-        for file in sorted(directory.glob("*.txt")):
-            if file.name not in names:
-                raise ConfigError(
-                    f"template file {file} names no template; expected one of {', '.join(names)}"
-                )
         overrides = {}
-        for f in fields(cls):
-            file = directory / f"{f.name}.txt"
-            if not file.exists():
-                continue
+        for file in sorted(directory.glob("*.txt")):
+            default = cls._field_defaults.get(file.stem)
+            if default is None:
+                names = ", ".join(f"{name}.txt" for name in cls._fields)
+                raise ConfigError(f"template file {file} names no template; expected one of {names}")
             body = read_text(file, "template file")
-            known = set(_SLOT_RE.findall(f.default.body))
+            known = set(_SLOT_RE.findall(default))
             unknown = set(_SLOT_RE.findall(body)) - known
             if unknown:
                 raise ConfigError(
                     f"template file {file}: unknown slots {sorted(unknown)}; "
-                    f"{f.name} takes {sorted(known)}"
+                    f"{file.stem} takes {sorted(known)}"
                 )
-            overrides[f.name] = PromptTemplate(f.name, body)
+            overrides[file.stem] = body
         return cls(**overrides)
 
-    def generator(self, polarity: str) -> PromptTemplate:
+    def generator(self, polarity: str) -> str:
         return self.tau if polarity == "positive" else self.tau_negative
 
-    def editor(self, polarity: str) -> PromptTemplate:
+    def editor(self, polarity: str) -> str:
         return self.alpha if polarity == "positive" else self.alpha_negative
 
 
 _SLOT_RE = re.compile(r"\{([a-z_]+)\}")
 
 
-def render(tmpl: PromptTemplate, bindings: Mapping[str, object]) -> str:
-    """Pure slot substitution; raises :class:`TemplateError` on an unbound slot."""
+def render(body: str, bindings: Mapping[str, object]) -> str:
+    """Pure slot substitution in a template body; raises :class:`TemplateError` on an unbound slot."""
 
     def substitute(match: re.Match) -> str:
         name = match.group(1)
         if name not in bindings:
-            raise TemplateError(f"unbound slot '{name}' in template {tmpl.name}")
+            raise TemplateError(f"unbound slot '{name}'")
         return str(bindings[name])
 
-    return _SLOT_RE.sub(substitute, tmpl.body)
+    return _SLOT_RE.sub(substitute, body)
 
 
 _SPAN_RE = re.compile(
@@ -255,13 +239,13 @@ class GradientEngine:
         cfg: RunConfig,
         gateway: Gateway,
         store: PromptStore,
-        templates: TemplateSet | None = None,
-        task_label: str = "classification",
+        templates: TemplateSet,
+        task_label: str,
     ):
         self.cfg = cfg
         self.gateway = gateway
         self.store = store
-        self.templates = templates or TemplateSet()
+        self.templates = templates
         self.task_label = task_label
         self.parse_shortfalls = 0
 

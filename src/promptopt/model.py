@@ -94,7 +94,8 @@ def check_field_types(config: object, prefix: str = "") -> None:
     """Raise :class:`ConfigError` naming the first field of the dataclass ``config`` not of its type.
 
     Each field's type is the one :func:`field_types` reads. An int is a valid
-    float, a bool is no int or float, and a field whose default is None may be
+    float, a bool is no int or float, a tuple holds strings, as every tuple
+    field is ``tuple[str, ...]``, and a field whose default is None may be
     None. The message names the field after ``prefix``.
     """
     types = field_types(type(config))
@@ -106,6 +107,8 @@ def check_field_types(config: object, prefix: str = "") -> None:
             isinstance(value, bool) and kind is not bool
         ):
             raise ConfigError(f"{prefix}{f.name}: expected {kind.__name__}, got {value!r:.40}")
+        if kind is tuple and not all(isinstance(item, str) for item in value):
+            raise ConfigError(f"{prefix}{f.name}: expected a tuple of str, got {value!r:.40}")
 
 
 class EmptyPromptError(ConfigError):

@@ -52,18 +52,11 @@ def sample_history_gradient(
     return rng.choice(pool)
 
 
-def history_text(
-    history: GradientHistory,
-    round_index: int,
-    gradients: Mapping[int, Gradient],
-    *,
-    enabled: bool = True,
-) -> str:
+def history_text(history: GradientHistory, round_index: int, gradients: Mapping[int, Gradient]) -> str:
     """History binding for a round's templates: the gradient sampled the round before.
 
-    Disabled momentum, round 0, and empty pools all bind ``(none)``.
+    Round 0, an empty pool, and a run with momentum off, which samples
+    nothing, all bind ``(none)``.
     """
-    if not enabled:
-        return HISTORY_EMPTY
     gradient_id = history.sampled.get(round_index - 1)
     return gradients[gradient_id].text if gradient_id is not None else HISTORY_EMPTY

@@ -174,7 +174,7 @@ class _Search:
         split: DatasetSplit,
         cfg: RunConfig,
         gateway: Gateway,
-        templates: TemplateSet | None,
+        templates: TemplateSet,
     ):
         self.split, self.cfg, self.gateway = split, cfg, gateway
         self.store = PromptStore()
@@ -196,9 +196,7 @@ class _Search:
         """
         cfg = self.cfg
         minibatch = sample_minibatch(self.split, cfg.minibatch_size, cfg.rng_seed, round_index)
-        history_binding = momentum.history_text(
-            self.history, round_index, self.store.gradients, enabled=cfg.momentum_enabled
-        )
+        history_binding = momentum.history_text(self.history, round_index, self.store.gradients)
         ids = [ex.id for ex in minibatch]
         scores: list[float] = []
         for parent_id in self.beams[-1].prompts:
@@ -230,7 +228,12 @@ class _Search:
         self.arm_tables.append(selection.arms)
 
     def record_momentum(self) -> None:
-        """Pool the round's positive gradients that produced a survivor and sample one."""
+        """Pool the round's positive gradients that produced a survivor and sample one.
+
+        With momentum off, nothing is pooled or sampled, so every history slot binds ``(none)``.
+        """
+        if not self.cfg.momentum_enabled:
+            return
         beam = self.beams[-1]
         pool = momentum.record_round(beam, self.store.gradients, self.store.prompts)
         self.history.pools[beam.round] = tuple(g.id for g in pool)
@@ -290,7 +293,7 @@ def run(
     gateway: Gateway,
     out_dir: str | Path,
     *,
-    templates: TemplateSet | None = None,
+    templates: TemplateSet = TemplateSet(),
     method_name: str = "mapo",
     config_context: dict | None = None,
 ) -> RunResult:

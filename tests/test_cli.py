@@ -270,6 +270,12 @@ def test_optimize_happy_path(config_file, tmp_path, capsys) -> None:
     assert config_echo["rng_seed"] == 11
 
 
+def test_optimize_prints_a_target_it_did_not_reach(config_file, tmp_path, capsys) -> None:
+    argv = ["optimize", "--config", str(config_file), "--backend", "scripted", "--target", "1.5"]
+    assert main([*argv, "--out", str(tmp_path / "out")]) == EXIT_OK
+    assert "convergence: target 1.5 not reached" in capsys.readouterr().out.splitlines()
+
+
 def test_optimize_mode_protegi_presets(config_file, tmp_path) -> None:
     out = tmp_path / "baseline"
     code = main(
@@ -960,6 +966,11 @@ BAD_REPORT_INPUTS = {
     "event_without_best_test_score": (
         "events.jsonl", _drop_best_test_score, ":2: best_test_score: expected a number"
     ),
+    "meta_not_an_object": (
+        "run_meta.json",
+        lambda f: f.write_text("[]\n", encoding="utf-8"),
+        ": expected a JSON object, got []",
+    ),
     "out_is_a_file": ("out.csv", lambda f: f.write_text("", encoding="utf-8"), ": File exists"),
 }
 
@@ -981,6 +992,21 @@ def test_report_refuses_a_malformed_artifact_or_out_path(
     assert lines[0].startswith("config error: ")
     assert f"{path}{says}" in lines[0]
     assert report_dir.is_file() if case == "out_is_a_file" else not report_dir.exists()
+
+
+def test_report_warns_of_an_incomplete_artifact_and_writes_its_csv_files(
+    recorded_artifact, tmp_path, capsys
+) -> None:
+    rec = tmp_path / "rec"
+    shutil.copytree(recorded_artifact, rec)
+    meta = rec / "run_meta.json"
+    meta.write_text(meta.read_text(encoding="utf-8").replace('"complete"', '"incomplete"'), encoding="utf-8")
+    report_dir = tmp_path / "report"
+    capsys.readouterr()
+    assert main(["report", str(rec), "--out", str(report_dir)]) == EXIT_OK
+    assert capsys.readouterr().err == f"warning: artifact {rec} is incomplete\n"
+    for curve in ("score_vs_round", "score_vs_time", "score_vs_calls"):
+        assert (report_dir / f"rec_{curve}.csv").exists()
 
 
 def test_optimize_live_backend_requires_endpoint_config(config_file) -> None:

@@ -199,6 +199,17 @@ def test_make_split_refuses_a_positive_label_outside_the_labels(label_set) -> No
     assert split.positive_label == "yes"
 
 
+def test_make_split_refuses_a_label_outside_the_label_set() -> None:
+    # parse_label answers only members of label_set, so a Maybe could never be scored correct.
+    examples = [*toy_examples(30), Example(30, "a statement", "Maybe")]
+    message = "example 30: label 'Maybe' is not one of the labels Yes, No"
+    with pytest.raises(DatasetError, match=f"^{message}$"):
+        make_split(examples, 5, seed=0, positive_label="Yes", label_set=("Yes", "No"))
+    # Compared case-insensitively, as the scorer compares labels.
+    split = make_split(toy_examples(30), 5, seed=0, positive_label="Yes", label_set=("YES", "no"))
+    assert split.label_set == ("YES", "no")
+
+
 def test_dataset_spec_refuses_an_empty_path() -> None:
     with pytest.raises(ConfigError, match=r"^\[dataset\] path is empty$"):
         DatasetSpec(path="")

@@ -75,7 +75,7 @@ def test_template_override_from_dir(tmp_path) -> None:
     templates = TemplateSet.from_dir(tmp_path)
     assert render(templates.tau, _bindings()) == "custom Answer Yes or No. with 2"
     # Untouched templates keep their defaults.
-    assert templates.alpha.body == TEMPLATES.alpha.body
+    assert templates.alpha == TEMPLATES.alpha
 
 
 def test_template_dir_refuses_a_missing_directory(tmp_path) -> None:
@@ -177,7 +177,7 @@ def _engine(responses: dict, cfg=None):
     store = PromptStore()
     parent = store.adopt(new_seed_prompt("Answer Yes or No."))
     gateway = Gateway(ScriptedBackend(SequenceScript(responses)))
-    engine = GradientEngine(cfg=cfg, gateway=gateway, store=store)
+    engine = GradientEngine(cfg, gateway, store, TemplateSet(), "classification")
     return engine, parent, gateway
 
 

@@ -18,7 +18,6 @@ from __future__ import annotations
 import contextlib
 import io
 import json
-from dataclasses import fields
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -151,6 +150,14 @@ CASES = {
     "ini-positive-label-outside-labels": Case(
         EXIT_DATASET, ini=_replace("positive_label = Yes", "positive_label = Maybe")
     ),
+    "ini-label-outside-label-set": Case(
+        EXIT_DATASET, ini=lambda t: t + "label_set = Yes\n", says="label 'No' is not one of the labels Yes"
+    ),
+    "ini-negative-paraphrases": Case(
+        EXIT_CONFIG,
+        ini=_replace("[run]\n", "[run]\nparaphrases_per_parent = -1\n"),
+        says="paraphrases_per_parent must be >= 0",
+    ),
     # Odd values that are still valid, and run to the end.
     "ini-byte-order-mark": Case(EXIT_OK, ini=lambda t: "\ufeff" + t),
     "ini-label-set-of-commas": Case(EXIT_OK, ini=lambda t: t + "label_set = ,\n"),
@@ -167,6 +174,9 @@ CASES = {
     # The TSV dataset.
     "tsv-crlf": Case(EXIT_OK, tsv=lambda t: t.replace("\n", "\r\n")),
     "tsv-row-without-tab": Case(EXIT_DATASET, tsv=lambda t: "no tab here\n" + t, says=":1:"),
+    "tsv-blank-label": Case(
+        EXIT_DATASET, tsv=lambda t: "an input\t \n" + t, says=":1: empty input or label"
+    ),
     "tsv-empty": Case(EXIT_DATASET, tsv=lambda t: ""),
     "tsv-not-utf8": Case(
         EXIT_DATASET, tsv=DEMO_TSV.encode("utf-8") + b"caf\xe9\tYes\n", says="not UTF-8"
@@ -431,8 +441,8 @@ def test_mutated_dataset_rows_end_in_a_documented_way(tmp_path_factory, dataset)
     _check_ending(code, err, out)
 
 
-_TEMPLATE_NAMES = [f"{f.name}.txt" for f in fields(TemplateSet)]
-_SLOTS = sorted({slot for f in fields(TemplateSet) for slot in _SLOT_RE.findall(f.default.body)})
+_TEMPLATE_NAMES = [f"{name}.txt" for name in TemplateSet._fields]
+_SLOTS = sorted({slot for body in TemplateSet() for slot in _SLOT_RE.findall(body)})
 # Pieces of a template body: its slots, a misspelled one, braces, delimiters and text.
 _BODY_PIECES = st.one_of(
     st.sampled_from([f"{{{slot}}}" for slot in _SLOTS] + ["{taks_type}", "{", "}", "{{prompt}}", "{Prompt}"]),

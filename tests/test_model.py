@@ -156,6 +156,11 @@ _LIVE = {"base_url": "http://localhost:1/v1", "model": "m"}
         (lambda: BanditConfig(exploration=None), "bandit.exploration"),
         (lambda: DatasetSpec(path=Path("data.tsv")), r"\[dataset\] path"),
         (lambda: DatasetSpec(path="data.tsv", label_set=["Yes", "No"]), r"\[dataset\] label_set"),
+        pytest.param(
+            lambda: DatasetSpec(path="data.tsv", label_set=(1, 2)),
+            r"\[dataset\] label_set",
+            id="label_set-of-ints",
+        ),
         (lambda: LiveConfig(**_LIVE, timeout_s="5"), r"\[gateway\] timeout_s"),
         (lambda: LiveConfig(**_LIVE, api_key=None), r"\[gateway\] api_key"),
     ],

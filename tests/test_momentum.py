@@ -1,15 +1,18 @@
 from __future__ import annotations
 
+import json
 import math
 
-from promptopt.model import Beam, Gradient, GradientHistory, Prompt
+from promptopt.data import make_split
+from promptopt.model import Beam, Gradient, GradientHistory, Prompt, new_seed_prompt
 from promptopt.momentum import (
     history_text,
     record_round,
     sample_history_gradient,
 )
+from promptopt.search import run
 
-from conftest import check_history
+from conftest import SEED_TEXT, check_history, scripted_gateway, small_config, toy_examples
 
 
 def _prompt(pid: int, gradient_id: int | None = None, parent: int | None = None) -> Prompt:
@@ -108,11 +111,17 @@ def test_sample_history_gradient_uniform_within_five_sigma() -> None:
         assert abs(count - expected) <= 5 * sigma
 
 
-def test_history_text_momentum_off_is_none_marker() -> None:
-    history = GradientHistory(pools={1: (0,)}, sampled={1: 0})
-    gradients = {0: _gradient(0)}
-    for round_index in range(5):
-        assert history_text(history, round_index, gradients, enabled=False) == "(none)"
+def test_history_text_momentum_off_is_none_marker(tmp_path) -> None:
+    # A run with momentum off pools and samples nothing, so each round binds (none).
+    examples = toy_examples()
+    split = make_split(examples, 20, 7, positive_label="Yes")
+    cfg = small_config(momentum_enabled=False)
+    gateway = scripted_gateway(examples, split.label_set)
+    result = run(new_seed_prompt(SEED_TEXT), split, cfg, gateway, tmp_path)
+    assert result.history == GradientHistory()
+    assert json.loads((tmp_path / "history.json").read_text()) == {"pools": {}, "sampled": {}}
+    for round_index in range(cfg.search_depth + 2):
+        assert history_text(result.history, round_index, result.store.gradients) == "(none)"
 
 
 def test_history_text_round_zero_and_empty_pool() -> None:

@@ -760,7 +760,7 @@ def test_run_math_task_end_to_end(tmp_path) -> None:
 
 
 def test_expand_parent_empty_sample_passes_parent_through(tmp_path) -> None:
-    from promptopt.gradients import GradientEngine
+    from promptopt.gradients import GradientEngine, TemplateSet
     from promptopt.model import PromptStore
     from promptopt.search import expand_parent
 
@@ -769,7 +769,7 @@ def test_expand_parent_empty_sample_passes_parent_through(tmp_path) -> None:
     parent = store.adopt(new_seed_prompt(SEED_TEXT))
     cfg = small_config()
     gateway = Gateway(ScriptedBackend(lambda req: "<START>unused<END>"))
-    engine = GradientEngine(cfg=cfg, gateway=gateway, store=store)
+    engine = GradientEngine(cfg, gateway, store, TemplateSet(), "classification")
     correctness = {ex.id: False for ex in examples}  # nothing to sample from
 
     assert expand_parent(engine, parent, 1, examples, correctness, "(none)")

@@ -24,7 +24,6 @@ ALLOWED = {
     "model.BanditConfig": FIELDS_WALKED,
     "data.DatasetSpec": FIELDS_WALKED,
     "gateway.LiveConfig": FIELDS_WALKED,
-    "gradients.TemplateSet": FIELDS_WALKED,
     "bandit.ArmState": MUTABLE,
     "model.GradientHistory": MUTABLE,
     "gateway.Transcript": MUTABLE,
