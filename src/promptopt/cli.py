@@ -47,6 +47,7 @@ EXIT_CONFIG = 2
 EXIT_DATASET = 3
 EXIT_GATEWAY = 4
 EXIT_INCOMPLETE = 5
+EXIT_INTERRUPTED = 130  # 128 + SIGINT, as a shell reports a Ctrl-C
 
 # Each --mode is (the fields it forces, the fields it fills in where the file
 # sets none). ProTeGi (Pryzant et al. 2023) generates more gradients per
@@ -235,6 +236,8 @@ def cmd_optimize(args) -> int:
     method = args.mode or "mapo"
     out_dir = _make_dir(Path(args.out or f"runs/{method}-seed{cfg.rng_seed}"), "artifact directory")
 
+    # From here an interrupt leaves run()'s partial artifact, which main names.
+    args.artifact_dir = out_dir
     result = run(
         seed,
         split,
@@ -398,6 +401,11 @@ def main(argv=None) -> int:
     except GatewayError as exc:
         print(f"gateway error: {exc}", file=sys.stderr)
         return EXIT_GATEWAY
+    except KeyboardInterrupt:
+        artifact_dir = getattr(args, "artifact_dir", None)
+        where = f" (partial artifact: {artifact_dir})" if artifact_dir else ""
+        print(f"interrupted{where}", file=sys.stderr)
+        return EXIT_INTERRUPTED
 
 
 if __name__ == "__main__":

@@ -12,7 +12,7 @@ import random
 import re
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 from .model import ConfigError, check_field_types, derived_rng, read_text
 
@@ -251,7 +251,7 @@ def sample_minibatch(
 
 def sample_by_correctness(
     minibatch: Sequence[Example],
-    per_example_correctness: Mapping[int, bool],
+    correct: Sequence[bool],
     n: int,
     want: str,
     seed: int | str,
@@ -259,24 +259,19 @@ def sample_by_correctness(
 ) -> tuple[Example, ...]:
     """Draw ``n`` minibatch examples the prompt got right (or wrong).
 
-    When at most ``n`` distinct examples match, all of them are returned in
-    id order. A sample shorter than ``n`` is a shortfall, which the caller
-    counts and proceeds with; an empty sample is legal and non-fatal.
+    ``correct`` holds one verdict per minibatch example, aligned with it; an
+    example drawn more than once keeps the verdict of its last draw. When at
+    most ``n`` distinct examples match, all of them are returned in id order.
+    A sample shorter than ``n`` is a shortfall, which the caller counts and
+    proceeds with; an empty sample is legal and non-fatal.
     """
     if want not in ("correct", "incorrect"):
         raise ValueError(f"want must be 'correct' or 'incorrect', got {want!r}")
-    missing = [ex.id for ex in minibatch if ex.id not in per_example_correctness]
-    if missing:
-        raise ValueError(f"correctness missing for example ids {missing[:5]}")
+    if len(correct) != len(minibatch):
+        raise ValueError(f"{len(correct)} verdicts for {len(minibatch)} minibatch examples")
     target = want == "correct"
-    seen: set[int] = set()
-    pool: list[Example] = []
-    for ex in sorted(minibatch, key=lambda e: e.id):
-        if ex.id in seen:
-            continue
-        seen.add(ex.id)
-        if per_example_correctness[ex.id] == target:
-            pool.append(ex)
+    verdicts = {ex.id: (ex, ok) for ex, ok in zip(minibatch, correct)}
+    pool = [ex for _, (ex, ok) in sorted(verdicts.items()) if ok == target]
     if len(pool) <= n:
         return tuple(pool)
     rng = derived_rng(seed, "by_correctness", want, round_index)

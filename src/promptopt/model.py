@@ -304,22 +304,14 @@ def new_seed_prompt(text: str) -> Prompt:
 class PromptStore:
     """Creation-ordered registry handing out deterministic sequence ids.
 
-    Ids are plain counters assigned in creation order, so a run under a fixed
-    seed reproduces the exact same id assignment.
+    Each record's id is how many of its kind the store held before it, so the
+    seed prompt is 0 and a run under a fixed seed reproduces the exact same id
+    assignment.
     """
 
     def __init__(self) -> None:
         self.prompts: dict[int, Prompt] = {}
         self.gradients: dict[int, Gradient] = {}
-        self._next_prompt_id = 0
-        self._next_gradient_id = 0
-
-    def adopt(self, prompt: Prompt) -> Prompt:
-        if prompt.id in self.prompts:
-            raise ValueError(f"prompt id {prompt.id} already registered")
-        self.prompts[prompt.id] = prompt
-        self._next_prompt_id = max(self._next_prompt_id, prompt.id + 1)
-        return prompt
 
     def new_prompt(
         self,
@@ -329,28 +321,26 @@ class PromptStore:
         gradient_id: int | None = None,
     ) -> Prompt:
         prompt = Prompt(
-            id=self._next_prompt_id,
+            id=len(self.prompts),
             text=text,
             round=round,
             parent_id=parent_id,
             gradient_id=gradient_id,
         )
         self.prompts[prompt.id] = prompt
-        self._next_prompt_id += 1
         return prompt
 
     def new_gradient(
         self, text: str, source_prompt_id: int, round: int, polarity: str
     ) -> Gradient:
         gradient = Gradient(
-            id=self._next_gradient_id,
+            id=len(self.gradients),
             text=text,
             source_prompt_id=source_prompt_id,
             round=round,
             polarity=polarity,
         )
         self.gradients[gradient.id] = gradient
-        self._next_gradient_id += 1
         return gradient
 
     def set_train_score(self, prompt_id: int, score: float) -> Prompt:

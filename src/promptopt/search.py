@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import asdict
 from pathlib import Path
-from typing import NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from . import artifact, bandit, momentum
 from .data import DatasetSplit, Example, sample_by_correctness, sample_minibatch
@@ -125,14 +125,15 @@ def expand_parent(
     parent: Prompt,
     round_index: int,
     minibatch: Sequence[Example],
-    correctness: dict[int, bool],
+    correct: Sequence[bool],
     history_binding: str,
 ) -> bool:
     """Expand a parent into this round's children, which the engine adds to the store.
 
-    For each polarity in the plan: sample correct (positive) or incorrect
-    (negative) examples, make one generator call, then one batch of editor
-    calls along all of that polarity's gradients. One batch of
+    ``correct`` holds the parent's verdict on each minibatch example, aligned
+    with it. For each polarity in the plan: sample correct (positive) or
+    incorrect (negative) examples, make one generator call, then one batch of
+    editor calls along all of that polarity's gradients. One batch of
     ``paraphrases_per_parent`` paraphrases of the parent follows. An empty
     correctness sample skips that polarity and the parent simply carries
     through. Returns whether a correctness sample fell short of
@@ -145,7 +146,7 @@ def expand_parent(
         want = "correct" if polarity == "positive" else "incorrect"
         sample = sample_by_correctness(
             minibatch,
-            correctness,
+            correct,
             cfg.num_correct_examples,
             want,
             seed=f"{cfg.rng_seed}|parent{parent.id}",
@@ -178,8 +179,7 @@ class _Search:
     ):
         self.split, self.cfg, self.gateway = split, cfg, gateway
         self.store = PromptStore()
-        # A test score the seed carries in was measured outside this run.
-        seed = self.store.adopt(seed_prompt._replace(test_score=None))
+        seed = self.store.new_prompt(seed_prompt.text, round=0)
         self.engine = GradientEngine(cfg, gateway, self.store, templates, split.task_type)
         self.history = GradientHistory()
         self.beams: list[Beam] = [Beam(round=0, prompts=(seed.id,))]
@@ -188,26 +188,35 @@ class _Search:
         self.test_predictions: list[dict] = []
         self.sample_shortfalls = 0
 
+    def score_beam(self, round_index: int) -> Iterator[tuple[Prompt, list[Example], list[bool]]]:
+        """Score each prompt of the last beam, in beam order, on the round's minibatch.
+
+        Stores each score as the prompt's train score and yields the scored
+        prompt, the minibatch and its per-example verdicts. Lazy: a prompt is
+        scored only when the caller asks for the next one, so a parent's
+        expansion requests follow its own evaluation and precede the next
+        parent's, the round's fixed request order.
+        """
+        cfg = self.cfg
+        minibatch = sample_minibatch(self.split, cfg.minibatch_size, cfg.rng_seed, round_index)
+        for prompt_id in self.beams[-1].prompts:
+            score, _, correct = evaluate_prompt(
+                self.store.prompts[prompt_id], minibatch, self.gateway, self.split
+            )
+            yield self.store.set_train_score(prompt_id, score), minibatch, correct
+
     def expand(self, round_index: int) -> float:
         """Score each parent on the round's minibatch and expand it into children.
 
         The children and their gradients go to the store. Returns the best
         parent score.
         """
-        cfg = self.cfg
-        minibatch = sample_minibatch(self.split, cfg.minibatch_size, cfg.rng_seed, round_index)
         history_binding = momentum.history_text(self.history, round_index, self.store.gradients)
-        ids = [ex.id for ex in minibatch]
         scores: list[float] = []
-        for parent_id in self.beams[-1].prompts:
-            score, _, correct = evaluate_prompt(
-                self.store.prompts[parent_id], minibatch, self.gateway, self.split
-            )
-            parent = self.store.set_train_score(parent_id, score)
-            scores.append(score)
-            correctness = dict(zip(ids, correct))
+        for parent, minibatch, correct in self.score_beam(round_index):
+            scores.append(parent.train_score)
             self.sample_shortfalls += expand_parent(
-                self.engine, parent, round_index, minibatch, correctness, history_binding
+                self.engine, parent, round_index, minibatch, correct, history_binding
             )
         return max(scores)
 
@@ -274,16 +283,10 @@ class _Search:
 
     def final_argmax(self) -> Prompt:
         """Argmax train metric over the last beam on a fresh minibatch, ties to the lowest id."""
-        cfg, store = self.cfg, self.store
-        batch = sample_minibatch(self.split, cfg.minibatch_size, cfg.rng_seed, cfg.search_depth + 1)
-        ranked: list[tuple[float, int]] = []
-        for prompt_id in self.beams[-1].prompts:
-            score = evaluate_prompt(store.prompts[prompt_id], batch, self.gateway, self.split)[0]
-            store.set_train_score(prompt_id, score)
-            ranked.append((-score, prompt_id))
-        best = store.prompts[min(ranked)[1]]
+        scored = self.score_beam(self.cfg.search_depth + 1)
+        best = min((p for p, _, _ in scored), key=lambda p: (-p.train_score, p.id))
         self.score_on_test(best)
-        return store.prompts[best.id]
+        return self.store.prompts[best.id]
 
 
 def run(
@@ -299,9 +302,10 @@ def run(
 ) -> RunResult:
     """Execute a full optimization run and write its artifact directory.
 
-    Returns the best prompt of the final beam (argmax train metric on a fresh
-    minibatch, ties to the lowest id), the per-round metric events, and the
-    convergence report. Any abort writes a partial artifact flagged
+    The run's store makes the seed, prompt 0, from ``seed_prompt``'s text
+    alone. Returns the best prompt of the final beam (argmax train metric on
+    a fresh minibatch, ties to the lowest id), the per-round metric events,
+    and the convergence report. Any abort writes a partial artifact flagged
     incomplete: an unrecoverable gateway failure then raises
     :class:`RunIncompleteError`, and any other exception is re-raised as is.
     A gateway whose temperature is not ``cfg.temperature``, or a split whose

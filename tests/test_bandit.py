@@ -22,6 +22,8 @@ def _train(n: int = 50) -> list[Example]:
 
 def test_ucb_value_unpulled_is_infinite() -> None:
     assert ucb_value(ArmState(prompt_id=0), t=1, c_v=1.0) == math.inf
+    with pytest.raises(ValueError, match="t is 1-based"):
+        ucb_value(ArmState(prompt_id=0), t=0, c_v=1.0)
 
 
 def test_ucb_value_greedy_degeneration() -> None:

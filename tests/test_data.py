@@ -25,6 +25,10 @@ def test_load_tsv(tmp_path) -> None:
     examples = load(file, "tsv")
     assert examples[0] == Example(id=0, input_text="the sky is green", label="1")
     assert examples[1].label == "0"
+    with pytest.raises(ValueError, match="input_text is empty"):
+        Example(id=0, input_text="", label="1")
+    with pytest.raises(ValueError, match="label is empty"):
+        Example(id=0, input_text="the sky is green", label="")
 
 
 def test_load_jsonl_with_aliases(tmp_path) -> None:
@@ -81,6 +85,8 @@ def test_load_errors(tmp_path) -> None:
         load(tmp_path / "missing.tsv", "tsv")
     with pytest.raises(DatasetError, match="format"):
         load(empty, "csv")
+    with pytest.raises(DatasetError, match="unknown task_type 'regression'"):
+        load(empty, "tsv", "regression")
     latin1 = tmp_path / "latin1.tsv"
     latin1.write_bytes(b"good line\tYes\ncaf\xe9 line\tNo\n")
     with pytest.raises(DatasetError, match=r"latin1.tsv:2: not UTF-8 text \(byte 0xe9\)"):
@@ -227,6 +233,8 @@ def test_sample_minibatch_with_replacement_when_train_small() -> None:
     batch = sample_minibatch(split, 64, seed=3, round_index=1)
     assert len(batch) == 64
     assert {e.id for e in batch} <= {e.id for e in split.train}
+    with pytest.raises(DatasetError, match="train split is empty"):
+        sample_minibatch(split._replace(train=()), 64, seed=3, round_index=1)
 
 
 def test_sample_minibatch_streams_by_round() -> None:
@@ -239,45 +247,61 @@ def test_sample_minibatch_streams_by_round() -> None:
 
 
 def _correctness(minibatch, n_correct):
-    ids = sorted(e.id for e in minibatch)
-    correct_ids = set(ids[:n_correct])
-    return {i: i in correct_ids for i in ids}
+    """Verdicts aligned with ``minibatch``: its ``n_correct`` lowest ids are correct.
+
+    A toy example's id is its position, so ``correct[e.id]`` is e's verdict.
+    """
+    correct_ids = set(sorted(e.id for e in minibatch)[:n_correct])
+    return [e.id in correct_ids for e in minibatch]
 
 
 def test_sample_by_correctness_draws_requested_count() -> None:
     minibatch = toy_examples(64)
-    correctness = _correctness(minibatch, 40)
-    sample = sample_by_correctness(minibatch, correctness, 3, "correct", seed=1, round_index=1)
+    correct = _correctness(minibatch, 40)
+    sample = sample_by_correctness(minibatch, correct, 3, "correct", seed=1, round_index=1)
     assert len(sample) == 3
-    assert all(correctness[e.id] for e in sample)
+    assert all(correct[e.id] for e in sample)
 
 
 def test_sample_by_correctness_empty_subset_flags_shortfall() -> None:
     minibatch = toy_examples(10)
-    correctness = _correctness(minibatch, 0)
-    sample = sample_by_correctness(minibatch, correctness, 3, "correct", seed=1, round_index=1)
+    correct = _correctness(minibatch, 0)
+    sample = sample_by_correctness(minibatch, correct, 3, "correct", seed=1, round_index=1)
     assert sample == ()
 
 
 def test_sample_by_correctness_partial_subset_returned_whole() -> None:
     minibatch = toy_examples(10)
-    correctness = _correctness(minibatch, 2)
-    sample = sample_by_correctness(minibatch, correctness, 3, "correct", seed=1, round_index=1)
+    correct = _correctness(minibatch, 2)
+    sample = sample_by_correctness(minibatch, correct, 3, "correct", seed=1, round_index=1)
     assert len(sample) == 2
 
 
 def test_sample_by_correctness_never_disagrees_with_polarity() -> None:
     minibatch = toy_examples(64)
-    correctness = {e.id: e.id % 3 == 0 for e in minibatch}
+    correct = [e.id % 3 == 0 for e in minibatch]
     for want in ("correct", "incorrect"):
         for round_index in range(5):
             sample = sample_by_correctness(
-                minibatch, correctness, 5, want, seed=11, round_index=round_index
+                minibatch, correct, 5, want, seed=11, round_index=round_index
             )
-            assert all(correctness[e.id] == (want == "correct") for e in sample)
+            assert all(correct[e.id] == (want == "correct") for e in sample)
+    with pytest.raises(ValueError, match="want must be 'correct' or 'incorrect'"):
+        sample_by_correctness(minibatch, correct, 5, "right", seed=11, round_index=0)
 
 
 def test_sample_by_correctness_requires_full_coverage() -> None:
     minibatch = toy_examples(4)
-    with pytest.raises(ValueError, match="missing"):
-        sample_by_correctness(minibatch, {0: True}, 1, "correct", seed=1, round_index=1)
+    with pytest.raises(ValueError, match="1 verdicts for 4 minibatch examples"):
+        sample_by_correctness(minibatch, [True], 1, "correct", seed=1, round_index=1)
+
+
+def test_sample_by_correctness_keeps_the_last_verdict_of_a_repeated_example() -> None:
+    # A minibatch drawn with replacement can hold an example twice, and at
+    # temperature > 0 its two verdicts can differ.
+    first, second = toy_examples(2)
+    minibatch = [first, second, first]
+    correct = [True, True, False]
+    kwargs = dict(n=3, seed=1, round_index=1)
+    assert sample_by_correctness(minibatch, correct, want="correct", **kwargs) == (second,)
+    assert sample_by_correctness(minibatch, correct, want="incorrect", **kwargs) == (first,)

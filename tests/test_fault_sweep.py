@@ -5,7 +5,8 @@ the backend (0-based), for every k the uninterrupted run makes. Each aborted
 run must leave the documented partial artifact: exit code 5, ``status:
 incomplete`` in ``run_meta.json``, no ``result.json``, and a transcript
 holding exactly the k paid calls before the failure, as the uninterrupted run
-recorded them.
+recorded them. A ``KeyboardInterrupt`` at call k, as a Ctrl-C raises it,
+leaves the same artifact and exit code 130, with one line on stderr.
 
 Replaying the recording with any one line k left out must end the same way,
 at the request that line answered: the replay's transcript is the first k
@@ -33,7 +34,7 @@ from pathlib import Path
 import pytest
 
 from promptopt import cli
-from promptopt.cli import EXIT_INCOMPLETE, EXIT_OK, main
+from promptopt.cli import EXIT_INCOMPLETE, EXIT_INTERRUPTED, EXIT_OK, main
 from promptopt.gateway import (
     Gateway,
     LiveBackend,
@@ -50,16 +51,17 @@ PRESETS = {"mapo": [], "protegi": ["--mode", "protegi"]}
 
 
 class FailAt:
-    """Passes calls to ``backend`` and raises at its ``k``-th one."""
+    """Passes calls to ``backend`` and raises ``error`` at its ``k``-th one."""
 
-    def __init__(self, backend, k: int):
+    def __init__(self, backend, k: int, error: type[BaseException] = LiveCallError):
         self._backend = backend
         self._k = k
+        self._error = error
         self._calls = 0
 
     def complete(self, req, on_attempt):
         if self._calls == self._k:
-            raise LiveCallError(f"injected failure at backend call {self._k}")
+            raise self._error(f"injected failure at backend call {self._k}")
         self._calls += 1
         return self._backend.complete(req, on_attempt)
 
@@ -101,6 +103,30 @@ def test_failure_at_every_backend_call_leaves_the_paid_prefix(
         assert not (out / "result.json").exists(), k
         assert (out / "transcript.jsonl").read_bytes() == b"".join(lines[:k]), k
     assert f"injected failure at backend call {len(lines) - 1}" in capsys.readouterr().err
+
+
+def test_interrupt_at_a_backend_call_exits_130_with_one_line(monkeypatch, tmp_path, capsys) -> None:
+    # A Ctrl-C reaches the program as KeyboardInterrupt wherever it is waiting.
+    monkeypatch.chdir(REPO)
+    whole = tmp_path / "whole"
+    assert main([*DEMO_ARGS, "--out", str(whole)]) == EXIT_OK
+    lines = (whole / "transcript.jsonl").read_bytes().splitlines(keepends=True)
+    capsys.readouterr()
+
+    build_gateway = cli.build_gateway
+    for k in (0, 1, len(lines) // 2, len(lines) - 1):
+        monkeypatch.setattr(
+            cli,
+            "build_gateway",
+            lambda *args, k=k: Gateway(FailAt(build_gateway(*args).backend, k, KeyboardInterrupt)),
+        )
+        out = tmp_path / f"k{k}"
+        assert main([*DEMO_ARGS, "--out", str(out)]) == EXIT_INTERRUPTED, k
+        assert capsys.readouterr().err == f"interrupted (partial artifact: {out})\n", k
+        meta = json.loads((out / "run_meta.json").read_text())
+        assert meta["status"] == "incomplete", k
+        assert not (out / "result.json").exists(), k
+        assert (out / "transcript.jsonl").read_bytes() == b"".join(lines[:k]), k
 
 
 @pytest.mark.parametrize("preset", sorted(PRESETS))

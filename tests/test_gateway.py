@@ -905,6 +905,8 @@ def test_retry_policy_gives_up_after_max() -> None:
     rng = random.Random(0)
     assert policy.delay(6, rng) is None
     assert policy.delay(5, rng) is not None
+    with pytest.raises(ValueError, match="attempt is 1-based"):
+        policy.delay(0, rng)
 
 
 def test_retry_policy_first_delay_range() -> None:

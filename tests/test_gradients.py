@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from promptopt import ConfigError, Gateway, PromptStore, ScriptedBackend, new_seed_prompt
+from promptopt import ConfigError, Gateway, PromptStore, ScriptedBackend
 from promptopt.data import Example
 from promptopt.gradients import (
     GradientEngine,
@@ -175,7 +175,7 @@ def test_format_example_block_layout() -> None:
 def _engine(responses: dict, cfg=None):
     cfg = cfg or small_config()
     store = PromptStore()
-    parent = store.adopt(new_seed_prompt("Answer Yes or No."))
+    parent = store.new_prompt("Answer Yes or No.", round=0)
     gateway = Gateway(ScriptedBackend(SequenceScript(responses)))
     engine = GradientEngine(cfg, gateway, store, TemplateSet(), "classification")
     return engine, parent, gateway

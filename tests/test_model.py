@@ -47,12 +47,12 @@ def test_new_seed_prompt_trims_outer_whitespace_only() -> None:
 
 
 def test_prompt_round_parent_invariant() -> None:
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="round 0 iff parent_id absent"):
         Prompt(id=1, text="x", round=1)  # round >= 1 needs a parent
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="round 0 iff parent_id absent"):
         Prompt(id=1, text="x", round=0, parent_id=0)
-    with pytest.raises(ValueError):
-        Prompt(id=1, text="x", round=1, gradient_id=2)  # gradient without parent
+    with pytest.raises(ValueError, match="gradient_id requires a parent_id"):
+        Prompt(id=1, text="x", round=0, gradient_id=2)  # gradient without parent
 
 
 def test_gradient_rejects_embedded_delimiters() -> None:
@@ -183,19 +183,17 @@ def test_validate_config_accepts_finite_convergence_target() -> None:
 
 def test_store_assigns_sequential_ids() -> None:
     store = PromptStore()
-    seed = store.adopt(new_seed_prompt("seed"))
+    seed = store.new_prompt("seed", round=0)
     child_a = store.new_prompt("child a", round=1, parent_id=seed.id)
     grad = store.new_gradient("a reason", source_prompt_id=seed.id, round=1, polarity="positive")
     child_b = store.new_prompt("child b", round=1, parent_id=seed.id, gradient_id=grad.id)
     assert (seed.id, child_a.id, child_b.id) == (0, 1, 2)
     assert grad.id == 0
-    with pytest.raises(ValueError):
-        store.adopt(seed)
 
 
 def test_store_score_updates_replace_immutably() -> None:
     store = PromptStore()
-    seed = store.adopt(new_seed_prompt("seed"))
+    seed = store.new_prompt("seed", round=0)
     updated = store.set_train_score(seed.id, 0.5)
     assert updated.train_score == 0.5
     assert seed.train_score is None  # original object untouched
@@ -204,7 +202,7 @@ def test_store_score_updates_replace_immutably() -> None:
 
 def test_lineage_forest_terminates_at_seed() -> None:
     store = PromptStore()
-    seed = store.adopt(new_seed_prompt("seed"))
+    seed = store.new_prompt("seed", round=0)
     parent = seed
     for round_index in range(1, 6):
         parent = store.new_prompt(f"gen {round_index}", round=round_index, parent_id=parent.id)

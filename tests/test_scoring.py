@@ -40,6 +40,8 @@ def test_parse_label_whole_token_rule() -> None:
 
 def test_parse_label_no_match() -> None:
     assert parse_label("unsure", YES_NO) is None
+    with pytest.raises(ValueError, match="label_set is empty"):
+        parse_label("Yes", ())
 
 
 def test_parse_label_case_insensitive_returns_canonical_casing() -> None:

@@ -10,11 +10,13 @@ from __future__ import annotations
 
 from hashlib import blake2b
 
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from promptopt import Example, HeuristicScript, LlmRequest, evaluate_prompt, new_seed_prompt
 from promptopt import scripted
+from promptopt.scripted import ScriptExhaustedError
 
 from conftest import SEED_TEXT, scripted_gateway, task_split, toy_examples
 
@@ -110,3 +112,9 @@ def test_a_multi_line_input_is_answered_as_itself_not_as_its_last_line() -> None
     script = HeuristicScript(examples, ["Yes", "No"], skill_range=(1.0, 1.0))
     assert script(LlmRequest("task_eval", "P\nStatement 0:\nthe end")) == "Yes"
     assert script(LlmRequest("task_eval", "P\nthe end")) == "No"
+
+
+def test_a_role_without_a_script_is_refused() -> None:
+    script = HeuristicScript(toy_examples(4), ["Yes", "No"])
+    with pytest.raises(ScriptExhaustedError, match="no script for role_tag 'chitchat'"):
+        script(LlmRequest("chitchat", "P\nsample statement number 0 about an everyday event"))

@@ -766,13 +766,13 @@ def test_expand_parent_empty_sample_passes_parent_through(tmp_path) -> None:
 
     examples = toy_examples(16)
     store = PromptStore()
-    parent = store.adopt(new_seed_prompt(SEED_TEXT))
+    parent = store.new_prompt(SEED_TEXT, round=0)
     cfg = small_config()
     gateway = Gateway(ScriptedBackend(lambda req: "<START>unused<END>"))
     engine = GradientEngine(cfg, gateway, store, TemplateSet(), "classification")
-    correctness = {ex.id: False for ex in examples}  # nothing to sample from
+    correct = [False] * 16  # nothing to sample from
 
-    assert expand_parent(engine, parent, 1, examples, correctness, "(none)")
+    assert expand_parent(engine, parent, 1, examples, correct, "(none)")
     assert store.prompts == {parent.id: parent}
     assert store.gradients == {}
     assert gateway.call_count() == 0  # the generator call was skipped entirely

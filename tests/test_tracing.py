@@ -80,10 +80,12 @@ def test_traced_tiny_run_reports_every_phase(tmp_path) -> None:
     # wraps Gateway.complete, which the package no longer calls, so both
     # read 0 on a working run.
     for name in (
+        "search.phase.parent_eval_s",
         "search.phase.expand_s",
         "search.phase.select_s",
         "search.phase.test_eval_s",
         "search.phase.final_s",
+        "search.phase.artifact_s",
         "momentum.s",
         "data.sample_s",
     ):
