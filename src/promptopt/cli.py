@@ -161,20 +161,6 @@ def build_run_config(args, run_section: dict, bandit_section: dict) -> RunConfig
     return RunConfig(bandit=BanditConfig(**bandit_section), **values)
 
 
-def _load_split(dataset: DatasetSpec | None, cfg: RunConfig):
-    if dataset is None:
-        raise ConfigError("config file has no [dataset] section")
-    examples = load(dataset.path, dataset.format, dataset.task_type)
-    return examples, make_split(
-        examples,
-        cfg.test_set_size,
-        cfg.rng_seed,
-        task_type=dataset.task_type,
-        positive_label=dataset.positive_label,
-        label_set=dataset.label_set,
-    )
-
-
 # The backend names that --backend and [gateway] backend accept.
 BACKENDS = ("live", "replay", "scripted")
 
@@ -198,6 +184,24 @@ def build_gateway(args, gateway_section: dict, cfg: RunConfig, examples, split) 
     else:
         raise ConfigError(f"unknown backend {backend_name!r}")
     return Gateway(backend, cfg.temperature)
+
+
+def _inputs(args):
+    """The ``[run]`` values, dataset, run config, split and gateway that both commands start from."""
+    run_section, bandit_section, dataset, gateway_section = read_config_file(args.config)
+    cfg = build_run_config(args, run_section, bandit_section)
+    if dataset is None:
+        raise ConfigError("config file has no [dataset] section")
+    examples = load(dataset.path, dataset.format, dataset.task_type)
+    split = make_split(
+        examples,
+        cfg.test_set_size,
+        cfg.rng_seed,
+        task_type=dataset.task_type,
+        positive_label=dataset.positive_label,
+        label_set=dataset.label_set,
+    )
+    return run_section, dataset, cfg, split, build_gateway(args, gateway_section, cfg, examples, split)
 
 
 def _make_dir(path: Path, what: str) -> Path:
@@ -227,11 +231,8 @@ def _say(line: str) -> None:
 
 
 def cmd_optimize(args) -> int:
-    run_section, bandit_section, dataset, gateway_section = read_config_file(args.config)
-    cfg = build_run_config(args, run_section, bandit_section)
-    examples, split = _load_split(dataset, cfg)
+    run_section, dataset, cfg, split, gateway = _inputs(args)
     seed = new_seed_prompt(_seed_prompt_text(run_section))
-    gateway = build_gateway(args, gateway_section, cfg, examples, split)
     templates = TemplateSet.from_dir(args.templates) if args.templates else TemplateSet()
     method = args.mode or "mapo"
     out_dir = _make_dir(Path(args.out or f"runs/{method}-seed{cfg.rng_seed}"), "artifact directory")
@@ -276,11 +277,8 @@ def cmd_optimize(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    run_section, bandit_section, dataset, gateway_section = read_config_file(args.config)
-    cfg = build_run_config(args, run_section, bandit_section)
+    _, _, _, split, gateway = _inputs(args)
     prompt = new_seed_prompt(read_text(args.prompt_file, "prompt file"))
-    examples, split = _load_split(dataset, cfg)
-    gateway = build_gateway(args, gateway_section, cfg, examples, split)
     with gateway.count_as_eval():
         score = evaluate_prompt(prompt, split.test, gateway, split)[0]
     print(f"test_score={score:.4f} eval_calls={gateway.eval_calls()}")

@@ -30,8 +30,6 @@ from typing import Callable, NamedTuple, Sequence
 
 from .model import ConfigError, check_field_types, check_file
 
-ROLE_TAGS = ("gradient_gen", "prompt_edit", "paraphrase", "task_eval")
-
 # Per-role completion budgets; task evaluation answers are short by design.
 DEFAULT_MAX_TOKENS = {
     "gradient_gen": 512,
@@ -39,6 +37,7 @@ DEFAULT_MAX_TOKENS = {
     "paraphrase": 512,
     "task_eval": 16,
 }
+ROLE_TAGS = tuple(DEFAULT_MAX_TOKENS)
 
 
 class GatewayError(Exception):
@@ -56,7 +55,7 @@ class ReplayMissError(GatewayError):
 
 
 class ScriptExhaustedError(GatewayError):
-    """A scripted backend ran out of canned responses."""
+    """A scripted responder has no answer for a request, such as one of a role it has no script for."""
 
 
 class LiveCallError(GatewayError):
@@ -283,7 +282,8 @@ class ScriptedBackend:
     """Deterministic backend delegating to a responder callable.
 
     The responder maps a request to completion text; it may raise
-    :class:`ScriptExhaustedError` when a canned script runs dry. Scripted
+    :class:`ScriptExhaustedError` for a request it has no answer for, as
+    ``HeuristicScript`` does for a role it has no script for. Scripted
     latency is always 0.0 so recorded transcripts are byte-stable.
     """
 
@@ -420,26 +420,24 @@ class LiveBackend:
         self._rng = rng or random.Random(0)
         self._transport = transport or _requests_transport
         self._sleep = sleep
+        # The config is frozen, so the endpoint and headers are built once.
+        self._url = config.base_url.rstrip("/") + "/chat/completions"
+        self._headers = {"Content-Type": "application/json", "User-Agent": "promptopt"}
+        if config.api_key:
+            self._headers["Authorization"] = f"Bearer {config.api_key}"
 
     def complete(self, req: LlmRequest, on_attempt: Callable[[], None]) -> LlmResponse:
-        url = self.config.base_url.rstrip("/") + "/chat/completions"
-        headers = {"Content-Type": "application/json", "User-Agent": "promptopt"}
-        if self.config.api_key:
-            headers["Authorization"] = f"Bearer {self.config.api_key}"
         payload = {
             "model": self.config.model,
             "messages": [{"role": "user", "content": req.rendered_prompt}],
             "temperature": req.temperature,
             "max_tokens": req.max_tokens,
         }
-        attempt = 0
-        last_error = "no attempt made"
-        while True:
-            attempt += 1
+        for attempt in itertools.count(1):
             started = time.monotonic()
             try:
                 on_attempt()
-                status, body = self._transport(url, headers, payload, self.config.timeout_s)
+                status, body = self._transport(self._url, self._headers, payload, self.config.timeout_s)
             except Exception as exc:
                 last_error = f"transport error: {exc}"
             else:

@@ -248,6 +248,7 @@ class GradientEngine:
         self.templates = templates
         self.task_label = task_label
         self.parse_shortfalls = 0
+        self.sample_shortfalls = 0
 
     @property
     def edits_per_gradient(self) -> int:
@@ -340,15 +341,14 @@ class GradientEngine:
         gradients: Sequence[Gradient | None],
         ordinal_start: int = 1,
     ) -> list[Prompt]:
-        """One child per answer whose first span holds text, with that answer's gradient.
+        """One child per answer with a span that holds text, from the first such span.
 
-        Paraphrases have ``None`` for a gradient.
+        Each child carries its answer's gradient; paraphrases have ``None``.
         """
         children: list[Prompt] = []
         for ordinal, (answer, grad) in enumerate(zip(texts, gradients), start=ordinal_start):
             gradient_id = grad.id if grad is not None else None
-            spans = parse_delimited(answer)
-            text = spans[0] if spans else ""
+            text = next((span for span in parse_delimited(answer) if span), "")
             if not text:
                 self.parse_shortfalls += 1
                 what = f"edit along gradient {gradient_id}" if grad is not None else "paraphrase"

@@ -22,15 +22,10 @@ _PARAPHRASE_INPUT_RE = re.compile(r'Input: "(.*?)"\n\n', re.DOTALL)
 _NUM_GRADIENTS_RE = re.compile(r"give (\d+) reasons")
 
 
-def _hash01(seed: int, *parts: object) -> float:
-    key = "|".join(str(p) for p in parts)
-    digest = blake2b(f"{seed}|{key}".encode("utf-8", "surrogatepass"), digest_size=8).digest()
-    return int.from_bytes(digest, "big") / 2**64
-
-
-def _hash_tag(seed: int, *parts: object) -> str:
-    key = "|".join(str(p) for p in parts)
-    return blake2b(f"{seed}|{key}".encode("utf-8", "surrogatepass"), digest_size=4).hexdigest()
+def _hash(seed: int, size: int, *parts: object) -> bytes:
+    """The ``size``-byte blake2b digest of ``seed|part|...``."""
+    key = "|".join(str(p) for p in (seed, *parts))
+    return blake2b(key.encode("utf-8", "surrogatepass"), digest_size=size).digest()
 
 
 class HeuristicScript:
@@ -66,7 +61,7 @@ class HeuristicScript:
         }
 
     def skill(self, prompt_text: str) -> float:
-        u = _hash01(self._seed, "skill", prompt_text)
+        u = int.from_bytes(_hash(self._seed, 8, "skill", prompt_text), "big") / 2**64
         return self._skill_lo + (self._skill_hi - self._skill_lo) * u
 
     def _answer(self, prompt_text: str, example: Example) -> str:
@@ -77,7 +72,7 @@ class HeuristicScript:
                 f"{self._seed}|answer|{prompt_text}|".encode("utf-8", "surrogatepass"),
             )
         skill, coin_prefix = entry
-        # The same value as _hash01(self._seed, "answer", prompt_text, example.id).
+        # The same digest as _hash(self._seed, 8, "answer", prompt_text, example.id).
         digest = blake2b(coin_prefix + str(example.id).encode("utf-8"), digest_size=8).digest()
         correct = int.from_bytes(digest, "big") / 2**64 < skill
         if self._task_type == "math":
@@ -103,18 +98,18 @@ class HeuristicScript:
             count = int(match.group(1)) if match else 1
             blocks = []
             for i in range(count):
-                tag = _hash_tag(self._seed, "reason", masked, i)
+                tag = _hash(self._seed, 4, "reason", masked, i).hex()
                 blocks.append(f"<START>the wording anchors the answer format ({tag})<END>")
             return "\n".join(blocks)
         if req.role_tag == "prompt_edit":
             match = _CURRENT_PROMPT_RE.search(req.rendered_prompt)
             current = match.group(1) if match else "Answer the question."
-            tag = _hash_tag(self._seed, "edit", masked)
+            tag = _hash(self._seed, 4, "edit", masked).hex()
             return f"The 1 new prompt is:\n<START>{current} [rev {tag}]<END>"
         if req.role_tag == "paraphrase":
             match = _PARAPHRASE_INPUT_RE.search(req.rendered_prompt)
             current = match.group(1) if match else "Answer the question."
-            tag = _hash_tag(self._seed, "paraphrase", masked)
+            tag = _hash(self._seed, 4, "paraphrase", masked).hex()
             return f"<START>{current} (alt {tag})<END>"
         raise ScriptExhaustedError(f"no script for role_tag {req.role_tag!r}")
 

@@ -127,7 +127,7 @@ def expand_parent(
     minibatch: Sequence[Example],
     correct: Sequence[bool],
     history_binding: str,
-) -> bool:
+) -> None:
     """Expand a parent into this round's children, which the engine adds to the store.
 
     ``correct`` holds the parent's verdict on each minibatch example, aligned
@@ -136,8 +136,8 @@ def expand_parent(
     editor calls along all of that polarity's gradients. One batch of
     ``paraphrases_per_parent`` paraphrases of the parent follows. An empty
     correctness sample skips that polarity and the parent simply carries
-    through. Returns whether a correctness sample fell short of
-    ``num_correct_examples``.
+    through. A parent with a correctness sample smaller than
+    ``num_correct_examples`` adds one to ``engine.sample_shortfalls``.
     """
     cfg = engine.cfg
     shortfall = False
@@ -163,7 +163,7 @@ def expand_parent(
             ordinal += engine.edits_per_gradient * len(gradients)
     if cfg.paraphrases_per_parent > 0:
         engine.paraphrase_expand(parent, cfg.paraphrases_per_parent, round_index)
-    return shortfall
+    engine.sample_shortfalls += shortfall
 
 
 class _Search:
@@ -186,7 +186,6 @@ class _Search:
         self.arm_tables: list[tuple[bandit.ArmState, ...]] = []
         self.events: list[MetricEvent] = []
         self.test_predictions: list[dict] = []
-        self.sample_shortfalls = 0
 
     def score_beam(self, round_index: int) -> Iterator[tuple[Prompt, list[Example], list[bool]]]:
         """Score each prompt of the last beam, in beam order, on the round's minibatch.
@@ -215,9 +214,7 @@ class _Search:
         scores: list[float] = []
         for parent, minibatch, correct in self.score_beam(round_index):
             scores.append(parent.train_score)
-            self.sample_shortfalls += expand_parent(
-                self.engine, parent, round_index, minibatch, correct, history_binding
-            )
+            expand_parent(self.engine, parent, round_index, minibatch, correct, history_binding)
         return max(scores)
 
     def select(self, round_index: int) -> None:
@@ -398,12 +395,12 @@ def _write_artifact(
                 "memo_hits": state.gateway.memo_hits(),
             },
             # What went wrong without stopping the run: gradient, edit and paraphrase
-            # completions with no usable delimited text, parent expansions with a
+            # completions with no delimited span that holds text, parent expansions with a
             # correctness sample smaller than num_correct_examples, and candidates
             # the bandit never pulled, summed over the rounds' arm tables.
             "anomalies": {
                 "parse_shortfalls": state.engine.parse_shortfalls,
-                "sample_shortfalls": state.sample_shortfalls,
+                "sample_shortfalls": state.engine.sample_shortfalls,
                 "unpulled_arms": sum(a.N == 0 for table in state.arm_tables for a in table),
             },
             "notes": _RUN_NOTES,
@@ -411,16 +408,14 @@ def _write_artifact(
     )
     artifact.write_jsonl(out / artifact.EVENTS_FILE, [e._asdict() for e in state.events])
     # Each record's row is its fields and its type; json writes a tuple as a
-    # list. Generators, so that each row is dropped once it is encoded.
-    artifact.write_jsonl(out / "beams.jsonl", ({"type": "beam", **b._asdict()} for b in state.beams))
-    artifact.write_jsonl(
-        out / "prompts.jsonl",
-        ({"type": "prompt", **store.prompts[pid]._asdict()} for pid in sorted(store.prompts)),
-    )
-    artifact.write_jsonl(
-        out / "gradients.jsonl",
-        ({"type": "gradient", **store.gradients[gid]._asdict()} for gid in sorted(store.gradients)),
-    )
+    # list. The store numbers its records as it adds them, so its order is id
+    # order. Generators, so that each row is dropped once it is encoded.
+    for kind, records in (
+        ("beam", state.beams),
+        ("prompt", store.prompts.values()),
+        ("gradient", store.gradients.values()),
+    ):
+        artifact.write_jsonl(out / f"{kind}s.jsonl", ({"type": kind, **r._asdict()} for r in records))
     artifact.write_json(
         out / "history.json",
         {

@@ -586,6 +586,19 @@ def test_optimize_demo_protegi_transcript_golden_sha256(monkeypatch, tmp_path) -
     assert hashlib.sha256(data).hexdigest() == (
         "78f54d020afa8e2067520fa1732f646980115aa3410e5600ef4aa54591322e9d"
     )
+    # The record files of the mode whose children include paraphrases, which have no gradient.
+    digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in _PROTEGI_SHA256}
+    assert digests == _PROTEGI_SHA256
+
+
+_PROTEGI_SHA256 = {
+    "beams.jsonl": "e70493fba39edf104bffd7987cf8f09528eb908ae679d97864863576104cf930",
+    "prompts.jsonl": "56814bd00c70b331851b7b784dbb0540864ddebe55aa17626914ea6e9b90d3f8",
+    "gradients.jsonl": "9eda34e67ec260f4859791b79e56c41c7d3f6a2fc410c09b551ec443807c1c9d",
+    "bandit.jsonl": "ae6919e11a516a0d4d15033877532a7f5228dc6f95c35f675ab8d65496ac1320",
+    "run_meta.json": "fae103a3f5774e87efe21277d44a2d49ec9fdd6fc2052bb938bd12b00bbd33b9",
+    "result.json": "51b736bf44164dbfc2dd330afdcc00bd5b46a5023858b39507c6f9c0c84bde07",
+}
 
 
 def _edits(first: int, count: int) -> tuple:

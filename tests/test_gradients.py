@@ -299,6 +299,25 @@ def test_batched_edits_and_paraphrases_keep_children_ids_and_shortfalls() -> Non
     ]
 
 
+def test_a_child_takes_the_first_span_that_holds_text() -> None:
+    # A blank first span is passed over, as it is when gradients are parsed.
+    answer = "<START> <END>\n<START>Better prompt<END>"
+    engine, parent, _ = _engine(
+        {"gradient_gen": [answer], "prompt_edit": [answer, answer], "paraphrase": [answer]},
+        cfg=small_config(candidates_per_parent=2, num_gradients=1),
+    )
+    gradients = engine.generate_gradients(parent, _sample(), "(none)", 1, "positive", 1)
+    children = engine.apply_gradient(parent, gradients, _sample(), "(none)", 1, 1)
+    children += engine.paraphrase_expand(parent, 1, round_index=1)
+    assert [g.text for g in gradients] == ["Better prompt"]
+    assert [(c.text, c.gradient_id) for c in children] == [
+        ("Better prompt", gradients[0].id),
+        ("Better prompt", gradients[0].id),
+        ("Better prompt", None),
+    ]
+    assert engine.parse_shortfalls == 0
+
+
 def test_paraphrase_expand_contract() -> None:
     engine, parent, _ = _engine(
         {"paraphrase": ["<START>first rewording<END>", "<START>second rewording<END>"]}

@@ -92,13 +92,13 @@ def test_task_eval_answers_match_the_per_request_formula(data, seed, task_type, 
 
 def test_scoring_one_prompt_hashes_its_skill_once(monkeypatch) -> None:
     calls = []
-    real_hash01 = scripted._hash01
+    real_hash = scripted._hash
 
-    def counting_hash01(seed, *parts):
+    def counting_hash(seed, size, *parts):
         calls.append(parts[0])
-        return real_hash01(seed, *parts)
+        return real_hash(seed, size, *parts)
 
-    monkeypatch.setattr(scripted, "_hash01", counting_hash01)
+    monkeypatch.setattr(scripted, "_hash", counting_hash)
     examples = toy_examples(40)
     gateway = scripted_gateway(examples, ["No", "Yes"])
     task = task_split("classification", ("No", "Yes"), "Yes")

@@ -213,6 +213,18 @@ def test_run_artifact_golden_sha256(tmp_path) -> None:
     assert digests == _GOLDEN_ARTIFACT_SHA256
 
 
+_BOTH_POLARITIES_SHA256 = {
+    "transcript.jsonl": "6938c212bbd17a216025f247ece1e0cf08294733f1dce6d957a9be4543dca2f4",
+    "history.json": "39ce131cb168b0e2c8875b772c6b373f998aa47368acb6a63c59ace9eb65b662",
+    "beams.jsonl": "1a7347d8d37704a6dbdab6585d4b430076437d94d171f2ada501d4152b7e021a",
+    "prompts.jsonl": "3af9bbcae8f18821d7ff03e9ed67fa5ecb6436d8a2cad07aaea154985b7512f5",
+    "gradients.jsonl": "8207876466ff25b889543e199de71df7922a5c09c66f822cd99b20294bfbfc58",
+    "bandit.jsonl": "b2d00fd33d046ab57db22ff105dd25100b2c9a6585625373b605c68115bcde16",
+    "run_meta.json": "2e455ca8a161e61aa72d92990723b3102469447772bc89067b7ea36c18e33501",
+    "result.json": "b8cb9c37f0eb65bf70e1cd2e85da9ab5ed735fdd7459ea29b3f413ef599f2f71",
+}
+
+
 def test_run_both_polarities_golden_sha256(tmp_path) -> None:
     # Momentum pools only positive gradients of the round's own children, so
     # this run's history pins that rule against survivors it must leave out.
@@ -221,14 +233,12 @@ def test_run_both_polarities_golden_sha256(tmp_path) -> None:
     gateway = scripted_gateway(examples, split.label_set)
     cfg = small_config(gradient_mode="both", search_depth=3)
     result = run(new_seed_prompt(SEED_TEXT), split, cfg, gateway, tmp_path)
+    # The record files pin the mode that makes negative gradients too.
     digests = {
         name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
-        for name in ("transcript.jsonl", "history.json")
+        for name in _BOTH_POLARITIES_SHA256
     }
-    assert digests == {
-        "transcript.jsonl": "6938c212bbd17a216025f247ece1e0cf08294733f1dce6d957a9be4543dca2f4",
-        "history.json": "39ce131cb168b0e2c8875b772c6b373f998aa47368acb6a63c59ace9eb65b662",
-    }
+    assert digests == _BOTH_POLARITIES_SHA256
     store = result.store
     negative = carried = 0
     for beam in result.beams[1:]:
@@ -772,7 +782,8 @@ def test_expand_parent_empty_sample_passes_parent_through(tmp_path) -> None:
     engine = GradientEngine(cfg, gateway, store, TemplateSet(), "classification")
     correct = [False] * 16  # nothing to sample from
 
-    assert expand_parent(engine, parent, 1, examples, correct, "(none)")
+    assert expand_parent(engine, parent, 1, examples, correct, "(none)") is None
+    assert engine.sample_shortfalls == 1
     assert store.prompts == {parent.id: parent}
     assert store.gradients == {}
     assert gateway.call_count() == 0  # the generator call was skipped entirely
