@@ -152,10 +152,9 @@ class Transcript:
         ``max_tokens``, and the ``role_tag`` line that starts the digest's
         input) are looked up once per run, by each value's type and
         ``repr``, so ``json.dumps`` renders each distinct three values once,
-        also for a transcript just read by :meth:`load`, whose every line
-        decoded to objects of its own. The lookup does not go by equality:
-        ``0``, ``0.0``, ``-0.0`` and ``False`` compare equal but render
-        differently.
+        also for entries that hold equal values in objects of their own. The
+        lookup does not go by equality: ``0``, ``0.0``, ``-0.0`` and
+        ``False`` compare equal but render differently.
         """
         run_role = run_temperature = run_max_tokens = _UNSET
         rendered: dict[tuple, tuple[str, str, str]] = {}
@@ -214,21 +213,33 @@ class Transcript:
         ``json.loads``, so the lines accepted and the errors raised are those
         of ``json.loads`` on each line.
 
+        Equal values are loaded once and shared: one ``role_tag`` string per
+        role, one object per distinct ``temperature`` and ``max_tokens``, and
+        one :class:`LlmResponse` per distinct (``response_text``,
+        ``latency_s``). A number is keyed by its type and value, and a zero by
+        its ``repr``, so ``0``, ``0.0`` and ``-0.0`` stay apart and
+        :meth:`save` writes back every byte read.
+
         Raises :class:`TranscriptFormatError` naming the path and the 1-based
         line number of the first line that is not a complete entry, such as
         the cut-off last line of a file whose writer was killed, or whose
         ``role_tag``, ``rendered_prompt`` or ``response_text`` is not a
-        string, or ``latency_s`` not an int or float that is finite and >= 0.
-        A missing path or a directory raises it too. The file is streamed, so a
-        byte order mark is not skipped: this program writes transcripts without one.
+        string, ``latency_s`` or ``temperature`` not an int or float that is
+        finite and >= 0, or ``max_tokens`` or ``request_index`` not an int
+        (a bool is none of these). A missing path or a directory raises it
+        too. The file is streamed, so a byte order mark is not skipped: this
+        program writes transcripts without one.
         """
         check_file(path, "transcript", TranscriptFormatError)
         scan = _SCANNER
         skip_space = _JSON_WHITESPACE
-        make_request = LlmRequest._make
+        new = tuple.__new__
         make_response = LlmResponse._make
         inf = math.inf
         number = (int, float)
+        roles: dict[str, str] = {}
+        numbers: dict[tuple, int | float] = {}
+        responses: dict[tuple, LlmResponse] = {}
         entries: list[tuple[LlmRequest, LlmResponse]] = []
         lineno = 0
         try:
@@ -236,7 +247,12 @@ class Transcript:
                 for lineno, line in enumerate(handle, start=1):
                     try:
                         row, end = scan(line, 0)
-                        whole = end == len(line) or skip_space(line, end).end() == len(line)
+                        # A saved line holds nothing but its newline after the object.
+                        whole = (
+                            line[end:] == "\n"
+                            or end == len(line)
+                            or skip_space(line, end).end() == len(line)
+                        )
                     except (StopIteration, json.JSONDecodeError):
                         whole = False
                     if not whole:
@@ -245,6 +261,9 @@ class Transcript:
                         row = json.loads(line)
                     role = row["role_tag"]
                     prompt = row["rendered_prompt"]
+                    temperature = row["temperature"]
+                    max_tokens = row["max_tokens"]
+                    index = row["request_index"]
                     text = row["response_text"]
                     latency = row["latency_s"]
                     # An int too large for a float raises OverflowError here.
@@ -253,22 +272,32 @@ class Transcript:
                         or type(prompt) is not str
                         or type(text) is not str
                         or type(latency) not in number
+                        or type(temperature) not in number
+                        or type(max_tokens) is not int
+                        or type(index) is not int
                         or not 0 <= float(latency) < inf
+                        or not 0 <= float(temperature) < inf
                     ):
                         raise TranscriptFormatError(
                             f"{path}: line {lineno}: role_tag, rendered_prompt and "
-                            "response_text must be strings and latency_s a finite number >= 0"
+                            "response_text must be strings, latency_s and temperature "
+                            "finite numbers >= 0, and max_tokens and request_index integers"
                         )
-                    entries.append((
-                        make_request((
-                            role,
-                            prompt,
-                            row["temperature"],
-                            row["max_tokens"],
-                            row["request_index"],
-                        )),
-                        make_response((text, latency)),
-                    ))
+                    # One object per distinct value. A number is keyed by its
+                    # type and value, and a zero by its repr: 0, 0.0 and -0.0
+                    # compare equal but render differently.
+                    role = roles.setdefault(role, role)
+                    temperature = numbers.setdefault(
+                        (type(temperature), temperature or repr(temperature)), temperature
+                    )
+                    max_tokens = numbers.setdefault((int, max_tokens or "0"), max_tokens)
+                    key = (text, type(latency), latency or repr(latency))
+                    response = responses.get(key)
+                    if response is None:
+                        response = responses[key] = make_response((text, latency))
+                    # What LlmRequest._make does, less its length check and frame.
+                    request = new(LlmRequest, (role, prompt, temperature, max_tokens, index))
+                    entries.append((request, response))
         except (json.JSONDecodeError, KeyError, TypeError, OverflowError) as exc:
             raise TranscriptFormatError(
                 f"{path}: line {lineno}: not a transcript entry ({type(exc).__name__}: {exc})"
@@ -284,16 +313,21 @@ class ScriptedBackend:
     The responder maps a request to completion text; it may raise
     :class:`ScriptExhaustedError` for a request it has no answer for, as
     ``HeuristicScript`` does for a role it has no script for. Scripted
-    latency is always 0.0 so recorded transcripts are byte-stable.
+    latency is always 0.0 so recorded transcripts are byte-stable, and one
+    :class:`LlmResponse` per distinct answer text is built and shared.
     """
 
     def __init__(self, responder: Callable[[LlmRequest], str]):
         self._responder = responder
+        self._responses: dict[str, LlmResponse] = {}
 
     def complete(self, req: LlmRequest, on_attempt: Callable[[], None]) -> LlmResponse:
         text = self._responder(req)
         on_attempt()
-        return LlmResponse(text, 0.0)
+        response = self._responses.get(text)
+        if response is None:
+            response = self._responses[text] = LlmResponse(text, 0.0)
+        return response
 
 
 class ReplayBackend:
@@ -304,7 +338,10 @@ class ReplayBackend:
     ``temperature`` and ``max_tokens`` take no part in the lookup. A prompt
     recorded more than once (at temperature > 0, or live before the gateway
     answered temperature-0 repeats itself) holds a list of them instead,
-    served in order until its last one, which is served from then on.
+    served in order until its last one, which is served from then on. A
+    repeat is found by the prompt already in the table, not by the response
+    object, since equal answers may share one (:meth:`Transcript.load`,
+    :class:`ScriptedBackend`).
 
     A served entry is set again under the request's own prompt string, so
     the recording's equal copy is freed and the table shares the string the
@@ -316,12 +353,14 @@ class ReplayBackend:
         self._answers: dict[str, dict[str, LlmResponse | list[LlmResponse]]] = {}
         for req, resp in transcript.entries:
             table = self._answers.setdefault(req.role_tag, {})
-            held = table.setdefault(req.rendered_prompt, resp)
-            if held is not resp:
-                if type(held) is list:
-                    held.append(resp)
-                else:
-                    table[req.rendered_prompt] = [held, resp]
+            prompt = req.rendered_prompt
+            held = table.get(prompt)
+            if held is None:
+                table[prompt] = resp
+            elif type(held) is list:
+                held.append(resp)
+            else:
+                table[prompt] = [held, resp]
 
     def complete(self, req: LlmRequest, on_attempt: Callable[[], None]) -> LlmResponse:
         prompt = req.rendered_prompt

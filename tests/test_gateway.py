@@ -260,9 +260,9 @@ def test_transcript_save_equals_transcript_line_per_entry(tmp_path_factory, runs
 def test_transcript_save_of_a_loaded_transcript_renders_each_shared_value_once(
     tmp_path, monkeypatch
 ) -> None:
-    # Every line of a loaded transcript decodes to objects of its own, so the
-    # shared fields are found by value: json.dumps renders each of role_tag,
-    # temperature and max_tokens once per distinct triple, not once per entry.
+    # The shared fields are found by value, whichever objects hold them:
+    # json.dumps renders each of role_tag, temperature and max_tokens once per
+    # distinct triple, not once per entry.
     entries = []
     for temperature in (0.0, 0.7):
         for role in ("task_eval", "gradient_gen", "prompt_edit") * 20:
@@ -456,6 +456,18 @@ def test_transcript_load_refuses_a_missing_path_or_a_directory(tmp_path) -> None
         pytest.param("latency_s", 10**400, id="latency_s-int-too-large-for-a-float"),
         ("role_tag", {"a": 1}),
         ("rendered_prompt", [1]),
+        ("temperature", "hot"),
+        ("temperature", None),
+        ("temperature", float("inf")),
+        ("temperature", -0.5),
+        ("temperature", False),
+        pytest.param("temperature", 10**400, id="temperature-int-too-large-for-a-float"),
+        ("max_tokens", [1]),
+        ("max_tokens", 16.0),
+        ("max_tokens", True),
+        ("request_index", None),
+        ("request_index", 1.0),
+        ("request_index", True),
     ],
 )
 def test_transcript_load_names_line_of_unusable_field_type(tmp_path, field, value) -> None:
@@ -466,6 +478,55 @@ def test_transcript_load_names_line_of_unusable_field_type(tmp_path, field, valu
     path.write_text(f"{first}\n{json.dumps(row)}\n", encoding="utf-8")
     with pytest.raises(TranscriptFormatError, match=f"^{re.escape(str(path))}: line 2: "):
         Transcript.load(path)
+
+
+def test_transcript_load_shares_one_object_per_distinct_value(
+    examples, split, cfg, seed_prompt, tmp_path
+) -> None:
+    run(seed_prompt, split, cfg, scripted_gateway(examples, split.label_set), tmp_path)
+    path = tmp_path / "transcript.jsonl"
+    entries = Transcript.load(path).entries
+
+    def objects_and_values(values) -> tuple[int, int]:
+        values = list(values)
+        return len({id(value) for value in values}), len({(type(v), repr(v)) for v in values})
+
+    requests = [req for req, _ in entries]
+    for field in ("role_tag", "temperature", "max_tokens"):
+        objects, values = objects_and_values(getattr(req, field) for req in requests)
+        assert objects == values, field
+    objects, values = objects_and_values(resp for _, resp in entries)
+    assert objects == values < len(entries) / 4
+    saved = tmp_path / "saved.jsonl"
+    Transcript(entries=entries).save(saved)
+    assert saved.read_bytes() == path.read_bytes()
+
+
+def test_transcript_load_keeps_equal_numbers_of_another_type_or_sign_apart(tmp_path) -> None:
+    # Otherwise-equal lines: a loader that shared 0, 0.0 and -0.0 (or 1 and
+    # 1.0) as one object would write some of them back in another form.
+    numbers = (0, 0.0, -0.0, 1, 1.0)
+    entries = [
+        (LlmRequest("task_eval", "p", temperature, 16, 0), LlmResponse("a", latency))
+        for temperature in numbers
+        for latency in numbers
+    ]
+    recorded = tmp_path / "recorded.jsonl"
+    Transcript(entries=entries).save(recorded)
+    saved = tmp_path / "saved.jsonl"
+    Transcript.load(recorded).save(saved)
+    assert saved.read_bytes() == recorded.read_bytes()
+
+
+def test_scripted_backend_shares_one_response_per_answer_text() -> None:
+    # Each call's answer is a new string; equal ones get one response object.
+    backend = ScriptedBackend(lambda req: req.rendered_prompt.split(":")[1])
+    first, second, other = (
+        backend.complete(LlmRequest("task_eval", prompt), lambda: None)
+        for prompt in ("a:yes", "b:yes", "c:no")
+    )
+    assert first is second
+    assert (first, other) == (("yes", 0.0), ("no", 0.0))
 
 
 def test_complete_stamps_index_and_keeps_request_fields() -> None:
@@ -787,6 +848,20 @@ def test_replay_consumes_repeats_in_order_then_sticks_to_last() -> None:
     texts = [call(replay, "task_eval", "same") for _ in range(5)]
     assert texts == ["one", "two", "three", "three", "three"]
     assert replay.call_count() == 5
+
+
+def test_replay_serves_equal_recorded_answers_in_turn(tmp_path) -> None:
+    # The answers A, A, B to one prompt may share one object for both A's, so
+    # replay must count a repeat by the prompt, not by the response.
+    answers = iter(["A", "A", "B"])
+    gw = Gateway(ScriptedBackend(lambda req: next(answers)), temperature=0.7)
+    for _ in range(3):
+        call(gw, "task_eval", "same")
+    path = tmp_path / "t.jsonl"
+    gw.transcript.save(path)
+    for transcript in (Transcript.load(path), gw.transcript):
+        replay = Gateway(ReplayBackend(transcript), temperature=0.7)
+        assert [call(replay, "task_eval", "same") for _ in range(4)] == ["A", "A", "B", "B"]
 
 
 def test_replay_miss_names_digest_prefix_and_role() -> None:

@@ -241,6 +241,15 @@ CASES = {
     "transcript-huge-int-latency": Case(
         EXIT_CONFIG, transcript=_first_line("latency_s", 10**400), says="line 1: "
     ),
+    "transcript-string-temperature": Case(
+        EXIT_CONFIG, transcript=_first_line("temperature", "hot"), says="line 1: "
+    ),
+    "transcript-array-max-tokens": Case(
+        EXIT_CONFIG, transcript=_first_line("max_tokens", [1]), says="line 1: "
+    ),
+    "transcript-null-request-index": Case(
+        EXIT_CONFIG, transcript=_first_line("request_index", None), says="line 1: "
+    ),
     "transcript-object-role-tag": Case(
         EXIT_CONFIG, transcript=_first_line("role_tag", {"a": 1}), says="line 1: "
     ),
