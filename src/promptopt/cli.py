@@ -120,7 +120,9 @@ def read_config_file(path: str | Path):
     try:
         parser.read_string(text, source=str(path))
     except configparser.Error as exc:
-        raise ConfigError(f"malformed config file {path}: {exc}") from exc
+        # Some of configparser's messages span lines; an error is one line.
+        message = " ".join(part.strip() for part in str(exc).splitlines())
+        raise ConfigError(f"malformed config file {path}: {message}") from exc
     for name in parser.sections():
         if name not in _SECTIONS:
             raise ConfigError(f"unknown section [{name}]; expected one of {', '.join(_SECTIONS)}")
@@ -305,15 +307,18 @@ def _write_csv(path: Path, header: Sequence[str], rows: list[list]) -> None:
 
 def cmd_report(args) -> int:
     # Each directory's CSV files are named after it, so names must differ.
+    # A name is the last component of the absolute path, so "." has one and a
+    # symlink keeps its own.
     directories: dict[str, Path] = {}
     for raw_dir in args.artifacts:
         directory = Path(raw_dir)
-        if directory.name in directories:
+        name = os.path.basename(os.path.abspath(directory))
+        if name in directories:
             raise ConfigError(
-                f"artifact directories {directories[directory.name]} and {directory} "
-                f"share the name {directory.name!r}; their CSV files would overwrite each other"
+                f"artifact directories {directories[name]} and {directory} "
+                f"share the name {name!r}; their CSV files would overwrite each other"
             )
-        directories[directory.name] = directory
+        directories[name] = directory
     # Every artifact is read, and checked, before any CSV file is written.
     runs = []
     for stem, directory in directories.items():

@@ -68,6 +68,8 @@ class DatasetSpec:
             raise ConfigError(
                 f"[dataset] task_type: expected one of {TASK_TYPES}, got {self.task_type!r}"
             )
+        if not all(label.strip() for label in self.label_set):
+            raise ConfigError(f"[dataset] label_set holds a blank label: {self.label_set!r:.60}")
 
 
 _NUMBER_RE = re.compile(r"-?(?:\d[\d,]*(?:\.\d+)?|\.\d+)")
@@ -199,8 +201,11 @@ def make_split(
     examples; a math split has none. A classification ``positive_label`` or example label that
     is none of the labels (compared case-insensitively, as F1 counts it) raises
     :class:`DatasetError`, so the default ``positive_label`` of ``""`` suits only a math split,
-    which scores no label.
+    which scores no label. A blank ``label_set`` item, which every answer would parse to, raises
+    it too.
     """
+    if label_set and not all(label.strip() for label in label_set):
+        raise DatasetError(f"label_set holds a blank label: {label_set!r:.60}")
     if len(examples) <= test_set_size:
         raise DatasetError(
             f"dataset too small: {len(examples)} examples for a test set of {test_set_size}"

@@ -28,7 +28,7 @@ from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Callable, NamedTuple, Sequence
 
-from .model import ConfigError, check_field_types, check_file
+from .model import ConfigError, check_field_types, check_file, read_text
 
 # Per-role completion budgets; task evaluation answers are short by design.
 DEFAULT_MAX_TOKENS = {
@@ -226,9 +226,10 @@ class Transcript:
         ``role_tag``, ``rendered_prompt`` or ``response_text`` is not a
         string, ``latency_s`` or ``temperature`` not an int or float that is
         finite and >= 0, or ``max_tokens`` or ``request_index`` not an int
-        (a bool is none of these). A missing path or a directory raises it
-        too. The file is streamed, so a byte order mark is not skipped: this
-        program writes transcripts without one.
+        (a bool is none of these). A missing path, a directory or a byte that
+        is not UTF-8 raises it too, the byte named with its line. The file is
+        streamed, so a byte order mark is not skipped: this program writes
+        transcripts without one.
         """
         check_file(path, "transcript", TranscriptFormatError)
         scan = _SCANNER
@@ -303,6 +304,8 @@ class Transcript:
                 f"{path}: line {lineno}: not a transcript entry ({type(exc).__name__}: {exc})"
             ) from exc
         except UnicodeDecodeError as exc:
+            # read_text names the line and the byte.
+            read_text(path, "transcript", TranscriptFormatError)
             raise TranscriptFormatError(f"{path}: not UTF-8 text ({exc})") from exc
         return cls(entries=entries)
 

@@ -17,7 +17,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import promptopt
-from promptopt import DatasetSpec, Gateway, Transcript, load, make_split, search
+from promptopt import DatasetSpec, Gateway, LiveConfig, Transcript, load, make_split, search
 from promptopt.cli import (
     EXIT_CONFIG,
     EXIT_DATASET,
@@ -72,32 +72,6 @@ def test_read_config_file_sections(config_file) -> None:
     assert gateway_section == {}
 
 
-def test_read_config_file_rejects_unknown_key(tmp_path, capsys) -> None:
-    # A typo, then the run switches that were removed: history_mode,
-    # full_beam_test_eval, include_parents, bandit.update_rule and
-    # baseline_mode (now the protegi preset's settings).
-    unknown = [
-        ("run", "beem_width", "4"),
-        ("run", "history_mode", "concat"),
-        ("run", "full_beam_test_eval", "true"),
-        ("run", "include_parents", "false"),
-        ("bandit", "update_rule", "mean"),
-        ("run", "baseline_mode", "true"),
-    ]
-    for section, key, value in unknown:
-        file = tmp_path / f"{key}.ini"
-        body = CONFIG_BODY.replace(f"[{section}]\n", f"[{section}]\n{key} = {value}\n")
-        file.write_text(body, encoding="utf-8")
-        with pytest.raises(ConfigError, match=key):
-            read_config_file(file)
-        code = main(["optimize", "--config", str(file), "--backend", "scripted",
-                     "--out", str(tmp_path / key)])
-        assert code == EXIT_CONFIG
-        err = capsys.readouterr().err
-        assert err.startswith("config error: ")
-        assert f"[{section}] unknown key {key!r}" in err
-
-
 def _optimize_config_error(file: Path, tmp_path, capsys) -> str:
     """Run ``optimize`` on ``file``; assert exit code 2 and return the error line."""
     code = main(["optimize", "--config", str(file), "--out", str(tmp_path / "out")])
@@ -105,15 +79,6 @@ def _optimize_config_error(file: Path, tmp_path, capsys) -> str:
     err = capsys.readouterr().err
     assert err.startswith("config error: ")
     return err
-
-
-def test_read_config_file_rejects_unknown_section(tmp_path, capsys) -> None:
-    # Section names are case-sensitive: [Bandit] is not [bandit].
-    file = tmp_path / "section.ini"
-    file.write_text(CONFIG_BODY.replace("[bandit]", "[Bandit]"), encoding="utf-8")
-    with pytest.raises(ConfigError, match=r"unknown section \[Bandit\]"):
-        read_config_file(file)
-    assert "unknown section [Bandit]" in _optimize_config_error(file, tmp_path, capsys)
 
 
 @pytest.mark.parametrize("body", ["", "time_steps = 8\nsample_size = 4\n"], ids=["empty", "keys"])
@@ -128,14 +93,6 @@ def test_read_config_file_rejects_default_section(body, tmp_path, capsys) -> Non
     assert "config error: unknown section [DEFAULT]" in _optimize_config_error(file, tmp_path, capsys)
 
 
-def test_read_config_file_rejects_unknown_dataset_key(tmp_path, capsys) -> None:
-    file = tmp_path / "dataset.ini"
-    file.write_text(CONFIG_BODY.replace("format = tsv", "formt = tsv"), encoding="utf-8")
-    with pytest.raises(ConfigError, match=r"\[dataset\] unknown key 'formt'"):
-        read_config_file(file)
-    assert "[dataset] unknown key 'formt'" in _optimize_config_error(file, tmp_path, capsys)
-
-
 @pytest.mark.parametrize(("key", "value"), [("format", "csv"), ("task_type", "regression")])
 def test_read_config_file_rejects_unknown_dataset_value(key, value, tmp_path, capsys) -> None:
     # A typo in a dataset value is a config error (2), not a dataset error (3).
@@ -146,34 +103,6 @@ def test_read_config_file_rejects_unknown_dataset_value(key, value, tmp_path, ca
     with pytest.raises(ConfigError, match=message):
         read_config_file(file)
     assert f"[dataset] {key}: expected one of" in _optimize_config_error(file, tmp_path, capsys)
-
-
-def test_read_config_file_rejects_unknown_gateway_key(tmp_path, capsys) -> None:
-    # The API key is read from the environment only.
-    file = tmp_path / "gateway.ini"
-    file.write_text(CONFIG_BODY + "\n[gateway]\napi_key = secret\n", encoding="utf-8")
-    with pytest.raises(ConfigError, match=r"\[gateway\] unknown key 'api_key'"):
-        read_config_file(file)
-    assert "[gateway] unknown key 'api_key'" in _optimize_config_error(file, tmp_path, capsys)
-
-
-def test_read_config_file_rejects_non_numeric_timeout(tmp_path, capsys) -> None:
-    file = tmp_path / "timeout.ini"
-    gateway = (
-        "\n[gateway]\nbackend = live\nbase_url = http://127.0.0.1:9/v1\n"
-        "model = m\ntimeout_s = soon\n"
-    )
-    file.write_text(CONFIG_BODY + gateway, encoding="utf-8")
-    with pytest.raises(ConfigError, match=r"\[gateway\] timeout_s"):
-        read_config_file(file)
-    assert "[gateway] timeout_s" in _optimize_config_error(file, tmp_path, capsys)
-    # Values the HTTP client would refuse on every attempt.
-    for value in ("0", "-1", "nan", "inf"):
-        file.write_text(CONFIG_BODY + gateway.replace("soon", value), encoding="utf-8")
-        with pytest.raises(ConfigError, match=r"\[gateway\] timeout_s: expected a finite"):
-            read_config_file(file)
-    file.write_text(CONFIG_BODY + gateway.replace("soon", "2.5"), encoding="utf-8")
-    assert read_config_file(file)[3]["timeout_s"] == 2.5
 
 
 PERCENT_PROMPT = "Be 100% sure. Answer Yes or No."
@@ -404,10 +333,6 @@ def test_a_rerun_into_a_used_out_leaves_only_its_own_files(
             assert (used / name).read_bytes() == (fresh / name).read_bytes(), name
 
 
-def test_optimize_missing_config_is_config_error(tmp_path) -> None:
-    assert main(["optimize", "--config", str(tmp_path / "nope.ini")]) == EXIT_CONFIG
-
-
 def test_optimize_bad_dataset_path_is_dataset_error(tmp_path) -> None:
     file = tmp_path / "run.ini"
     file.write_text(
@@ -472,10 +397,6 @@ def test_path_of_the_wrong_kind_is_a_documented_error(case, tmp_path, capsys) ->
     assert str(named) in err
     if case == "dataset_not_utf8":
         assert f"{latin1}:1: not UTF-8 text" in err
-
-
-def test_optimize_replay_requires_transcript(config_file) -> None:
-    assert main(["optimize", "--config", str(config_file), "--backend", "replay"]) == EXIT_CONFIG
 
 
 def test_optimize_replay_with_wrong_transcript_is_incomplete(config_file, tmp_path) -> None:
@@ -803,16 +724,23 @@ def _ini_text(sections: dict[str, dict]) -> str:
 
 
 def test_every_config_field_round_trips_through_ini(tmp_path) -> None:
-    sections = {"run": _changed_fields(RunConfig), "bandit": _changed_fields(BanditConfig)}
+    # The file may not set the API key.
+    gateway = {key: value for key, value in _changed_fields(LiveConfig).items() if key != "api_key"}
+    sections = {
+        "run": _changed_fields(RunConfig),
+        "bandit": _changed_fields(BanditConfig),
+        "gateway": gateway,
+    }
     file = tmp_path / "all.ini"
     file.write_text(_ini_text(sections), encoding="utf-8")
-    run_overrides, bandit_overrides, _, _ = read_config_file(file)
+    run_overrides, bandit_overrides, _, gateway_overrides = read_config_file(file)
 
     def typed(values: dict) -> dict:
         return {key: (type(value), value) for key, value in values.items()}
 
     assert typed(run_overrides) == typed(sections["run"])
     assert typed(bandit_overrides) == typed(sections["bandit"])
+    assert typed(gateway_overrides) == typed(gateway)
 
 
 def test_every_config_field_reaches_the_built_config(tmp_path) -> None:
@@ -830,19 +758,6 @@ def test_every_config_field_reaches_the_built_config(tmp_path) -> None:
         for key, value in values.items():
             got = getattr(built[name], key)
             assert (type(got), got) == (type(value), value), f"[{name}] {key}"
-
-
-def test_read_config_file_rejects_bad_values(tmp_path) -> None:
-    file = tmp_path / "bad.ini"
-    file.write_text("[run]\nconvergence_target = high\n", encoding="utf-8")
-    with pytest.raises(ConfigError, match=r"\[run\] convergence_target"):
-        read_config_file(file)
-    file.write_text("[bandit]\nexploration = lots\n", encoding="utf-8")
-    with pytest.raises(ConfigError, match=r"\[bandit\] exploration"):
-        read_config_file(file)
-    file.write_text("[run]\nemit_predictions = maybe\n", encoding="utf-8")
-    with pytest.raises(ConfigError, match="expected a boolean"):
-        read_config_file(file)
 
 
 def test_evaluate_counts_one_call_per_test_example(config_file, tmp_path, capsys) -> None:
@@ -1022,8 +937,17 @@ def test_report_warns_of_an_incomplete_artifact_and_writes_its_csv_files(
         assert (report_dir / f"rec_{curve}.csv").exists()
 
 
-def test_optimize_live_backend_requires_endpoint_config(config_file) -> None:
-    assert main(["optimize", "--config", str(config_file), "--backend", "live"]) == EXIT_CONFIG
+def test_report_of_the_current_directory_names_its_files_after_it(
+    recorded_artifact, tmp_path, monkeypatch
+) -> None:
+    rec = tmp_path / "rec"
+    shutil.copytree(recorded_artifact, rec)
+    monkeypatch.chdir(rec)
+    report_dir = tmp_path / "report"
+    assert main(["report", ".", "--out", str(report_dir)]) == EXIT_OK
+    names = sorted(path.name for path in report_dir.iterdir())
+    curves = ["rec_score_vs_calls.csv", "rec_score_vs_round.csv", "rec_score_vs_time.csv"]
+    assert names == ["comparison.csv", *curves]
 
 
 def test_optimize_templates_flag_overrides_generator(config_file, tmp_path) -> None:
@@ -1308,7 +1232,7 @@ def test_paraphrases_per_parent_acts_without_a_preset(tmp_path) -> None:
     assert paraphrased[0]["text"] in {row["text"] for row in paraphrased[1:]}
 
 
-def test_read_config_file_dataset_fields_from_the_spec(tmp_path, capsys) -> None:
+def test_read_config_file_dataset_fields_from_the_spec(tmp_path) -> None:
     file = tmp_path / "dataset.ini"
     body = CONFIG_BODY.replace("format = tsv\ntask_type = classification\n", "")
     file.write_text(body + "label_set = No, Yes ,,\n", encoding="utf-8")
@@ -1318,7 +1242,6 @@ def test_read_config_file_dataset_fields_from_the_spec(tmp_path, capsys) -> None
     file.write_text(body.replace(f"path = {DATA}\n", ""), encoding="utf-8")
     with pytest.raises(ConfigError, match=r"\[dataset\] missing key 'path'"):
         read_config_file(file)
-    assert "[dataset] missing key 'path'" in _optimize_config_error(file, tmp_path, capsys)
 
 
 def test_importing_the_package_and_cli_loads_no_logging_csv_or_configparser() -> None:

@@ -216,6 +216,15 @@ def test_make_split_refuses_a_label_outside_the_label_set() -> None:
     assert split.label_set == ("YES", "no")
 
 
+@pytest.mark.parametrize("label_set", [["Yes", "No", ""], ("Yes", " ")])
+def test_a_blank_label_in_the_label_set_is_refused(label_set) -> None:
+    # parse_label finds an empty label before any other, so every answer would parse to it.
+    with pytest.raises(DatasetError, match=r"^label_set holds a blank label: "):
+        make_split(toy_examples(30), 5, seed=0, positive_label="Yes", label_set=label_set)
+    with pytest.raises(ConfigError, match=r"^\[dataset\] label_set holds a blank label: "):
+        DatasetSpec(path="x", label_set=tuple(label_set))
+
+
 def test_dataset_spec_refuses_an_empty_path() -> None:
     with pytest.raises(ConfigError, match=r"^\[dataset\] path is empty$"):
         DatasetSpec(path="")

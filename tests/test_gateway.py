@@ -431,7 +431,7 @@ def test_transcript_load_names_line_of_malformed_entry(tmp_path) -> None:
     with pytest.raises(TranscriptFormatError, match=r"line 2: .*TypeError"):
         Transcript.load(path)
     path.write_bytes(first.encode() + b"\n\xff\n")
-    with pytest.raises(TranscriptFormatError, match=r"t\.jsonl: not UTF-8"):
+    with pytest.raises(TranscriptFormatError, match=r"t\.jsonl:2: not UTF-8 text \(byte 0xff\)$"):
         Transcript.load(path)
 
 

@@ -1,12 +1,13 @@
 """Broken and odd inputs, each run through ``cli.main``: a fixed table, then drawn dataset rows.
 
-Every case starts from a copy of the demo inputs (``demo.ini``, ``demo.tsv``, a
-JSONL copy of it, a template directory, or a transcript recorded from the
-demo) and changes one thing. Each must end in a documented way: exit 0, or a
-refusal with exit 2 (``config error:``) or 3 (``dataset error:``) that prints
-one stderr line, raises no traceback and leaves no artifact directory;
-``evaluate`` on a replayed transcript that lacks the prompt's answers ends the
-same way with exit 4 (``gateway error:``).
+The table is the one home of the CLI inputs that are refused. Every case
+starts from a copy of the demo inputs (``demo.ini``, ``demo.tsv``, a JSONL copy
+of it, a template directory, or a transcript recorded from the demo) and
+changes one thing. Each must end in a documented way: exit 0, or a refusal
+with exit 2 (``config error:``) or 3 (``dataset error:``) that prints one
+stderr line holding the case's message, raises no traceback, sends no request
+and leaves no artifact directory; ``evaluate`` on a replayed transcript that
+lacks the prompt's answers ends the same way with exit 4 (``gateway error:``).
 Hypothesis then draws demo datasets with a few rows mutated, template
 directories, and recorded transcripts with a few lines changed, and holds each
 to the same rule; a replayed transcript that lacks an answer the run asks for
@@ -25,6 +26,7 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
+from promptopt import Gateway
 from promptopt.cli import EXIT_CONFIG, EXIT_DATASET, EXIT_GATEWAY, EXIT_INCOMPLETE, EXIT_OK, main
 from promptopt.gradients import _SLOT_RE, TAU_BODY, TemplateSet
 
@@ -51,6 +53,16 @@ def _replace(old: str, new: str) -> Callable[[str], str]:
         return text.replace(old, new, 1)
 
     return edit
+
+
+def _in(section: str, line: str) -> Callable[[str], str]:
+    """Put ``line`` first in the config's ``[section]``."""
+    return _replace(f"[{section}]\n", f"[{section}]\n{line}\n")
+
+
+def _gateway(line: str) -> Callable[[str], str]:
+    """Add a ``[gateway]`` section that holds ``line``."""
+    return lambda text: f"{text}\n[gateway]\n{line}\n"
 
 
 def _first_line(field: str, value) -> Callable[[str], str]:
@@ -90,6 +102,10 @@ def _math_rows(*labels) -> Callable[[str], str]:
 
 
 _MATH = _replace("task_type = classification", "task_type = math")
+_BAD_ENTRY = (
+    "{dir}/transcript.jsonl: line 1: role_tag, rendered_prompt and response_text must be strings, "
+    "latency_s and temperature finite numbers >= 0, and max_tokens and request_index integers"
+)
 
 
 class Case(NamedTuple):
@@ -97,69 +113,194 @@ class Case(NamedTuple):
     ini: Callable[[str], str] | None = None
     tsv: Callable[[str], str] | bytes | None = None
     jsonl: Callable[[str], str] | None = None
-    templates: dict[str, str | bytes] | None = None
+    # A template body of None stands for a directory of that name.
+    templates: dict[str, str | bytes | None] | None = None
     transcript: Callable[[str], str] | None = None
     command: str = "optimize"
-    # Extra arguments; "{dir}" stands for the case's directory.
+    # Extra arguments; "{dir}" here and in says stands for the case's directory.
     flags: tuple[str, ...] = ()
-    # Text the one stderr line of a refusal must hold.
+    # Text the one stderr line of a refusal must hold; every refusal names it.
     says: str = ""
 
 
 CASES = {
     # The config file.
+    "ini-missing": Case(
+        EXIT_CONFIG, flags=("--config", "{dir}/gone.ini"), says="config file not found: {dir}/gone.ini"
+    ),
+    "ini-no-section-header": Case(
+        EXIT_CONFIG,
+        ini=_replace("[run]\n", ""),
+        says=(
+            "malformed config file {dir}/run.ini: File contains no section headers. "
+            "file: '{dir}/run.ini', line: 3 'seed_prompt = "
+        ),
+    ),
+    "ini-line-without-value": Case(
+        EXIT_CONFIG,
+        ini=_in("run", "beam_width"),
+        says="malformed config file {dir}/run.ini: Source contains parsing errors: '{dir}/run.ini' [line  4]",
+    ),
+    "ini-duplicate-key": Case(
+        EXIT_CONFIG,
+        ini=_in("run", "beam_width = 3"),
+        says=(
+            "malformed config file {dir}/run.ini: While reading from '{dir}/run.ini' [line  6]: "
+            "option 'beam_width' in section 'run' already exists"
+        ),
+    ),
+    "ini-not-utf8": Case(
+        EXIT_CONFIG,
+        ini=_replace("Answer Yes", "Answer \udce9 Yes"),
+        says="{dir}/run.ini:4: not UTF-8 text (byte 0xe9)",
+    ),
     "ini-no-dataset-section": Case(
-        EXIT_CONFIG, ini=lambda t: t.split("[dataset]")[0], says="no [dataset] section"
+        EXIT_CONFIG, ini=lambda t: t.split("[dataset]")[0], says="config file has no [dataset] section"
+    ),
+    "ini-no-dataset-path": Case(
+        EXIT_CONFIG, ini=_replace("path = {tsv}\n", ""), says="[dataset] missing key 'path'"
     ),
     "ini-empty-dataset-path": Case(
         EXIT_CONFIG, ini=_replace("path = {tsv}", "path ="), says="[dataset] path is empty"
     ),
     "ini-seed-prompt-and-file": Case(
         EXIT_CONFIG,
-        ini=_replace("[run]\n", "[run]\nseed_prompt_file = {tsv}\n"),
-        says="both seed_prompt and seed_prompt_file",
+        ini=_in("run", "seed_prompt_file = {tsv}"),
+        says="[run] sets both seed_prompt and seed_prompt_file; keep one",
     ),
     "ini-no-seed-prompt": Case(
-        EXIT_CONFIG, ini=_replace(f"seed_prompt = {SEED_PROMPT}\n", ""), says="seed_prompt"
+        EXIT_CONFIG,
+        ini=_replace(f"seed_prompt = {SEED_PROMPT}\n", ""),
+        says="config needs [run] seed_prompt or seed_prompt_file",
     ),
-    "ini-empty-seed-prompt": Case(EXIT_CONFIG, ini=_replace(SEED_PROMPT, "")),
+    "ini-empty-seed-prompt": Case(
+        EXIT_CONFIG, ini=_replace(SEED_PROMPT, ""), says="prompt text is empty after trimming"
+    ),
     "ini-unknown-section": Case(
-        EXIT_CONFIG, ini=_replace("[bandit]", "[bandits]"), says="[bandits]"
+        EXIT_CONFIG,
+        ini=_replace("[bandit]", "[bandits]"),
+        says="unknown section [bandits]; expected one of run, bandit, dataset, gateway",
     ),
-    "ini-default-section": Case(EXIT_CONFIG, ini=lambda t: "[DEFAULT]\nbeam_width = 2\n" + t),
+    # Section names are case-sensitive.
+    "ini-capitalised-section": Case(
+        EXIT_CONFIG, ini=_replace("[bandit]", "[Bandit]"), says="unknown section [Bandit]; "
+    ),
+    # [DEFAULT] is not merged into the other sections: empty or not, it is an unknown section.
+    "ini-default-section": Case(
+        EXIT_CONFIG, ini=lambda t: "[DEFAULT]\nbeam_width = 2\n" + t, says="unknown section [DEFAULT]; "
+    ),
+    "ini-empty-default-section": Case(
+        EXIT_CONFIG, ini=lambda t: "[DEFAULT]\n" + t, says="unknown section [DEFAULT]; "
+    ),
     "ini-unknown-key": Case(
-        EXIT_CONFIG, ini=_replace("beam_width", "beam_widht"), says="beam_widht"
+        EXIT_CONFIG, ini=_replace("beam_width", "beam_widht"), says="[run] unknown key 'beam_widht'"
     ),
-    "ini-duplicate-key": Case(EXIT_CONFIG, ini=_replace("[run]\n", "[run]\nbeam_width = 3\n")),
-    "ini-zero-beam-width": Case(EXIT_CONFIG, ini=_replace("beam_width = 2", "beam_width = 0")),
-    "ini-word-for-number": Case(EXIT_CONFIG, ini=_replace("beam_width = 2", "beam_width = two")),
-    "ini-zero-time-steps": Case(EXIT_CONFIG, ini=_replace("time_steps = 8", "time_steps = 0")),
+    # A misspelt key, then run switches that were removed (the protegi preset
+    # now sets what baseline_mode did).
+    **{
+        f"ini-unknown-key-{key}": Case(
+            EXIT_CONFIG, ini=_in(section, f"{key} = {value}"), says=f"[{section}] unknown key {key!r}"
+        )
+        for section, key, value in [
+            ("run", "beem_width", "4"),
+            ("run", "history_mode", "concat"),
+            ("run", "full_beam_test_eval", "true"),
+            ("run", "include_parents", "false"),
+            ("bandit", "update_rule", "mean"),
+            ("run", "baseline_mode", "true"),
+            ("dataset", "formt", "tsv"),
+        ]
+    },
+    # The API key is read from the environment only.
+    "ini-api-key": Case(
+        EXIT_CONFIG, ini=_gateway("api_key = secret"), says="[gateway] unknown key 'api_key'"
+    ),
+    "ini-zero-beam-width": Case(
+        EXIT_CONFIG,
+        ini=_replace("beam_width = 2", "beam_width = 0"),
+        says="beam_width must be a positive integer",
+    ),
+    "ini-word-for-number": Case(
+        EXIT_CONFIG,
+        ini=_replace("beam_width = 2", "beam_width = two"),
+        says="[run] beam_width: invalid literal for int() with base 10: 'two'",
+    ),
+    "ini-word-for-target": Case(
+        EXIT_CONFIG,
+        ini=_in("run", "convergence_target = high"),
+        says="[run] convergence_target: could not convert string to float: 'high'",
+    ),
+    "ini-word-for-boolean": Case(
+        EXIT_CONFIG,
+        ini=_in("run", "emit_predictions = maybe"),
+        says="[run] emit_predictions: expected a boolean, got 'maybe'",
+    ),
+    "ini-negative-paraphrases": Case(
+        EXIT_CONFIG,
+        ini=_in("run", "paraphrases_per_parent = -1"),
+        says="paraphrases_per_parent must be >= 0",
+    ),
+    "ini-zero-time-steps": Case(
+        EXIT_CONFIG,
+        ini=_replace("time_steps = 8", "time_steps = 0"),
+        says="bandit.time_steps must be a positive integer",
+    ),
+    "ini-word-for-exploration": Case(
+        EXIT_CONFIG,
+        ini=_in("bandit", "exploration = lots"),
+        says="[bandit] exploration: could not convert string to float: 'lots'",
+    ),
     "ini-nan-exploration": Case(
-        EXIT_CONFIG, ini=_replace("[bandit]\n", "[bandit]\nexploration = nan\n")
+        EXIT_CONFIG,
+        ini=_in("bandit", "exploration = nan"),
+        says="bandit.exploration must be a finite number >= 0",
     ),
-    "ini-unknown-format": Case(EXIT_CONFIG, ini=_replace("format = tsv", "format = csv")),
+    # A typo in a dataset value is a config error, not a dataset error.
+    "ini-unknown-format": Case(
+        EXIT_CONFIG,
+        ini=_replace("format = tsv", "format = csv"),
+        says="[dataset] format: expected one of ('tsv', 'jsonl'), got 'csv'",
+    ),
     "ini-unknown-task-type": Case(
-        EXIT_CONFIG, ini=_replace("task_type = classification", "task_type = regression")
+        EXIT_CONFIG,
+        ini=_replace("task_type = classification", "task_type = regression"),
+        says="[dataset] task_type: expected one of ('classification', 'math'), got 'regression'",
     ),
-    "ini-unknown-backend": Case(EXIT_CONFIG, ini=lambda t: t + "\n[gateway]\nbackend = nope\n"),
-    "ini-zero-timeout": Case(EXIT_CONFIG, ini=lambda t: t + "\n[gateway]\ntimeout_s = 0\n"),
-    "ini-not-utf8": Case(EXIT_CONFIG, ini=_replace("Answer Yes", "Answer \udce9 Yes")),
+    "ini-unknown-backend": Case(EXIT_CONFIG, ini=_gateway("backend = nope"), says="unknown backend 'nope'"),
+    # A timeout the HTTP client would refuse on every attempt, whichever backend runs.
+    **{
+        name: Case(EXIT_CONFIG, ini=_gateway(f"timeout_s = {value}"), says=f"[gateway] timeout_s: {says}")
+        for name, value, says in [
+            ("ini-word-for-timeout", "soon", "could not convert string to float: 'soon'"),
+            ("ini-zero-timeout", "0", "expected a finite number > 0, got 0.0"),
+            ("ini-negative-timeout", "-1", "expected a finite number > 0, got -1.0"),
+            ("ini-nan-timeout", "nan", "expected a finite number > 0, got nan"),
+            ("ini-infinite-timeout", "inf", "expected a finite number > 0, got inf"),
+        ]
+    },
     "ini-missing-dataset-file": Case(
-        EXIT_DATASET, ini=_replace("path = {tsv}", "path = {tsv}.gone")
+        EXIT_DATASET,
+        ini=_replace("path = {tsv}", "path = {tsv}.gone"),
+        says="dataset file not found: {dir}/demo.tsv.gone",
     ),
     "ini-positive-label-outside-labels": Case(
-        EXIT_DATASET, ini=_replace("positive_label = Yes", "positive_label = Maybe")
+        EXIT_DATASET,
+        ini=_replace("positive_label = Yes", "positive_label = Maybe"),
+        says="positive_label 'Maybe' is not one of the labels No, Yes",
+    ),
+    "evaluate-positive-label-outside-labels": Case(
+        EXIT_DATASET,
+        ini=_replace("positive_label = Yes", "positive_label = Maybe"),
+        command="evaluate",
+        says="positive_label 'Maybe' is not one of the labels No, Yes",
     ),
     "ini-label-outside-label-set": Case(
         EXIT_DATASET, ini=lambda t: t + "label_set = Yes\n", says="label 'No' is not one of the labels Yes"
     ),
-    "ini-negative-paraphrases": Case(
-        EXIT_CONFIG,
-        ini=_replace("[run]\n", "[run]\nparaphrases_per_parent = -1\n"),
-        says="paraphrases_per_parent must be >= 0",
-    ),
     # Odd values that are still valid, and run to the end.
     "ini-byte-order-mark": Case(EXIT_OK, ini=lambda t: "\ufeff" + t),
+    # Values are literal: "%" is text, not interpolation syntax.
+    "ini-percent-in-value": Case(EXIT_OK, ini=_replace(SEED_PROMPT, "Be 100% sure. Answer Yes or No.")),
     "ini-label-set-of-commas": Case(EXIT_OK, ini=lambda t: t + "label_set = ,\n"),
     "ini-negative-rng-seed": Case(EXIT_OK, ini=_replace("rng_seed = 11", "rng_seed = -5")),
     "ini-oversized-minibatch": Case(
@@ -169,28 +310,51 @@ CASES = {
         EXIT_OK, ini=_replace("num_correct_examples = 2", "num_correct_examples = 50")
     ),
     "ini-bad-backend-overridden-by-flag": Case(
-        EXIT_OK, ini=lambda t: t + "\n[gateway]\nbackend = nope\n", flags=("--backend", "scripted")
+        EXIT_OK, ini=_gateway("backend = nope"), flags=("--backend", "scripted")
+    ),
+    # The backend flags.
+    "replay-without-transcript": Case(
+        EXIT_CONFIG, flags=("--backend", "replay"), says="replay backend needs --transcript PATH"
+    ),
+    "live-without-endpoint": Case(
+        EXIT_CONFIG,
+        flags=("--backend", "live"),
+        says="[gateway] base_url and model are required for the live backend",
     ),
     # The TSV dataset.
     "tsv-crlf": Case(EXIT_OK, tsv=lambda t: t.replace("\n", "\r\n")),
-    "tsv-row-without-tab": Case(EXIT_DATASET, tsv=lambda t: "no tab here\n" + t, says=":1:"),
-    "tsv-blank-label": Case(
-        EXIT_DATASET, tsv=lambda t: "an input\t \n" + t, says=":1: empty input or label"
+    "tsv-row-without-tab": Case(
+        EXIT_DATASET, tsv=lambda t: "no tab here\n" + t, says="{dir}/demo.tsv:1: expected 'input<TAB>label'"
     ),
-    "tsv-empty": Case(EXIT_DATASET, tsv=lambda t: ""),
+    "tsv-blank-label": Case(
+        EXIT_DATASET, tsv=lambda t: "an input\t \n" + t, says="{dir}/demo.tsv:1: empty input or label"
+    ),
+    "tsv-empty": Case(EXIT_DATASET, tsv=lambda t: "", says="{dir}/demo.tsv: no examples"),
     "tsv-not-utf8": Case(
-        EXIT_DATASET, tsv=DEMO_TSV.encode("utf-8") + b"caf\xe9\tYes\n", says="not UTF-8"
+        EXIT_DATASET,
+        tsv=DEMO_TSV.encode("utf-8") + b"caf\xe9\tYes\n",
+        says="{dir}/demo.tsv:81: not UTF-8 text (byte 0xe9)",
     ),
     # The JSONL copy.
     "jsonl-copy": Case(EXIT_OK, jsonl=lambda t: t),
     "jsonl-invalid-json": Case(
-        EXIT_DATASET, jsonl=lambda t: t + "{not json\n", says="invalid JSON"
+        EXIT_DATASET, jsonl=lambda t: t + "{not json\n", says="{dir}/demo.jsonl:81: invalid JSON"
     ),
-    "jsonl-missing-label": Case(EXIT_DATASET, jsonl=lambda t: t + '{"text": "a"}\n'),
+    "jsonl-missing-label": Case(
+        EXIT_DATASET,
+        jsonl=lambda t: t + '{"text": "a"}\n',
+        says="{dir}/demo.jsonl:81: missing 'text'/'label' (or 'question'/'answer') keys",
+    ),
     "jsonl-object-text": Case(
-        EXIT_DATASET, jsonl=lambda t: t + '{"text": {"a": 1}, "label": "Yes"}\n'
+        EXIT_DATASET,
+        jsonl=lambda t: t + '{"text": {"a": 1}, "label": "Yes"}\n',
+        says="{dir}/demo.jsonl:81: expected a string or finite number, got {'a': 1}",
     ),
-    "jsonl-bool-label": Case(EXIT_DATASET, jsonl=lambda t: t + '{"text": "a", "label": true}\n'),
+    "jsonl-bool-label": Case(
+        EXIT_DATASET,
+        jsonl=lambda t: t + '{"text": "a", "label": true}\n',
+        says="{dir}/demo.jsonl:81: expected a string or finite number, got True",
+    ),
     "jsonl-byte-order-mark": Case(EXIT_OK, jsonl=lambda t: "\ufeff" + t),
     # A math label means a number: one number as a whole, or the number after a final "####".
     "jsonl-math-label-forms": Case(
@@ -198,63 +362,74 @@ CASES = {
         ini=_MATH,
         jsonl=_math_rows("+5", "05", ".5", "1,234", 7, "#### 72", "48 + 24 = <<48+24=72>>72.\n#### 72"),
     ),
-    "jsonl-math-label-word": Case(
-        EXIT_DATASET, ini=_MATH, jsonl=_math_rows("seventy-two"), says=":81: "
-    ),
-    "jsonl-math-label-marker-without-number": Case(
-        EXIT_DATASET, ini=_MATH, jsonl=_math_rows("#### none"), says=":81: "
-    ),
-    "jsonl-math-label-number-and-word": Case(
-        EXIT_DATASET, ini=_MATH, jsonl=_math_rows("72 apples"), says=":81: "
-    ),
+    **{
+        f"jsonl-math-label-{name}": Case(
+            EXIT_DATASET,
+            ini=_MATH,
+            jsonl=_math_rows(label),
+            says=f"{{dir}}/demo.jsonl:81: expected a number or a '#### <number>' math label, got {label!r}",
+        )
+        for name, label in [
+            ("word", "seventy-two"),
+            ("marker-without-number", "#### none"),
+            ("number-and-word", "72 apples"),
+        ]
+    },
     # The template directory.
     "templates-default-body": Case(EXIT_OK, templates={"tau.txt": TAU_BODY}),
-    "templates-unknown-slot": Case(EXIT_CONFIG, templates={"alpha.txt": "For a {taks_type} task"}),
-    "templates-unknown-file-name": Case(EXIT_CONFIG, templates={"alpah.txt": "{prompt}"}),
-    "templates-not-utf8": Case(EXIT_CONFIG, templates={"tau.txt": b"caf\xe9 {prompt}"}),
+    "templates-unknown-slot": Case(
+        EXIT_CONFIG,
+        templates={"alpha.txt": "For a {taks_type} task"},
+        says="template file {dir}/templates/alpha.txt: unknown slots ['taks_type']; alpha takes [",
+    ),
+    "templates-unknown-file-name": Case(
+        EXIT_CONFIG,
+        templates={"alpah.txt": "{prompt}"},
+        says="template file {dir}/templates/alpah.txt names no template; expected one of tau.txt, ",
+    ),
+    "templates-not-utf8": Case(
+        EXIT_CONFIG,
+        templates={"paraphrase.txt": b"Reword caf\xe9: {prompt}"},
+        says="{dir}/templates/paraphrase.txt:1: not UTF-8 text (byte 0xe9)",
+    ),
+    "templates-directory-for-a-file": Case(
+        EXIT_CONFIG, templates={"tau.txt": None}, says="template file is a directory: {dir}/templates/tau.txt"
+    ),
     "templates-missing-directory": Case(
-        EXIT_CONFIG, flags=("--templates", "{dir}/gone"), says="template directory not found"
+        EXIT_CONFIG, flags=("--templates", "{dir}/gone"), says="template directory not found: {dir}/gone"
     ),
     # The recorded transcript, replayed.
     "transcript-as-recorded": Case(EXIT_OK, transcript=lambda t: t),
+    # What a writer killed mid-line leaves behind: the demo recording has 139 lines.
     "transcript-cut-last-line": Case(
-        EXIT_CONFIG, transcript=lambda t: t[:-40], says="not a transcript entry"
+        EXIT_CONFIG,
+        transcript=lambda t: t[:-40],
+        says="{dir}/transcript.jsonl: line 139: not a transcript entry",
     ),
-    "transcript-null-response-text": Case(
-        EXIT_CONFIG, transcript=_first_line("response_text", None), says="line 1: "
+    "transcript-not-utf8": Case(
+        EXIT_CONFIG,
+        transcript=_replace("\n", "\n\udce9"),
+        says="{dir}/transcript.jsonl:2: not UTF-8 text (byte 0xe9)",
     ),
-    "transcript-number-response-text": Case(
-        EXIT_CONFIG, transcript=_first_line("response_text", 5), says="line 1: "
-    ),
-    "transcript-string-latency": Case(
-        EXIT_CONFIG, transcript=_first_line("latency_s", "x"), says="line 1: "
-    ),
-    "transcript-nan-latency": Case(
-        EXIT_CONFIG, transcript=_first_line("latency_s", float("nan")), says="line 1: "
-    ),
-    "transcript-negative-latency": Case(
-        EXIT_CONFIG, transcript=_first_line("latency_s", -1.0), says="line 1: "
-    ),
-    "transcript-bool-latency": Case(
-        EXIT_CONFIG, transcript=_first_line("latency_s", True), says="line 1: "
-    ),
+    **{
+        f"transcript-{name}": Case(EXIT_CONFIG, transcript=_first_line(field, value), says=_BAD_ENTRY)
+        for name, field, value in [
+            ("null-response-text", "response_text", None),
+            ("number-response-text", "response_text", 5),
+            ("string-latency", "latency_s", "x"),
+            ("nan-latency", "latency_s", float("nan")),
+            ("negative-latency", "latency_s", -1.0),
+            ("bool-latency", "latency_s", True),
+            ("string-temperature", "temperature", "hot"),
+            ("array-max-tokens", "max_tokens", [1]),
+            ("null-request-index", "request_index", None),
+            ("object-role-tag", "role_tag", {"a": 1}),
+            ("array-rendered-prompt", "rendered_prompt", [1]),
+        ]
+    },
     "transcript-huge-int-latency": Case(
-        EXIT_CONFIG, transcript=_first_line("latency_s", 10**400), says="line 1: "
-    ),
-    "transcript-string-temperature": Case(
-        EXIT_CONFIG, transcript=_first_line("temperature", "hot"), says="line 1: "
-    ),
-    "transcript-array-max-tokens": Case(
-        EXIT_CONFIG, transcript=_first_line("max_tokens", [1]), says="line 1: "
-    ),
-    "transcript-null-request-index": Case(
-        EXIT_CONFIG, transcript=_first_line("request_index", None), says="line 1: "
-    ),
-    "transcript-object-role-tag": Case(
-        EXIT_CONFIG, transcript=_first_line("role_tag", {"a": 1}), says="line 1: "
-    ),
-    "transcript-array-rendered-prompt": Case(
-        EXIT_CONFIG, transcript=_first_line("rendered_prompt", [1]), says="line 1: "
+        EXIT_CONFIG, transcript=_first_line("latency_s", 10**400),
+        says="{dir}/transcript.jsonl: line 1: not a transcript entry (OverflowError: ",
     ),
     "evaluate-transcript-as-recorded": Case(EXIT_OK, transcript=lambda t: t, command="evaluate"),
     "evaluate-transcript-without-the-prompt": Case(
@@ -267,7 +442,7 @@ CASES = {
         EXIT_CONFIG,
         transcript=_first_line("response_text", None),
         command="evaluate",
-        says="line 1: ",
+        says=_BAD_ENTRY,
     ),
 }
 
@@ -300,7 +475,7 @@ def _argv(case: Case, directory: Path, recording: str) -> list[str]:
     # A lone surrogate stands for a byte that is not UTF-8.
     config.write_bytes(ini.encode("utf-8", "surrogateescape"))
 
-    argv = [case.command, "--config", str(config), *(f.format(dir=directory) for f in case.flags)]
+    argv = [case.command, "--config", str(config), *(f.replace("{dir}", str(directory)) for f in case.flags)]
     if case.command == "evaluate":
         prompt = directory / "prompt.txt"
         prompt.write_text(SEED_PROMPT, encoding="utf-8")
@@ -309,26 +484,35 @@ def _argv(case: Case, directory: Path, recording: str) -> list[str]:
         templates = directory / "templates"
         templates.mkdir()
         for name, body in case.templates.items():
-            if isinstance(body, bytes):
+            if body is None:
+                (templates / name).mkdir()
+            elif isinstance(body, bytes):
                 (templates / name).write_bytes(body)
             else:
                 (templates / name).write_text(body, encoding="utf-8")
         argv += ["--templates", str(templates)]
     if case.transcript is not None:
         transcript = directory / "transcript.jsonl"
-        transcript.write_text(case.transcript(recording), encoding="utf-8")
+        transcript.write_bytes(case.transcript(recording).encode("utf-8", "surrogateescape"))
         argv += ["--backend", "replay", "--transcript", str(transcript)]
     return argv
 
 
 @pytest.mark.parametrize("name", list(CASES))
-def test_input_ends_in_a_documented_way(name, recording, tmp_path, capsys) -> None:
+def test_input_ends_in_a_documented_way(name, recording, tmp_path, monkeypatch, capsys) -> None:
     case = CASES[name]
     assert case.code in (EXIT_OK, EXIT_CONFIG, EXIT_DATASET, EXIT_GATEWAY)
+    assert case.code == EXIT_OK or case.says, "a refusal row names its message"
     argv = _argv(case, tmp_path, recording)
     out = tmp_path / "out"
     if case.command == "optimize":
         argv += ["--out", str(out)]
+    if case.code in (EXIT_CONFIG, EXIT_DATASET):
+        # A refused input costs no request.
+        def no_request(self, role_tag, prompts, **kwargs):
+            raise AssertionError(f"a {role_tag} request was sent")
+
+        monkeypatch.setattr(Gateway, "complete_many", no_request)
     capsys.readouterr()
     # An exception that main does not turn into an exit code fails the test here.
     code = main(argv)
@@ -339,7 +523,7 @@ def test_input_ends_in_a_documented_way(name, recording, tmp_path, capsys) -> No
         lines = err.splitlines()
         assert len(lines) == 1, err
         assert lines[0].startswith(PREFIX[code]), err
-        assert case.says in lines[0]
+        assert case.says.replace("{dir}", str(tmp_path)) in lines[0]
         assert not out.exists()
 
 
