@@ -9,6 +9,7 @@ import re
 import shutil
 import subprocess
 import sys
+from collections import Counter
 from dataclasses import fields
 from pathlib import Path
 
@@ -17,6 +18,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import promptopt
+from conftest import confusion_counts
 from promptopt import DatasetSpec, Gateway, LiveConfig, Transcript, load, make_split, search
 from promptopt.cli import (
     EXIT_CONFIG,
@@ -27,6 +29,7 @@ from promptopt.cli import (
     main,
     read_config_file,
 )
+from promptopt.gradients import TAU_BODY
 from promptopt.model import BanditConfig, ConfigError, RunConfig
 from promptopt.scripted import HeuristicScript
 
@@ -627,12 +630,36 @@ def test_replay_accepts_a_recording_that_tests_a_prompt_again(
         assert (rep / name).read_bytes() == (rec / name).read_bytes(), name
 
 
-def test_a_lone_surrogate_in_a_dataset_row_is_recorded_and_replayed(tmp_path, capsys) -> None:
+DEMO_INI = (REPO / "tests" / "data" / "demo.ini").read_text(encoding="utf-8")
+
+
+def _demo(*flags: str):
+    return lambda directory: ("tests/data/demo.ini", list(flags))
+
+
+def _warm(directory: Path) -> tuple[str, list[str]]:
+    # Above temperature 0 the gateway keeps no memo: every repeat is sent and recorded.
+    config = directory / "warm.ini"
+    config.write_text(DEMO_INI.replace("[run]\n", "[run]\ntemperature = 0.7\n", 1), encoding="utf-8")
+    return str(config), []
+
+
+def _templates(directory: Path) -> tuple[str, list[str]]:
+    # The generator's first line is reworded; every slot and every line that
+    # the scripted backend and the history mask read stay as they are.
+    body = TAU_BODY.replace("I'm trying to write a zero-shot", "I am writing a zero-shot")
+    assert body != TAU_BODY
+    (directory / "templates").mkdir()
+    (directory / "templates" / "tau.txt").write_text(body, encoding="utf-8")
+    return "tests/data/demo.ini", ["--templates", str(directory / "templates")]
+
+
+def _surrogate(directory: Path) -> tuple[str, list[str]]:
     # json reads a "\ud800" escape as a lone surrogate, which has no strict
     # UTF-8 form; the request digest and the scripted backend's hashes must
     # take it all the same.
     rows = [line.split("\t") for line in DATA.read_text(encoding="utf-8").splitlines()]
-    dataset = tmp_path / "demo.jsonl"
+    dataset = directory / "demo.jsonl"
     dataset.write_text(
         "".join(
             json.dumps({"text": text + (" \ud800" if i % 3 == 0 else ""), "label": label}) + "\n"
@@ -641,25 +668,165 @@ def test_a_lone_surrogate_in_a_dataset_row_is_recorded_and_replayed(tmp_path, ca
         encoding="utf-8",
     )
     assert "\\ud800" in dataset.read_text(encoding="utf-8")
-    ini = (REPO / "tests" / "data" / "demo.ini").read_text(encoding="utf-8")
-    config = tmp_path / "demo.ini"
+    config = directory / "demo.ini"
     config.write_text(
-        ini.replace("tests/data/demo.tsv", str(dataset)).replace("format = tsv", "format = jsonl"),
+        DEMO_INI.replace("tests/data/demo.tsv", str(dataset)).replace("format = tsv", "format = jsonl"),
         encoding="utf-8",
     )
-    argv = ["optimize", "--config", str(config), "--verbose-predictions"]
+    return str(config), []
+
+
+_SIGNED = ("+{}", "+0{}", ".{}", "-.{}", "+.{}0")
+
+
+def _math(row):
+    """A math task of 60 JSONL rows, ``row(i)`` giving the i-th question and answer."""
+
+    def setup(directory: Path) -> tuple[str, list[str]]:
+        dataset = directory / "sums.jsonl"
+        dataset.write_text(
+            "".join(json.dumps(dict(zip(("question", "answer"), row(i)))) + "\n" for i in range(60)),
+            encoding="utf-8",
+        )
+        config = directory / "math.ini"
+        config.write_text(
+            "[run]\nseed_prompt = Work it out. End with #### <number>.\n"
+            "beam_width = 2\nsearch_depth = 2\nminibatch_size = 8\ncandidates_per_parent = 4\n"
+            "num_gradients = 2\nnum_correct_examples = 2\ntest_set_size = 16\nrng_seed = 5\n"
+            "[bandit]\ntime_steps = 6\nsample_size = 4\n"
+            f"[dataset]\npath = {dataset}\nformat = jsonl\ntask_type = math\n",
+            encoding="utf-8",
+        )
+        return str(config), []
+
+    return setup
+
+
+# Each leg writes its inputs under a directory and gives the config file and
+# the optimize flags of one recorded run.
+LEGS = {
+    "default": _demo(),
+    # The baseline's preset: negative-gradient templates and paraphrases.
+    "protegi": _demo("--mode", "protegi"),
+    # The one polarity plan that mixes both template pairs in a run.
+    "both": _demo("--gradient-mode", "both"),
+    # Each parent sends a generator call and an edit batch for both polarities, then paraphrases.
+    "protegi-both": _demo("--mode", "protegi", "--gradient-mode", "both"),
+    "warm": _warm,
+    "templates": _templates,
+    "surrogate": _surrogate,
+    # Every answer is written with a + sign, a leading zero or a leading point.
+    "math-signs": _math(lambda i: (f"Item {i}: what is it?", _SIGNED[i % len(_SIGNED)].format(i + 1))),
+    # Every answer is a worked solution ending "#### N", as in GSM8K.
+    "math-gsm8k": _math(
+        lambda i: (
+            f"Item {i}: Ann has {10 + i} pens and buys {2 * i + 3} more. How many now?",
+            f"Ann has {10 + i} + {2 * i + 3} = <<{10 + i}+{2 * i + 3}={3 * i + 13}>>{3 * i + 13} pens."
+            f"\n#### {3 * i + 13}",
+        )
+    ),
+}
+
+
+def _numbered_takes(monkeypatch) -> None:
+    """Make the scripted backend add " (take k)" to its k-th answer to a request, from the second on.
+
+    The plain backend gives every repeat the same text, so replay could serve
+    a prompt's first recorded answer forever and still reproduce the run.
+    """
+    respond = HeuristicScript.__call__
+    takes: Counter = Counter()
+
+    def numbered(self, req):
+        takes[req.role_tag, req.rendered_prompt] += 1
+        k = takes[req.role_tag, req.rendered_prompt]
+        return respond(self, req) + (f" (take {k})" if k > 1 else "")
+
+    monkeypatch.setattr(HeuristicScript, "__call__", numbered)
+
+
+@pytest.mark.parametrize("leg", list(LEGS))
+def test_replay_reproduces_the_recorded_artifact(leg, monkeypatch, tmp_path, capsys) -> None:
+    monkeypatch.chdir(REPO)
+    config, flags = LEGS[leg](tmp_path)
+    optimize = ["optimize", "--config", config, *flags, "--verbose-predictions"]
     rec, rep = tmp_path / "rec", tmp_path / "rep"
-    assert main([*argv, "--backend", "scripted", "--out", str(rec)]) == EXIT_OK
     transcript = rec / "transcript.jsonl"
-    assert "\\ud800" in transcript.read_text(encoding="utf-8")
-    replay = ["--backend", "replay", "--transcript", str(transcript), "--out", str(rep)]
-    assert main([*argv, *replay]) == EXIT_OK
+    with monkeypatch.context() as patched:
+        if leg == "warm":
+            _numbered_takes(patched)
+        assert main([*optimize, "--backend", "scripted", "--out", str(rec)]) == EXIT_OK
+    replay = [*optimize, "--backend", "replay", "--transcript"]
+    assert main([*replay, str(transcript), "--out", str(rep)]) == EXIT_OK
     assert "Traceback" not in capsys.readouterr().err
+    recorded = transcript.read_text(encoding="utf-8")
+    if leg == "warm":
+        # Replay serves a prompt recorded more than once its answers in turn.
+        assert " (take 2)" in recorded
+    if leg == "surrogate":
+        assert "\\ud800" in recorded
+
+    # The whole artifact, predictions.jsonl included; events.jsonl differs only
+    # in elapsed_s: wall time on record, summed recorded latency on replay.
     names = sorted(path.name for path in rec.iterdir())
     assert names == sorted(path.name for path in rep.iterdir())
     for name in names:
-        if name != "events.jsonl":  # its elapsed_s is wall time on record
+        if name != "events.jsonl":
             assert (rep / name).read_bytes() == (rec / name).read_bytes(), name
+    # The transcript holds wire calls only: one line per backend attempt.
+    for out in (rec, rep):
+        wire = json.loads((out / "run_meta.json").read_text())["calls"]["wire"]
+        assert (out / "transcript.jsonl").read_bytes().count(b"\n") == wire
+    # The per-round call counts and test scores of events.jsonl, through the
+    # report curves, which hold no wall time.
+    for out in (rec, rep):
+        assert main(["report", str(out), "--out", str(tmp_path / f"report-{out.name}")]) == EXIT_OK
+    for curve in ("score_vs_calls", "score_vs_round"):
+        csv_files = [tmp_path / f"report-{out.name}" / f"{out.name}_{curve}.csv" for out in (rec, rep)]
+        assert csv_files[0].read_bytes() == csv_files[1].read_bytes(), curve
+
+    # evaluate scores the best prompt on the test split as the run did, from
+    # the scripted backend and from the recording alike.
+    result = json.loads((rec / "result.json").read_text(encoding="utf-8"))
+    best = tmp_path / "best.txt"
+    best.write_text(result["text"], encoding="utf-8")
+    for backend in ("scripted", "replay"):
+        capsys.readouterr()
+        evaluate = ["evaluate", "--config", config, "--prompt-file", str(best), "--backend", backend]
+        assert main([*evaluate, "--transcript", str(transcript)]) == EXIT_OK
+        assert capsys.readouterr().out.startswith(f"test_score={result['test_score']:.4f} "), backend
+
+    # The best prompt's predictions.jsonl rows, made apart from its score,
+    # cover the test split and give back its score.
+    echo = json.loads((rec / "config.json").read_text(encoding="utf-8"))
+    dataset = echo["dataset"]
+    predictions = _jsonl(rec / "predictions.jsonl")
+    rows = [row for row in predictions if row["prompt_id"] == result["best_prompt_id"]]
+    assert len(rows) == echo["test_set_size"]
+    if dataset["task_type"] == "math":
+        # The share of answers judged correct; no answer without a number is.
+        assert result["test_score"] > 0
+        assert result["test_score"] == sum(row["correct"] for row in rows) / len(rows)
+        assert not [row for row in predictions if row["correct"] and row["parsed_label"] is None]
+    else:
+        gold = {ex.id: ex.label for ex in load(dataset["path"], dataset["format"])}
+        golds = [gold[row["example_id"]] for row in rows]
+        counts = confusion_counts(golds, [row["parsed_label"] for row in rows], dataset["positive_label"])
+        f1 = 2 * counts.tp / (2 * counts.tp + counts.fp + counts.fn) if counts.tp else 0.0
+        assert result["test_score"] == f1
+
+    # A recording without its last line stops at the request that line
+    # answered, and leaves the partial artifact flagged incomplete.
+    lines = recorded.splitlines(keepends=True)
+    short = tmp_path / "short.jsonl"
+    short.write_text("".join(lines[:-1]), encoding="utf-8")
+    assert main([*replay, str(short), "--out", str(tmp_path / "short")]) == EXIT_INCOMPLETE
+    assert json.loads((tmp_path / "short" / "run_meta.json").read_text())["status"] == "incomplete"
+    # One cut in the middle of its last line, as a killed writer leaves it, is
+    # refused before the run starts.
+    cut = tmp_path / "cut.jsonl"
+    cut.write_text(recorded[: len(recorded) - len(lines[-1]) // 2], encoding="utf-8")
+    assert main([*replay, str(cut), "--out", str(tmp_path / "cut")]) == EXIT_CONFIG
 
 
 def test_a_best_prompt_with_a_lone_surrogate_is_printed_escaped(monkeypatch, tmp_path, capsys) -> None:

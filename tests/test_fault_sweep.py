@@ -6,7 +6,8 @@ run must leave the documented partial artifact: exit code 5, ``status:
 incomplete`` in ``run_meta.json``, no ``result.json``, and a transcript
 holding exactly the k paid calls before the failure, as the uninterrupted run
 recorded them. A ``KeyboardInterrupt`` at call k, as a Ctrl-C raises it,
-leaves the same artifact and exit code 130, with one line on stderr.
+leaves the same artifact and exit code 130, with one line on stderr; so does
+a real SIGINT to the program while a live request waits.
 
 Replaying the recording with any one line k left out must end the same way,
 at the request that line answered: the replay's transcript is the first k
@@ -28,6 +29,11 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import signal
+import socket
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -127,6 +133,38 @@ def test_interrupt_at_a_backend_call_exits_130_with_one_line(monkeypatch, tmp_pa
         assert meta["status"] == "incomplete", k
         assert not (out / "result.json").exists(), k
         assert (out / "transcript.jsonl").read_bytes() == b"".join(lines[:k]), k
+
+
+def test_ctrl_c_during_a_live_request_exits_130_with_one_line(tmp_path) -> None:
+    # A real SIGINT to the program, sent once its first request waits at a
+    # loopback listener that accepts and never answers: no call completes.
+    with socket.create_server(("127.0.0.1", 0)) as server:
+        server.settimeout(60)
+        config = tmp_path / "live.ini"
+        endpoint = f"\n[gateway]\nbase_url = http://127.0.0.1:{server.getsockname()[1]}/v1\nmodel = demo\n"
+        config.write_text((REPO / "tests" / "data" / "demo.ini").read_text(encoding="utf-8") + endpoint)
+        out = tmp_path / "out"
+        argv = ["optimize", "--config", str(config), "--backend", "live", "--out", str(out)]
+        path = os.pathsep.join(filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")]))
+        with subprocess.Popen(
+            [sys.executable, "-m", "promptopt.cli", *argv],
+            cwd=REPO,
+            env={**os.environ, "PYTHONPATH": path},
+            stdout=subprocess.DEVNULL,
+            stderr=subprocess.PIPE,
+            text=True,
+        ) as program:
+            try:
+                connection = server.accept()[0]
+                with connection:
+                    program.send_signal(signal.SIGINT)
+                    _, err = program.communicate(timeout=60)
+            finally:
+                program.kill()
+    assert program.returncode == EXIT_INTERRUPTED, err
+    assert err == f"interrupted (partial artifact: {out})\n"
+    assert json.loads((out / "run_meta.json").read_text())["status"] == "incomplete"
+    assert (out / "transcript.jsonl").read_bytes() == b""
 
 
 @pytest.mark.parametrize("preset", sorted(PRESETS))

@@ -706,24 +706,6 @@ def test_run_convergence_report_uses_configured_target(tmp_path) -> None:
     assert result.report.convergence_steps == 0
 
 
-def test_run_replay_reproduces_scores(tmp_path) -> None:
-    examples = toy_examples()
-    split = make_split(examples, 20, 7, task_type="classification", positive_label="Yes")
-    cfg = small_config()
-    gateway = scripted_gateway(examples, split.label_set)
-    recorded = run(new_seed_prompt(SEED_TEXT), split, cfg, gateway, tmp_path / "rec")
-
-    replay_gateway = Gateway(
-        ReplayBackend(Transcript.load(Path(recorded.artifact_dir) / "transcript.jsonl"))
-    )
-    replayed = run(new_seed_prompt(SEED_TEXT), split, cfg, replay_gateway, tmp_path / "rep")
-    assert replayed.best.id == recorded.best.id
-    assert replayed.best.text == recorded.best.text
-    assert [e.best_test_score for e in replayed.events] == [
-        e.best_test_score for e in recorded.events
-    ]
-
-
 def test_run_passes_temperature_through_verbatim(tmp_path) -> None:
     examples = toy_examples()
     split = make_split(examples, 20, 7, task_type="classification", positive_label="Yes")
