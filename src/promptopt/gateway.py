@@ -15,7 +15,6 @@ call counts do not depend on the memo.
 
 from __future__ import annotations
 
-import hashlib
 import itertools
 import json
 import math
@@ -51,7 +50,11 @@ class GatewayError(Exception):
 
 
 class ReplayMissError(GatewayError):
-    """A replayed run issued a request absent from the transcript."""
+    """A replayed run issued a request absent from the transcript.
+
+    The message names the request's role and its ``request_index``: a run
+    that follows its recording misses at the line with that index.
+    """
 
 
 class ScriptExhaustedError(GatewayError):
@@ -75,16 +78,6 @@ class LlmRequest(NamedTuple):
     max_tokens: int = 512
     request_index: int = -1
 
-    @property
-    def digest(self) -> str:
-        """:func:`request_digest` of this request, computed on each access.
-
-        Nothing keeps it: a named tuple holds only its five fields. The saved
-        transcript and a replay miss message read it, once per request;
-        replay lookups are keyed by content.
-        """
-        return request_digest(self.role_tag, self.rendered_prompt)
-
 
 class LlmResponse(NamedTuple):
     """The answer half of one transcript line; its index is on the request."""
@@ -93,26 +86,13 @@ class LlmResponse(NamedTuple):
     latency_s: float = 0.0
 
 
-def request_digest(role_tag: str, rendered_prompt: str) -> str:
-    """sha256 hex of a request's content, written to each transcript line.
-
-    Independent of issue order; its first 12 characters name a request that
-    replay could not find. A lone surrogate, which JSON text can carry as a
-    ``\\ud800`` escape, is hashed as its three UTF-8-style bytes
-    (``surrogatepass``) instead of failing the encode.
-    """
-    material = f"{role_tag}\n{rendered_prompt}".encode("utf-8", "surrogatepass")
-    return hashlib.sha256(material).hexdigest()
-
-
 def transcript_line(req: LlmRequest, resp: LlmResponse) -> str:
-    """One transcript line, without its newline: ``json.dumps`` of the eight-field row, keys sorted.
+    """One transcript line, without its newline: ``json.dumps`` of the seven-field row, keys sorted.
 
     It is the reference for :meth:`Transcript.save`, which writes the same
     bytes per entry.
     """
     row = {
-        "digest": req.digest,
         "latency_s": resp.latency_s,
         "max_tokens": req.max_tokens,
         "rendered_prompt": req.rendered_prompt,
@@ -149,17 +129,15 @@ class Transcript:
         Each line equals ``transcript_line(req, resp)`` and a newline; a
         property test pins the two to each other. The fields that a run
         of consecutive entries shares (``role_tag``, ``temperature`` and
-        ``max_tokens``, and the ``role_tag`` line that starts the digest's
-        input) are looked up once per run, by each value's type and
+        ``max_tokens``) are looked up once per run, by each value's type and
         ``repr``, so ``json.dumps`` renders each distinct three values once,
         also for entries that hold equal values in objects of their own. The
         lookup does not go by equality: ``0``, ``0.0``, ``-0.0`` and
         ``False`` compare equal but render differently.
         """
         run_role = run_temperature = run_max_tokens = _UNSET
-        rendered: dict[tuple, tuple[str, str, str]] = {}
+        rendered: dict[tuple, tuple[str, str]] = {}
         dumps = json.dumps
-        sha256 = hashlib.sha256
         inf = math.inf
         with open(path, "w", encoding="utf-8") as handle:
             write = handle.write
@@ -178,12 +156,11 @@ class Transcript:
                     parts = rendered.get(key)
                     if parts is None:
                         parts = rendered[key] = (
-                            f"{role_tag}\n",
                             f', "max_tokens": {dumps(max_tokens, sort_keys=True)}, "rendered_prompt": ',
                             f', "role_tag": {dumps(role_tag, sort_keys=True)}, '
                             f'"temperature": {dumps(temperature, sort_keys=True)}}}\n',
                         )
-                    digest_head, middle, tail = parts
+                    middle, tail = parts
                 text, latency = resp
                 # An entry with a field that is not a str, a plain int or a
                 # finite float takes the reference line.
@@ -196,10 +173,9 @@ class Transcript:
                 ):
                     write(transcript_line(req, resp) + "\n")
                     continue
-                # request_digest and json.dumps of each field, inlined.
-                digest = sha256((digest_head + prompt).encode("utf-8", "surrogatepass")).hexdigest()
+                # json.dumps of each field, inlined.
                 write(
-                    f'{{"digest": "{digest}", "latency_s": {latency!r}{middle}'
+                    f'{{"latency_s": {latency!r}{middle}'
                     f'{encode_basestring_ascii(prompt)}, "request_index": {index!r}, '
                     f'"response_text": {encode_basestring_ascii(text)}{tail}'
                 )
@@ -371,7 +347,7 @@ class ReplayBackend:
         held = table.pop(prompt, None) if table is not None else None
         if held is None:
             raise ReplayMissError(
-                f"no recorded response for {req.role_tag} request (digest {req.digest[:12]})"
+                f"no recorded response for {req.role_tag} request {req.request_index}"
             )
         answer = held
         if type(held) is list:

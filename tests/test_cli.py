@@ -508,7 +508,7 @@ def test_optimize_demo_protegi_transcript_golden_sha256(monkeypatch, tmp_path) -
     # 141 requests issued; 12 repeat one already answered at temperature 0.
     assert data.count(b"\n") == 129
     assert hashlib.sha256(data).hexdigest() == (
-        "78f54d020afa8e2067520fa1732f646980115aa3410e5600ef4aa54591322e9d"
+        "df440db7f716870e51cb99247464042e0c2d032899e0e58e217adfbdcce94447"
     )
     # The record files of the mode whose children include paraphrases, which have no gradient.
     digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in _PROTEGI_SHA256}
@@ -656,8 +656,8 @@ def _templates(directory: Path) -> tuple[str, list[str]]:
 
 def _surrogate(directory: Path) -> tuple[str, list[str]]:
     # json reads a "\ud800" escape as a lone surrogate, which has no strict
-    # UTF-8 form; the request digest and the scripted backend's hashes must
-    # take it all the same.
+    # UTF-8 form; the transcript writer and the scripted backend's hashes
+    # must take it all the same.
     rows = [line.split("\t") for line in DATA.read_text(encoding="utf-8").splitlines()]
     dataset = directory / "demo.jsonl"
     dataset.write_text(
@@ -827,6 +827,39 @@ def test_replay_reproduces_the_recorded_artifact(leg, monkeypatch, tmp_path, cap
     cut = tmp_path / "cut.jsonl"
     cut.write_text(recorded[: len(recorded) - len(lines[-1]) // 2], encoding="utf-8")
     assert main([*replay, str(cut), "--out", str(tmp_path / "cut")]) == EXIT_CONFIG
+
+
+def test_a_recording_with_the_old_digest_key_replays_to_the_same_artifact(
+    monkeypatch, tmp_path, capsys
+) -> None:
+    # Transcripts used to carry a "digest" key on each line, the sha256 of
+    # the role and the prompt. The loader ignores it, and a re-save drops it.
+    monkeypatch.chdir(REPO)
+    config, flags = LEGS["default"](tmp_path)
+    optimize = ["optimize", "--config", config, *flags, "--verbose-predictions"]
+    rec = tmp_path / "rec"
+    assert main([*optimize, "--backend", "scripted", "--out", str(rec)]) == EXIT_OK
+    rows = _jsonl(rec / "transcript.jsonl")
+    for row in rows:
+        content = f"{row['role_tag']}\n{row['rendered_prompt']}".encode("utf-8", "surrogatepass")
+        row["digest"] = hashlib.sha256(content).hexdigest()
+    old = tmp_path / "old.jsonl"
+    old.write_text("".join(json.dumps(row, sort_keys=True) + "\n" for row in rows), encoding="utf-8")
+    assert old.read_text(encoding="utf-8").startswith('{"digest": "')
+
+    replay = [*optimize, "--backend", "replay", "--transcript"]
+    rep, rep_old = tmp_path / "rep", tmp_path / "rep-old"
+    assert main([*replay, str(rec / "transcript.jsonl"), "--out", str(rep)]) == EXIT_OK
+    assert main([*replay, str(old), "--out", str(rep_old)]) == EXIT_OK
+    assert "Traceback" not in capsys.readouterr().err
+    names = sorted(path.name for path in rep.iterdir())
+    assert names == sorted(path.name for path in rep_old.iterdir())
+    # events.jsonl too: each replay's elapsed_s is the recorded latency summed.
+    for name in names:
+        assert (rep_old / name).read_bytes() == (rep / name).read_bytes(), name
+    seven = {"latency_s", "max_tokens", "rendered_prompt", "request_index",
+             "response_text", "role_tag", "temperature"}
+    assert all(set(row) == seven for row in _jsonl(rep_old / "transcript.jsonl"))
 
 
 def test_a_best_prompt_with_a_lone_surrogate_is_printed_escaped(monkeypatch, tmp_path, capsys) -> None:

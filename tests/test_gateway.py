@@ -30,7 +30,6 @@ from promptopt.gateway import (
     ScriptedBackend,
     Transcript,
     TranscriptFormatError,
-    request_digest,
     transcript_line,
 )
 from promptopt.model import ConfigError
@@ -138,17 +137,30 @@ def test_transcript_save_golden_bytes(tmp_path) -> None:
     path = tmp_path / "transcript.jsonl"
     transcript.save(path)
     assert path.read_bytes() == (
-        b'{"digest": "59f4827f73f6944148f4349bd9779cc7a68e67984c26f816890def3b3e8a0ea0", '
-        b'"latency_s": 0.0, "max_tokens": 16, '
+        b'{"latency_s": 0.0, "max_tokens": 16, '
         b'"rendered_prompt": "Is it true?\\nCaf\\u00e9 \\u2014 na\\u00efve", '
         b'"request_index": 0, "response_text": "Oui, yes", "role_tag": "task_eval", '
         b'"temperature": 0.0}\n'
-        b'{"digest": "6c5b062ca92737c160dd4cde7c77ec75bef68a838df726d2b130558d18b4f9c1", '
-        b'"latency_s": 0.25, "max_tokens": 512, '
+        b'{"latency_s": 0.25, "max_tokens": 512, '
         b'"rendered_prompt": "line one\\nline \\"two\\"", '
         b'"request_index": 1, "response_text": "<START>reason\\n<END>", '
         b'"role_tag": "gradient_gen", "temperature": 0.7}\n'
     )
+
+
+@pytest.mark.parametrize(
+    "extra", [{"digest": "59f4827f73f6"}, {"note": ["kept", None]}], ids=["digest", "note"]
+)
+def test_transcript_load_ignores_an_extra_key_and_save_drops_it(extra, tmp_path) -> None:
+    # Recordings made while each line carried a "digest" key still load.
+    req, resp = LlmRequest("task_eval", "Is it true?", 0.0, 16, 0), LlmResponse("Yes", 0.0)
+    line = transcript_line(req, resp)
+    path = tmp_path / "old.jsonl"
+    path.write_text(json.dumps({**json.loads(line), **extra}, sort_keys=True) + "\n", encoding="utf-8")
+    loaded = Transcript.load(path)
+    assert loaded.entries == [(req, resp)]
+    loaded.save(path)
+    assert path.read_text(encoding="utf-8") == line + "\n"
 
 
 # Characters whose JSON escapes differ in kind: quote, backslash, control
@@ -242,7 +254,6 @@ def test_transcript_save_equals_transcript_line_per_entry(tmp_path_factory, runs
                 LlmResponse(text, latency),
             ))
             row = {
-                "digest": request_digest(role, prompt),
                 "role_tag": role,
                 "rendered_prompt": prompt,
                 "temperature": temperature,
@@ -544,18 +555,11 @@ def test_complete_stamps_index_and_keeps_request_fields() -> None:
         0.7,
         512,
     )
-    assert req.digest == request_digest("prompt_edit", "edit me")
-
-
-def test_request_digest_is_not_kept_on_the_request() -> None:
-    req = LlmRequest("task_eval", "x", 0.0, 16, 0)
-    assert req.digest == request_digest("task_eval", "x")
     # A named tuple has no instance dict, so nothing but the five fields can be kept.
     assert not hasattr(req, "__dict__")
     assert req._fields == (
         "role_tag", "rendered_prompt", "temperature", "max_tokens", "request_index"
     )
-    assert tuple(req) == ("task_eval", "x", 0.0, 16, 0)
 
 
 def test_complete_many_reserves_contiguous_indices_in_submission_order() -> None:
@@ -864,12 +868,14 @@ def test_replay_serves_equal_recorded_answers_in_turn(tmp_path) -> None:
         assert [call(replay, "task_eval", "same") for _ in range(4)] == ["A", "A", "B", "B"]
 
 
-def test_replay_miss_names_digest_prefix_and_role() -> None:
+def test_replay_miss_names_role_and_index() -> None:
     gw = echo_gateway()
     call(gw, "task_eval", "known")
+    call(gw, "task_eval", "second")
     replay = Gateway(ReplayBackend(gw.transcript))
-    prefix = request_digest("gradient_gen", "known")[:12]
-    with pytest.raises(ReplayMissError, match=rf"gradient_gen request \(digest {prefix}\)$"):
+    call(replay, "task_eval", "known")
+    # The miss is the replay's second request, so it names index 1.
+    with pytest.raises(ReplayMissError, match=r"^no recorded response for gradient_gen request 1$"):
         call(replay, "gradient_gen", "known")
 
 
@@ -967,12 +973,6 @@ def test_replay_table_keys_are_the_run_prompt_strings(
     keys = {role: {key: key for key in table} for role, table in backend._answers.items()}
     for req, _ in replay.transcript.entries:
         assert keys[req.role_tag][req.rendered_prompt] is req.rendered_prompt, req.request_index
-
-
-def test_digest_depends_on_role_and_content() -> None:
-    assert request_digest("task_eval", "x") != request_digest("gradient_gen", "x")
-    assert request_digest("task_eval", "x") != request_digest("task_eval", "y")
-    assert request_digest("task_eval", "x") == request_digest("task_eval", "x")
 
 
 def test_retry_policy_gives_up_after_max() -> None:
@@ -1117,13 +1117,13 @@ def test_replay_elapsed_uses_recorded_latencies(tmp_path) -> None:
 
 
 def test_scripted_digest_map_backend() -> None:
-    # A responder keyed by content digest: the classic canned-answer script.
-    canned = {request_digest("task_eval", "is water wet?"): "Yes"}
+    # A responder keyed by role and prompt: the classic canned-answer script.
+    canned = {("task_eval", "is water wet?"): "Yes"}
 
-    def by_digest(req):
-        return canned[request_digest(req.role_tag, req.rendered_prompt)]
+    def by_content(req):
+        return canned[req.role_tag, req.rendered_prompt]
 
-    gw = Gateway(ScriptedBackend(by_digest))
+    gw = Gateway(ScriptedBackend(by_content))
     assert call(gw, "task_eval", "is water wet?") == "Yes"
     assert gw.call_count() == 1
 

@@ -675,7 +675,7 @@ def test_drawn_template_files_end_in_a_documented_way(tmp_path_factory, files) -
     _check_ending(code, err, out)
 
 
-_TRANSCRIPT_FIELDS = ("digest", "latency_s", "max_tokens", "rendered_prompt", "request_index",
+_TRANSCRIPT_FIELDS = ("latency_s", "max_tokens", "rendered_prompt", "request_index",
                       "response_text", "role_tag", "temperature")
 
 

@@ -168,9 +168,9 @@ def test_run_transcript_golden_sha256(tmp_path) -> None:
     run(new_seed_prompt(SEED_TEXT), split, small_config(), gateway, tmp_path)
     data = (tmp_path / "transcript.jsonl").read_bytes()
     # 179 requests issued; 6 repeat one already answered at temperature 0.
-    assert (len(data), data.count(b"\n")) == (70424, 173)
+    assert (len(data), data.count(b"\n")) == (56930, 173)
     assert hashlib.sha256(data).hexdigest() == (
-        "2a4aee09cea9dccaa49ae29841c19be90961ae4dde23ac7ecfda878c5ff25be0"
+        "bfde1b5da607e38c6eac18ddcf2b6cf2b5d685683c0590dbd9c1c6cf5a4dc2ab"
     )
 
 
@@ -214,7 +214,7 @@ def test_run_artifact_golden_sha256(tmp_path) -> None:
 
 
 _BOTH_POLARITIES_SHA256 = {
-    "transcript.jsonl": "6938c212bbd17a216025f247ece1e0cf08294733f1dce6d957a9be4543dca2f4",
+    "transcript.jsonl": "eed5309e2a1f2c4f21dce8da1b54bfe2816798c2bd0b40d0c7ffdc200bec9e2e",
     "history.json": "39ce131cb168b0e2c8875b772c6b373f998aa47368acb6a63c59ace9eb65b662",
     "beams.jsonl": "1a7347d8d37704a6dbdab6585d4b430076437d94d171f2ada501d4152b7e021a",
     "prompts.jsonl": "3af9bbcae8f18821d7ff03e9ed67fa5ecb6436d8a2cad07aaea154985b7512f5",
