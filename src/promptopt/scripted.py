@@ -5,6 +5,12 @@ evaluations from a per-prompt "skill" derived by hashing, and produces
 parseable reasons, edits, and paraphrases. All outputs are pure functions of
 the request content with the history slot masked out, so runs that differ only
 in momentum wiring receive byte-identical completions.
+
+A task evaluation is answered from two tables: one per example input, built
+at construction (the example id's bytes and its right and wrong answers), and
+one per prompt text, filled on that prompt's first task evaluation (its skill
+and a hash state already fed the start of its answer coins' hash input). An
+answer costs two dict lookups and one copy of the hash state.
 """
 
 from __future__ import annotations
@@ -13,7 +19,7 @@ import re
 from hashlib import blake2b
 from typing import Iterable, Sequence
 
-from .data import Example
+from .data import Example, math_label
 from .gateway import LlmRequest, ScriptExhaustedError
 from .gradients import mask_history_slot
 
@@ -36,6 +42,15 @@ class HeuristicScript:
     under that accuracy, so identical requests always yield identical answers.
     The example is the one whose input is the longest suffix after a newline;
     the text before that newline is the prompt.
+
+    Per example input, kept from construction: the example id's UTF-8 bytes
+    and its right and wrong answers. For classification these are the gold
+    label and the first label that differs from it beyond case (the gold
+    itself when none does); for math, ``#### <gold>`` and ``#### -99999``,
+    or ``#### -99998`` when the gold means -99999, so that a wrong coin never
+    scores. Per prompt text, kept from its first task_eval: its skill and a
+    blake2b state already fed ``seed|answer|prompt text|``. Each answer
+    copies that state and feeds it the example id.
     """
 
     def __init__(
@@ -46,52 +61,55 @@ class HeuristicScript:
         skill_range: tuple[float, float] = (0.3, 0.9),
         task_type: str = "classification",
     ):
-        self._by_input: dict[str, Example] = {ex.input_text: ex for ex in examples}
         self._labels = list(label_set)
         self._seed = seed
         self._skill_lo, self._skill_hi = skill_range
-        self._task_type = task_type
-        # Per prompt text, filled by its first task_eval: the prompt's skill and
-        # the UTF-8 bytes that start each of its answer coins' hash inputs.
-        self._per_prompt: dict[str, tuple[float, bytes]] = {}
-        # The label a wrong answer gives, per gold label.
-        self._wrong = {
-            gold: next((lb for lb in self._labels if lb.lower() != gold.lower()), gold)
-            for gold in {ex.label for ex in self._by_input.values()}
-        }
+        is_math = task_type == "math"
+        # Per example input: the example id's UTF-8 bytes, its right answer and its wrong one.
+        self._by_input: dict[str, tuple[bytes, str, str]] = {}
+        # The wrong answer per gold label: the first other label, or a number that is not the gold.
+        wrong: dict[str, str] = {}
+        for ex in examples:
+            gold = ex.label
+            if gold not in wrong:
+                if is_math:
+                    wrong[gold] = "#### -99998" if math_label(gold) == "-99999" else "#### -99999"
+                else:
+                    wrong[gold] = next((lb for lb in self._labels if lb.lower() != gold.lower()), gold)
+            right = f"#### {gold}" if is_math else gold
+            self._by_input[ex.input_text] = (str(ex.id).encode("utf-8"), right, wrong[gold])
+        # Per prompt text, filled by its first task_eval: the prompt's skill and a
+        # hash state fed the start of each of its answer coins' hash inputs.
+        self._per_prompt: dict[str, tuple[float, blake2b]] = {}
 
     def skill(self, prompt_text: str) -> float:
         u = int.from_bytes(_hash(self._seed, 8, "skill", prompt_text), "big") / 2**64
         return self._skill_lo + (self._skill_hi - self._skill_lo) * u
 
-    def _answer(self, prompt_text: str, example: Example) -> str:
-        entry = self._per_prompt.get(prompt_text)
-        if entry is None:
-            entry = self._per_prompt[prompt_text] = (
-                self.skill(prompt_text),
-                f"{self._seed}|answer|{prompt_text}|".encode("utf-8", "surrogatepass"),
-            )
-        skill, coin_prefix = entry
-        # The same digest as _hash(self._seed, 8, "answer", prompt_text, example.id).
-        digest = blake2b(coin_prefix + str(example.id).encode("utf-8"), digest_size=8).digest()
-        correct = int.from_bytes(digest, "big") / 2**64 < skill
-        if self._task_type == "math":
-            return f"#### {example.label}" if correct else "#### -99999"
-        return example.label if correct else self._wrong[example.label]
-
     def __call__(self, req: LlmRequest) -> str:
         if req.role_tag == "task_eval":
             # Longest suffix first, so a multi-line input is found whole even
             # when its last lines are another example's input.
+            by_input = self._by_input
             prompt_text, _, input_text = req.rendered_prompt.partition("\n")
-            example = self._by_input.get(input_text)
-            while example is None and "\n" in input_text:
+            answers = by_input.get(input_text)
+            while answers is None and "\n" in input_text:
                 line, _, input_text = input_text.partition("\n")
                 prompt_text = f"{prompt_text}\n{line}"
-                example = self._by_input.get(input_text)
-            if example is None:
+                answers = by_input.get(input_text)
+            if answers is None:
                 return self._labels[0] if self._labels else "unknown"
-            return self._answer(prompt_text, example)
+            entry = self._per_prompt.get(prompt_text)
+            if entry is None:
+                start = f"{self._seed}|answer|{prompt_text}|".encode("utf-8", "surrogatepass")
+                state = blake2b(start, digest_size=8)
+                entry = self._per_prompt[prompt_text] = (self.skill(prompt_text), state)
+            skill, state = entry
+            id_bytes, right, wrong = answers
+            # The same digest as _hash(self._seed, 8, "answer", prompt_text, example.id).
+            coin = state.copy()
+            coin.update(id_bytes)
+            return right if int.from_bytes(coin.digest(), "big") / 2**64 < skill else wrong
         masked = mask_history_slot(req.rendered_prompt)
         if req.role_tag == "gradient_gen":
             match = _NUM_GRADIENTS_RE.search(req.rendered_prompt)

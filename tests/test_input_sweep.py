@@ -120,6 +120,7 @@ class Case(NamedTuple):
     # Extra arguments; "{dir}" here and in says stands for the case's directory.
     flags: tuple[str, ...] = ()
     # Text the one stderr line of a refusal must hold; every refusal names it.
+    # "{lines}" here stands for the number of lines in the demo recording.
     says: str = ""
 
 
@@ -400,11 +401,11 @@ CASES = {
     ),
     # The recorded transcript, replayed.
     "transcript-as-recorded": Case(EXIT_OK, transcript=lambda t: t),
-    # What a writer killed mid-line leaves behind: the demo recording has 139 lines.
+    # What a writer killed mid-line leaves behind: the recording's last line, cut.
     "transcript-cut-last-line": Case(
         EXIT_CONFIG,
         transcript=lambda t: t[:-40],
-        says="{dir}/transcript.jsonl: line 139: not a transcript entry",
+        says="{dir}/transcript.jsonl: line {lines}: not a transcript entry",
     ),
     "transcript-not-utf8": Case(
         EXIT_CONFIG,
@@ -523,7 +524,8 @@ def test_input_ends_in_a_documented_way(name, recording, tmp_path, monkeypatch, 
         lines = err.splitlines()
         assert len(lines) == 1, err
         assert lines[0].startswith(PREFIX[code]), err
-        assert case.says.replace("{dir}", str(tmp_path)) in lines[0]
+        says = case.says.replace("{dir}", str(tmp_path)).replace("{lines}", str(recording.count("\n")))
+        assert says in lines[0]
         assert not out.exists()
 
 

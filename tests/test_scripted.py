@@ -1,9 +1,10 @@
 """HeuristicScript's task_eval answers against the per-request formula.
 
-The responder keeps each prompt text's skill and the start of its answer-coin
-hash input after the prompt's first request. The reference below recomputes
-both for every request, so an answer taken from a stale or wrongly keyed
-entry shows up as a difference.
+The responder keeps each example input's id bytes and answers from
+construction, and each prompt text's skill and answer-coin hash state after
+the prompt's first request. The reference below finds the example and
+recomputes the skill, the coin and the answers for every request, so an
+answer taken from a stale or wrongly keyed entry shows up as a difference.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from hypothesis import strategies as st
 
 from promptopt import Example, HeuristicScript, LlmRequest, evaluate_prompt, new_seed_prompt
 from promptopt import scripted
+from promptopt.data import math_label
 from promptopt.scripted import ScriptExhaustedError
 
 from conftest import SEED_TEXT, scripted_gateway, task_split, toy_examples
@@ -30,16 +32,24 @@ def reference_hash01(seed: int, *parts: object) -> float:
 
 
 def reference_answer(examples, labels, seed, skill_range, task_type, req: LlmRequest) -> str:
-    """The task_eval answer, with the skill and the answer coin hashed per request."""
-    prompt_text, _, input_text = req.rendered_prompt.rpartition("\n")
-    example = {ex.input_text: ex for ex in examples}.get(input_text)
-    if example is None:
+    """The task_eval answer, with the example found and every hash computed per request."""
+    by_input = {ex.input_text: ex for ex in examples}
+    lines = req.rendered_prompt.split("\n")
+    # The input is the longest suffix of whole lines, after the first, that some example holds.
+    for cut in range(1, len(lines)):
+        prompt_text, input_text = "\n".join(lines[:cut]), "\n".join(lines[cut:])
+        if input_text in by_input:
+            example = by_input[input_text]
+            break
+    else:
         return labels[0] if labels else "unknown"
     lo, hi = skill_range
     skill = lo + (hi - lo) * reference_hash01(seed, "skill", prompt_text)
     correct = reference_hash01(seed, "answer", prompt_text, example.id) < skill
     if task_type == "math":
-        return f"#### {example.label}" if correct else "#### -99999"
+        if correct:
+            return f"#### {example.label}"
+        return "#### -99998" if math_label(example.label) == "-99999" else "#### -99999"
     if correct:
         return example.label
     wrong = [lb for lb in labels if lb.lower() != example.label.lower()]
@@ -49,6 +59,9 @@ def reference_answer(examples, labels, seed, skill_range, task_type, req: LlmReq
 # Prompt texts with the hash input's separator, line breaks before the last
 # one (which starts the example input) and characters outside ASCII.
 prompt_texts = st.text(alphabet=st.sampled_from("ab |\né中\U0001f600#"), min_size=0, max_size=12)
+# One line of an example input, and an input of one to three lines.
+input_lines = st.text(alphabet=st.sampled_from("ab |é中\U0001f600"), min_size=1, max_size=4)
+input_texts = st.lists(input_lines, min_size=1, max_size=3).map("\n".join)
 
 # (label set, gold labels): golds in another case than the label set, a gold
 # outside it, a set whose only label is the gold (a wrong answer repeats it)
@@ -70,16 +83,21 @@ CLASSIFICATION = (
 def test_task_eval_answers_match_the_per_request_formula(data, seed, task_type, skill_range) -> None:
     if task_type == "math":
         labels = ["12", "-3", "7"]
-        golds = ["12", "-3", "7", "12", "4.5"]
+        golds = ["12", "-3", "7", "12", "4.5", "-99999"]
     else:
         labels, golds = data.draw(st.sampled_from(CLASSIFICATION))
         labels, golds = list(labels), list(golds)
-    examples = [Example(i, f"input {i} with | and é", gold) for i, gold in enumerate(golds)]
+    # Inputs of one or more lines; the first has at least two, and the last
+    # input is the first one's last line. Two equal inputs keep the later example.
+    first = "\n".join(data.draw(st.lists(input_lines, min_size=2, max_size=3)))
+    middle = data.draw(st.lists(input_texts, min_size=len(golds) - 2, max_size=len(golds) - 2))
+    texts = [first, *middle, first.rpartition("\n")[2]]
+    examples = [Example(i, text, gold) for i, (text, gold) in enumerate(zip(texts, golds))]
     script = HeuristicScript(
         examples, labels, seed=seed, skill_range=skill_range, task_type=task_type
     )
     prompts = data.draw(st.lists(prompt_texts, min_size=1, max_size=4, unique=True))
-    inputs = [ex.input_text for ex in examples] + [UNKNOWN_INPUT]
+    inputs = texts + [UNKNOWN_INPUT]
     # Prompts and examples interleaved in any order, repeats included.
     order = data.draw(
         st.lists(st.tuples(st.sampled_from(prompts), st.sampled_from(inputs)), min_size=1, max_size=30)
@@ -88,6 +106,15 @@ def test_task_eval_answers_match_the_per_request_formula(data, seed, task_type, 
         req = LlmRequest("task_eval", f"{prompt_text}\n{input_text}")
         want = reference_answer(examples, labels, seed, skill_range, task_type, req)
         assert script(req) == want
+
+
+def test_a_wrong_math_answer_never_scores_whatever_the_gold() -> None:
+    # Skill 0: every coin is wrong, so no answer may parse to its gold.
+    golds = ["-99999", "-99999.0", "#### -99999", "-99998", "12"]
+    examples = [Example(i, f"question {i}", gold) for i, gold in enumerate(golds)]
+    gateway = scripted_gateway(examples, [], task_type="math", skill_range=(0.0, 0.0))
+    score, texts, correct = evaluate_prompt(new_seed_prompt(SEED_TEXT), examples, gateway, task_split("math"))
+    assert score == 0.0 and not any(correct), texts
 
 
 def test_scoring_one_prompt_hashes_its_skill_once(monkeypatch) -> None:
