@@ -202,7 +202,7 @@ def make_split(
     is none of the labels (compared case-insensitively, as F1 counts it) raises
     :class:`DatasetError`, so the default ``positive_label`` of ``""`` suits only a math split,
     which scores no label. A blank ``label_set`` item, which every answer would parse to, raises
-    it too.
+    it too, and so do classification labels that are fewer than two once case is ignored.
     """
     if label_set and not all(label.strip() for label in label_set):
         raise DatasetError(f"label_set holds a blank label: {label_set!r:.60}")
@@ -229,6 +229,12 @@ def make_split(
                     f"example {ex.id}: label {ex.label!r:.40} "
                     f"is not one of the labels {', '.join(label_set)}"
                 )
+        # With one label, every answer that parses is correct.
+        if len(labels) < 2:
+            raise DatasetError(
+                f"a classification task needs two labels that differ beyond case, "
+                f"not only {', '.join(label_set)}"
+            )
     return DatasetSplit(
         train=train,
         test=test,

@@ -22,7 +22,7 @@ import random
 import threading
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Callable, NamedTuple, Sequence
@@ -119,9 +119,13 @@ class TranscriptFormatError(ConfigError):
 
 @dataclass
 class Transcript:
-    """Append-only record of request/response pairs for replay and audit."""
+    """Append-only record of request/response pairs for replay and audit.
+
+    ``path`` is the file that :meth:`load` read it from, else None.
+    """
 
     entries: list[tuple[LlmRequest, LlmResponse]]
+    path: Path | None = field(default=None, compare=False)
 
     def save(self, path: str | Path) -> None:
         """Write the entries in order, one line and one ``write`` at a time.
@@ -283,7 +287,7 @@ class Transcript:
             # read_text names the line and the byte.
             read_text(path, "transcript", TranscriptFormatError)
             raise TranscriptFormatError(f"{path}: not UTF-8 text ({exc})") from exc
-        return cls(entries=entries)
+        return cls(entries=entries, path=Path(path))
 
 
 class ScriptedBackend:
@@ -329,6 +333,8 @@ class ReplayBackend:
     """
 
     def __init__(self, transcript: Transcript):
+        # The recording's file, so that a run can refuse to replace it.
+        self.source = transcript.path
         self._answers: dict[str, dict[str, LlmResponse | list[LlmResponse]]] = {}
         for req, resp in transcript.entries:
             table = self._answers.setdefault(req.role_tag, {})

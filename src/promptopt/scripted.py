@@ -45,12 +45,12 @@ class HeuristicScript:
 
     Per example input, kept from construction: the example id's UTF-8 bytes
     and its right and wrong answers. For classification these are the gold
-    label and the first label that differs from it beyond case (the gold
-    itself when none does); for math, ``#### <gold>`` and ``#### -99999``,
-    or ``#### -99998`` when the gold means -99999, so that a wrong coin never
-    scores. Per prompt text, kept from its first task_eval: its skill and a
-    blake2b state already fed ``seed|answer|prompt text|``. Each answer
-    copies that state and feeds it the example id.
+    label and the first label that differs from it beyond case; for math,
+    ``#### <gold>`` and ``#### -99999``, or ``#### -99998`` when the gold
+    means -99999, so that a wrong coin never scores. Per prompt text, kept
+    from its first task_eval: its skill and a blake2b state already fed
+    ``seed|answer|prompt text|``. Each answer copies that state and feeds it
+    the example id.
     """
 
     def __init__(

@@ -11,13 +11,14 @@ score-versus-round/time/calls reports and the convergence detector.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import asdict
 from pathlib import Path
 from typing import Iterator, NamedTuple, Sequence
 
 from . import artifact, bandit, momentum
 from .data import DatasetSplit, Example, sample_by_correctness, sample_minibatch
-from .gateway import Gateway, GatewayError
+from .gateway import Gateway, GatewayError, ReplayBackend
 from .gradients import GradientEngine, TemplateSet
 from .model import (
     Beam,
@@ -307,7 +308,16 @@ def run(
     :class:`RunIncompleteError`, and any other exception is re-raised as is.
     A gateway whose temperature is not ``cfg.temperature``, or a split whose
     test set does not hold ``cfg.test_set_size`` examples, raises
-    :class:`ConfigError` before the artifact directory is made.
+    :class:`ConfigError` before the artifact directory is made; so does a
+    replay whose recording is the file ``out_dir/transcript.jsonl``, which
+    the run would replace.
+
+    Once the directory is made, and before the first request, every artifact
+    file name is removed from it (:func:`artifact.clear`), so each file the
+    run writes is a new one: a hard link to, or an open reader of, an earlier
+    run's file keeps its bytes, and a run killed before it writes leaves none
+    of them. A name that cannot be removed raises :class:`ConfigError`
+    naming its path, with no request sent.
     """
     if gateway.temperature != cfg.temperature:
         raise ConfigError(
@@ -319,7 +329,12 @@ def run(
             f"not the run's test_set_size {cfg.test_set_size}"
         )
     out = Path(out_dir)
+    own = out / artifact.TRANSCRIPT_FILE
+    source = gateway.backend.source if isinstance(gateway.backend, ReplayBackend) else None
+    if source is not None and own.is_file() and os.path.samefile(source, own):
+        raise ConfigError(f"replay transcript {source} is the run's own {own}, which the run replaces")
     out.mkdir(parents=True, exist_ok=True)
+    artifact.clear(out)
     state = _Search(seed_prompt, split, cfg, gateway, templates)
 
     # Set only once the run finishes, so the artifact that ``finally`` writes
@@ -410,21 +425,21 @@ def _write_artifact(
     # Each record's row is its fields and its type; json writes a tuple as a
     # list. The store numbers its records as it adds them, so its order is id
     # order. Generators, so that each row is dropped once it is encoded.
-    for kind, records in (
-        ("beam", state.beams),
-        ("prompt", store.prompts.values()),
-        ("gradient", store.gradients.values()),
+    for name, kind, records in (
+        (artifact.BEAMS_FILE, "beam", state.beams),
+        (artifact.PROMPTS_FILE, "prompt", store.prompts.values()),
+        (artifact.GRADIENTS_FILE, "gradient", store.gradients.values()),
     ):
-        artifact.write_jsonl(out / f"{kind}s.jsonl", ({"type": kind, **r._asdict()} for r in records))
+        artifact.write_jsonl(out / name, ({"type": kind, **r._asdict()} for r in records))
     artifact.write_json(
-        out / "history.json",
+        out / artifact.HISTORY_FILE,
         {
             "pools": {str(r): list(ids) for r, ids in sorted(state.history.pools.items())},
             "sampled": {str(r): gid for r, gid in sorted(state.history.sampled.items())},
         },
     )
     artifact.write_jsonl(
-        out / "bandit.jsonl",
+        out / artifact.BANDIT_FILE,
         [
             {
                 "round": round_index,
@@ -440,15 +455,11 @@ def _write_artifact(
         "train_score": best.train_score,
         "test_score": best.test_score,
     }
-    # A file this run does not write is removed, so a reused directory never
-    # shows another run's result, convergence report or predictions as this one's.
-    for name, write, payload in (
-        (artifact.CONVERGENCE_FILE, artifact.write_json, None if report is None else report._asdict()),
-        (artifact.RESULT_FILE, artifact.write_json, result),
-        ("predictions.jsonl", artifact.write_jsonl, state.test_predictions),
-    ):
-        if payload:
-            write(out / name, payload)
-        else:
-            (out / name).unlink(missing_ok=True)
-    state.gateway.transcript.save(out / "transcript.jsonl")
+    # Written only when the run has them: run() cleared the directory first.
+    if report is not None:
+        artifact.write_json(out / artifact.CONVERGENCE_FILE, report._asdict())
+    if result is not None:
+        artifact.write_json(out / artifact.RESULT_FILE, result)
+    if state.test_predictions:
+        artifact.write_jsonl(out / artifact.PREDICTIONS_FILE, state.test_predictions)
+    state.gateway.transcript.save(out / artifact.TRANSCRIPT_FILE)

@@ -322,8 +322,13 @@ def test_a_rerun_into_a_used_out_leaves_only_its_own_files(
     assert main([*optimize, "--backend", "scripted", "--verbose-predictions", "--out", str(used)]) == EXIT_OK
     short = tmp_path / "short.jsonl"
     short.write_text("".join((used / "transcript.jsonl").read_text().splitlines(True)[:-1]))
+    # Each file of the rerun is a new one, so a hard link keeps the first run's bytes.
+    kept = tmp_path / "kept.jsonl"
+    os.link(used / "transcript.jsonl", kept)
+    first = kept.read_bytes()
     argv = [*optimize, *(arg.format(short=short) for arg in rerun)]
     assert main([*argv, "--out", str(used)]) == code
+    assert kept.read_bytes() == first
     assert main([*argv, "--out", str(fresh)]) == code
     names = sorted(path.name for path in used.iterdir())
     assert names == sorted(path.name for path in fresh.iterdir())

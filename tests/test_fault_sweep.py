@@ -7,7 +7,8 @@ incomplete`` in ``run_meta.json``, no ``result.json``, and a transcript
 holding exactly the k paid calls before the failure, as the uninterrupted run
 recorded them. A ``KeyboardInterrupt`` at call k, as a Ctrl-C raises it,
 leaves the same artifact and exit code 130, with one line on stderr; so does
-a real SIGINT to the program while a live request waits.
+a real SIGINT to the program while a live request waits. A SIGKILL there
+leaves an empty directory, even one that held a complete run before.
 
 Replaying the recording with any one line k left out must end the same way,
 at the request that line answered: the replay's transcript is the first k
@@ -27,6 +28,7 @@ the partial artifact.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import os
@@ -36,6 +38,7 @@ import subprocess
 import sys
 from collections import Counter
 from pathlib import Path
+from typing import Iterator
 
 import pytest
 
@@ -135,15 +138,15 @@ def test_interrupt_at_a_backend_call_exits_130_with_one_line(monkeypatch, tmp_pa
         assert (out / "transcript.jsonl").read_bytes() == b"".join(lines[:k]), k
 
 
-def test_ctrl_c_during_a_live_request_exits_130_with_one_line(tmp_path) -> None:
-    # A real SIGINT to the program, sent once its first request waits at a
-    # loopback listener that accepts and never answers: no call completes.
+@contextlib.contextmanager
+def _waiting_live_run(tmp_path: Path, out: Path) -> Iterator[subprocess.Popen]:
+    """The demo run as a program, yielded once its first request waits at a
+    loopback listener that accepts and never answers: no call completes."""
     with socket.create_server(("127.0.0.1", 0)) as server:
         server.settimeout(60)
         config = tmp_path / "live.ini"
         endpoint = f"\n[gateway]\nbase_url = http://127.0.0.1:{server.getsockname()[1]}/v1\nmodel = demo\n"
         config.write_text((REPO / "tests" / "data" / "demo.ini").read_text(encoding="utf-8") + endpoint)
-        out = tmp_path / "out"
         argv = ["optimize", "--config", str(config), "--backend", "live", "--out", str(out)]
         path = os.pathsep.join(filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")]))
         with subprocess.Popen(
@@ -157,14 +160,34 @@ def test_ctrl_c_during_a_live_request_exits_130_with_one_line(tmp_path) -> None:
             try:
                 connection = server.accept()[0]
                 with connection:
-                    program.send_signal(signal.SIGINT)
-                    _, err = program.communicate(timeout=60)
+                    yield program
             finally:
                 program.kill()
+
+
+def test_ctrl_c_during_a_live_request_exits_130_with_one_line(tmp_path) -> None:
+    # A real SIGINT to the program.
+    out = tmp_path / "out"
+    with _waiting_live_run(tmp_path, out) as program:
+        program.send_signal(signal.SIGINT)
+        _, err = program.communicate(timeout=60)
     assert program.returncode == EXIT_INTERRUPTED, err
     assert err == f"interrupted (partial artifact: {out})\n"
     assert json.loads((out / "run_meta.json").read_text())["status"] == "incomplete"
     assert (out / "transcript.jsonl").read_bytes() == b""
+
+
+def test_a_run_killed_in_its_first_request_leaves_no_file_of_the_run_before(monkeypatch, tmp_path) -> None:
+    # A SIGKILL writes no partial artifact; the recorded run's files were removed before the request.
+    monkeypatch.chdir(REPO)
+    out = tmp_path / "out"
+    assert main([*DEMO_ARGS, "--out", str(out)]) == EXIT_OK
+    assert json.loads((out / "run_meta.json").read_text())["status"] == "complete"
+    with _waiting_live_run(tmp_path, out) as program:
+        program.kill()
+        program.communicate(timeout=60)
+    assert program.returncode == -signal.SIGKILL
+    assert list(out.iterdir()) == []
 
 
 @pytest.mark.parametrize("preset", sorted(PRESETS))

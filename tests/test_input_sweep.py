@@ -3,11 +3,13 @@
 The table is the one home of the CLI inputs that are refused. Every case
 starts from a copy of the demo inputs (``demo.ini``, ``demo.tsv``, a JSONL copy
 of it, a template directory, or a transcript recorded from the demo) and
-changes one thing. Each must end in a documented way: exit 0, or a refusal
-with exit 2 (``config error:``) or 3 (``dataset error:``) that prints one
-stderr line holding the case's message, raises no traceback, sends no request
-and leaves no artifact directory; ``evaluate`` on a replayed transcript that
-lacks the prompt's answers ends the same way with exit 4 (``gateway error:``).
+changes one thing, or gives ``--out`` a directory that already holds
+something. Each must end in a documented way: exit 0, or a refusal with exit
+2 (``config error:``) or 3 (``dataset error:``) that prints one stderr line
+holding the case's message, raises no traceback, sends no request and leaves
+``--out`` as it was, no directory if there was none; ``evaluate`` on a
+replayed transcript that lacks the prompt's answers ends the same way with
+exit 4 (``gateway error:``).
 Hypothesis then draws demo datasets with a few rows mutated, template
 directories, and recorded transcripts with a few lines changed, and holds each
 to the same rule; a replayed transcript that lacks an answer the run asks for
@@ -101,6 +103,37 @@ def _math_rows(*labels) -> Callable[[str], str]:
     return edit
 
 
+def _recorded_out(out: Path, recording: str) -> None:
+    """Make ``--out`` hold the demo recording as its ``transcript.jsonl``."""
+    out.mkdir()
+    (out / "transcript.jsonl").write_text(recording, encoding="utf-8")
+
+
+def _transcript_directory_out(out: Path, recording: str) -> None:
+    """Make ``--out`` hold a complete run's ``run_meta.json`` and a directory named ``transcript.jsonl``."""
+    (out / "transcript.jsonl").mkdir(parents=True)
+    (out / "run_meta.json").write_text('{"status": "complete"}\n', encoding="utf-8")
+
+
+def _tree(path: Path) -> dict[str, bytes | None] | None:
+    """Each file under ``path`` by its relative name, with its bytes (None for a directory).
+
+    None when ``path`` does not exist.
+    """
+    if not path.exists():
+        return None
+    return {
+        str(item.relative_to(path)): None if item.is_dir() else item.read_bytes()
+        for item in sorted(path.rglob("*"))
+    }
+
+
+def _all_yes(tsv: str) -> str:
+    """Every row of the TSV dataset labelled ``Yes``."""
+    assert "\tNo\n" in tsv
+    return tsv.replace("\tNo\n", "\tYes\n")
+
+
 _MATH = _replace("task_type = classification", "task_type = math")
 _BAD_ENTRY = (
     "{dir}/transcript.jsonl: line 1: role_tag, rendered_prompt and response_text must be strings, "
@@ -122,6 +155,8 @@ class Case(NamedTuple):
     # Text the one stderr line of a refusal must hold; every refusal names it.
     # "{lines}" here stands for the number of lines in the demo recording.
     says: str = ""
+    # Fills the --out directory, {dir}/out, from the demo recording before the run.
+    out: Callable[[Path, str], None] | None = None
 
 
 CASES = {
@@ -298,6 +333,18 @@ CASES = {
     "ini-label-outside-label-set": Case(
         EXIT_DATASET, ini=lambda t: t + "label_set = Yes\n", says="label 'No' is not one of the labels Yes"
     ),
+    # With one label, the responder's wrong answer is the gold, and every answer scores correct.
+    "ini-one-label-set-over-one-label": Case(
+        EXIT_DATASET,
+        ini=lambda t: t + "label_set = Yes\n",
+        tsv=_all_yes,
+        says="a classification task needs two labels that differ beyond case, not only Yes",
+    ),
+    "tsv-one-label": Case(
+        EXIT_DATASET,
+        tsv=_all_yes,
+        says="a classification task needs two labels that differ beyond case, not only Yes",
+    ),
     # Odd values that are still valid, and run to the end.
     "ini-byte-order-mark": Case(EXIT_OK, ini=lambda t: "\ufeff" + t),
     # Values are literal: "%" is text, not interpolation syntax.
@@ -316,6 +363,27 @@ CASES = {
     # The backend flags.
     "replay-without-transcript": Case(
         EXIT_CONFIG, flags=("--backend", "replay"), says="replay backend needs --transcript PATH"
+    ),
+    # The run removes <out>/transcript.jsonl before its first request.
+    "replay-own-transcript": Case(
+        EXIT_CONFIG,
+        flags=("--backend", "replay", "--transcript", "{dir}/out/../out/transcript.jsonl"),
+        out=_recorded_out,
+        says=(
+            "replay transcript {dir}/out/../out/transcript.jsonl "
+            "is the run's own {dir}/out/transcript.jsonl, which the run replaces"
+        ),
+    ),
+    "ini-replay-own-transcript": Case(
+        EXIT_CONFIG,
+        ini=_gateway("backend = replay\ntranscript = {dir}/out/transcript.jsonl"),
+        out=_recorded_out,
+        says="replay transcript {dir}/out/transcript.jsonl is the run's own {dir}/out/transcript.jsonl",
+    ),
+    "out-transcript-is-a-directory": Case(
+        EXIT_CONFIG,
+        out=_transcript_directory_out,
+        says="cannot remove artifact file {dir}/out/transcript.jsonl: Is a directory",
     ),
     "live-without-endpoint": Case(
         EXIT_CONFIG,
@@ -471,7 +539,8 @@ def _argv(case: Case, directory: Path, recording: str) -> list[str]:
         tsv.write_text(case.tsv(DEMO_TSV) if case.tsv else DEMO_TSV, encoding="utf-8", newline="")
     ini = DEMO_INI.replace("tests/data/demo.tsv", "{tsv}")
     ini = case.ini(ini) if case.ini else ini
-    ini = ini.replace("{tsv}", str(data)).replace("format = tsv", f"format = {data_format}")
+    ini = ini.replace("{tsv}", str(data)).replace("{dir}", str(directory))
+    ini = ini.replace("format = tsv", f"format = {data_format}")
     config = directory / "run.ini"
     # A lone surrogate stands for a byte that is not UTF-8.
     config.write_bytes(ini.encode("utf-8", "surrogateescape"))
@@ -506,6 +575,9 @@ def test_input_ends_in_a_documented_way(name, recording, tmp_path, monkeypatch, 
     assert case.code == EXIT_OK or case.says, "a refusal row names its message"
     argv = _argv(case, tmp_path, recording)
     out = tmp_path / "out"
+    if case.out is not None:
+        case.out(out, recording)
+    held = _tree(out)
     if case.command == "optimize":
         argv += ["--out", str(out)]
     if case.code in (EXIT_CONFIG, EXIT_DATASET):
@@ -526,7 +598,7 @@ def test_input_ends_in_a_documented_way(name, recording, tmp_path, monkeypatch, 
         assert lines[0].startswith(PREFIX[code]), err
         says = case.says.replace("{dir}", str(tmp_path)).replace("{lines}", str(recording.count("\n")))
         assert says in lines[0]
-        assert not out.exists()
+        assert _tree(out) == held
 
 
 # Dataset fields: labels of each task, the math label forms, and text that

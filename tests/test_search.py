@@ -3,6 +3,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 from dataclasses import replace
 from pathlib import Path
 
@@ -586,6 +587,22 @@ def test_replayed_run_keeps_the_recorded_responses(tmp_path) -> None:
     kept = [resp for _, resp in gateway.transcript.entries]
     assert len(kept) == len(responses)
     assert all(mine is theirs for mine, theirs in zip(kept, responses))
+
+
+def test_run_refuses_to_replay_its_own_transcript(tmp_path) -> None:
+    # The run would replace the recording it replays; a hard link names the same file.
+    examples = toy_examples()
+    split = make_split(examples, 20, 7, task_type="classification", positive_label="Yes")
+    out = tmp_path / "rec"
+    run(new_seed_prompt(SEED_TEXT), split, small_config(), scripted_gateway(examples, split.label_set), out)
+    recording = (out / "transcript.jsonl").read_bytes()
+    link = tmp_path / "link.jsonl"
+    os.link(out / "transcript.jsonl", link)
+    gateway = Gateway(ReplayBackend(Transcript.load(link)))
+    with pytest.raises(ConfigError, match=f"replay transcript {link} is the run's own {out / 'transcript.jsonl'}"):
+        run(new_seed_prompt(SEED_TEXT), split, small_config(search_depth=1), gateway, out)
+    assert gateway.call_count() == 0
+    assert (out / "transcript.jsonl").read_bytes() == recording
 
 
 def test_run_tests_a_seed_that_carries_a_test_score(tmp_path) -> None:
